@@ -275,6 +275,8 @@ def run_structure(
         raise ValidationError(
             [f"unknown computation {what!r} (choose from {', '.join(STRUCTURE_WHAT)})"]
         )
+    if max_steps < 1:
+        raise ValidationError([f"--max-steps must be at least 1, got {max_steps}"])
     if what in ("center", "derived-series", "lcs"):
         obj = _pick_object(f, object_name, "bracket")
         lie = obj.as_bihom_lie(f.rmatrix)

@@ -193,10 +193,8 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = Matrix.from_rows(
-        [list(m.row(r)) + list(Matrix.identity(n, m.params).row(r)) for r in range(n)],
-        m.params,
-    )
+    ident = Matrix.identity(n, m.params)
+    aug = Matrix.from_rows([m.row(r) + ident.row(r) for r in range(n)], m.params)
     red, _ = rref(aug)
     left_ok = all(
         (red.at(i, j).is_one() if i == j else red.at(i, j).is_zero())

@@ -2,8 +2,14 @@
 
 Every identity the checkers decide is a polynomial identity in the declared
 parameters, so the coefficient domain is the fraction field of Q[params].
-Zero-testing is exact (a reduced numerator with no terms), never numeric
-sampling.
+Zero-testing is exact, never numeric sampling.
+
+A ``Scalar`` has two representations. A constant is held directly as an
+``int`` when it is integral and as a ``Fraction`` otherwise, so arithmetic
+on constants never builds a ``Polynomial``. Any other scalar is a reduced
+pair of polynomials. Canonical-form rule: every construction path puts a
+constant-valued result into the constant form, so ``==`` and ``hash``
+compare representations.
 """
 
 from __future__ import annotations
@@ -270,16 +276,45 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return _int_normalize(c * poly_divexact(b, _content_wrt(b, var)))[1]
 
 
-class Scalar:
-    """Element of the fraction field of Q[params], kept in reduced form.
+def _norm(value):
+    """Canonical constant value: an int when integral, else the Fraction."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
 
-    Canonical representation: the denominator is an integer-coefficient
-    polynomial with coprime content and positive graded-lex leading
-    coefficient (1 for parameter-free scalars); numerator and denominator
-    have no common polynomial factor.
+
+def _const(params, value):
+    """Constant scalar from a canonical value (see ``_norm``)."""
+    s = object.__new__(Scalar)
+    s.params = params
+    s.value = value
+    return s
+
+
+def _fraction(params, num, den):
+    """Non-constant scalar from a pair already in reduced form."""
+    s = object.__new__(Scalar)
+    s.params = params
+    s.value = None
+    s._num = num
+    s._den = den
+    return s
+
+
+class Scalar:
+    """Element of the fraction field of Q[params], kept in canonical form.
+
+    A constant is held as ``value``: an int when it is integral, a Fraction
+    otherwise. Any other scalar has ``value`` None and a reduced pair of
+    polynomials: the denominator is an integer-coefficient polynomial with
+    coprime content and positive graded-lex leading coefficient, and
+    numerator and denominator have no common polynomial factor. Every
+    construction puts a constant-valued result into constant form, so
+    ``==`` and ``hash`` are structural. ``num`` and ``den`` are readable on
+    every scalar; for a constant they are built on demand.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("params", "value", "_num", "_den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
@@ -302,18 +337,32 @@ class Scalar:
                 den = Polynomial.constant(num.params, 1)
             else:
                 num = num.scale(1 / c)
-        self.num = num
-        self.den = den
+        self.params = num.params
+        if den.is_one() and num.is_constant():
+            self.value = _norm(num.constant_value())
+        else:
+            self.value = None
+            self._num = num
+            self._den = den
 
     @property
-    def params(self):
-        return self.num.params
+    def num(self) -> Polynomial:
+        if self.value is None:
+            return self._num
+        return Polynomial.constant(self.params, self.value)
+
+    @property
+    def den(self) -> Polynomial:
+        if self.value is None:
+            return self._den
+        return Polynomial.constant(self.params, 1)
 
     @classmethod
     def of(cls, params, value):
         """Constant scalar from an int or Fraction."""
-        p = tuple(params)
-        return cls(Polynomial.constant(p, value), Polynomial.constant(p, 1))
+        if type(value) is not int:
+            value = _norm(Fraction(value))
+        return _const(tuple(params), value)
 
     @classmethod
     def param(cls, params, name):
@@ -321,22 +370,33 @@ class Scalar:
         return cls(Polynomial.variable(p, name), Polynomial.constant(p, 1))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.value == 0
 
     def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
+        return self.value == 1
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
+        return self.value is not None
 
     def as_fraction(self) -> Fraction:
-        if not self.is_constant():
+        v = self.value
+        if v is None:
             raise ValueError(f"scalar {self} is not constant")
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(v) if type(v) is int else v
+
+    # A non-constant n/d plus or times a nonzero constant c gives
+    # (n + c*d)/d or (c*n)/d. Both pairs are reduced, since
+    # gcd(n + c*d, d) = gcd(c*n, d) = gcd(n, d), and neither is constant.
+
+    def _plus_constant(self, c):
+        return _fraction(self.params, self._num + self._den.scale(c), self._den)
+
+    def _times_constant(self, c):
+        return _fraction(self.params, self._num.scale(c), self._den)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.params != self.params:
+            if other.params is not self.params and other.params != self.params:
                 raise ValueError("parameter context mismatch")
             return other
         if isinstance(other, (int, Fraction)):
@@ -347,24 +407,40 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if self.value is not None or other.value is not None:
+            return self.value == other.value
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if self.value is not None:
+            return hash(self.value)
+        return hash((self._num, self._den))
 
     def __neg__(self):
-        return Scalar(-self.num, self.den)
+        v = self.value
+        if v is not None:
+            return _const(self.params, -v)
+        return _fraction(self.params, -self._num, self._den)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            s = Scalar.__new__(Scalar)
-            s.num = self.num + other.num
-            s.den = self.den
-            return s
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        a = self.value
+        b = other.value
+        if a is not None:
+            if b is not None:
+                return _const(self.params, _norm(a + b))
+            return other._plus_constant(a) if a else other
+        if b is not None:
+            return self._plus_constant(b) if b else self
+        sn, sd, on, od = self._num, self._den, other._num, other._den
+        if sd.is_one() and od.is_one():
+            num = sn + on
+            if num.is_constant():
+                return _const(self.params, _norm(num.constant_value()))
+            return _fraction(self.params, num, sd)
+        return Scalar(sn * od + on * sd, sd * od)
 
     __radd__ = __add__
 
@@ -381,14 +457,19 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.num.is_zero() or other.num.is_zero():
-            return Scalar.of(self.params, 0)
-        if self.den.is_one() and other.den.is_one():
-            s = Scalar.__new__(Scalar)
-            s.num = self.num * other.num
-            s.den = self.den
-            return s
-        return Scalar(self.num * other.num, self.den * other.den)
+        a = self.value
+        b = other.value
+        if a is not None:
+            if b is not None:
+                return _const(self.params, _norm(a * b))
+            return other._times_constant(a) if a else self
+        if b is not None:
+            return self._times_constant(b) if b else other
+        sn, sd, on, od = self._num, self._den, other._num, other._den
+        if sd.is_one() and od.is_one():
+            # a product of non-constant polynomials is non-constant
+            return _fraction(self.params, sn * on, sd)
+        return Scalar(sn * on, sd * od)
 
     __rmul__ = __mul__
 
@@ -404,7 +485,12 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise DivisionByZero("inverse of the zero scalar")
-        return Scalar(self.den, self.num)
+        v = self.value
+        if v is not None:
+            if type(v) is int:
+                return _const(self.params, _norm(Fraction(1, v)))
+            return _const(self.params, _norm(Fraction(v.denominator, v.numerator)))
+        return Scalar(self._den, self._num)
 
     def substitute(self, bindings) -> "Scalar":
         """Evaluate every occurring parameter; a ring homomorphism into Q.
@@ -413,20 +499,25 @@ class Scalar:
         ``bindings`` and DenominatorVanishes if the binding hits a pole.
         """
         values = {k: Fraction(v) for k, v in bindings.items()}
-        for name in sorted(self.num.occurring() | self.den.occurring()):
+        if self.value is not None:
+            return self
+        num, den = self._num, self._den
+        for name in sorted(num.occurring() | den.occurring()):
             if name not in values:
                 raise UnboundParameter(f"parameter '{name}' is unbound")
-        d = self.den.evaluate(values)
+        d = den.evaluate(values)
         if d == 0:
-            raise DenominatorVanishes(f"denominator {poly_str(self.den)} vanishes")
-        n = self.num.evaluate(values)
+            raise DenominatorVanishes(f"denominator {poly_str(den)} vanishes")
+        n = num.evaluate(values)
         return Scalar.of(self.params, n / d)
 
     def reparametrize(self, new_params) -> "Scalar":
         """Move to another parameter context; every occurring name must survive."""
         new_params = tuple(new_params)
+        if self.value is not None:
+            return _const(new_params, self.value)
         idx = {name: i for i, name in enumerate(new_params)}
-        missing = (self.num.occurring() | self.den.occurring()) - set(new_params)
+        missing = (self._num.occurring() | self._den.occurring()) - set(new_params)
         if missing:
             raise UnboundParameter(
                 f"parameters {sorted(missing)} do not exist in the new context"
@@ -442,7 +533,7 @@ class Scalar:
                 out[tuple(ne)] = c
             return Polynomial(new_params, out)
 
-        return Scalar(remap(self.num), remap(self.den))
+        return Scalar(remap(self._num), remap(self._den))
 
     def __str__(self):
         return scalar_str(self)
@@ -490,18 +581,24 @@ def _den_atomic(p: Polynomial) -> bool:
 
 def scalar_str(s: Scalar) -> str:
     """Canonical text form; ``parse_scalar`` inverts it exactly."""
-    if s.den.is_one():
-        return poly_str(s.num)
-    num = poly_str(s.num)
-    if len(s.num.terms) > 1:
+    if s.value is not None:
+        return str(s.value)
+    n, d = s._num, s._den
+    if d.is_one():
+        return poly_str(n)
+    num = poly_str(n)
+    if len(n.terms) > 1:
         num = f"({num})"
-    den = poly_str(s.den)
-    if not _den_atomic(s.den):
+    den = poly_str(d)
+    if not _den_atomic(d):
         den = f"({den})"
     return f"{num}/{den}"
 
 
 # -- parsing -----------------------------------------------------------------
+
+# largest exponent ``^`` accepts, so that one power stays cheap to evaluate
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
@@ -579,10 +676,17 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind != "int":
                 self.fail("exponent must be a nonnegative integer")
+            if val > MAX_EXPONENT:
+                self.fail(f"exponent {val} exceeds the limit {MAX_EXPONENT}")
             self.take()
+            # square-and-multiply
             out = Scalar.of(self.params, 1)
-            for _ in range(val):
-                out = out * v
+            while val:
+                if val & 1:
+                    out = out * v
+                val >>= 1
+                if val:
+                    v = v * v
             return out
         return v
 

@@ -192,6 +192,16 @@ def test_unknown_object_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("what,steps", [("derived-series", "-1"), ("lcs", "0")])
+def test_structure_max_steps_below_one_is_input_error(capsys, what, steps):
+    code, out, err = run(
+        capsys, "structure", "example25-heisenberg", "--what", what, "--max-steps", steps
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-steps must be at least 1, got {steps}\n"
+
+
 def test_trivial_one_dimensional_algebra_passes_everything(capsys, tmp_path):
     doc = {
         "format": "bihom-algebra-file/1",

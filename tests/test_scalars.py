@@ -1,6 +1,7 @@
 """Exact scalar arithmetic, reduction, substitution, and text round-trips."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,14 @@ from bihomcheck.errors import (
     ParseError,
     UnboundParameter,
 )
-from bihomcheck.scalars import Polynomial, Scalar, parse_scalar, poly_gcd, scalar_str
+from bihomcheck.scalars import (
+    MAX_EXPONENT,
+    Polynomial,
+    Scalar,
+    parse_scalar,
+    poly_gcd,
+    scalar_str,
+)
 
 P = ("b",)
 L = ("l1", "l2", "l1p", "l2p")
@@ -197,3 +205,121 @@ def test_reparametrize():
     assert w.params == ("a", "b")
     with pytest.raises(UnboundParameter):
         v.reparametrize(("c",))
+
+
+def test_exponent_above_the_limit_is_refused_at_the_exponent():
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_scalar("x^1000000000", ("x",))
+    assert time.perf_counter() - start < 1
+    assert info.value.column == 3
+    with pytest.raises(ParseError):
+        sc(f"b^{MAX_EXPONENT + 1}")
+
+
+def test_powers_by_square_and_multiply():
+    b = Scalar.param(P, "b")
+    assert str(sc("b^2")) == "b^2" and sc("b^2") == b * b
+    assert str(sc("1/b^2")) == "1/b^2" and sc("1/b^2") == (b * b).inverse()
+    assert sc("b^0") == 1
+    assert sc("(b + 1)^5") == (b + 1) * (b + 1) * (b + 1) * (b + 1) * (b + 1)
+    assert sc(f"2^{MAX_EXPONENT}") == Scalar.of(P, 2**MAX_EXPONENT)
+    assert sc("(-1/2)^3").value == Fraction(-1, 8)
+
+
+@pytest.mark.parametrize("text", ["(b^2 - 1)/(b - 1) - b", "(b + 1)/(b + 1)", "b/2*(2/b)"])
+def test_parametric_expression_collapsing_to_a_constant_is_in_constant_form(text):
+    v = sc(text)
+    one = Scalar.of(P, 1)
+    assert v.is_constant() and v.is_one()
+    assert v == one and hash(v) == hash(one)
+    assert v != Scalar.param(P, "b") and Scalar.param(P, "b") != v
+    assert type(v.value) is int
+    assert v.num == one.num and v.den.is_one()
+
+
+def test_constants_are_never_floats():
+    third = Scalar.of((), 3).inverse()
+    assert type(third.as_fraction()) is Fraction and third.as_fraction() == Fraction(1, 3)
+    assert type(Scalar.of((), 3).as_fraction()) is Fraction
+    assert type((Scalar.of(P, 1) / 2).value) is Fraction
+    assert type((Scalar.of(P, Fraction(3, 2)) * 2).value) is int
+    assert type(Scalar.of((), -1).inverse().value) is int
+    assert type((Scalar.of(L, 6) / Scalar.of(L, 4)).as_fraction()) is Fraction
+
+
+def _trees(st, params):
+    """Expression trees: leaves are ("c", q) for Scalar.of, ("n", q) for a
+    bare int or Fraction operand, ("p", name); nodes are (op, left, right)."""
+    q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    leaves = [q.map(lambda v: ("c", v)), q.map(lambda v: ("n", v.numerator if v.denominator == 1 else v))]
+    if params:
+        leaves.append(st.sampled_from(params).map(lambda n: ("p", n)))
+    return st.recursive(
+        st.one_of(*leaves),
+        lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids),
+        max_leaves=6,
+    )
+
+
+def test_arithmetic_agrees_with_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ops = {
+        "+": lambda x, y: x + y,
+        "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y,
+        "/": lambda x, y: x / y,
+    }
+
+    def agree(x, expr, params, symbols):
+        assert isinstance(x, Scalar)
+        expr = sympy.cancel(expr)
+        printed = sympy.parse_expr(str(x).replace("^", "**"), local_dict=symbols)
+        assert sympy.cancel(printed - expr) == 0
+        assert parse_scalar(str(x), params) == x
+        if expr.free_symbols:
+            assert not x.is_constant()
+            assert Scalar(x.num, x.den) == x
+            return
+        q = Fraction(int(expr.p), int(expr.q))
+        constant = Scalar.of(params, q)
+        assert x.is_constant() and x == constant and hash(x) == hash(constant)
+        assert type(x.as_fraction()) is Fraction and x.as_fraction() == q
+        assert type(x.value) is (int if q.denominator == 1 else Fraction)
+        assert x.den.is_one() and x.num == Polynomial.constant(params, q)
+
+    def build(tree, params, symbols):
+        """(value, sympy expression), or None after a division by zero."""
+        kind = tree[0]
+        if kind == "p":
+            return Scalar.param(params, tree[1]), symbols[tree[1]]
+        if kind in ("c", "n"):
+            v = Fraction(tree[1])
+            s = Scalar.of(params, v) if kind == "c" else tree[1]
+            return s, sympy.Rational(v.numerator, v.denominator)
+        left, right = build(tree[1], params, symbols), build(tree[2], params, symbols)
+        if left is None or right is None:
+            return None
+        (x, ex), (y, ey) = left, right
+        if not isinstance(x, Scalar) and not isinstance(y, Scalar):
+            x = Scalar.of(params, x)
+        if tree[0] == "/" and sympy.cancel(ey) == 0:
+            with pytest.raises(DivisionByZero):
+                ops["/"](x, y)
+            return None
+        out, expr = ops[tree[0]](x, y), ops[tree[0]](ex, ey)
+        agree(out, expr, params, symbols)
+        return out, expr
+
+    contexts = st.sampled_from([(), ("a", "b")])
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(case=contexts.flatmap(lambda p: st.tuples(st.just(p), _trees(st, p))))
+    def check(case):
+        params, tree = case
+        symbols = {name: sympy.Symbol(name) for name in params}
+        build(tree, params, symbols)
+
+    check()
