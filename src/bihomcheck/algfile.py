@@ -22,7 +22,7 @@ from .errors import NotAGroup, ParseError, ValidationError
 from .hmod import HModule, ModuleMap
 from .hopf import HopfAlgebra, RMatrix, group_algebra
 from .linalg import Matrix
-from .scalars import Scalar, parse_scalar
+from .scalars import MAX_INT_DIGITS, Scalar, parse_scalar
 
 FORMAT = "bihom-algebra-file/1"
 
@@ -313,11 +313,18 @@ def _build_object(name, data, hopf, params, findings):
     )
 
 
+def _json_int(text: str) -> int:
+    digits = len(text.lstrip("-"))
+    if digits > MAX_INT_DIGITS:
+        raise ParseError(f"JSON integer of {digits} digits exceeds the limit {MAX_INT_DIGITS}")
+    return int(text)
+
+
 def parse_algebra_file(text: str) -> AlgebraFile:
     """Parse and validate; raises ParseError (syntax) or ValidationError
     (semantics, with every located finding), never returns a partial file."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     findings = _Findings()

@@ -38,11 +38,10 @@ def _tensor_to_matrix(tensor, dim, params):
 
 
 def _first_bad_column(diff: Matrix):
-    for c in range(diff.cols):
-        col = diff.col(c)
-        if any(not x.is_zero() for x in col):
-            return c, col
-    return None
+    c = diff.first_nonzero_column()
+    if c is None:
+        return None
+    return c, diff.col(c)
 
 
 def _decode(c, dim, arity):

@@ -88,7 +88,7 @@ def check_module(m: HModule) -> CheckReport:
     diff = m.unit_action() - Matrix.identity(m.dim, m.params)
     w = None
     if not diff.is_zero():
-        col = next(c for c in range(m.dim) if any(not diff.at(r, c).is_zero() for r in range(m.dim)))
+        col = diff.first_nonzero_column()
         w = Witness((names[col],), residual_from_vector(names, diff.col(col)))
     rep.add("module.unit", "the Hopf unit acts as the identity", w is None, w)
 
@@ -105,10 +105,7 @@ def check_module(m: HModule) -> CheckReport:
                     rhs = rhs + m.action[k].scale(c)
             diff = lhs - rhs
             if not diff.is_zero():
-                col = next(
-                    c for c in range(m.dim)
-                    if any(not diff.at(r, c).is_zero() for r in range(m.dim))
-                )
+                col = diff.first_nonzero_column()
                 w = Witness(
                     (hnames[i], hnames[j], names[col]),
                     residual_from_vector(names, diff.col(col)),
@@ -139,11 +136,13 @@ def braiding(m: HModule, n: HModule, r: RMatrix) -> Matrix:
     if r.dim != m.hopf.dim:
         raise DimensionMismatch("R-matrix dimension differs from the Hopf algebra")
     out = Matrix.zero(n.dim * m.dim, m.dim * n.dim, m.params)
-    # plain flip of tensor factors, models m (x) n -> n (x) m index order
-    perm = Matrix.zero(n.dim * m.dim, m.dim * n.dim, m.params)
-    for a in range(m.dim):
-        for b in range(n.dim):
-            perm.entries[(b * m.dim + a) * (m.dim * n.dim) + (a * n.dim + b)] = m.one
+    # plain flip of tensor factors: row b*dim_m + a holds a one at a*dim_n + b
+    perm = Matrix.from_dicts(
+        n.dim * m.dim,
+        m.dim * n.dim,
+        [{a * n.dim + b: m.one} for b in range(n.dim) for a in range(m.dim)],
+        m.params,
+    )
     for i in range(m.hopf.dim):
         for j in range(m.hopf.dim):
             c = r.entry(i, j)

@@ -1,8 +1,13 @@
-"""Dense exact linear algebra over the scalar fraction field.
+"""Sparse exact linear algebra over the scalar fraction field.
 
-Matrices are small (paper examples are dimension <= 4, tensor cubes <= 64),
-so everything is dense Gauss-Jordan with exact division; subspaces are kept
-in reduced row echelon form so that equality of ideals is equality of
+A matrix stores its nonzero entries only: row ``r`` is a ``{column:
+Scalar}`` dict, and no stored entry is ever zero. Structure maps on tensor
+powers (braidings, tensor-factor permutations, Kronecker products of
+twisting maps) are mostly zero, so every operation here, products and
+Gauss-Jordan elimination included, costs in proportion to the stored
+nonzeros rather than to rows x cols. Exact arithmetic makes the order in
+which entries are summed irrelevant to the result. Subspaces are kept in
+reduced row echelon form so that equality of ideals is equality of
 matrices.
 """
 
@@ -13,21 +18,46 @@ from .scalars import Scalar
 
 
 class Matrix:
-    """Dense row-major matrix of Scalars."""
+    """Sparse row-major matrix of Scalars.
 
-    __slots__ = ("rows", "cols", "entries", "params")
+    ``data[r]`` maps each column holding a nonzero entry of row ``r`` to
+    that entry; absent columns are zero. ``entries`` is the dense row-major
+    list, built on demand. ``at``, ``row`` and ``col`` fill the gaps with
+    the one shared zero scalar of the parameter context.
+    """
+
+    __slots__ = ("rows", "cols", "data", "params", "_zero")
 
     def __init__(self, rows, cols, entries, params=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = list(entries)
-        if len(self.entries) != rows * cols:
+        entries = list(entries)
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         if params is None:
-            if not self.entries:
+            if not entries:
                 raise ValueError("parameter context required for empty matrices")
-            params = self.entries[0].params
+            params = entries[0].params
+        data = []
+        for r in range(rows):
+            base = r * cols
+            data.append(
+                {c: x for c, x in enumerate(entries[base : base + cols]) if not x.is_zero()}
+            )
+        self._set(rows, cols, data, params)
+
+    def _set(self, rows, cols, data, params):
+        self.rows = rows
+        self.cols = cols
+        self.data = data
         self.params = params
+        self._zero = Scalar.of(params, 0)
+
+    @classmethod
+    def from_dicts(cls, rows, cols, data, params):
+        """Matrix over row dicts ``{column: Scalar}`` that hold nonzero
+        entries only; the dicts are taken over, not copied."""
+        m = object.__new__(cls)
+        m._set(rows, cols, data, params)
+        return m
 
     @classmethod
     def from_rows(cls, rows, params=None):
@@ -41,151 +71,175 @@ class Matrix:
     @classmethod
     def identity(cls, n, params=()):
         one = Scalar.of(params, 1)
-        zero = Scalar.of(params, 0)
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)], params)
+        return cls.from_dicts(n, n, [{i: one} for i in range(n)], params)
 
     @classmethod
     def zero(cls, rows, cols, params=()):
-        z = Scalar.of(params, 0)
-        return cls(rows, cols, [z] * (rows * cols), params)
+        return cls.from_dicts(rows, cols, [{} for _ in range(rows)], params)
+
+    @property
+    def entries(self):
+        out = []
+        for r in range(self.rows):
+            out.extend(self.row(r))
+        return out
 
     def at(self, r, c) -> Scalar:
-        return self.entries[r * self.cols + c]
+        return self.data[r].get(c, self._zero)
 
     def row(self, r):
-        return self.entries[r * self.cols : (r + 1) * self.cols]
+        out = [self._zero] * self.cols
+        for c, x in self.data[r].items():
+            out[c] = x
+        return out
 
     def row_list(self):
         return [self.row(r) for r in range(self.rows)]
 
     def col(self, c):
-        return [self.entries[r * self.cols + c] for r in range(self.rows)]
+        zero = self._zero
+        return [row.get(c, zero) for row in self.data]
+
+    def first_nonzero_column(self):
+        """Smallest column holding a nonzero entry, or None for the zero matrix."""
+        return min((min(row) for row in self.data if row), default=None)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self.data)))
 
     def is_zero(self):
-        return all(x.is_zero() for x in self.entries)
+        return not any(self.data)
+
+    def _check_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)], self.params)
+        self._check_shape(other)
+        data = []
+        for a, b in zip(self.data, other.data):
+            row = dict(a)
+            _add_scaled(row, None, b)
+            data.append(row)
+        return Matrix.from_dicts(self.rows, self.cols, data, self.params)
 
     def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)], self.params)
+        return self + -other
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.entries], self.params)
+        return Matrix.from_dicts(
+            self.rows, self.cols,
+            [{c: -x for c, x in row.items()} for row in self.data], self.params,
+        )
 
     def scale(self, c: Scalar):
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries], self.params)
+        if c.is_zero():
+            return Matrix.zero(self.rows, self.cols, self.params)
+        # the fraction field has no zero divisors: c * x stays nonzero
+        return Matrix.from_dicts(
+            self.rows, self.cols,
+            [{k: c * x for k, x in row.items()} for row in self.data], self.params,
+        )
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        zero = Scalar.of(self.params, 0)
-        out = [zero] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a.is_zero():
-                    continue
-                obase = k * other.cols
-                rbase = i * other.cols
-                for j in range(other.cols):
-                    b = other.entries[obase + j]
-                    if not b.is_zero():
-                        out[rbase + j] = out[rbase + j] + a * b
-        return Matrix(self.rows, other.cols, out, self.params)
+        odata = other.data
+        data = []
+        for arow in self.data:
+            out = {}
+            for k, a in arow.items():
+                for j, b in odata[k].items():
+                    s = out.get(j)
+                    out[j] = a * b if s is None else s + a * b
+            data.append({j: x for j, x in out.items() if not x.is_zero()})
+        return Matrix.from_dicts(self.rows, other.cols, data, self.params)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list of Scalars)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        zero = Scalar.of(self.params, 0)
         out = []
-        for i in range(self.rows):
-            s = zero
-            base = i * self.cols
-            for j, v in enumerate(vec):
+        for row in self.data:
+            s = self._zero
+            for j, e in row.items():
+                v = vec[j]
                 if not v.is_zero():
-                    e = self.entries[base + j]
-                    if not e.is_zero():
-                        s = s + e * v
+                    s = s + e * v
             out.append(s)
         return out
 
     def transpose(self):
-        return Matrix(self.cols, self.rows,
-                      [self.at(r, c) for c in range(self.cols) for r in range(self.rows)],
-                      self.params)
+        data = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self.data):
+            for c, x in row.items():
+                data[c][r] = x
+        return Matrix.from_dicts(self.cols, self.rows, data, self.params)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in self.row(r)) for r in range(self.rows))
         return f"Matrix[{body}]"
 
 
+def _add_scaled(target: dict, f, src: dict):
+    """target += f * src in place (f None means 1), dropping entries that cancel."""
+    for k, y in src.items():
+        t = y if f is None else f * y
+        v = target.get(k)
+        if v is None:
+            target[k] = t
+        else:
+            v = v + t
+            if v.is_zero():
+                del target[k]
+            else:
+                target[k] = v
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; basis convention (i,j) -> i*b.rows + j."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    zero = Scalar.of(a.params, 0)
-    out = [zero] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.at(i, j)
-            if x.is_zero():
-                continue
-            for k in range(b.rows):
-                rbase = (i * b.rows + k) * cols + j * b.cols
-                bbase = k * b.cols
-                for l in range(b.cols):
-                    y = b.entries[bbase + l]
-                    if not y.is_zero():
-                        out[rbase + l] = x * y
-    return Matrix(rows, cols, out, a.params)
+    bcols = b.cols
+    data = []
+    for arow in a.data:
+        for brow in b.data:
+            row = {}
+            for j, x in arow.items():
+                off = j * bcols
+                for l, y in brow.items():
+                    row[off + l] = x * y
+            data.append(row)
+    return Matrix.from_dicts(a.rows * b.rows, a.cols * bcols, data, a.params)
 
 
 def rref(m: Matrix):
     """Reduced row echelon form over the fraction field; returns (rref, rank)."""
-    rows = [list(m.row(r)) for r in range(m.rows)]
+    rows = [dict(r) for r in m.data]
     pivot_row = 0
-    pivots = []
-    for c in range(m.cols):
-        pr = None
-        for r in range(pivot_row, m.rows):
-            if not rows[r][c].is_zero():
-                pr = r
-                break
-        if pr is None:
-            continue
+    while pivot_row < m.rows:
+        # the next pivot column is the smallest column still occupied below
+        c = min((min(r) for r in rows[pivot_row:] if r), default=None)
+        if c is None:
+            break
+        pr = next(r for r in range(pivot_row, m.rows) if c in rows[r])
         rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
         inv = rows[pivot_row][c].inverse()
-        rows[pivot_row] = [x * inv for x in rows[pivot_row]]
+        prow = {k: x * inv for k, x in rows[pivot_row].items()}
+        rows[pivot_row] = prow
         for r in range(m.rows):
-            if r != pivot_row and not rows[r][c].is_zero():
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivots.append(c)
+            if r != pivot_row:
+                f = rows[r].get(c)
+                if f is not None:
+                    _add_scaled(rows[r], -f, prow)
         pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    out = Matrix.from_rows(rows, m.params) if rows else Matrix.zero(0, m.cols, m.params)
-    return out, pivot_row
+    return Matrix.from_dicts(m.rows, m.cols, rows, m.params), pivot_row
 
 
 def invert(m: Matrix) -> Matrix:
@@ -193,39 +247,39 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    ident = Matrix.identity(n, m.params)
-    aug = Matrix.from_rows([m.row(r) + ident.row(r) for r in range(n)], m.params)
-    red, _ = rref(aug)
-    left_ok = all(
-        (red.at(i, j).is_one() if i == j else red.at(i, j).is_zero())
-        for i in range(n)
-        for j in range(n)
+    one = Scalar.of(m.params, 1)
+    aug = Matrix.from_dicts(
+        n, 2 * n, [{**row, n + i: one} for i, row in enumerate(m.data)], m.params
     )
-    if not left_ok:
-        raise Singular("matrix is singular")
-    return Matrix(n, n, [red.at(i, n + j) for i in range(n) for j in range(n)], m.params)
+    red, _ = rref(aug)
+    data = []
+    for i, row in enumerate(red.data):
+        left = [k for k in row if k < n]
+        if left != [i] or not row[i].is_one():
+            raise Singular("matrix is singular")
+        data.append({k - n: x for k, x in row.items() if k >= n})
+    return Matrix.from_dicts(n, n, data, m.params)
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Null space {v : m v = 0} as an RREF subspace of dimension cols - rank."""
     red, rank = rref(m)
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r < rank and not red.at(r, c).is_zero():
-            pivots.append(c)
-            r += 1
-    free = [c for c in range(m.cols) if c not in pivots]
-    zero = Scalar.of(m.params, 0)
     one = Scalar.of(m.params, 1)
-    basis = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.at(r, fc)
-        basis.append(v)
-    return Subspace.from_rows(m.cols, basis, m.params)
+    basis = {}
+    pivots = set()
+    for row in red.data[:rank]:
+        pc = min(row)
+        pivots.add(pc)
+        for fc, x in row.items():
+            if fc != pc:
+                basis.setdefault(fc, {})[pc] = -x
+    vecs = []
+    for fc in range(m.cols):
+        if fc not in pivots:
+            v = basis.get(fc, {})
+            v[fc] = one
+            vecs.append(v)
+    return Subspace.span(m.cols, vecs, m.params)
 
 
 class Subspace:
@@ -248,13 +302,14 @@ class Subspace:
             params = rows[0][0].params
         if params is None:
             params = ()
-        if not rows:
-            return cls(ambient_dim, Matrix.zero(0, ambient_dim, params))
-        red, rank = rref(Matrix.from_rows(rows, params))
-        kept = [red.row(r) for r in range(rank)]
-        if not kept:
-            return cls(ambient_dim, Matrix.zero(0, ambient_dim, params))
-        return cls(ambient_dim, Matrix.from_rows(kept, params))
+        return cls.span(ambient_dim, Matrix.from_rows(rows, params).data, params)
+
+    @classmethod
+    def span(cls, ambient_dim, vecs, params):
+        """Span of sparse vectors given as ``{column: Scalar}`` dicts holding
+        nonzero entries only; the dicts are read, not changed."""
+        red, rank = rref(Matrix.from_dicts(len(vecs), ambient_dim, vecs, params))
+        return cls(ambient_dim, Matrix.from_dicts(rank, ambient_dim, red.data[:rank], params))
 
     @classmethod
     def zero_space(cls, ambient_dim, params=()):
@@ -289,9 +344,7 @@ class Subspace:
 
     def __add__(self, other):
         self._check(other)
-        return Subspace.from_rows(
-            self.ambient_dim, self.vectors() + other.vectors(), self.params
-        )
+        return Subspace.span(self.ambient_dim, self.basis.data + other.basis.data, self.params)
 
     def contains_vector(self, vec) -> bool:
         if len(vec) != self.ambient_dim:
@@ -300,18 +353,15 @@ class Subspace:
 
     def coordinates(self, vec):
         """Coordinates of vec in this basis, or None if it lies outside."""
-        residual = list(vec)
+        residual = {k: x for k, x in enumerate(vec) if not x.is_zero()}
+        zero = self.basis._zero
         coords = []
-        for r in range(self.basis.rows):
-            pc = next(
-                c for c in range(self.ambient_dim) if not self.basis.at(r, c).is_zero()
-            )
-            coeff = residual[pc]
+        for row in self.basis.data:
+            coeff = residual.get(min(row), zero)
             coords.append(coeff)
             if not coeff.is_zero():
-                row = self.basis.row(r)
-                residual = [x - coeff * y for x, y in zip(residual, row)]
-        if any(not x.is_zero() for x in residual):
+                _add_scaled(residual, -coeff, row)
+        if residual:
             return None
         return coords
 
@@ -325,22 +375,19 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero_space(self.ambient_dim, self.params)
         # solve a^T x = b^T y: kernel of [basis_a^T | -basis_b^T]
-        cols = self.dim + other.dim
-        rows = []
-        for i in range(self.ambient_dim):
-            row = [self.basis.at(r, i) for r in range(self.dim)]
-            row += [-other.basis.at(r, i) for r in range(other.dim)]
-            rows.append(row)
-        null = kernel(Matrix.from_rows(rows, self.params))
+        stacked = Matrix.from_dicts(
+            self.dim + other.dim, self.ambient_dim,
+            self.basis.data + (-other.basis).data, self.params,
+        )
+        null = kernel(stacked.transpose())
         vecs = []
-        for sol in null.vectors():
-            coeffs = sol[: self.dim]
-            vec = [Scalar.of(self.params, 0)] * self.ambient_dim
-            for c, bv in zip(coeffs, self.vectors()):
-                if not c.is_zero():
-                    vec = [x + c * y for x, y in zip(vec, bv)]
+        for sol in null.basis.data:
+            vec = {}
+            for r, c in sol.items():
+                if r < self.dim:
+                    _add_scaled(vec, c, self.basis.data[r])
             vecs.append(vec)
-        return Subspace.from_rows(self.ambient_dim, vecs, self.params)
+        return Subspace.span(self.ambient_dim, vecs, self.params)
 
     def annihilator_matrix(self) -> Matrix:
         """Rows span {phi : phi . v = 0 for all v in the subspace}; the
@@ -354,17 +401,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
-
-
-def subspace_ops(a: Subspace, b: Subspace, op: str):
-    """Dispatcher mirroring the documented subspace operation set."""
-    if op == "sum":
-        return a + b
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "contains":
-        return a.contains(b)
-    if op == "equals":
-        a._check(b)
-        return a == b
-    raise ValueError(f"unknown subspace op {op!r}")

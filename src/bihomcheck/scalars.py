@@ -291,6 +291,11 @@ def _const(params, value):
     return s
 
 
+# the shared zero and one of each parameter context, keyed by (params, value);
+# scalars are never mutated after construction, so sharing them is safe
+_INTERNED = {}
+
+
 def _fraction(params, num, den):
     """Non-constant scalar from a pair already in reduced form."""
     s = object.__new__(Scalar)
@@ -359,10 +364,18 @@ class Scalar:
 
     @classmethod
     def of(cls, params, value):
-        """Constant scalar from an int or Fraction."""
+        """Constant scalar from an int or Fraction. Zero and one are
+        interned: each parameter context has one shared object for each."""
         if type(value) is not int:
             value = _norm(Fraction(value))
-        return _const(tuple(params), value)
+        params = tuple(params)
+        if value == 0 or value == 1:
+            key = (params, value)
+            s = _INTERNED.get(key)
+            if s is None:
+                s = _INTERNED[key] = _const(params, value)
+            return s
+        return _const(params, value)
 
     @classmethod
     def param(cls, params, name):
@@ -600,6 +613,10 @@ def scalar_str(s: Scalar) -> str:
 # largest exponent ``^`` accepts, so that one power stays cheap to evaluate
 MAX_EXPONENT = 1000
 
+# longest integer literal accepted; CPython's default limit for int() on
+# text, stated here so that parsing does not depend on the interpreter
+MAX_INT_DIGITS = 4300
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
 
@@ -614,7 +631,14 @@ def _tokenize(text):
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", 1, pos + 1)
         if m.group(1):
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            digits = m.group(1)
+            if len(digits) > MAX_INT_DIGITS:
+                raise ParseError(
+                    f"integer literal of {len(digits)} digits exceeds the limit {MAX_INT_DIGITS}",
+                    1,
+                    m.start(1) + 1,
+                )
+            tokens.append(("int", int(digits), m.start(1)))
         elif m.group(2):
             tokens.append(("name", m.group(2), m.start(2)))
         else:

@@ -72,6 +72,20 @@ def test_check_exit_two_on_bad_input(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", ['"' + "1" * 5000 + '"', "1" * 5000])
+def test_overlong_integer_literal_is_input_error(capsys, tmp_path, entry):
+    # an R-matrix entry written as a scalar string and as a bare JSON integer
+    code, out, _ = run(capsys, "print", "kz2")
+    doc = json.loads(out)
+    doc["rmatrix"][0][0] = 12345
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(doc).replace("12345", entry))
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "5000 digits exceeds the limit 4300" in err
+
+
 def test_construct_refusal_exit_three(capsys, tmp_path):
     out_path = tmp_path / "out.json"
     code, _, err = run(

@@ -1,12 +1,13 @@
 """Exact matrices, RREF, kernels, and the subspace lattice."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from bihomcheck.errors import AmbientMismatch, Singular
-from bihomcheck.linalg import Matrix, Subspace, invert, kernel, kron, rref, subspace_ops
+from bihomcheck.linalg import Matrix, Subspace, invert, kernel, kron, rref
 from bihomcheck.scalars import Scalar, parse_scalar
 
 P = ("b",)
@@ -71,13 +72,13 @@ def test_kernel_of_heisenberg_ad_stack():
 def test_subspace_sum_and_intersection():
     v = Subspace.from_rows(2, mat([[1, 0]]).row_list())
     zero = Subspace.zero_space(2)
-    assert subspace_ops(v, zero, "sum") == v
-    assert subspace_ops(v, v, "intersect") == v
+    assert v + zero == v
+    assert v.intersect(v) == v
     span_sum = Subspace.from_rows(2, mat([[1, 1]]).row_list())
     big = Subspace.from_rows(2, mat([[1, 0], [0, 1]]).row_list())
-    assert subspace_ops(big, span_sum, "contains") is True
-    assert subspace_ops(span_sum, big, "contains") is False
-    assert subspace_ops(big, Subspace.full_space(2), "equals") is True
+    assert big.contains(span_sum) is True
+    assert span_sum.contains(big) is False
+    assert (big == Subspace.full_space(2)) is True
 
 
 def test_ambient_mismatch():
@@ -165,3 +166,105 @@ def test_kron_shapes_and_values():
     # (a tensor b)[(i,k),(j,l)] = a[i,j] b[k,l]
     assert k.at(0 * 2 + 0, 1 * 2 + 1) == a.at(0, 1) * b.at(0, 1)
     assert kron(Matrix.identity(2), Matrix.identity(3)) == Matrix.identity(6)
+
+
+def test_gaps_read_as_the_shared_zero_of_the_context():
+    m = Matrix.identity(3, P)
+    zero, one = Scalar.of(P, 0), Scalar.of(P, 1)
+    assert m.at(0, 1) is zero and m.at(2, 2) is one
+    assert all(x is zero for x in m.row(0)[1:] + m.col(0)[1:])
+    assert m.entries == [one, zero, zero, zero, one, zero, zero, zero, one]
+
+
+# Oracle: sympy's exact matrices over the fraction field, on small inputs
+# whose entries are mostly zero.
+
+_ENTRIES = {
+    (): ["1", "-1", "2", "-3", "1/2", "-2/3"],
+    ("a", "b"): ["1", "-2", "1/2", "a", "b", "a + b", "a*b - 1", "1/(a + 1)", "b/a", "a^2"],
+}
+
+
+def _stored_zeros(m):
+    return [x for row in m.data for x in row.values() if x.is_zero()]
+
+
+def test_sparse_kernel_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from sympy.polys.matrices import DomainMatrix
+
+    def matrices(params, rows, cols):
+        # three cells in four are zero
+        cell = st.tuples(st.integers(0, 3), st.sampled_from(_ENTRIES[params]))
+        texts = st.lists(cell, min_size=rows * cols, max_size=rows * cols)
+        return texts.map(lambda cs: [t if k == 0 else "0" for k, t in cs])
+
+    def case(params):
+        dims = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+        return dims.flatmap(
+            lambda d: st.tuples(
+                st.just(params),
+                st.just(d),
+                matrices(params, d[0], d[1]),
+                matrices(params, d[0], d[1]),
+                matrices(params, d[1], d[2]),
+            )
+        )
+
+    @functools.cache
+    def parse(params, text):
+        symbols = {name: sympy.Symbol(name) for name in params}
+        return sympy.parse_expr(text.replace("^", "**"), local_dict=symbols)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(c=st.sampled_from(list(_ENTRIES)).flatmap(case))
+    def check(c):
+        params, (r, k, n), ta, ta2, tb = c
+        sym = functools.partial(parse, params)
+
+        def ours(texts, rows, cols):
+            xs = [parse_scalar(t, params) for t in texts]
+            m = Matrix(rows, cols, xs, params)
+            assert m.entries == xs
+            return m
+
+        def theirs(texts, rows, cols):
+            return sympy.Matrix(rows, cols, [sym(t) for t in texts])
+
+        def agree(m, s):
+            assert not _stored_zeros(m)
+            assert (m.rows, m.cols) == s.shape
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    assert sympy.cancel(sym(str(m.at(i, j))) - s[i, j]) == 0
+
+        a, a2, b = ours(ta, r, k), ours(ta2, r, k), ours(tb, k, n)
+        sa, sa2, sb = theirs(ta, r, k), theirs(ta2, r, k), theirs(tb, k, n)
+        agree(a @ b, sa * sb)
+        agree(kron(a, b), sympy.kronecker_product(sa, sb))
+        agree(a.transpose(), sa.T)
+        agree(a + a2, sa + sa2)
+        agree(a - a2, sa - sa2)
+        assert (a - a).is_zero() and not any((a - a).data)
+
+        field = DomainMatrix.from_Matrix(sa).to_field()
+        red, rank = rref(a)
+        agree(red, field.rref()[0].to_Matrix())
+        assert rank == field.rank()
+        ker = kernel(a)
+        assert ker.dim == k - rank
+        assert not _stored_zeros(ker.basis)
+        for v in ker.vectors():
+            assert all(x.is_zero() for x in a.apply(v))
+        # a product whose entries all cancel stores nothing
+        assert not any((a @ ker.basis.transpose()).data)
+        if r == k:
+            if rank == k:
+                agree(invert(a), field.inv().to_Matrix())
+            else:
+                with pytest.raises(Singular):
+                    invert(a)
+
+    check()

@@ -14,6 +14,7 @@ from bihomcheck.errors import (
 )
 from bihomcheck.scalars import (
     MAX_EXPONENT,
+    MAX_INT_DIGITS,
     Polynomial,
     Scalar,
     parse_scalar,
@@ -323,3 +324,20 @@ def test_arithmetic_agrees_with_sympy_cancel():
         build(tree, params, symbols)
 
     check()
+
+
+def test_integer_literal_above_the_digit_limit_is_a_located_parse_error():
+    longest = "1" * MAX_INT_DIGITS
+    assert sc(longest) == Scalar.of(P, int(longest))
+    with pytest.raises(ParseError) as info:
+        sc("b + 1" + longest)
+    assert info.value.column == 5
+    assert f"{MAX_INT_DIGITS + 1} digits exceeds the limit {MAX_INT_DIGITS}" in str(info.value)
+
+
+@pytest.mark.parametrize("params", [(), P, L])
+def test_zero_and_one_are_interned_per_parameter_context(params):
+    for v in (0, 1):
+        s = Scalar.of(params, v)
+        assert Scalar.of(list(params), Fraction(v)) is s
+        assert str(s) == str(v) and s == v and hash(s) == hash(v)
