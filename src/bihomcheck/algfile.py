@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .bihom import BiHomAlgebra, BiHomLie
-from .errors import NotAGroup, ParseError, ValidationError
+from .errors import NotAGroup, ParseError, ValidationError, quoted
 from .hmod import HModule, ModuleMap
 from .hopf import HopfAlgebra, RMatrix, group_algebra
 from .linalg import Matrix
@@ -109,7 +109,7 @@ def _parse_scalar_at(text, params, path, findings):
     try:
         return parse_scalar(str(text), params)
     except ParseError as exc:
-        findings.add(path, f"bad scalar {text!r}: {exc}")
+        findings.add(path, f"bad scalar {quoted(str(text))}: {exc}")
         return None
 
 

@@ -21,50 +21,51 @@ from .errors import (
     NotTriangular,
     Singular,
 )
-from .hmod import HModule, ModuleMap, braiding, check_module_algebra, tensor_module
+from .hmod import HModule, ModuleMap, braiding, check_module_algebra, equivariance_witness
 from .hopf import RMatrix, check_quasitriangular, is_triangular
-from .linalg import Matrix, invert, kron
-from .report import CheckReport, Witness, residual_from_vector
-
-
-def _tensor_to_matrix(tensor, dim, params):
-    """Rank-3 structure tensor as a dim x dim^2 matrix, column (i,j)."""
-    entries = []
-    for k in range(dim):
-        for i in range(dim):
-            for j in range(dim):
-                entries.append(tensor[i][j][k])
-    return Matrix(dim, dim * dim, entries, params)
-
-
-def _first_bad_column(diff: Matrix):
-    c = diff.first_nonzero_column()
-    if c is None:
-        return None
-    return c, diff.col(c)
-
-
-def _decode(c, dim, arity):
-    out = []
-    for _ in range(arity):
-        out.append(c % dim)
-        c //= dim
-    return tuple(reversed(out))
+from .linalg import Matrix, invert, kron, multiplication, tensor_matrix
+from .report import CheckReport, Witness, column_witness
+from .scalars import Scalar
 
 
 class _StructureBase:
-    """Shared plumbing for objects with a rank-3 structure tensor."""
+    """An object with a product or bracket, held as its dim x dim^2
+    structure matrix (column i*dim + j holds the image of e_i (x) e_j).
+
+    The constructor takes the matrix or nested structure constants
+    t[i][j][k], the coefficient of e_k in the image of e_i (x) e_j;
+    ``tensor`` gives the nested form back.
+    """
 
     def __init__(self, module: HModule, tensor, alpha: ModuleMap, beta: ModuleMap):
         self.module = module
-        self.tensor = tensor
         self.alpha = alpha
         self.beta = beta
         self.params = module.params
+        if isinstance(tensor, Matrix):
+            self._matrix, self._tensor = tensor, None
+        else:
+            self._matrix, self._tensor = tensor_matrix(tensor, module.dim, self.params), tensor
+        # column i*dim + j as a {row: Scalar} dict, so that a product of
+        # vectors touches only the columns of its nonzero pairs; going through
+        # Matrix.apply instead reads every stored entry on each call and made
+        # the structure-theory tasks 1.6-5x slower (derived:gl3 2.2 -> 12 ms)
+        self._images = self._matrix.transpose().data
 
-    def _apply_tensor(self, u, v):
+    @property
+    def tensor(self):
+        if self._tensor is None:
+            d = self.module.dim
+            self._tensor = [[self._matrix.col(i * d + j) for j in range(d)] for i in range(d)]
+        return self._tensor
+
+    def structure_matrix(self) -> Matrix:
+        return self._matrix
+
+    def _apply(self, u, v):
+        """Image of u (x) v for coordinate vectors u and v."""
         d = self.module.dim
-        out = [self.module.zero] * d
+        out = {}
         for i, a in enumerate(u):
             if a.is_zero():
                 continue
@@ -72,15 +73,11 @@ class _StructureBase:
                 if b.is_zero():
                     continue
                 ab = a * b
-                row = self.tensor[i][j]
-                for k in range(d):
-                    c = row[k]
-                    if not c.is_zero():
-                        out[k] = out[k] + ab * c
-        return out
-
-    def structure_matrix(self) -> Matrix:
-        return _tensor_to_matrix(self.tensor, self.module.dim, self.params)
+                for k, x in self._images[i * d + j].items():
+                    s = out.get(k)
+                    out[k] = ab * x if s is None else s + ab * x
+        zero = Scalar.of(self.params, 0)
+        return [out.get(k, zero) for k in range(d)]
 
 
 class BiHomAlgebra(_StructureBase):
@@ -88,12 +85,15 @@ class BiHomAlgebra(_StructureBase):
 
     def __init__(self, module, mult, alpha, beta, unit=None, multiplicative=True):
         super().__init__(module, mult, alpha, beta)
-        self.mult = mult
         self.unit = unit
         self.multiplicative = multiplicative
 
+    @property
+    def mult(self):
+        return self.tensor
+
     def product_vec(self, u, v):
-        return self._apply_tensor(u, v)
+        return self._apply(u, v)
 
 
 class BiHomLie(_StructureBase):
@@ -101,29 +101,28 @@ class BiHomLie(_StructureBase):
 
     def __init__(self, module, bracket, alpha, beta, rmatrix: RMatrix):
         super().__init__(module, bracket, alpha, beta)
-        self.bracket = bracket
         self.rmatrix = rmatrix
 
+    @property
+    def bracket(self):
+        return self.tensor
+
     def bracket_vec(self, u, v):
-        return self._apply_tensor(u, v)
+        return self._apply(u, v)
 
 
-def _witness_on_pairs(diff: Matrix, names):
-    bad = _first_bad_column(diff)
-    if bad is None:
-        return None
-    c, col = bad
-    i, j = _decode(c, len(names), 2)
-    return Witness((names[i], names[j]), residual_from_vector(names, col))
+def _maps_commute(rep, prefix, x):
+    names = x.module.basis_names
+    am, bm = x.alpha.matrix, x.beta.matrix
+    w = column_witness([names], names, am @ bm - bm @ am)
+    rep.add(f"{prefix}.maps-commute", "alpha o beta = beta o alpha", w is None, w)
 
 
-def _witness_on_triples(diff: Matrix, names):
-    bad = _first_bad_column(diff)
-    if bad is None:
-        return None
-    c, col = bad
-    i, j, k = _decode(c, len(names), 3)
-    return Witness((names[i], names[j], names[k]), residual_from_vector(names, col))
+def _maps_h_linear(rep, prefix, x):
+    for label, mm in (("alpha", x.alpha), ("beta", x.beta)):
+        bad = mm.h_linearity_witness()
+        w = None if bad is None else Witness((bad,), ())
+        rep.add(f"{prefix}.{label}-h-linear", f"{label} commutes with the H-action", bad is None, w)
 
 
 def check_bihom_associative(a: BiHomAlgebra) -> CheckReport:
@@ -131,58 +130,30 @@ def check_bihom_associative(a: BiHomAlgebra) -> CheckReport:
     rep = CheckReport("bihom-assoc")
     m = a.module
     names = m.basis_names
-    d = m.dim
     am = a.alpha.matrix
     bm = a.beta.matrix
     M = a.structure_matrix()
 
-    diff = am @ bm - bm @ am
-    w = None
-    if not diff.is_zero():
-        c, col = _first_bad_column(diff)
-        w = Witness((names[c],), residual_from_vector(names, col))
-    rep.add("bihom.maps-commute", "alpha o beta = beta o alpha", w is None, w)
+    _maps_commute(rep, "bihom", a)
 
-    lhs = M @ kron(am, M)
-    rhs = M @ kron(M, bm)
-    w = _witness_on_triples(lhs - rhs, names)
+    w = column_witness([names] * 3, names, M @ kron(am, M) - M @ kron(M, bm))
     rep.add("bihom.assoc", "alpha(a)(bc) = (ab)beta(c)", w is None, w)
 
     for label, f in (("alpha", am), ("beta", bm)):
+        law = f"{label}(ab) = {label}(a){label}(b)"
         if a.multiplicative:
-            diff = f @ M - M @ kron(f, f)
-            w = _witness_on_pairs(diff, names)
-            rep.add(
-                f"bihom.{label}-multiplicative",
-                f"{label}(ab) = {label}(a){label}(b)",
-                w is None,
-                w,
-            )
+            w = column_witness([names] * 2, names, f @ M - M @ kron(f, f))
+            rep.add(f"bihom.{label}-multiplicative", law, w is None, w)
         else:
-            rep.skip(
-                f"bihom.{label}-multiplicative",
-                f"{label}(ab) = {label}(a){label}(b)",
-                "object not flagged multiplicative",
-            )
+            rep.skip(f"bihom.{label}-multiplicative", law, "object not flagged multiplicative")
 
-    for label, mm in (("alpha", a.alpha), ("beta", a.beta)):
-        bad = mm.h_linearity_witness()
-        w = None if bad is None else Witness((bad,), ())
-        rep.add(f"bihom.{label}-h-linear", f"{label} commutes with the H-action", bad is None, w)
+    _maps_h_linear(rep, "bihom", a)
 
     if a.unit is not None:
-        w = None
-        for i in range(d):
-            left = a.product_vec(a.unit, m.basis_vector(i))
-            right = a.product_vec(m.basis_vector(i), a.unit)
-            dl = [x - y for x, y in zip(left, bm.col(i))]
-            dr = [x - y for x, y in zip(right, am.col(i))]
-            for dv in (dl, dr):
-                if any(not x.is_zero() for x in dv):
-                    w = Witness((names[i],), residual_from_vector(names, dv))
-                    break
-            if w is not None:
-                break
+        u = Matrix(m.dim, 1, a.unit, a.params)
+        w = column_witness(
+            [names], names, multiplication(M, u) - bm, multiplication(M, u, right=True) - am
+        )
         rep.add("bihom.unit", "1a = beta(a) and a1 = alpha(a)", w is None, w)
     else:
         rep.skip("bihom.unit", "1a = beta(a) and a1 = alpha(a)", "object has no unit")
@@ -213,25 +184,17 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
     rep = CheckReport("bihom-lie")
     m = l.module
     names = m.basis_names
+    pairs = [names] * 2
     d = m.dim
     am = l.alpha.matrix
     bm = l.beta.matrix
     B = l.structure_matrix()
     _triangular_entry(rep, l)
+    _maps_commute(rep, "lie", l)
 
-    diff = am @ bm - bm @ am
-    w = None
-    if not diff.is_zero():
-        c, col = _first_bad_column(diff)
-        w = Witness((names[c],), residual_from_vector(names, col))
-    rep.add("lie.maps-commute", "alpha o beta = beta o alpha", w is None, w)
-
-    w = None
-    for label, f in (("alpha", am), ("beta", bm)):
-        diff = f @ B - B @ kron(f, f)
-        w = _witness_on_pairs(diff, names)
-        if w is not None:
-            break
+    w = column_witness(pairs, names, am @ B - B @ kron(am, am)) or column_witness(
+        pairs, names, bm @ B - B @ kron(bm, bm)
+    )
     rep.add(
         "lie.twist-endomorphisms",
         "alpha[l,l'] = [alpha(l),alpha(l')] and beta[l,l'] = [beta(l),beta(l')]",
@@ -240,8 +203,7 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
     )
 
     tau = braiding(m, m, l.rmatrix)
-    skew = B @ kron(bm, am) + (B @ tau) @ kron(am, bm)
-    w = _witness_on_pairs(skew, names)
+    w = column_witness(pairs, names, B @ kron(bm, am) + (B @ tau) @ kron(am, bm))
     rep.add(
         "lie.skew",
         "[beta(l),alpha(l')] = -[R2.beta(l'), R1.alpha(l)]",
@@ -254,8 +216,7 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
     ident = Matrix.identity(d, l.params)
     p2 = kron(tau, ident) @ kron(ident, tau)
     p3 = kron(ident, tau) @ kron(tau, ident)
-    jacobi = J + J @ p2 + J @ p3
-    w = _witness_on_triples(jacobi, names)
+    w = column_witness([names] * 3, names, J + J @ p2 + J @ p3)
     rep.add(
         "lie.jacobi",
         "braided BiHom-Jacobi: {l,l',l''} + {tau-rotations} = 0 with "
@@ -264,25 +225,9 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
         w,
     )
 
-    tens = tensor_module(m, m)
-    w = None
-    for t in range(m.hopf.dim):
-        diff = m.action[t] @ B - B @ tens.action[t]
-        bad = _first_bad_column(diff)
-        if bad is not None:
-            c, col = bad
-            i, j = _decode(c, d, 2)
-            w = Witness(
-                (m.hopf.basis_names[t], names[i], names[j]),
-                residual_from_vector(names, col),
-            )
-            break
+    w = equivariance_witness(m, B)
     rep.add("lie.bracket-h-linear", "the bracket commutes with the H-action", w is None, w)
-
-    for label, mm in (("alpha", l.alpha), ("beta", l.beta)):
-        bad = mm.h_linearity_witness()
-        w = None if bad is None else Witness((bad,), ())
-        rep.add(f"lie.{label}-h-linear", f"{label} commutes with the H-action", bad is None, w)
+    _maps_h_linear(rep, "lie", l)
     return rep
 
 
@@ -297,9 +242,8 @@ def _check_triangular_or_raise(a_or_module, r: RMatrix):
         raise NotTriangular(f"R is not invertible: {exc}") from None
 
 
-def _commutator_tensor(a: BiHomAlgebra, r: RMatrix):
-    m = a.module
-    d = m.dim
+def _commutator_matrix(a: BiHomAlgebra, tau: Matrix) -> Matrix:
+    """B = M - M tau (alpha inv(beta) (x) inv(alpha) beta) for the braiding tau."""
     try:
         alpha_inv = invert(a.alpha.matrix)
     except Singular:
@@ -308,26 +252,9 @@ def _commutator_tensor(a: BiHomAlgebra, r: RMatrix):
         beta_inv = invert(a.beta.matrix)
     except Singular:
         raise NotBijective("beta is not bijective") from None
-    ainv_b = alpha_inv @ a.beta.matrix
-    a_binv = a.alpha.matrix @ beta_inv
-    bracket = []
-    for i in range(d):
-        plane = []
-        u = a_binv.col(i)  # first argument lands in the R1 slot
-        for j in range(d):
-            v = ainv_b.col(j)
-            term = a.product_vec(m.basis_vector(i), m.basis_vector(j))
-            braided = [m.zero] * d
-            for p in range(m.hopf.dim):
-                for q in range(m.hopf.dim):
-                    c = r.entry(p, q)
-                    if c.is_zero():
-                        continue
-                    prod = a.product_vec(m.action[q].apply(v), m.action[p].apply(u))
-                    braided = [x + c * y for x, y in zip(braided, prod)]
-            plane.append([x - y for x, y in zip(term, braided)])
-        bracket.append(plane)
-    return bracket
+    M = a.structure_matrix()
+    # the first argument lands in the R1 slot
+    return M - (M @ tau) @ kron(a.alpha.matrix @ beta_inv, alpha_inv @ a.beta.matrix)
 
 
 def commutator_bracket(a: BiHomAlgebra, r: RMatrix) -> BiHomLie:
@@ -338,7 +265,7 @@ def commutator_bracket(a: BiHomAlgebra, r: RMatrix) -> BiHomLie:
     generalized BiHom-Lie suite.
     """
     _check_triangular_or_raise(a, r)
-    bracket = _commutator_tensor(a, r)
+    bracket = _commutator_matrix(a, braiding(a.module, a.module, r))
     lie = BiHomLie(a.module, bracket, a.alpha, a.beta, r)
     rep = check_generalized_bihom_lie(lie)
     if not rep.ok:
@@ -358,8 +285,7 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
     otherwise). The result is validated before it is returned.
     """
     m = l.module
-    d = m.dim
-    ident = Matrix.identity(d, l.params)
+    ident = Matrix.identity(m.dim, l.params)
     if l.alpha.matrix != ident or l.beta.matrix != ident:
         raise ValueError("twist input must be a generalized Lie algebra with identity maps")
     B = l.structure_matrix()
@@ -370,13 +296,7 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
             raise NotEndomorphism(f"{label} is not a bracket endomorphism")
     if alpha.matrix @ beta.matrix != beta.matrix @ alpha.matrix:
         raise NotEndomorphism("twisting maps do not commute")
-    bracket = []
-    for i in range(d):
-        plane = []
-        for j in range(d):
-            plane.append(l.bracket_vec(alpha.matrix.col(i), beta.matrix.col(j)))
-        bracket.append(plane)
-    lie = BiHomLie(m, bracket, alpha, beta, l.rmatrix)
+    lie = BiHomLie(m, B @ kron(alpha.matrix, beta.matrix), alpha, beta, l.rmatrix)
     rep = check_generalized_bihom_lie(lie)
     if not rep.ok:
         raise ConstructionError("twisted bracket fails the BiHom-Lie suite", rep)
@@ -385,84 +305,51 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
 
 def check_lemma31(a: BiHomAlgebra, r: RMatrix) -> CheckReport:
     """Two bracket/product compatibility identities for the braided
-    commutator, expanded over every basis triple.
+    commutator B, as identities of maps A (x) A (x) A -> A:
 
     (1) [alpha beta(a), bc] = [beta(a), b] beta(c) + (R2.beta(b)) [R1.alpha(a), c]
+        B(ab (x) M) = M(B(beta (x) id) (x) beta)
+                      + M(id (x) B)(tau (x) id)(alpha (x) beta (x) id)
     (2) [ab, alpha beta(c)] = alpha(a) [b, alpha(c)] + [a, R2.beta(c)] (R1.alpha(b))
+        B(M (x) ab) = M(alpha (x) B(id (x) alpha))
+                      + M(B (x) id)(id (x) tau)(id (x) alpha (x) beta)
+
+    with ab = alpha beta; each nonzero column of a difference is one
+    failing basis triple.
     """
     rep = CheckReport("lemma31")
     _check_triangular_or_raise(a, r)
-    bracket = _commutator_tensor(a, r)
-    lie = BiHomLie(a.module, bracket, a.alpha, a.beta, r)
     m = a.module
     d = m.dim
     names = m.basis_names
+    tau = braiding(m, m, r)
+    B = _commutator_matrix(a, tau)
+    M = a.structure_matrix()
     am = a.alpha.matrix
     bm = a.beta.matrix
-    abm = am @ bm
-    hopf = m.hopf
-
-    def braided_sum(make_term):
-        out = [m.zero] * d
-        for p in range(hopf.dim):
-            for q in range(hopf.dim):
-                c = r.entry(p, q)
-                if c.is_zero():
-                    continue
-                t = make_term(p, q)
-                out = [x + c * y for x, y in zip(out, t)]
-        return out
-
-    for ident_id, law, lhs_fn, rhs_fn in (
+    ab = am @ bm
+    ident = Matrix.identity(d, a.params)
+    # the braided terms multiply left to right, so every intermediate is a
+    # d x d^3 map; this was the fastest order measured on parametric input
+    for ident_id, law, lhs, rhs in (
         (
             "lemma31.1",
             "[alpha beta(a), bc] = [beta(a), b] beta(c) + (R2.beta(b))[R1.alpha(a), c]",
-            lambda ei, ej, ek: lie.bracket_vec(abm.apply(ei), a.product_vec(ej, ek)),
-            lambda ei, ej, ek: [
-                x + y
-                for x, y in zip(
-                    a.product_vec(lie.bracket_vec(bm.apply(ei), ej), bm.apply(ek)),
-                    braided_sum(
-                        lambda p, q: a.product_vec(
-                            m.action[q].apply(bm.apply(ej)),
-                            lie.bracket_vec(m.action[p].apply(am.apply(ei)), ek),
-                        )
-                    ),
-                )
-            ],
+            B @ kron(ab, M),
+            M @ kron(B @ kron(bm, ident), bm)
+            + ((M @ kron(ident, B)) @ kron(tau, ident)) @ kron(kron(am, bm), ident),
         ),
         (
             "lemma31.2",
             "[ab, alpha beta(c)] = alpha(a)[b, alpha(c)] + [a, R2.beta(c)](R1.alpha(b))",
-            lambda ei, ej, ek: lie.bracket_vec(a.product_vec(ei, ej), abm.apply(ek)),
-            lambda ei, ej, ek: [
-                x + y
-                for x, y in zip(
-                    a.product_vec(am.apply(ei), lie.bracket_vec(ej, am.apply(ek))),
-                    braided_sum(
-                        lambda p, q: a.product_vec(
-                            lie.bracket_vec(ei, m.action[q].apply(bm.apply(ek))),
-                            m.action[p].apply(am.apply(ej)),
-                        )
-                    ),
-                )
-            ],
+            B @ kron(M, ab),
+            M @ kron(am, B @ kron(ident, am))
+            + ((M @ kron(B, ident)) @ kron(ident, tau)) @ kron(ident, kron(am, bm)),
         ),
     ):
-        w = None
-        failing = 0
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    ei, ej, ek = (m.basis_vector(t) for t in (i, j, k))
-                    diff = [x - y for x, y in zip(lhs_fn(ei, ej, ek), rhs_fn(ei, ej, ek))]
-                    if any(not x.is_zero() for x in diff):
-                        failing += 1
-                        if w is None:
-                            w = Witness(
-                                (names[i], names[j], names[k]),
-                                residual_from_vector(names, diff),
-                            )
+        diff = lhs - rhs
+        failing = len(diff.nonzero_columns())
+        w = column_witness([names] * 3, names, diff)
         detail = f"{d ** 3} triples checked" + (f", {failing} failing" if failing else "")
         rep.add(ident_id, law, w is None, w, detail)
     return rep

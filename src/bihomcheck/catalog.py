@@ -54,9 +54,8 @@ def r_triangular_kz2(params=()) -> RMatrix:
 
 
 def trivial_rmatrix(hopf: HopfAlgebra) -> RMatrix:
-    return RMatrix(
-        Matrix.from_rows([[a * b for b in hopf.unit] for a in hopf.unit], hopf.params)
-    )
+    """R = 1 (x) 1."""
+    return RMatrix(hopf.u @ hopf.u.transpose())
 
 
 def _sign_action_module(hopf, basis_names, signs) -> HModule:

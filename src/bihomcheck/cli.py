@@ -39,7 +39,7 @@ from .errors import (
 )
 from .hmod import check_module, check_module_algebra
 from .hopf import check_hopf_axioms, check_quasitriangular, is_triangular
-from .linalg import Subspace
+from .linalg import Subspace, tensor_matrix
 from .report import CheckReport, format_combination, format_subspace
 from .scalars import parse_scalar
 from .structure import (
@@ -103,17 +103,15 @@ def _bracket_diff_notes(f: AlgebraFile, obj, rep: CheckReport):
         rep.note(f"{obj.name}: reference diff skipped ({exc})")
         return
     names = obj.basis
-    d = obj.dim
+    got = lie.structure_matrix()
+    want = tensor_matrix(obj.reference_bracket, obj.dim, f.parameters)
     diffs = []
-    for i in range(d):
-        for j in range(d):
-            got = lie.bracket[i][j]
-            want = obj.reference_bracket[i][j]
-            if any(not (x - y).is_zero() for x, y in zip(got, want)):
-                diffs.append(
-                    f"[{names[i]},{names[j]}]: computed {format_combination(names, got)}, "
-                    f"reference {format_combination(names, want)}"
-                )
+    for c in (got - want).nonzero_columns():
+        i, j = divmod(c, obj.dim)
+        diffs.append(
+            f"[{names[i]},{names[j]}]: computed {format_combination(names, got.col(c))}, "
+            f"reference {format_combination(names, want.col(c))}"
+        )
     if diffs:
         rep.note(
             f"{obj.name}: computed commutator differs from the stored reference "

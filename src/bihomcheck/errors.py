@@ -1,6 +1,17 @@
 """Exception types shared across the package."""
 
 
+_ECHO_LIMIT = 40
+
+
+def quoted(text: str) -> str:
+    """A piece of user input for an error message: its repr, cut after
+    ``_ECHO_LIMIT`` characters and followed by its length when it is longer."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+
+
 class BihomError(Exception):
     """Base class for all library errors."""
 

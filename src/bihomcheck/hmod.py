@@ -1,18 +1,21 @@
 """Left H-modules, module maps, the braiding of the module category, and
 H-equivariance checks for algebras living inside it.
 
-An action is stored per Hopf basis element as an operator matrix, so every
-law here is a composition of matrices. Tensor products of modules use the
-index convention (i, j) -> i * dim_second + j throughout.
+An action is stored per Hopf basis element as an operator matrix, and
+``action_matrix`` sets them side by side as one map H (x) V -> V, so every
+law here is an identity between products of sparse matrices on tensor
+powers. Tensor products of modules use the index convention
+(i, j) -> i * dim_second + j throughout, and the column order of a
+difference matrix is the lexicographic order of the basis tuples it
+checks.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch
 from .hopf import HopfAlgebra, RMatrix
-from .linalg import Matrix, kron
-from .report import CheckReport, Witness, residual_from_vector
-from .scalars import Scalar
+from .linalg import Matrix, flip, hstack, kron
+from .report import CheckReport, column_witness
 
 
 class HModule:
@@ -29,22 +32,13 @@ class HModule:
             if (m.rows, m.cols) != (self.dim, self.dim):
                 raise DimensionMismatch("action matrix shape differs from module dimension")
         self.params = hopf.params
-        self.zero = Scalar.of(self.params, 0)
-        self.one = Scalar.of(self.params, 1)
 
     def basis_vector(self, i):
-        return [self.one if j == i else self.zero for j in range(self.dim)]
+        return Matrix.identity(self.dim, self.params).col(i)
 
-    def unit_action(self) -> Matrix:
-        """Operator of the Hopf unit element."""
-        out = Matrix.zero(self.dim, self.dim, self.params)
-        for i, c in enumerate(self.hopf.unit):
-            if not c.is_zero():
-                out = out + self.action[i].scale(c)
-        return out
-
-    def act(self, hopf_index, vec):
-        return self.action[hopf_index].apply(vec)
+    def action_matrix(self) -> Matrix:
+        """The action as one map H (x) V -> V: column h*dim + v holds e_h . e_v."""
+        return hstack(self.action)
 
 
 class ModuleMap:
@@ -59,20 +53,15 @@ class ModuleMap:
         self.target = target
         self.matrix = matrix
 
-    def is_h_linear(self) -> bool:
-        return self.h_linearity_witness() is None
-
     def h_linearity_witness(self):
-        for i in range(self.source.hopf.dim):
-            lhs = self.matrix @ self.source.action[i]
-            rhs = self.target.action[i] @ self.matrix
-            if lhs != rhs:
-                return self.source.hopf.basis_names[i]
-        return None
-
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
-        return ModuleMap(other.source, self.target, self.matrix @ other.matrix)
+        """Name of the first Hopf basis element whose action the map does not
+        commute with, or None when the map is H-linear."""
+        hopf = self.source.hopf
+        ident = Matrix.identity(hopf.dim, hopf.params)
+        lhs = self.matrix @ self.source.action_matrix()
+        rhs = self.target.action_matrix() @ kron(ident, self.matrix)
+        c = (lhs - rhs).first_nonzero_column()
+        return None if c is None else hopf.basis_names[c // self.source.dim]
 
     @classmethod
     def identity(cls, module: HModule):
@@ -84,33 +73,16 @@ def check_module(m: HModule) -> CheckReport:
     rep = CheckReport("module")
     names = m.basis_names
     hnames = m.hopf.basis_names
+    act = m.action_matrix()
+    ident = Matrix.identity(m.dim, m.params)
 
-    diff = m.unit_action() - Matrix.identity(m.dim, m.params)
-    w = None
-    if not diff.is_zero():
-        col = diff.first_nonzero_column()
-        w = Witness((names[col],), residual_from_vector(names, diff.col(col)))
+    w = column_witness([names], names, act @ kron(m.hopf.u, ident) - ident)
     rep.add("module.unit", "the Hopf unit acts as the identity", w is None, w)
 
-    w = None
-    for i in range(m.hopf.dim):
-        if w is not None:
-            break
-        for j in range(m.hopf.dim):
-            lhs = m.action[i] @ m.action[j]
-            rhs = Matrix.zero(m.dim, m.dim, m.params)
-            for k in range(m.hopf.dim):
-                c = m.hopf.mult[i][j][k]
-                if not c.is_zero():
-                    rhs = rhs + m.action[k].scale(c)
-            diff = lhs - rhs
-            if not diff.is_zero():
-                col = diff.first_nonzero_column()
-                w = Witness(
-                    (hnames[i], hnames[j], names[col]),
-                    residual_from_vector(names, diff.col(col)),
-                )
-                break
+    # columns (h, h', v): h.(h'.v) against (h h').v
+    hident = Matrix.identity(m.hopf.dim, m.params)
+    diff = act @ kron(hident, act) - act @ kron(m.hopf.M, ident)
+    w = column_witness([hnames, hnames, names], names, diff)
     rep.add("module.compat", "h.(h'.m) = (h h').m on all Hopf basis pairs", w is None, w)
     return rep
 
@@ -119,15 +91,12 @@ def tensor_module(m: HModule, n: HModule) -> HModule:
     """Tensor product module; H acts through the coproduct."""
     hopf = m.hopf
     names = [f"{a}(x){b}" for a in m.basis_names for b in n.basis_names]
-    action = []
-    for i in range(hopf.dim):
-        op = Matrix.zero(m.dim * n.dim, m.dim * n.dim, m.params)
-        for p in range(hopf.dim):
-            for q in range(hopf.dim):
-                c = hopf.comult[i][p][q]
-                if not c.is_zero():
-                    op = op + kron(m.action[p], n.action[q]).scale(c)
-        action.append(op)
+    action = [Matrix.zero(m.dim * n.dim, m.dim * n.dim, m.params) for _ in range(hopf.dim)]
+    for pq, row in enumerate(hopf.C.data):
+        p, q = divmod(pq, hopf.dim)
+        op = kron(m.action[p], n.action[q])
+        for i, c in row.items():
+            action[i] = action[i] + op.scale(c)
     return HModule(hopf, names, action)
 
 
@@ -136,18 +105,9 @@ def braiding(m: HModule, n: HModule, r: RMatrix) -> Matrix:
     if r.dim != m.hopf.dim:
         raise DimensionMismatch("R-matrix dimension differs from the Hopf algebra")
     out = Matrix.zero(n.dim * m.dim, m.dim * n.dim, m.params)
-    # plain flip of tensor factors: row b*dim_m + a holds a one at a*dim_n + b
-    perm = Matrix.from_dicts(
-        n.dim * m.dim,
-        m.dim * n.dim,
-        [{a * n.dim + b: m.one} for b in range(n.dim) for a in range(m.dim)],
-        m.params,
-    )
-    for i in range(m.hopf.dim):
-        for j in range(m.hopf.dim):
-            c = r.entry(i, j)
-            if c.is_zero():
-                continue
+    perm = flip(m.dim, n.dim, m.params)
+    for i, row in enumerate(r.coefficients.data):
+        for j, c in row.items():
             # tau = (action_N[j] (x) action_M[i]) o flip, weighted by R[i][j]
             out = out + (kron(n.action[j], m.action[i]) @ perm).scale(c)
     return out
@@ -159,43 +119,22 @@ def check_braiding_symmetry(m: HModule, r: RMatrix) -> bool:
     return tau @ tau == Matrix.identity(m.dim * m.dim, m.params)
 
 
+def equivariance_witness(m: HModule, product: Matrix):
+    """First (h, a, b) with h.(ab) != (h1.a)(h2.b) for a product or bracket
+    given as its dim x dim^2 matrix on the module m, or None."""
+    hident = Matrix.identity(m.hopf.dim, m.params)
+    diff = m.action_matrix() @ kron(hident, product) - product @ tensor_module(m, m).action_matrix()
+    return column_witness([m.hopf.basis_names, m.basis_names, m.basis_names], m.basis_names, diff)
+
+
 def check_module_algebra(a) -> CheckReport:
     """H-equivariance of the multiplication: h.(xy) = (h1.x)(h2.y).
 
-    ``a`` is any object with a ``module`` and a way to multiply basis
-    vectors (``product_vec``); both BiHom algebras and plain module
-    algebras qualify.
+    ``a`` is any object with a ``module`` and a ``structure_matrix``; both
+    BiHom algebras and plain module algebras qualify.
     """
     rep = CheckReport("module-algebra")
-    m = a.module
-    hopf = m.hopf
-    names = m.basis_names
-    w = None
-    for t in range(hopf.dim):
-        if w is not None:
-            break
-        for i in range(m.dim):
-            if w is not None:
-                break
-            for j in range(m.dim):
-                lhs = m.act(t, a.product_vec(m.basis_vector(i), m.basis_vector(j)))
-                rhs = [m.zero] * m.dim
-                for p in range(hopf.dim):
-                    for q in range(hopf.dim):
-                        c = hopf.comult[t][p][q]
-                        if c.is_zero():
-                            continue
-                        prod = a.product_vec(
-                            m.act(p, m.basis_vector(i)), m.act(q, m.basis_vector(j))
-                        )
-                        rhs = [x + c * y for x, y in zip(rhs, prod)]
-                diff = [x - y for x, y in zip(lhs, rhs)]
-                if any(not x.is_zero() for x in diff):
-                    w = Witness(
-                        (hopf.basis_names[t], names[i], names[j]),
-                        residual_from_vector(names, diff),
-                    )
-                    break
+    w = equivariance_witness(a.module, a.structure_matrix())
     rep.add(
         "module-algebra.equivariance",
         "h.(ab) = (h1.a)(h2.b) for every Hopf basis element and basis pair",
@@ -207,21 +146,5 @@ def check_module_algebra(a) -> CheckReport:
 
 def is_H_commutative(a, r: RMatrix) -> bool:
     """(R2.b)(R1.a) = ab on all basis pairs, products taken in the algebra."""
-    m = a.module
-    hopf = m.hopf
-    for i in range(m.dim):
-        for j in range(m.dim):
-            plain = a.product_vec(m.basis_vector(i), m.basis_vector(j))
-            braided = [m.zero] * m.dim
-            for p in range(hopf.dim):
-                for q in range(hopf.dim):
-                    c = r.entry(p, q)
-                    if c.is_zero():
-                        continue
-                    prod = a.product_vec(
-                        m.act(q, m.basis_vector(j)), m.act(p, m.basis_vector(i))
-                    )
-                    braided = [x + c * y for x, y in zip(braided, prod)]
-            if any(not (x - y).is_zero() for x, y in zip(braided, plain)):
-                return False
-    return True
+    M = a.structure_matrix()
+    return M @ braiding(a.module, a.module, r) == M

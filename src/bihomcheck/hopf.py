@@ -1,21 +1,33 @@
 """Finite-dimensional Hopf algebras by structure constants, and R-matrices.
 
-Conventions: mult[i][j][k] is the coefficient of basis k in e_i e_j;
-comult[i][j][k] is the coefficient of e_j (x) e_k in the coproduct of e_i;
-an R-matrix is the dim x dim coefficient matrix of R = sum R1 (x) R2 on the
-tensor-square basis, so all braided-category formulas become contractions.
+Every structure map is one sparse ``Matrix`` on tensor powers of H. The
+basis of H (x) H is e_a (x) e_b at index a*d + b, and so on for higher
+powers, so the column order of a map out of a tensor power is the
+lexicographic order of basis tuples.
+
+- ``M`` (d x d^2) is the product: column i*d + j holds e_i e_j.
+- ``C`` (d^2 x d) is the coproduct: column i holds the coefficients of
+  the coproduct of e_i at rows a*d + b.
+- ``u`` (d x 1) is the unit, ``eps`` (1 x d) the counit, and ``antipode``
+  (d x d) has S(e_i) as column i.
+
+An element x of H (x) H is its d x d coefficient matrix X, x = sum X[a][b]
+e_a (x) e_b. An R-matrix is such an element. Each Hopf and quasitriangular
+axiom is an identity between products of these matrices, and a failing
+check names the first failing basis tuple.
+
+The constructor takes the structure constants as nested lists: mult[i][j][k]
+is the coefficient of e_k in e_i e_j and comult[i][j][k] that of e_j (x) e_k
+in the coproduct of e_i. They stay readable as ``mult`` and ``comult``, and
+the unit and counit as the lists ``unit`` and ``counit``.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotAGroup, NotInvertible, Singular
-from .linalg import Matrix, invert
-from .report import CheckReport, Witness, residual_from_vector
+from .linalg import Matrix, flip, hstack, kron, multiplication, solve, tensor_matrix, vstack
+from .report import CheckReport, coefficient_witness, column_witness, decode
 from .scalars import Scalar
-
-
-def _tensor3(dim, fill):
-    return [[[fill for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
 
 
 class HopfAlgebra:
@@ -23,80 +35,36 @@ class HopfAlgebra:
 
     def __init__(self, basis_names, mult, unit, comult, counit, antipode, params=()):
         self.basis_names = list(basis_names)
-        self.dim = len(self.basis_names)
+        self.dim = d = len(self.basis_names)
         self.params = tuple(params)
         self.mult = mult
         self.unit = list(unit)
         self.comult = comult
         self.counit = list(counit)
         self.antipode = antipode
-        self._validate_shapes()
-        self.zero = Scalar.of(self.params, 0)
-        self.one = Scalar.of(self.params, 1)
-
-    def _validate_shapes(self):
-        d = self.dim
-        for tensor, name in ((self.mult, "mult"), (self.comult, "comult")):
-            if len(tensor) != d or any(
-                len(plane) != d or any(len(row) != d for row in plane)
-                for plane in tensor
-            ):
-                raise DimensionMismatch(f"{name} tensor is not {d}x{d}x{d}")
+        self.M = tensor_matrix(mult, d, self.params, name="mult")
+        self.C = tensor_matrix(comult, d, self.params, coproduct=True, name="comult")
         if len(self.unit) != d or len(self.counit) != d:
             raise DimensionMismatch("unit/counit vectors have wrong length")
-        if (self.antipode.rows, self.antipode.cols) != (d, d):
+        if (antipode.rows, antipode.cols) != (d, d):
             raise DimensionMismatch("antipode matrix has wrong shape")
+        self.u = Matrix(d, 1, self.unit, self.params)
+        self.eps = Matrix(1, d, self.counit, self.params)
 
-    def product_vec(self, u, v):
-        """Product of two element vectors in the basis."""
-        out = [self.zero] * self.dim
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                ab = a * b
-                for k in range(self.dim):
-                    c = self.mult[i][j][k]
-                    if not c.is_zero():
-                        out[k] = out[k] + ab * c
+    def tensor_square_mult(self, x: Matrix, right=False) -> Matrix:
+        """Operator of y -> x y (y -> y x when ``right``) on H (x) H for the
+        element with coefficient matrix x. With x_i the i-th row of x, this
+        is the sum over i of (mult by e_i) (x) (mult by x_i); no d^4-wide
+        operator is formed."""
+        d, p = self.dim, self.params
+        ident = Matrix.identity(d, p)
+        out = Matrix.zero(d * d, d * d, p)
+        for i, row in enumerate(x.data):
+            if row:
+                ei = multiplication(self.M, Matrix(d, 1, ident.col(i), p), right)
+                xi = multiplication(self.M, Matrix(d, 1, x.row(i), p), right)
+                out = out + kron(ei, xi)
         return out
-
-    def basis_vector(self, i):
-        return [self.one if j == i else self.zero for j in range(self.dim)]
-
-    def antipode_vec(self, i):
-        return self.antipode.col(i)
-
-    def tensor_square_product(self, x, y):
-        """Componentwise product of H (x) H elements given as coefficient
-        matrices on the tensor-square basis."""
-        d = self.dim
-        out = [[self.zero] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                a = x[i][j]
-                if a.is_zero():
-                    continue
-                for k in range(d):
-                    for l in range(d):
-                        b = y[k][l]
-                        if b.is_zero():
-                            continue
-                        ab = a * b
-                        for p in range(d):
-                            m1 = self.mult[i][k][p]
-                            if m1.is_zero():
-                                continue
-                            for q in range(d):
-                                m2 = self.mult[j][l][q]
-                                if not m2.is_zero():
-                                    out[p][q] = out[p][q] + ab * m1 * m2
-        return out
-
-    def tensor_square_unit(self):
-        return [[a * b for b in self.unit] for a in self.unit]
 
 
 class RMatrix:
@@ -108,65 +76,24 @@ class RMatrix:
         self.coefficients = coefficients
         self.dim = coefficients.rows
 
-    def entry(self, i, j) -> Scalar:
-        return self.coefficients.at(i, j)
-
-    def flip(self) -> "RMatrix":
-        return RMatrix(self.coefficients.transpose())
-
-    def table(self):
-        return self.coefficients.row_list()
-
-    def inverse_in(self, hopf: HopfAlgebra):
-        """Two-sided inverse of R in the algebra H (x) H, as a coefficient
-        table; raises NotInvertible when none exists."""
+    def inverse_in(self, hopf: HopfAlgebra) -> Matrix:
+        """Coefficient matrix of the two-sided inverse of R in the algebra
+        H (x) H; raises NotInvertible when none exists."""
         d = hopf.dim
         if d != self.dim:
             raise DimensionMismatch("R-matrix dimension differs from the Hopf algebra")
-        # left multiplication by R as an operator on the d^2-dim tensor square
-        rows = []
-        for a in range(d):
-            for b in range(d):
-                row = []
-                for k in range(d):
-                    for l in range(d):
-                        s = hopf.zero
-                        for i in range(d):
-                            mi = hopf.mult[i][k][a]
-                            if mi.is_zero():
-                                continue
-                            for j in range(d):
-                                rc = self.entry(i, j)
-                                if rc.is_zero():
-                                    continue
-                                mj = hopf.mult[j][l][b]
-                                if not mj.is_zero():
-                                    s = s + rc * mi * mj
-                        row.append(s)
-                rows.append(row)
-        op = Matrix.from_rows(rows, hopf.params)
-        target = [x for row in hopf.tensor_square_unit() for x in row]
+        left = hopf.tensor_square_mult(self.coefficients)
+        uu = kron(hopf.u, hopf.u)
         try:
-            sol = invert(op).apply(target)
+            inv = solve(left, uu)
         except Singular:
             raise NotInvertible("R has no inverse in the tensor-square algebra") from None
-        inv = [[sol[k * d + l] for l in range(d)] for k in range(d)]
         # one-sided suffices in a finite-dimensional unital algebra, but the
         # input may not satisfy the unit laws, so confirm both sides
-        uu = hopf.tensor_square_unit()
-        for prod in (
-            self.tensor_product_with(hopf, inv),
-            hopf.tensor_square_product(inv, self.table()),
-        ):
-            ok = all(
-                (prod[a][b] - uu[a][b]).is_zero() for a in range(d) for b in range(d)
-            )
-            if not ok:
-                raise NotInvertible("R has only a one-sided inverse candidate")
-        return inv
-
-    def tensor_product_with(self, hopf, other_table):
-        return hopf.tensor_square_product(self.table(), other_table)
+        right = hopf.tensor_square_mult(self.coefficients, right=True)
+        if left @ inv != uu or right @ inv != uu:
+            raise NotInvertible("R has only a one-sided inverse candidate")
+        return Matrix(d, d, inv.col(0), hopf.params)
 
 
 def group_algebra(cayley, identity, names=None, params=()) -> HopfAlgebra:
@@ -211,155 +138,64 @@ def group_algebra(cayley, identity, names=None, params=()) -> HopfAlgebra:
                     )
     zero = Scalar.of(params, 0)
     one = Scalar.of(params, 1)
-    mult = _tensor3(n, zero)
-    comult = _tensor3(n, zero)
-    for i in range(n):
-        for j in range(n):
-            mult[i][j][cayley[i][j]] = one
-        comult[i][i][i] = one
+    mult = [[[one if k == cayley[i][j] else zero for k in range(n)] for j in range(n)]
+            for i in range(n)]
+    comult = [[[one if i == j == k else zero for k in range(n)] for j in range(n)]
+              for i in range(n)]
     unit = [one if i == identity else zero for i in range(n)]
-    counit = [one] * n
-    antipode = Matrix.from_rows(
-        [[one if inverse[j] == i else zero for j in range(n)] for i in range(n)],
-        params,
-    )
-    return HopfAlgebra(names, mult, unit, comult, counit, antipode, params)
+    antipode = Matrix.from_dicts(n, n, [{inverse[i]: one} for i in range(n)], params)
+    return HopfAlgebra(names, mult, unit, comult, [one] * n, antipode, params)
+
+
+def _tensor_name(names, index, factors):
+    return "(x)".join(decode(index, [names] * factors))
 
 
 def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     """One report entry per Hopf axiom, with a witness on first failure."""
     rep = CheckReport("hopf")
-    d = h.dim
-    names = h.basis_names
+    d, names = h.dim, h.basis_names
+    M, C, u, eps, S = h.M, h.C, h.u, h.eps, h.antipode
+    ident = Matrix.identity(d, h.params)
 
-    def find_assoc():
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = h.product_vec(h.product_vec(h.basis_vector(i), h.basis_vector(j)), h.basis_vector(k))
-                    rhs = h.product_vec(h.basis_vector(i), h.product_vec(h.basis_vector(j), h.basis_vector(k)))
-                    diff = [a - b for a, b in zip(lhs, rhs)]
-                    if any(not x.is_zero() for x in diff):
-                        return Witness((names[i], names[j], names[k]), residual_from_vector(names, diff))
-        return None
+    def basis(c):
+        return (names[c],)
 
-    w = find_assoc()
+    w = column_witness([names] * 3, names, M @ kron(M, ident) - M @ kron(ident, M))
     rep.add("hopf.assoc", "(ab)c = a(bc)", w is None, w)
 
-    def find_unit():
-        for i in range(d):
-            left = h.product_vec(h.unit, h.basis_vector(i))
-            right = h.product_vec(h.basis_vector(i), h.unit)
-            for got in (left, right):
-                diff = [a - b for a, b in zip(got, h.basis_vector(i))]
-                if any(not x.is_zero() for x in diff):
-                    return Witness((names[i],), residual_from_vector(names, diff))
-        return None
-
-    w = find_unit()
+    left, right = multiplication(M, u), multiplication(M, u, right=True)
+    w = column_witness([names], names, left - ident, right - ident)
     rep.add("hopf.unit", "1a = a = a1", w is None, w)
 
-    def find_coassoc():
-        for i in range(d):
-            for a in range(d):
-                for b in range(d):
-                    for c in range(d):
-                        lhs = h.zero
-                        rhs = h.zero
-                        for m in range(d):
-                            lhs = lhs + h.comult[i][m][c] * h.comult[m][a][b]
-                            rhs = rhs + h.comult[i][a][m] * h.comult[m][b][c]
-                        if not (lhs - rhs).is_zero():
-                            return Witness(
-                                (names[i],),
-                                ((f"{names[a]}(x){names[b]}(x){names[c]}", str(lhs - rhs)),),
-                            )
-        return None
+    w = coefficient_witness(
+        basis, lambda c, r: _tensor_name(names, r, 3), kron(C, ident) @ C - kron(ident, C) @ C
+    )
+    law = "(coproduct (x) id) o coproduct = (id (x) coproduct) o coproduct"
+    rep.add("hopf.coassoc", law, w is None, w)
 
-    w = find_coassoc()
-    rep.add("hopf.coassoc", "(coproduct (x) id) o coproduct = (id (x) coproduct) o coproduct", w is None, w)
+    w = coefficient_witness(
+        basis, lambda c, r: names[r], kron(eps, ident) @ C - ident, kron(ident, eps) @ C - ident
+    )
+    law = "(counit (x) id) o coproduct = id = (id (x) counit) o coproduct"
+    rep.add("hopf.counit", law, w is None, w)
 
-    def find_counit():
-        for i in range(d):
-            for k in range(d):
-                left = h.zero
-                right = h.zero
-                for j in range(d):
-                    left = left + h.comult[i][j][k] * h.counit[j]
-                    right = right + h.comult[i][k][j] * h.counit[j]
-                want = h.one if i == k else h.zero
-                if not (left - want).is_zero() or not (right - want).is_zero():
-                    bad = left - want if not (left - want).is_zero() else right - want
-                    return Witness((names[i],), ((names[k], str(bad)),))
-        return None
+    # each difference stacks the H (x) H coefficients above the counit row;
+    # column i*d + j of the products coproduct(e_i) coproduct(e_j)
+    squares = hstack([h.tensor_square_mult(Matrix(d, d, C.col(i), h.params)) @ C for i in range(d)])
 
-    w = find_counit()
-    rep.add("hopf.counit", "(counit (x) id) o coproduct = id = (id (x) counit) o coproduct", w is None, w)
+    def label(c, r):
+        return _tensor_name(names, r, 2) if r < d * d else "counit"
 
-    def find_bialgebra():
-        for i in range(d):
-            for j in range(d):
-                lhs = [[h.zero] * d for _ in range(d)]
-                for k in range(d):
-                    mk = h.mult[i][j][k]
-                    if mk.is_zero():
-                        continue
-                    for a in range(d):
-                        for b in range(d):
-                            lhs[a][b] = lhs[a][b] + mk * h.comult[k][a][b]
-                rhs = h.tensor_square_product(h.comult[i], h.comult[j])
-                for a in range(d):
-                    for b in range(d):
-                        if not (lhs[a][b] - rhs[a][b]).is_zero():
-                            return Witness(
-                                (names[i], names[j]),
-                                ((f"{names[a]}(x){names[b]}", str(lhs[a][b] - rhs[a][b])),),
-                            )
-                eps = h.zero
-                for k in range(d):
-                    eps = eps + h.mult[i][j][k] * h.counit[k]
-                if not (eps - h.counit[i] * h.counit[j]).is_zero():
-                    return Witness((names[i], names[j]), (("counit", str(eps - h.counit[i] * h.counit[j])),))
-        # coproduct and counit of the unit element
-        for a in range(d):
-            for b in range(d):
-                got = h.zero
-                for i in range(d):
-                    got = got + h.unit[i] * h.comult[i][a][b]
-                want = h.unit[a] * h.unit[b]
-                if not (got - want).is_zero():
-                    return Witness(("1",), ((f"{names[a]}(x){names[b]}", str(got - want)),))
-        eps1 = h.zero
-        for i in range(d):
-            eps1 = eps1 + h.unit[i] * h.counit[i]
-        if not (eps1 - h.one).is_zero():
-            return Witness(("1",), (("counit", str(eps1 - h.one)),))
-        return None
-
-    w = find_bialgebra()
+    one = Matrix.identity(1, h.params)
+    w = coefficient_witness(
+        lambda c: decode(c, [names] * 2), label, vstack([C @ M - squares, eps @ M - kron(eps, eps)])
+    ) or coefficient_witness(lambda c: ("1",), label, vstack([C @ u - kron(u, u), eps @ u - one]))
     rep.add("hopf.bialgebra", "coproduct and counit are algebra maps", w is None, w)
 
-    def find_antipode():
-        for i in range(d):
-            left = [h.zero] * d
-            right = [h.zero] * d
-            for j in range(d):
-                for k in range(d):
-                    c = h.comult[i][j][k]
-                    if c.is_zero():
-                        continue
-                    sj_ek = h.product_vec(h.antipode_vec(j), h.basis_vector(k))
-                    ej_sk = h.product_vec(h.basis_vector(j), h.antipode_vec(k))
-                    left = [x + c * y for x, y in zip(left, sj_ek)]
-                    right = [x + c * y for x, y in zip(right, ej_sk)]
-            want = [h.counit[i] * u for u in h.unit]
-            for got in (left, right):
-                diff = [a - b for a, b in zip(got, want)]
-                if any(not x.is_zero() for x in diff):
-                    return Witness((names[i],), residual_from_vector(names, diff))
-        return None
-
-    w = find_antipode()
+    w = column_witness(
+        [names], names, M @ kron(S, ident) @ C - u @ eps, M @ kron(ident, S) @ C - u @ eps
+    )
     rep.add(
         "hopf.antipode",
         "m o (S (x) id) o coproduct = unit o counit = m o (id (x) S) o coproduct",
@@ -369,137 +205,40 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     return rep
 
 
-def _qt1_residuals(h, r):
-    d = h.dim
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                lhs = h.zero
-                for i in range(d):
-                    lhs = lhs + r.entry(i, c) * h.comult[i][a][b]
-                rhs = h.zero
-                for i in range(d):
-                    for j in range(d):
-                        rij = r.entry(i, j)
-                        if rij.is_zero():
-                            continue
-                        for k in range(d):
-                            for l in range(d):
-                                rkl = r.entry(k, l)
-                                if rkl.is_zero():
-                                    continue
-                                for u in range(d):
-                                    if h.unit[u].is_zero():
-                                        continue
-                                    for v in range(d):
-                                        if h.unit[v].is_zero():
-                                            continue
-                                        m1 = h.mult[i][v][a]
-                                        if m1.is_zero():
-                                            continue
-                                        m2 = h.mult[u][k][b]
-                                        if m2.is_zero():
-                                            continue
-                                        m3 = h.mult[j][l][c]
-                                        if m3.is_zero():
-                                            continue
-                                        rhs = rhs + rij * rkl * h.unit[u] * h.unit[v] * m1 * m2 * m3
-                if not (lhs - rhs).is_zero():
-                    yield (a, b, c), lhs - rhs
-
-
-def _qt2_residuals(h, r):
-    d = h.dim
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                lhs = h.zero
-                for j in range(d):
-                    lhs = lhs + r.entry(a, j) * h.comult[j][b][c]
-                rhs = h.zero
-                for i in range(d):
-                    for j in range(d):
-                        rij = r.entry(i, j)
-                        if rij.is_zero():
-                            continue
-                        for k in range(d):
-                            for l in range(d):
-                                rkl = r.entry(k, l)
-                                if rkl.is_zero():
-                                    continue
-                                for u in range(d):
-                                    if h.unit[u].is_zero():
-                                        continue
-                                    for v in range(d):
-                                        if h.unit[v].is_zero():
-                                            continue
-                                        m1 = h.mult[i][k][a]
-                                        if m1.is_zero():
-                                            continue
-                                        m2 = h.mult[u][l][b]
-                                        if m2.is_zero():
-                                            continue
-                                        m3 = h.mult[j][v][c]
-                                        if m3.is_zero():
-                                            continue
-                                        rhs = rhs + rij * rkl * h.unit[u] * h.unit[v] * m1 * m2 * m3
-                if not (lhs - rhs).is_zero():
-                    yield (a, b, c), lhs - rhs
-
-
 def check_quasitriangular(h: HopfAlgebra, r: RMatrix) -> CheckReport:
     """QT axioms for (H, R); raises NotInvertible when R is not a unit."""
     rep = CheckReport("quasitriangular")
     r.inverse_in(h)  # precondition: R invertible in H (x) H
-    d = h.dim
-    names = h.basis_names
+    d, names = h.dim, h.basis_names
+    M, C, R = h.M, h.C, r.coefficients
+    Rt = R.transpose()
+    rho = multiplication(M, h.u, right=True)  # a -> a1
+    lam = multiplication(M, h.u)  # a -> 1a
+    swap = flip(d, d, h.params)
 
-    w = None
-    for (a, b, c), res in _qt1_residuals(h, r):
-        w = Witness((), ((f"{names[a]}(x){names[b]}(x){names[c]}", str(res)),))
-        break
+    # qt.1 and qt.2 compare tensors on H^(x)3 laid out so that row-major
+    # order is lexicographic; transposed, the first failing column and row
+    # give the first failing triple
+    # rows (a, b), column c
+    diff = C @ R - kron(rho, lam) @ (M @ kron(Rt, Rt)).transpose()
+    w = coefficient_witness(
+        lambda c: (), lambda c, r: _tensor_name(names, c * d + r, 3), diff.transpose()
+    )
     rep.add("qt.1", "(coproduct (x) id)(R) = R13 R23", w is None, w)
 
-    w = None
-    for (a, b, c), res in _qt2_residuals(h, r):
-        w = Witness((), ((f"{names[a]}(x){names[b]}(x){names[c]}", str(res)),))
-        break
+    # row a, columns (b, c)
+    diff = R @ C.transpose() - M @ kron(R, R) @ swap @ kron(lam, rho).transpose()
+    w = coefficient_witness(
+        lambda c: (), lambda c, r: _tensor_name(names, c * d * d + r, 3), diff.transpose()
+    )
     rep.add("qt.2", "(id (x) coproduct)(R) = R13 R12", w is None, w)
 
-    w = None
-    for t in range(d):
-        if w is not None:
-            break
-        for x in range(d):
-            if w is not None:
-                break
-            for y in range(d):
-                lhs = h.zero
-                rhs = h.zero
-                for i in range(d):
-                    for j in range(d):
-                        rij = r.entry(i, j)
-                        if rij.is_zero():
-                            continue
-                        for a in range(d):
-                            for b in range(d):
-                                cab = h.comult[t][a][b]
-                                if cab.is_zero():
-                                    continue
-                                lhs = lhs + rij * cab * h.mult[i][a][x] * h.mult[j][b][y]
-                                rhs = rhs + cab * rij * h.mult[b][i][x] * h.mult[a][j][y]
-                if not (lhs - rhs).is_zero():
-                    w = Witness((names[t],), ((f"{names[x]}(x){names[y]}", str(lhs - rhs)),))
-                    break
+    diff = h.tensor_square_mult(R) @ C - h.tensor_square_mult(R, right=True) @ swap @ C
+    w = coefficient_witness(lambda c: (names[c],), lambda c, r: _tensor_name(names, r, 2), diff)
     rep.add("qt.3", "R coproduct(h) = coproduct-op(h) R for every basis h", w is None, w)
     return rep
 
 
 def is_triangular(h: HopfAlgebra, r: RMatrix) -> bool:
     """True iff the flip of R equals its inverse in H (x) H."""
-    inv = r.inverse_in(h)
-    flip = r.flip().table()
-    d = h.dim
-    return all(
-        (inv[i][j] - flip[i][j]).is_zero() for i in range(d) for j in range(d)
-    )
+    return r.inverse_in(h) == r.coefficients.transpose()

@@ -13,7 +13,7 @@ matrices.
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch, Singular
+from .errors import AmbientMismatch, DimensionMismatch, Singular
 from .scalars import Scalar
 
 
@@ -103,6 +103,10 @@ class Matrix:
     def first_nonzero_column(self):
         """Smallest column holding a nonzero entry, or None for the zero matrix."""
         return min((min(row) for row in self.data if row), default=None)
+
+    def nonzero_columns(self):
+        """Sorted columns holding a nonzero entry."""
+        return sorted({c for row in self.data for c in row})
 
     def __eq__(self, other):
         return (
@@ -219,6 +223,64 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_dicts(a.rows * b.rows, a.cols * bcols, data, a.params)
 
 
+def multiplication(product: Matrix, x: Matrix, right=False) -> Matrix:
+    """For a product given by its d x d^2 matrix and an element by its d x 1
+    coordinate column x: the d x d matrix of v -> x v (v -> v x when
+    ``right``)."""
+    ident = Matrix.identity(product.rows, product.params)
+    return product @ (kron(ident, x) if right else kron(x, ident))
+
+
+def hstack(blocks) -> Matrix:
+    """Blocks with equal row counts side by side, left to right."""
+    data = [{} for _ in range(blocks[0].rows)]
+    off = 0
+    for b in blocks:
+        for row, brow in zip(data, b.data):
+            row.update({off + c: x for c, x in brow.items()})
+        off += b.cols
+    return Matrix.from_dicts(len(data), off, data, blocks[0].params)
+
+
+def vstack(blocks) -> Matrix:
+    """Blocks with equal column counts stacked, top to bottom."""
+    data = [row for b in blocks for row in b.data]
+    return Matrix.from_dicts(len(data), blocks[0].cols, data, blocks[0].params)
+
+
+def flip(m, n, params) -> Matrix:
+    """The factor swap e_a (x) e_b -> e_b (x) e_a from k^m (x) k^n to k^n (x) k^m."""
+    one = Scalar.of(params, 1)
+    return Matrix.from_dicts(
+        n * m, m * n, [{a * n + b: one} for b in range(n) for a in range(m)], params
+    )
+
+
+def tensor_matrix(tensor, dim, params, coproduct=False, name="structure") -> Matrix:
+    """Nested structure constants t[i][j][k] as a sparse matrix.
+
+    A product (coefficient of e_k in e_i e_j) becomes the dim x dim^2 matrix
+    with entry t[i][j][k] at (k, i*dim + j); a coproduct (coefficient of
+    e_j (x) e_k in the coproduct of e_i) becomes the dim^2 x dim matrix with
+    that entry at (j*dim + k, i). This is the only place that reads the
+    nested-list input format.
+    """
+    if len(tensor) != dim or any(
+        len(plane) != dim or any(len(row) != dim for row in plane) for plane in tensor
+    ):
+        raise DimensionMismatch(f"{name} tensor is not {dim}x{dim}x{dim}")
+    data = [{} for _ in range(dim * dim if coproduct else dim)]
+    for i, plane in enumerate(tensor):
+        for j, row in enumerate(plane):
+            for k, x in enumerate(row):
+                if not x.is_zero():
+                    if coproduct:
+                        data[j * dim + k][i] = x
+                    else:
+                        data[k][i * dim + j] = x
+    return Matrix.from_dicts(len(data), dim if coproduct else dim * dim, data, params)
+
+
 def rref(m: Matrix):
     """Reduced row echelon form over the fraction field; returns (rref, rank)."""
     rows = [dict(r) for r in m.data]
@@ -242,14 +304,16 @@ def rref(m: Matrix):
     return Matrix.from_dicts(m.rows, m.cols, rows, m.params), pivot_row
 
 
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises Singular when the rank drops."""
+def solve(m: Matrix, b: Matrix) -> Matrix:
+    """The X with m X = b for a square m; raises Singular when m is singular."""
     if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
+        raise ValueError("solve with a non-square matrix")
     n = m.rows
-    one = Scalar.of(m.params, 1)
     aug = Matrix.from_dicts(
-        n, 2 * n, [{**row, n + i: one} for i, row in enumerate(m.data)], m.params
+        n,
+        n + b.cols,
+        [{**row, **{n + k: x for k, x in brow.items()}} for row, brow in zip(m.data, b.data)],
+        m.params,
     )
     red, _ = rref(aug)
     data = []
@@ -258,7 +322,12 @@ def invert(m: Matrix) -> Matrix:
         if left != [i] or not row[i].is_one():
             raise Singular("matrix is singular")
         data.append({k - n: x for k, x in row.items() if k >= n})
-    return Matrix.from_dicts(n, n, data, m.params)
+    return Matrix.from_dicts(n, b.cols, data, m.params)
+
+
+def invert(m: Matrix) -> Matrix:
+    """Inverse of a square matrix; raises Singular when the rank drops."""
+    return solve(m, Matrix.identity(m.rows, m.params))
 
 
 def kernel(m: Matrix) -> "Subspace":

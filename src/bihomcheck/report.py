@@ -37,6 +37,59 @@ def residual_from_vector(names, vec):
     return tuple((n, str(c)) for n, c in zip(names, vec) if not c.is_zero())
 
 
+def decode(index, slots):
+    """Basis tuple of an index into a tensor power, given one list of basis
+    names per factor; the last factor varies fastest."""
+    out = []
+    for names in reversed(slots):
+        index, r = divmod(index, len(names))
+        out.append(names[r])
+    return tuple(reversed(out))
+
+
+def first_failure(*diffs):
+    """The first failing basis tuple of an identity checked as ``diff == 0``.
+
+    Columns of a difference matrix on a tensor power are numbered so that
+    their order is the lexicographic order of basis tuples. Over difference
+    matrices that share their columns, this is the smallest nonzero column,
+    the earlier matrix on ties: ``(column, that matrix's column vector)``,
+    or None when every difference vanishes.
+    """
+    firsts = [
+        (c, n) for n, diff in enumerate(diffs) if (c := diff.first_nonzero_column()) is not None
+    ]
+    if not firsts:
+        return None
+    c, n = min(firsts)
+    return c, diffs[n].col(c)
+
+
+def column_witness(slots, names, *diffs):
+    """Witness at the first failing column: its basis tuple and the whole
+    residual column over ``names``."""
+    bad = first_failure(*diffs)
+    if bad is None:
+        return None
+    c, col = bad
+    return Witness(decode(c, slots), residual_from_vector(names, col))
+
+
+def coefficient_witness(basis, label, *diffs):
+    """Witness naming one coefficient of the residual: at the first failing
+    column, the smallest failing row over all differences, the earlier
+    difference on ties. ``basis(column)`` gives the witness tuple and
+    ``label(column, row)`` the name of the coefficient."""
+    bad = first_failure(*diffs)
+    if bad is None:
+        return None
+    c = bad[0]
+    r, _, x = min(
+        (r, n, row[c]) for n, diff in enumerate(diffs) for r, row in enumerate(diff.data) if c in row
+    )
+    return Witness(basis(c), ((label(c, r), str(x)),))
+
+
 def format_combination(names, vec) -> str:
     """Linear combination of named basis vectors, e.g. 'x1 - 1/2*x2'."""
     parts = []
@@ -114,10 +167,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return all(e.status != FAIL for e in self.entries)
-
-    @property
-    def failures(self):
-        return [e for e in self.entries if e.status == FAIL]
 
     def entry(self, check_id) -> CheckEntry:
         for e in self.entries:

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import DenominatorVanishes, DivisionByZero, ParseError, UnboundParameter
+from .errors import DenominatorVanishes, DivisionByZero, ParseError, UnboundParameter, quoted
 
 Rational = Fraction
 
@@ -613,9 +613,32 @@ def scalar_str(s: Scalar) -> str:
 # largest exponent ``^`` accepts, so that one power stays cheap to evaluate
 MAX_EXPONENT = 1000
 
-# longest integer literal accepted; CPython's default limit for int() on
-# text, stated here so that parsing does not depend on the interpreter
+# longest integer literal accepted, and the most digits a numerator or
+# denominator of a parsed value may have; CPython's default limit for
+# int() <-> str, stated here so that parsing does not depend on the
+# interpreter and every parsed value can be printed
 MAX_INT_DIGITS = 4300
+
+# an integer this large has more than MAX_INT_DIGITS digits
+_INT_LIMIT = 10**MAX_INT_DIGITS
+
+
+def _rationals(s: Scalar):
+    """The rational numbers a scalar is built from: its constant value, or
+    the coefficients of its numerator and denominator."""
+    if s.value is not None:
+        return (s.value,)
+    return (*s._num.terms.values(), *s._den.terms.values())
+
+
+def _power_bits(s: Scalar, exponent) -> int:
+    """Estimated bit length of the largest number in s^exponent: the bit
+    length of the largest numerator or denominator in s, plus the log of
+    its term count (the growth of a sum raised to a power), minus one, times
+    the exponent. For a constant this is a lower bound."""
+    terms = 1 if s.value is not None else max(len(s._num.terms), len(s._den.terms))
+    bits = max(max(abs(q.numerator), q.denominator).bit_length() for q in _rationals(s))
+    return (bits + terms.bit_length() - 2) * exponent
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
@@ -666,18 +689,24 @@ class _Parser:
         kind, val, pos = self.peek()
         raise ParseError(msg, 1, pos + 1)
 
+    def bounded(self, v, pos):
+        """v, or a located ParseError when a number in it is too long to print."""
+        if any(max(abs(q.numerator), q.denominator) >= _INT_LIMIT for q in _rationals(v)):
+            raise ParseError(f"value has a number of more than {MAX_INT_DIGITS} digits", 1, pos + 1)
+        return v
+
     def expr(self):
         v = self.term()
         while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
+            _, op, pos = self.take()
             w = self.term()
-            v = v + w if op == "+" else v - w
+            v = self.bounded(v + w if op == "+" else v - w, pos)
         return v
 
     def term(self):
         v = self.unary()
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
+            _, op, pos = self.take()
             w = self.unary()
             if op == "*":
                 v = v * w
@@ -685,6 +714,7 @@ class _Parser:
                 if w.is_zero():
                     self.fail("division by zero")
                 v = v / w
+            v = self.bounded(v, pos)
         return v
 
     def unary(self):
@@ -702,6 +732,8 @@ class _Parser:
                 self.fail("exponent must be a nonnegative integer")
             if val > MAX_EXPONENT:
                 self.fail(f"exponent {val} exceeds the limit {MAX_EXPONENT}")
+            if val and _power_bits(v, val) >= _INT_LIMIT.bit_length():
+                self.fail(f"power would have a number of more than {MAX_INT_DIGITS} digits")
             self.take()
             # square-and-multiply
             out = Scalar.of(self.params, 1)
@@ -711,7 +743,7 @@ class _Parser:
                 val >>= 1
                 if val:
                     v = v * v
-            return out
+            return self.bounded(out, pos)
         return v
 
     def primary(self):
@@ -720,8 +752,9 @@ class _Parser:
             return Scalar.of(self.params, val)
         if kind == "name":
             if val not in self.params:
+                declared = ", ".join(self.params) or "none"
                 raise ParseError(
-                    f"unknown parameter {val!r} (declared: {', '.join(self.params) or 'none'})",
+                    f"unknown parameter {quoted(val)} (declared: {declared})",
                     1,
                     pos + 1,
                 )

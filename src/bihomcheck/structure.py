@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bihom import BiHomAlgebra, BiHomLie
 from .errors import AmbientMismatch
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, kernel, multiplication, vstack
 from .scalars import Scalar
 
 SERIES_ZERO = "terminates-at-zero"
@@ -136,15 +136,20 @@ def is_H_bihom_ideal(a: BiHomAlgebra, u: Subspace) -> IdealCheck:
     return IdealCheck(True)
 
 
+def _operator(x, vec, right=False) -> Matrix:
+    """Matrix of v -> vec * v (v -> v * vec when ``right``), with * the
+    product or bracket of x."""
+    return multiplication(x.structure_matrix(), Matrix(len(vec), 1, vec, x.params), right)
+
+
+def _right_operators(l: BiHomLie):
+    """The maps v -> [v, e_j], one per basis vector e_j."""
+    return [_operator(l, l.module.basis_vector(j), right=True) for j in range(l.module.dim)]
+
+
 def center(l: BiHomLie) -> Subspace:
     """{z : [z, L] = 0}, the kernel of the stacked right-bracket operators."""
-    d = l.module.dim
-    rows = []
-    for j in range(d):
-        # map v -> [v, e_j]; row k, column i holds bracket[i][j][k]
-        for k in range(d):
-            rows.append([l.bracket[i][j][k] for i in range(d)])
-    return kernel(Matrix.from_rows(rows, l.params))
+    return kernel(vstack(_right_operators(l)))
 
 
 def ideal_closure(x, seed: Subspace, kind: str | None = None) -> Subspace:
@@ -221,37 +226,22 @@ def relative_sets(x, u: Subspace, kind: str) -> Subspace:
     annihilator {v : vI = Iv = 0} for an associative ambient."""
     _check_ambient(x, u)
     d = _ambient_of(x)
-    ann = u.annihilator_matrix()
-    rows = []
     if kind in ("normalizer", "transporter"):
         if not isinstance(x, BiHomLie):
             raise ValueError(f"{kind} needs a Lie ambient")
-        for j in range(d):
-            # rows of ann composed with v -> [v, e_j]
-            op = Matrix.from_rows(
-                [[x.bracket[i][j][k] for i in range(d)] for k in range(d)], x.params
-            )
-            if ann.rows:
-                comp = ann @ op
-                rows.extend(comp.row_list())
+        # rows of the annihilator of U composed with each v -> [v, e_j]
+        ann = u.annihilator_matrix()
+        ops = [ann @ op for op in _right_operators(x)] if ann.rows else []
     elif kind == "annihilator":
         if not isinstance(x, BiHomAlgebra):
             raise ValueError("annihilator needs an associative ambient")
-        for ivec in u.vectors():
-            left = []
-            right = []
-            for i in range(d):
-                left.append(x.product_vec(x.module.basis_vector(i), ivec))
-                right.append(x.product_vec(ivec, x.module.basis_vector(i)))
-            # v . ivec = 0 and ivec . v = 0 as linear conditions on v
-            for k in range(d):
-                rows.append([right[i][k] for i in range(d)])
-                rows.append([left[i][k] for i in range(d)])
+        # v . i = 0 and i . v = 0 for every basis vector i of U
+        ops = [_operator(x, i, right) for i in u.vectors() for right in (False, True)]
     else:
         raise ValueError(f"unknown relative set kind {kind!r}")
-    if not rows:
+    if not ops:
         return Subspace.full_space(d, x.params)
-    return kernel(Matrix.from_rows(rows, x.params))
+    return kernel(vstack(ops))
 
 
 def _probe_vectors(x, seed: int, count: int):
@@ -340,10 +330,6 @@ def restrict_lie(l: BiHomLie, s: Subspace) -> BiHomLie:
     module = HModule(l.module.hopf, names, action)
     alpha = ModuleMap(module, module, restrict_op(l.alpha.matrix, "alpha"))
     beta = ModuleMap(module, module, restrict_op(l.beta.matrix, "beta"))
-    bracket = []
-    for a in vecs:
-        plane = []
-        for b in vecs:
-            plane.append(coords_or_fail(l.bracket_vec(a, b), "the bracket"))
-        bracket.append(plane)
+    cols = [coords_or_fail(l.bracket_vec(a, b), "the bracket") for a in vecs for b in vecs]
+    bracket = Matrix(k, k * k, [c[i] for i in range(k) for c in cols], l.params)
     return BiHomLie(module, bracket, alpha, beta, l.rmatrix)

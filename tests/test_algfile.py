@@ -61,6 +61,17 @@ def test_bad_scalar_and_bad_action_collected_together():
     assert "alpha" in findings and "action" in findings
 
 
+def test_bad_scalar_echo_is_clipped():
+    doc = json.loads(print_algebra_file(catalog_file("kz2")))
+    doc["rmatrix"][0][1] = "1" * 5000
+    with pytest.raises(ValidationError) as err:
+        parse_algebra_file(json.dumps(doc))
+    (finding,) = err.value.findings
+    assert finding.startswith("rmatrix[0][1]: bad scalar '1111")
+    assert "(5000 characters)" in finding and "5000 digits exceeds the limit" in finding
+    assert len(finding) < 200
+
+
 def test_mult_and_bracket_are_mutually_exclusive():
     doc = example24_doc()
     doc["objects"]["A"]["bracket"] = []

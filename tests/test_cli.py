@@ -86,6 +86,21 @@ def test_overlong_integer_literal_is_input_error(capsys, tmp_path, entry):
     assert err.startswith("error:") and "5000 digits exceeds the limit 4300" in err
 
 
+@pytest.mark.parametrize("command", ["check", "print"])
+def test_nested_power_above_the_digit_limit_is_input_error(capsys, tmp_path, command):
+    # 2^1000000 has 301,030 digits: refused before it is computed
+    code, out, _ = run(capsys, "print", "kz2")
+    doc = json.loads(out)
+    doc["rmatrix"][0][0] = "(2^1000)^1000"
+    p = tmp_path / "power.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: rmatrix[0][0]: bad scalar '(2^1000)^1000'")
+    assert "more than 4300 digits (line 1, column 10)" in err
+
+
 def test_construct_refusal_exit_three(capsys, tmp_path):
     out_path = tmp_path / "out.json"
     code, _, err = run(

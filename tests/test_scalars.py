@@ -341,3 +341,85 @@ def test_zero_and_one_are_interned_per_parameter_context(params):
         s = Scalar.of(params, v)
         assert Scalar.of(list(params), Fraction(v)) is s
         assert str(s) == str(v) and s == v and hash(s) == hash(v)
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("(2^1000)^1000", 10), ("((2^10)^100)^100", 14), ("(10^1000)^4*(10^1000)", 12), ("1/(7^1000)^6", 12)],
+)
+def test_numbers_above_the_digit_limit_are_refused_where_they_arise(text, column):
+    with pytest.raises(ParseError) as info:
+        sc(text)
+    assert info.value.column == column
+    assert f"more than {MAX_INT_DIGITS} digits" in str(info.value)
+
+
+def test_values_just_below_the_digit_limit_parse_and_print():
+    # 2^14000 has 4215 digits: the power estimate must not refuse it
+    assert len(str(sc("(2^14)^1000"))) == 4215
+    assert len(str(sc("(10^1000)^4 + 1"))) == 4001
+
+
+def _scalar_texts(st, params):
+    """Scalar strings from a small grammar: integers of up to 300 digits,
+    the parameters, the four operations, and powers. Exponents up to 1000
+    apply to constants only, so every example stays cheap to evaluate."""
+    ints = st.sampled_from(["0", "1", "2", "7", "10", "9" * 50, "9" * 300])
+
+    def grow(kids, exponents):
+        binary = st.tuples(kids, st.sampled_from("+-*/"), kids).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+        power = st.tuples(kids, st.sampled_from(exponents)).map(lambda t: f"({t[0]})^{t[1]}")
+        return st.one_of(binary, power)
+
+    constants = st.recursive(ints, lambda kids: grow(kids, ["0", "1", "3", "200", "1000"]), max_leaves=5)
+    leaves = st.one_of(constants, st.sampled_from(params)) if params else constants
+    return st.recursive(leaves, lambda kids: grow(kids, ["0", "1", "2", "3"]), max_leaves=4)
+
+
+def test_fuzzed_scalar_strings_parse_or_raise_parse_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    contexts = st.sampled_from([(), ("a",)])
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(case=contexts.flatmap(lambda p: st.tuples(st.just(p), _scalar_texts(st, p))))
+    def check(case):
+        params, text = case
+        try:
+            value = parse_scalar(text, params)
+        except ParseError:
+            return
+        assert parse_scalar(str(value), params) == value
+
+    check()
+
+
+def test_poly_gcd_agrees_with_sympy_up_to_a_unit():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    params = ("a", "b")
+    symbols = [sympy.Symbol(n) for n in params]
+    monomials = st.tuples(st.integers(0, 3), st.integers(0, 2))
+    polys = st.dictionaries(monomials, st.integers(-4, 4).filter(bool), max_size=4).map(
+        lambda terms: Polynomial(params, {e: Fraction(c) for e, c in terms.items()})
+    )
+
+    def to_sympy(p):
+        a, b = symbols
+        return sum((int(c) * a ** e[0] * b ** e[1] for e, c in p.terms.items()), sympy.Integer(0))
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(f=polys, g=polys, h=polys)
+    def check(f, g, h):
+        # a common factor h makes a nontrivial gcd likely
+        f, g = f * h, g * h
+        got = to_sympy(poly_gcd(f, g))
+        want = sympy.gcd(to_sympy(f), to_sympy(g))
+        if want == 0:
+            assert got == 0
+            return
+        ratio = sympy.cancel(got / want)
+        assert ratio.is_number and ratio != 0
+
+    check()
