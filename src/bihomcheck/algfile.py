@@ -22,7 +22,7 @@ from .errors import NotAGroup, ParseError, ValidationError, quoted
 from .hmod import HModule, ModuleMap
 from .hopf import HopfAlgebra, RMatrix, group_algebra
 from .linalg import Matrix
-from .scalars import MAX_INT_DIGITS, Scalar, parse_scalar
+from .scalars import MAX_INT_DIGITS, Scalar, parse_scalar, too_long_to_print
 
 FORMAT = "bihom-algebra-file/1"
 
@@ -444,6 +444,10 @@ def substitute_file(f: AlgebraFile, bindings) -> AlgebraFile:
 
     def sub_scalar(s):
         v = parse_scalar(str(s), f.parameters).substitute(bindings)
+        if too_long_to_print(v):
+            raise ValidationError(
+                [f"--set: {quoted(s)} becomes a number of more than {MAX_INT_DIGITS} digits"]
+            )
         return str(v.reparametrize(tuple(remaining)))
 
     def walk(node, in_scalar_position):

@@ -22,19 +22,20 @@ from .errors import (
     Singular,
 )
 from .hmod import HModule, ModuleMap, braiding, check_module_algebra, equivariance_witness
-from .hopf import RMatrix, check_quasitriangular, is_triangular
+from .hopf import RMatrix, qt_and_flip
 from .linalg import Matrix, invert, kron, multiplication, tensor_matrix
 from .report import CheckReport, Witness, column_witness
-from .scalars import Scalar
 
 
 class _StructureBase:
     """An object with a product or bracket, held as its dim x dim^2
-    structure matrix (column i*dim + j holds the image of e_i (x) e_j).
+    structure matrix B (column i*dim + j holds the image of e_i (x) e_j).
 
     The constructor takes the matrix or nested structure constants
     t[i][j][k], the coefficient of e_k in the image of e_i (x) e_j;
-    ``tensor`` gives the nested form back.
+    ``tensor`` gives the nested form back. ``products`` is the one bilinear
+    product: the axiom checks, the vector products and all of structure
+    theory are sparse products with B or its stored transpose.
     """
 
     def __init__(self, module: HModule, tensor, alpha: ModuleMap, beta: ModuleMap):
@@ -46,11 +47,7 @@ class _StructureBase:
             self._matrix, self._tensor = tensor, None
         else:
             self._matrix, self._tensor = tensor_matrix(tensor, module.dim, self.params), tensor
-        # column i*dim + j as a {row: Scalar} dict, so that a product of
-        # vectors touches only the columns of its nonzero pairs; going through
-        # Matrix.apply instead reads every stored entry on each call and made
-        # the structure-theory tasks 1.6-5x slower (derived:gl3 2.2 -> 12 ms)
-        self._images = self._matrix.transpose().data
+        self._transposed = self._matrix.transpose()
 
     @property
     def tensor(self):
@@ -62,22 +59,15 @@ class _StructureBase:
     def structure_matrix(self) -> Matrix:
         return self._matrix
 
-    def _apply(self, u, v):
-        """Image of u (x) v for coordinate vectors u and v."""
-        d = self.module.dim
-        out = {}
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                ab = a * b
-                for k, x in self._images[i * d + j].items():
-                    s = out.get(k)
-                    out[k] = ab * x if s is None else s + ab * x
-        zero = Scalar.of(self.params, 0)
-        return [out.get(k, zero) for k in range(d)]
+    def products(self, left: Matrix, right: Matrix) -> Matrix:
+        """Row i*right.rows + j is the image of (row i of left) (x) (row j of
+        right), that is kron(left, right) B^T."""
+        return kron(left, right) @ self._transposed
+
+    def _vector_product(self, u, v):
+        """Image of u (x) v for coordinate vectors u and v (plain lists)."""
+        p = self.params
+        return self.products(Matrix(1, len(u), u, p), Matrix(1, len(v), v, p)).row(0)
 
 
 class BiHomAlgebra(_StructureBase):
@@ -93,7 +83,7 @@ class BiHomAlgebra(_StructureBase):
         return self.tensor
 
     def product_vec(self, u, v):
-        return self._apply(u, v)
+        return self._vector_product(u, v)
 
 
 class BiHomLie(_StructureBase):
@@ -108,7 +98,7 @@ class BiHomLie(_StructureBase):
         return self.tensor
 
     def bracket_vec(self, u, v):
-        return self._apply(u, v)
+        return self._vector_product(u, v)
 
 
 def _maps_commute(rep, prefix, x):
@@ -164,10 +154,10 @@ def check_bihom_associative(a: BiHomAlgebra) -> CheckReport:
 
 def _triangular_entry(rep: CheckReport, l: BiHomLie):
     try:
-        qt_ok = check_quasitriangular(l.module.hopf, l.rmatrix).ok
-        tri = qt_ok and is_triangular(l.module.hopf, l.rmatrix)
+        qt, flip_is_inverse = qt_and_flip(l.module.hopf, l.rmatrix)
+        tri = qt.ok and flip_is_inverse
     except NotInvertible:
-        qt_ok = tri = False
+        tri = False
     rep.add(
         "lie.rmatrix-triangular",
         "the R-matrix is quasitriangular with flip(R) = inverse(R)",
@@ -232,14 +222,14 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
 
 
 def _check_triangular_or_raise(a_or_module, r: RMatrix):
-    hopf = a_or_module.module.hopf
     try:
-        if not check_quasitriangular(hopf, r).ok:
-            raise NotTriangular("R fails the quasitriangular axioms")
-        if not is_triangular(hopf, r):
-            raise NotTriangular("R is quasitriangular but flip(R) != inverse(R)")
+        qt, flip_is_inverse = qt_and_flip(a_or_module.module.hopf, r)
     except NotInvertible as exc:
         raise NotTriangular(f"R is not invertible: {exc}") from None
+    if not qt.ok:
+        raise NotTriangular("R fails the quasitriangular axioms")
+    if not flip_is_inverse:
+        raise NotTriangular("R is quasitriangular but flip(R) != inverse(R)")
 
 
 def _commutator_matrix(a: BiHomAlgebra, tau: Matrix) -> Matrix:

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .hmod import check_module, check_module_algebra
-from .hopf import check_hopf_axioms, check_quasitriangular, is_triangular
+from .hopf import check_hopf_axioms, qt_and_flip
 from .linalg import Subspace, tensor_matrix
 from .report import CheckReport, format_combination, format_subspace
 from .scalars import parse_scalar
@@ -143,8 +143,7 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
         _prefixed(rep, "H", check_hopf_axioms(f.hopf))
 
         def qt():
-            sub = check_quasitriangular(f.hopf, f.rmatrix)
-            tri = is_triangular(f.hopf, f.rmatrix)
+            sub, tri = qt_and_flip(f.hopf, f.rmatrix)
             sub.add(
                 "qt.triangular",
                 "flip(R) equals the inverse of R in H (x) H",

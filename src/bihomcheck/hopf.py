@@ -207,8 +207,15 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
 
 def check_quasitriangular(h: HopfAlgebra, r: RMatrix) -> CheckReport:
     """QT axioms for (H, R); raises NotInvertible when R is not a unit."""
+    return qt_and_flip(h, r)[0]
+
+
+def qt_and_flip(h: HopfAlgebra, r: RMatrix):
+    """The report of ``check_quasitriangular`` and the verdict of
+    ``is_triangular`` from one solve for the inverse of R (the precondition
+    of both); raises NotInvertible when R is not a unit."""
+    flip_is_inverse = r.inverse_in(h) == r.coefficients.transpose()
     rep = CheckReport("quasitriangular")
-    r.inverse_in(h)  # precondition: R invertible in H (x) H
     d, names = h.dim, h.basis_names
     M, C, R = h.M, h.C, r.coefficients
     Rt = R.transpose()
@@ -236,7 +243,7 @@ def check_quasitriangular(h: HopfAlgebra, r: RMatrix) -> CheckReport:
     diff = h.tensor_square_mult(R) @ C - h.tensor_square_mult(R, right=True) @ swap @ C
     w = coefficient_witness(lambda c: (names[c],), lambda c, r: _tensor_name(names, r, 2), diff)
     rep.add("qt.3", "R coproduct(h) = coproduct-op(h) R for every basis h", w is None, w)
-    return rep
+    return rep, flip_is_inverse
 
 
 def is_triangular(h: HopfAlgebra, r: RMatrix) -> bool:

@@ -167,20 +167,6 @@ class Matrix:
             data.append({j: x for j, x in out.items() if not x.is_zero()})
         return Matrix.from_dicts(self.rows, other.cols, data, self.params)
 
-    def apply(self, vec):
-        """Matrix times column vector (a plain list of Scalars)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for row in self.data:
-            s = self._zero
-            for j, e in row.items():
-                v = vec[j]
-                if not v.is_zero():
-                    s = s + e * v
-            out.append(s)
-        return out
-
     def transpose(self):
         data = [{} for _ in range(self.cols)]
         for r, row in enumerate(self.data):
@@ -415,28 +401,34 @@ class Subspace:
         self._check(other)
         return Subspace.span(self.ambient_dim, self.basis.data + other.basis.data, self.params)
 
-    def contains_vector(self, vec) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise AmbientMismatch("vector length differs from ambient dimension")
-        return self.coordinates(vec) is not None
+    def _coordinates(self, row):
+        """Coordinates ``{basis row: Scalar}`` of a sparse vector in this
+        basis, or None if it lies outside."""
+        residual = dict(row)
+        coords = {}
+        for i, brow in enumerate(self.basis.data):
+            # the RREF pivot column of a basis row is zero in every other row
+            coeff = residual.get(min(brow))
+            if coeff is not None:
+                coords[i] = coeff
+                _add_scaled(residual, -coeff, brow)
+        return None if residual else coords
 
-    def coordinates(self, vec):
-        """Coordinates of vec in this basis, or None if it lies outside."""
-        residual = {k: x for k, x in enumerate(vec) if not x.is_zero()}
-        zero = self.basis._zero
-        coords = []
-        for row in self.basis.data:
-            coeff = residual.get(min(row), zero)
-            coords.append(coeff)
-            if not coeff.is_zero():
-                _add_scaled(residual, -coeff, row)
-        if residual:
+    def coordinates(self, rows: Matrix):
+        """The coordinates of each row of ``rows`` in this basis, as the rows
+        of a matrix, or None if a row lies outside."""
+        data = [self._coordinates(row) for row in rows.data]
+        if any(c is None for c in data):
             return None
-        return coords
+        return Matrix.from_dicts(rows.rows, self.dim, data, self.params)
+
+    def first_outside(self, rows: Matrix):
+        """Index of the first row of ``rows`` outside this subspace, or None."""
+        return next((i for i, row in enumerate(rows.data) if self._coordinates(row) is None), None)
 
     def contains(self, other) -> bool:
         self._check(other)
-        return all(self.contains_vector(v) for v in other.vectors())
+        return self.first_outside(other.basis) is None
 
     def intersect(self, other) -> "Subspace":
         """Intersection via the kernel of the stacked-basis relation."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from math import gcd as int_gcd
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, UnboundParameter, quoted
@@ -70,9 +71,6 @@ class Polynomial:
 
     def is_one(self):
         return self.is_constant() and self.constant_value() == 1
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def leading(self):
         """Leading (exponent, coefficient) in graded-lex order."""
@@ -613,6 +611,10 @@ def scalar_str(s: Scalar) -> str:
 # largest exponent ``^`` accepts, so that one power stays cheap to evaluate
 MAX_EXPONENT = 1000
 
+# most terms ``^`` lets a parametric power have, estimated before it is
+# computed; multiplying a power out costs about the square of its terms
+MAX_POWER_TERMS = 300
+
 # longest integer literal accepted, and the most digits a numerator or
 # denominator of a parsed value may have; CPython's default limit for
 # int() <-> str, stated here so that parsing does not depend on the
@@ -631,6 +633,12 @@ def _rationals(s: Scalar):
     return (*s._num.terms.values(), *s._den.terms.values())
 
 
+def too_long_to_print(s: Scalar) -> bool:
+    """True when a numerator or denominator in s has more than
+    MAX_INT_DIGITS digits."""
+    return any(max(abs(q.numerator), q.denominator) >= _INT_LIMIT for q in _rationals(s))
+
+
 def _power_bits(s: Scalar, exponent) -> int:
     """Estimated bit length of the largest number in s^exponent: the bit
     length of the largest numerator or denominator in s, plus the log of
@@ -639,6 +647,23 @@ def _power_bits(s: Scalar, exponent) -> int:
     terms = 1 if s.value is not None else max(len(s._num.terms), len(s._den.terms))
     bits = max(max(abs(q.numerator), q.denominator).bit_length() for q in _rationals(s))
     return (bits + terms.bit_length() - 2) * exponent
+
+
+def _power_terms(s: Scalar, exponent) -> int:
+    """Upper bound on the term count of the numerator or denominator of
+    s^exponent. A product of ``exponent`` terms out of n is one of at most
+    comb(n - 1 + exponent, exponent) monomials, and its degree in each
+    parameter is at most ``exponent`` times the degree there."""
+    if s.value is not None:
+        return 1
+    out = 0
+    for p in (s._num, s._den):
+        box = 1
+        for degree in map(max, zip(*p.terms)):
+            box *= exponent * degree + 1
+        out = max(out, min(comb(len(p.terms) - 1 + exponent, exponent), box))
+    return out
+
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
@@ -691,7 +716,7 @@ class _Parser:
 
     def bounded(self, v, pos):
         """v, or a located ParseError when a number in it is too long to print."""
-        if any(max(abs(q.numerator), q.denominator) >= _INT_LIMIT for q in _rationals(v)):
+        if too_long_to_print(v):
             raise ParseError(f"value has a number of more than {MAX_INT_DIGITS} digits", 1, pos + 1)
         return v
 
@@ -734,6 +759,8 @@ class _Parser:
                 self.fail(f"exponent {val} exceeds the limit {MAX_EXPONENT}")
             if val and _power_bits(v, val) >= _INT_LIMIT.bit_length():
                 self.fail(f"power would have a number of more than {MAX_INT_DIGITS} digits")
+            if val > 1 and _power_terms(v, val) > MAX_POWER_TERMS:
+                self.fail(f"power would have more than {MAX_POWER_TERMS} terms")
             self.take()
             # square-and-multiply
             out = Scalar.of(self.params, 1)

@@ -101,6 +101,19 @@ def test_nested_power_above_the_digit_limit_is_input_error(capsys, tmp_path, com
     assert "more than 4300 digits (line 1, column 10)" in err
 
 
+def test_set_that_makes_a_number_too_long_to_print_is_input_error(capsys, tmp_path):
+    # 99999^1000 has 5,000 digits: parsing b^1000 is fine, substituting is not
+    code, out, _ = run(capsys, "print", "example24")
+    doc = json.loads(out)
+    doc["objects"]["A"]["beta"][1][1] = "b^1000"
+    p = tmp_path / "power.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(p), "--suite", "module", "--set", "b=99999")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --set: 'b^1000' becomes a number of more than 4300 digits\n"
+
+
 def test_construct_refusal_exit_three(capsys, tmp_path):
     out_path = tmp_path / "out.json"
     code, _, err = run(

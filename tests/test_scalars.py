@@ -14,6 +14,7 @@ from bihomcheck.errors import (
 )
 from bihomcheck.scalars import (
     MAX_EXPONENT,
+    MAX_POWER_TERMS,
     MAX_INT_DIGITS,
     Polynomial,
     Scalar,
@@ -216,6 +217,34 @@ def test_exponent_above_the_limit_is_refused_at_the_exponent():
     assert info.value.column == 3
     with pytest.raises(ParseError):
         sc(f"b^{MAX_EXPONENT + 1}")
+
+
+@pytest.mark.parametrize(
+    "text, params, column",
+    [
+        ("(a+2)^1000", ("a",), 7),
+        ("(a+b+c+d+e+f)^1000", tuple("abcdef"), 15),
+        ("((a+2)^10)^30", ("a",), 12),
+        (f"1/(a+2)^{MAX_POWER_TERMS}", ("a",), 9),
+    ],
+)
+def test_power_with_too_many_terms_is_refused_at_the_exponent(text, params, column):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text, params)
+    assert time.perf_counter() - start < 0.5
+    assert f"more than {MAX_POWER_TERMS} terms" in str(info.value)
+    assert info.value.column == column
+
+
+def test_power_just_below_the_term_limit_parses():
+    # (a+2)^n has n + 1 terms
+    v = parse_scalar(f"(a+2)^{MAX_POWER_TERMS - 1}", ("a",))
+    assert len(v.num.terms) == MAX_POWER_TERMS
+    w = parse_scalar(f"1/(a+2)^{MAX_POWER_TERMS - 1}", ("a",))
+    assert len(w.den.terms) == MAX_POWER_TERMS
+    # a monomial power has one term whatever the exponent
+    assert str(parse_scalar("(a*b)^1000", ("a", "b"))) == "a^1000*b^1000"
 
 
 def test_powers_by_square_and_multiply():

@@ -94,7 +94,7 @@ def conjugate(x):
     beta = ModuleMap(module, module, q @ x.beta.matrix @ p)
     if isinstance(x, BiHomLie):
         return BiHomLie(module, table, alpha, beta, x.rmatrix)
-    unit = None if x.unit is None else q.apply(x.unit)
+    unit = None if x.unit is None else (q @ Matrix(d, 1, x.unit, params)).col(0)
     return BiHomAlgebra(module, table, alpha, beta, unit=unit, multiplicative=x.multiplicative)
 
 
