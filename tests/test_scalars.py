@@ -14,8 +14,8 @@ from bihomcheck.errors import (
 )
 from bihomcheck.scalars import (
     MAX_EXPONENT,
-    MAX_POWER_TERMS,
     MAX_INT_DIGITS,
+    MAX_POWER_TERMS,
     Polynomial,
     Scalar,
     parse_scalar,
