@@ -10,6 +10,7 @@ and friends). Reports print as text by default or as versioned JSON with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -465,9 +466,13 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+# built on first use and shared by every call of ``main``: parsing keeps no
+# state in the parser, and each call gets a fresh namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except INPUT_ERRORS as exc:

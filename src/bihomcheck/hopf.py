@@ -25,7 +25,18 @@ the unit and counit as the lists ``unit`` and ``counit``.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotAGroup, NotInvertible, Singular
-from .linalg import Matrix, flip, hstack, kron, multiplication, solve, tensor_matrix, vstack
+from .linalg import (
+    Matrix,
+    _add_kron_row,
+    _add_scaled,
+    flip,
+    hstack,
+    kron,
+    multiplication,
+    solve,
+    tensor_matrix,
+    vstack,
+)
 from .report import CheckReport, coefficient_witness, column_witness, decode
 from .scalars import Scalar
 
@@ -53,18 +64,37 @@ class HopfAlgebra:
 
     def tensor_square_mult(self, x: Matrix, right=False) -> Matrix:
         """Operator of y -> x y (y -> y x when ``right``) on H (x) H for the
-        element with coefficient matrix x. With x_i the i-th row of x, this
-        is the sum over i of (mult by e_i) (x) (mult by x_i); no d^4-wide
-        operator is formed."""
-        d, p = self.dim, self.params
-        ident = Matrix.identity(d, p)
-        out = Matrix.zero(d * d, d * d, p)
-        for i, row in enumerate(x.data):
-            if row:
-                ei = multiplication(self.M, Matrix(d, 1, ident.col(i), p), right)
-                xi = multiplication(self.M, Matrix(d, 1, x.row(i), p), right)
-                out = out + kron(ei, xi)
-        return out
+        element with coefficient matrix x.
+
+        With L_b the operator of multiplication by e_b (on the left, or on
+        the right when ``right``) and x_i = sum_b x[i][b] e_b the i-th row
+        of x, this is the sum over i of kron(L_i, L_{x_i}). Every L_b is read
+        off the columns of M (column i*d + j is e_i e_j), and the Kronecker
+        rows are accumulated in place; no d^4-wide operator is formed."""
+        d = self.dim
+        ops = [[{} for _ in range(d)] for _ in range(d)]
+        for k, mrow in enumerate(self.M.data):
+            for c, v in mrow.items():
+                i, j = divmod(c, d)
+                # e_i e_j is column i of R_{e_j} and column j of L_{e_i}
+                if right:
+                    ops[j][k][i] = v
+                else:
+                    ops[i][k][j] = v
+        out = [{} for _ in range(d * d)]
+        for i, xrow in enumerate(x.data):
+            if not xrow:
+                continue
+            xi = [{} for _ in range(d)]
+            for b, f in xrow.items():
+                for xr, orow in zip(xi, ops[b]):
+                    _add_scaled(xr, f, orow)
+            for k, lrow in enumerate(ops[i]):
+                if lrow:
+                    for l, xr in enumerate(xi):
+                        if xr:
+                            _add_kron_row(out[k * d + l], lrow, xr, d)
+        return Matrix.from_dicts(d * d, d * d, out, self.params)
 
 
 class RMatrix:

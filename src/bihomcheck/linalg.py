@@ -194,6 +194,24 @@ def _add_scaled(target: dict, f, src: dict):
                 target[k] = v
 
 
+def _add_kron_row(target: dict, arow: dict, brow: dict, bcols):
+    """target += the row of kron(a, b) made of rows ``arow`` of a and
+    ``brow`` of b (b having ``bcols`` columns), in place."""
+    for j, x in arow.items():
+        off = j * bcols
+        for l, y in brow.items():
+            t = x * y
+            v = target.get(off + l)
+            if v is None:
+                target[off + l] = t
+            else:
+                v = v + t
+                if v.is_zero():
+                    del target[off + l]
+                else:
+                    target[off + l] = v
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; basis convention (i,j) -> i*b.rows + j."""
     bcols = b.cols

@@ -151,9 +151,15 @@ class Polynomial:
 
 # -- gcd machinery -----------------------------------------------------------
 #
-# Reduction of fractions needs a multivariate gcd; content extraction plus a
-# primitive pseudo-remainder sequence is enough at the tiny degrees this
-# package meets.
+# Reduction of fractions needs a multivariate gcd. Most factors met in
+# practice are monomials (Laurent-style twists such as s*t against s), so
+# ``poly_gcd`` tries the monomial rule first: when one side is a single
+# term, every divisor of it is a monomial, so the gcd is the largest
+# monomial dividing both sides, the minimum exponent of each parameter over
+# all terms, with coefficient 1. That is exactly the primitive gcd with
+# positive leading coefficient, so the result does not depend on which path
+# found it. Any other pair goes through content extraction and a primitive
+# pseudo-remainder sequence (Brown, JACM 1971).
 
 
 def _int_normalize(p: Polynomial):
@@ -221,6 +227,16 @@ def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise DivisionByZero("polynomial division by zero")
     if f.is_zero():
         return f
+    if len(g.terms) == 1:
+        # division by a monomial shifts exponents
+        ((ge, gc),) = g.terms.items()
+        quot = {}
+        for e, c in f.terms.items():
+            qe = tuple(a - b for a, b in zip(e, ge))
+            if any(k < 0 for k in qe):
+                raise ArithmeticError("inexact polynomial division")
+            quot[qe] = c / gc
+        return Polynomial(f.params, quot)
     quot = {}
     ge, gc = g.leading()
     r = f
@@ -244,10 +260,12 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return _int_normalize(g)[1]
     if g.is_zero():
         return _int_normalize(f)[1]
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # the monomial rule (see above); a constant side gives 1
+        e = tuple(map(min, zip(*f.terms, *g.terms)))
+        return Polynomial(f.params, {e: Fraction(1)})
     f = _int_normalize(f)[1]
     g = _int_normalize(g)[1]
-    if f.is_constant() or g.is_constant():
-        return Polynomial.constant(f.params, 1)
     used = sorted(set().union(*(
         {i for i, k in enumerate(e) if k > 0} for p in (f, g) for e in p.terms
     )))
@@ -270,7 +288,9 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
             break
         if _deg_in(r, var) == 0:
             return _int_normalize(c)[1]
-        a, b = b, poly_divexact(r, _content_wrt(r, var))
+        # primitive over Z as well: without the rational content the
+        # coefficients grow exponentially along the sequence
+        a, b = b, _int_normalize(poly_divexact(r, _content_wrt(r, var)))[1]
     return _int_normalize(c * poly_divexact(b, _content_wrt(b, var)))[1]
 
 
@@ -611,8 +631,9 @@ def scalar_str(s: Scalar) -> str:
 # largest exponent ``^`` accepts, so that one power stays cheap to evaluate
 MAX_EXPONENT = 1000
 
-# most terms ``^`` lets a parametric power have, estimated before it is
-# computed; multiplying a power out costs about the square of its terms
+# most terms ``^``, ``*`` and ``/`` let a parametric result have, estimated
+# before it is computed; multiplying out costs about the product of the
+# operands' term counts
 MAX_POWER_TERMS = 300
 
 # longest integer literal accepted, and the most digits a numerator or
@@ -662,6 +683,21 @@ def _power_terms(s: Scalar, exponent) -> int:
         for degree in map(max, zip(*p.terms)):
             box *= exponent * degree + 1
         out = max(out, min(comb(len(p.terms) - 1 + exponent, exponent), box))
+    return out
+
+
+def _product_terms(v: Scalar, w: Scalar, divide=False) -> int:
+    """Upper bound on the term count of the numerator or denominator of
+    v*w (v/w when ``divide``), for non-constant v and w. A product of
+    polynomials with n and m terms has at most n*m terms, and its degree in
+    each parameter is the sum of the two degrees there."""
+    wn, wd = (w._den, w._num) if divide else (w._num, w._den)
+    out = 0
+    for p, q in ((v._num, wn), (v._den, wd)):
+        box = 1
+        for a, b in zip(map(max, zip(*p.terms)), map(max, zip(*q.terms))):
+            box *= a + b + 1
+        out = max(out, min(len(p.terms) * len(q.terms), box))
     return out
 
 
@@ -733,6 +769,15 @@ class _Parser:
         while self.peek()[:2] in (("op", "*"), ("op", "/")):
             _, op, pos = self.take()
             w = self.unary()
+            # multiplying out costs about the product of the term counts;
+            # a constant factor only scales
+            if (
+                v.value is None
+                and w.value is None
+                and _product_terms(v, w, op == "/") > MAX_POWER_TERMS
+            ):
+                what = "product" if op == "*" else "quotient"
+                raise ParseError(f"{what} would have more than {MAX_POWER_TERMS} terms", 1, pos + 1)
             if op == "*":
                 v = v * w
             else:

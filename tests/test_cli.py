@@ -1,7 +1,10 @@
 """Command-line surface: exit codes, output shapes, golden reports."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +102,33 @@ def test_nested_power_above_the_digit_limit_is_input_error(capsys, tmp_path, com
     assert out == ""
     assert err.startswith("error: rmatrix[0][0]: bad scalar '(2^1000)^1000'")
     assert "more than 4300 digits (line 1, column 10)" in err
+
+
+def test_product_with_too_many_terms_is_input_error(capsys, tmp_path):
+    # each power is within the term bound; their product would not be
+    code, out, _ = run(capsys, "print", "example24")
+    doc = json.loads(out)
+    doc["objects"]["A"]["beta"][1][1] = "(b+2)^150*(b+2)^150"
+    p = tmp_path / "product.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(p), "--suite", "module")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "bad scalar '(b+2)^150*(b+2)^150'" in err
+    assert "product would have more than 300 terms (line 1, column 10)" in err
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # main reuses one parser; nothing parsed in one call may leak into the
+    # next, so each call prints what a fresh interpreter prints
+    path = [str(pathlib.Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for extra in (["--set", "b=3"], [], ["--json"]):
+        argv = ["check", "example24", "--suite", "all", *extra]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bihomcheck.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert run(capsys, *argv)[:2] == (fresh.returncode, fresh.stdout)
 
 
 def test_set_that_makes_a_number_too_long_to_print_is_input_error(capsys, tmp_path):

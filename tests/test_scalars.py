@@ -19,6 +19,7 @@ from bihomcheck.scalars import (
     Polynomial,
     Scalar,
     parse_scalar,
+    poly_divexact,
     poly_gcd,
     scalar_str,
 )
@@ -95,6 +96,32 @@ def test_poly_gcd_basics():
     assert poly_gcd(f, g) == b + one
     # constants are units
     assert poly_gcd(Polynomial.constant(P, 4), Polynomial.constant(P, 6)).is_one()
+
+
+def test_poly_gcd_keeps_pseudo_remainders_primitive():
+    # coprime powers: each pseudo-remainder is divided by its rational
+    # content, or its coefficients grow exponentially along the sequence
+    # (minutes for this input instead of milliseconds)
+    a = Polynomial.variable(("a",), "a")
+    f, g = a + Polynomial.constant(("a",), 2), a + Polynomial.constant(("a",), 3)
+    for _ in range(4):
+        f, g = f * f, g * g
+    start = time.perf_counter()
+    assert poly_gcd(f, g).is_one()
+    assert time.perf_counter() - start < 1
+
+
+def test_poly_divexact_by_a_monomial():
+    a = Polynomial.variable(("a", "b"), "a")
+    b = Polynomial.variable(("a", "b"), "b")
+    one = Polynomial.constant(("a", "b"), 1)
+    m = (a * a * b).scale(-3)
+    assert poly_divexact((a + b + one) * m, m) == a + b + one
+    assert poly_divexact(m, m) == one
+    # a negative exponent means m does not divide
+    for f in (a * b, a * a * b + b):
+        with pytest.raises(ArithmeticError):
+            poly_divexact(f, m)
 
 
 def test_multivariate_gcd_and_reduction():
@@ -245,6 +272,36 @@ def test_power_just_below_the_term_limit_parses():
     assert len(w.den.terms) == MAX_POWER_TERMS
     # a monomial power has one term whatever the exponent
     assert str(parse_scalar("(a*b)^1000", ("a", "b"))) == "a^1000*b^1000"
+
+
+@pytest.mark.parametrize(
+    "text, params, column, what",
+    [
+        # each power passes the bound on its own
+        ("(a+2)^299*(a+2)^299", ("a",), 10, "product"),
+        ("(a+2)^150*(a+2)^150*(a+2)^150", ("a",), 10, "product"),
+        ("(a+1)^14*(b+1)^20", ("a", "b"), 9, "product"),
+        ("(a+2)^150/(1/(a+2)^150)", ("a",), 10, "quotient"),
+    ],
+)
+def test_product_with_too_many_terms_is_refused_at_the_operator(text, params, column, what):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text, params)
+    assert time.perf_counter() - start < 1
+    assert f"{what} would have more than {MAX_POWER_TERMS} terms" in str(info.value)
+    assert info.value.column == column
+
+
+def test_product_just_below_the_term_limit_parses():
+    # degree 149 + 150 = 299 in one parameter: 300 terms
+    assert len(parse_scalar("(a+2)^149*(a+2)^150", ("a",)).num.terms) == MAX_POWER_TERMS
+    # 15 * 20 = 300 terms in two parameters
+    assert len(parse_scalar("(a+1)^14*(b+1)^19", ("a", "b")).num.terms) == MAX_POWER_TERMS
+    # a constant factor only scales, so it is not refused even when the
+    # other operand, a sum, already has more terms
+    v = parse_scalar("2*((a+1)^14*(b+1)^19 + a^50)/3", ("a", "b"))
+    assert len(v.num.terms) == MAX_POWER_TERMS + 1
 
 
 def test_powers_by_square_and_multiply():
@@ -433,16 +490,22 @@ def test_poly_gcd_agrees_with_sympy_up_to_a_unit():
     polys = st.dictionaries(monomials, st.integers(-4, 4).filter(bool), max_size=4).map(
         lambda terms: Polynomial(params, {e: Fraction(c) for e, c in terms.items()})
     )
+    singles = st.tuples(monomials, st.integers(-4, 4).filter(bool)).map(
+        lambda ec: Polynomial(params, {ec[0]: Fraction(ec[1])})
+    )
+    # monomials other than 1
+    contents = monomials.filter(any).map(lambda e: Polynomial(params, {e: Fraction(1)}))
+
+    def settings(examples):
+        return hypothesis.settings(
+            max_examples=examples, deadline=None, derandomize=True, database=None
+        )
 
     def to_sympy(p):
         a, b = symbols
         return sum((int(c) * a ** e[0] * b ** e[1] for e, c in p.terms.items()), sympy.Integer(0))
 
-    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(f=polys, g=polys, h=polys)
-    def check(f, g, h):
-        # a common factor h makes a nontrivial gcd likely
-        f, g = f * h, g * h
+    def agrees(f, g):
         got = to_sympy(poly_gcd(f, g))
         want = sympy.gcd(to_sympy(f), to_sympy(g))
         if want == 0:
@@ -451,4 +514,24 @@ def test_poly_gcd_agrees_with_sympy_up_to_a_unit():
         ratio = sympy.cancel(got / want)
         assert ratio.is_number and ratio != 0
 
-    check()
+    @settings(80)
+    @hypothesis.given(f=polys, g=polys, h=polys)
+    def common_factor(f, g, h):
+        # a common factor h makes a nontrivial gcd likely
+        agrees(f * h, g * h)
+
+    @settings(30)
+    @hypothesis.given(m=singles, g=polys, n=singles, swap=st.booleans())
+    def single_term(m, g, n, swap):
+        # one side is a single term; the other shares part of it when n does
+        f, g = m, g * n
+        agrees(*((g, f) if swap else (f, g)))
+
+    @settings(30)
+    @hypothesis.given(m=contents, f=polys, g=polys, h=polys)
+    def shared_monomial_content(m, f, g, h):
+        agrees(f * h * m, g * h * m)
+
+    common_factor()
+    single_term()
+    shared_monomial_content()

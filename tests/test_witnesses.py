@@ -8,6 +8,9 @@ pinned in ``tests/witnesses/reports.json``; a change to how a check is
 computed must reproduce every verdict, witness tuple and residual byte for
 byte.
 
+``tensor_square_mult``, which every qt and bialgebra check of these cases
+goes through, is also checked against its definition on H (x) H.
+
 Regenerate the pins (only when a report changes on purpose) with
 
     PYTHONPATH=src python tests/test_witnesses.py
@@ -49,7 +52,7 @@ from bihomcheck.hopf import (
     group_algebra,
     is_triangular,
 )
-from bihomcheck.linalg import Matrix
+from bihomcheck.linalg import Matrix, flip, invert, kron
 from bihomcheck.scalars import Scalar, parse_scalar
 
 PINS = pathlib.Path(__file__).parent / "witnesses" / "reports.json"
@@ -364,6 +367,78 @@ def test_reports_match_the_pins():
     assert sorted(got) == sorted(pinned)
     for name in pinned:
         assert got[name] == pinned[name], name
+
+
+# -- the tensor-square operator the Sweedler pins lean on -------------------------
+
+def tensor_square_mult_by_definition(h, x, right=False):
+    """y -> x y (y -> y x when ``right``) on H (x) H, from the definition:
+    the product of H (x) H is (M (x) M) o (id (x) flip (x) id) on the
+    d^4-wide space H (x) H (x) H (x) H, applied to x (x) y (y (x) x)."""
+    d, p = h.dim, h.params
+    ident, square = Matrix.identity(d, p), Matrix.identity(d * d, p)
+    product = kron(h.M, h.M) @ kron(kron(ident, flip(d, d, p)), ident)
+    xvec = Matrix(d * d, 1, x.entries, p)
+    return product @ (kron(square, xvec) if right else kron(xvec, square))
+
+
+def conjugated(h, p, q):
+    """h in the basis f_i = sum_k P[k][i] e_k, where q = P^-1."""
+    d = h.dim
+    m = q @ h.M @ kron(p, p)
+    c = kron(q, q) @ h.C @ p
+    mult = [[m.col(i * d + j) for j in range(d)] for i in range(d)]
+    comult = [[[c.at(j * d + k, i) for k in range(d)] for j in range(d)] for i in range(d)]
+    unit, counit = (q @ h.u).col(0), (h.eps @ p).row(0)
+    return HopfAlgebra(h.basis_names, mult, unit, comult, counit, q @ h.antipode @ p, h.params)
+
+
+def with_bumped_mult(h, i, j, k):
+    """h with 1 added to the coefficient of e_k in e_i e_j, one entry of
+    column i*d + j of M."""
+    d = h.dim
+    mult = [[h.M.col(a * d + b) for b in range(d)] for a in range(d)]
+    mult[i][j][k] = mult[i][j][k] + 1
+    return HopfAlgebra(h.basis_names, mult, h.unit, h.comult, h.counit, h.antipode, h.params)
+
+
+def tensor_square_cases():
+    """Sweedler H4 over Q(t), which is not cocommutative, with R_t and a
+    dense parametric element; Z4 in a dense basis with a dense element and
+    one with a zero row."""
+    h, r, _ = sweedler()
+    dense = Matrix.from_rows(
+        [[parse_scalar(f"{a - b}*t + {a * 4 + b - 7}", ("t",)) for b in range(4)] for a in range(4)],
+        ("t",),
+    )
+    z4 = zn(4)
+    one, two = Scalar.of((), 1), Scalar.of((), 2)
+    upper = Matrix.from_dicts(4, 4, [{j: one for j in range(i, 4)} for i in range(4)], ())
+    lower = Matrix.from_dicts(4, 4, [{i: one, **({i - 1: two} if i else {})} for i in range(4)], ())
+    p = upper @ lower
+    cz4 = conjugated(z4, p, invert(p))
+    values = Matrix.from_rows(
+        [[Scalar.of((), (3 * a + 5 * b) % 7 - 3) for b in range(4)] for a in range(4)]
+    )
+    holed = Matrix.from_dicts(4, 4, [row if a != 2 else {} for a, row in enumerate(values.data)], ())
+    return [(h, r.coefficients), (h, dense), (cz4, values), (cz4, holed)]
+
+
+def test_tensor_square_mult_matches_the_definition():
+    cases = tensor_square_cases()
+    h4 = cases[0][0]
+    assert flip(4, 4, h4.params) @ h4.C != h4.C  # Sweedler H4 is not cocommutative
+    for h, x in cases:
+        for right in (False, True):
+            assert h.tensor_square_mult(x, right) == tensor_square_mult_by_definition(h, x, right)
+
+
+def test_tensor_square_mult_sees_a_change_in_one_column_of_the_product():
+    for h, x in tensor_square_cases():
+        for right in (False, True):
+            want = tensor_square_mult_by_definition(h, x, right)
+            # column 1*d + 2 of M holds e_1 e_2
+            assert with_bumped_mult(h, 1, 2, 0).tensor_square_mult(x, right) != want
 
 
 if __name__ == "__main__":
