@@ -99,9 +99,9 @@ def test_poly_gcd_basics():
 
 
 def test_poly_gcd_keeps_pseudo_remainders_primitive():
-    # coprime powers: each pseudo-remainder is divided by its rational
-    # content, or its coefficients grow exponentially along the sequence
-    # (minutes for this input instead of milliseconds)
+    # coprime powers: unless each pseudo-remainder is divided by its
+    # rational content, the coefficients grow exponentially along the
+    # sequence and this gcd takes seconds
     a = Polynomial.variable(("a",), "a")
     f, g = a + Polynomial.constant(("a",), 2), a + Polynomial.constant(("a",), 3)
     for _ in range(4):

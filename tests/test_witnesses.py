@@ -371,6 +371,7 @@ def test_reports_match_the_pins():
 
 # -- the tensor-square operator the Sweedler pins lean on -------------------------
 
+
 def tensor_square_mult_by_definition(h, x, right=False):
     """y -> x y (y -> y x when ``right``) on H (x) H, from the definition:
     the product of H (x) H is (M (x) M) o (id (x) flip (x) id) on the
