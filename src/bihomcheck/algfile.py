@@ -178,6 +178,16 @@ def _parse_triples(data, dim, params, path, findings):
     return tensor if ok else None
 
 
+def _is_name_list(names):
+    """A nonempty list of distinct strings: names key the action matrices."""
+    return (
+        isinstance(names, list)
+        and names
+        and all(isinstance(n, str) for n in names)
+        and len(set(names)) == len(names)
+    )
+
+
 def _build_hopf(spec, params, findings):
     if not isinstance(spec, dict) or len(spec) != 1 or next(iter(spec)) not in ("group", "raw"):
         findings.add("hopf", "expected exactly one of 'group' or 'raw'")
@@ -190,8 +200,15 @@ def _build_hopf(spec, params, findings):
         table = g.get("table")
         identity = g.get("identity")
         names = g.get("names")
-        if not isinstance(table, list) or not isinstance(identity, int):
+        if (
+            not isinstance(table, list)
+            or not all(isinstance(row, list) for row in table)
+            or not isinstance(identity, int)
+        ):
             findings.add("hopf.group", "needs 'table' (list of rows) and 'identity' (index)")
+            return None
+        if names is not None and not _is_name_list(names):
+            findings.add("hopf.group.names", "expected a nonempty list of distinct basis names")
             return None
         try:
             return group_algebra(table, identity, names=names, params=params)
@@ -203,8 +220,8 @@ def _build_hopf(spec, params, findings):
         findings.add("hopf.raw", "expected an object")
         return None
     names = raw.get("names")
-    if not isinstance(names, list) or not names:
-        findings.add("hopf.raw.names", "expected a nonempty list of basis names")
+    if not _is_name_list(names):
+        findings.add("hopf.raw.names", "expected a nonempty list of distinct basis names")
         return None
     d = len(names)
     mult = _parse_triples(raw.get("mult"), d, params, "hopf.raw.mult", findings)
@@ -223,8 +240,8 @@ def _build_object(name, data, hopf, params, findings):
         findings.add(path, "expected an object")
         return None
     basis = data.get("basis")
-    if not isinstance(basis, list) or not basis or not all(isinstance(b, str) for b in basis):
-        findings.add(f"{path}.basis", "expected a nonempty list of basis names")
+    if not _is_name_list(basis):
+        findings.add(f"{path}.basis", "expected a nonempty list of distinct basis names")
         return None
     dim = len(basis)
     declared = data.get("dim")

@@ -13,6 +13,8 @@ Axiom suites enumerate every basis tuple exhaustively; nothing is sampled.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (
     ConstructionError,
     NotBijective,
@@ -36,6 +38,11 @@ class _StructureBase:
     ``tensor`` gives the nested form back. ``products`` is the one bilinear
     product: the axiom checks, the vector products and all of structure
     theory are sparse products with B or its stored transpose.
+
+    The row-form operators that structure theory applies again and again
+    (``map_operators``, ``right_operators``, ``left_operators``) are built
+    on first use and then kept, so a check that never asks for them does
+    not pay for them.
     """
 
     def __init__(self, module: HModule, tensor, alpha: ModuleMap, beta: ModuleMap):
@@ -58,6 +65,33 @@ class _StructureBase:
 
     def structure_matrix(self) -> Matrix:
         return self._matrix
+
+    @cached_property
+    def map_operators(self) -> list:
+        """alpha, beta and the H-action in row form: v @ op is the image of
+        the row vector v."""
+        maps = (self.alpha.matrix, self.beta.matrix, *self.module.action)
+        return [m.transpose() for m in maps]
+
+    def _multiplications(self, right):
+        # row i of the j-th operator is e_i e_j (right) or e_j e_i, which is
+        # a row of the stored B^T; the rows are shared, not copied
+        d, t = self.module.dim, self._transposed.data
+        return [
+            Matrix.from_dicts(d, d, [t[i * d + j if right else j * d + i] for i in range(d)],
+                              self.params)
+            for j in range(d)
+        ]
+
+    @cached_property
+    def right_operators(self) -> list:
+        """The row-form operators v -> v e_j, one per basis vector e_j."""
+        return self._multiplications(right=True)
+
+    @cached_property
+    def left_operators(self) -> list:
+        """The row-form operators v -> e_j v, one per basis vector e_j."""
+        return self._multiplications(right=False)
 
     def products(self, left: Matrix, right: Matrix) -> Matrix:
         """Row i*right.rows + j is the image of (row i of left) (x) (row j of

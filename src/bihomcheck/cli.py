@@ -42,7 +42,7 @@ from .hmod import check_module, check_module_algebra
 from .hopf import check_hopf_axioms, qt_and_flip
 from .linalg import Subspace, tensor_matrix
 from .report import CheckReport, format_combination, format_subspace
-from .scalars import parse_scalar
+from .scalars import MAX_INT_DIGITS, parse_scalar
 from .structure import (
     center,
     derived_series,
@@ -82,6 +82,15 @@ def _parse_bindings(pairs):
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise ValidationError([f"--set expects NAME=RATIONAL, got {item!r}"])
+        # Fraction("1e999999999") would build a billion-digit integer
+        _, e, exponent = value.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (
+            len(digits) > len(str(MAX_INT_DIGITS)) or int(digits) > MAX_INT_DIGITS
+        ):
+            raise ValidationError(
+                [f"--set {name}: the exponent of {value!r} exceeds {MAX_INT_DIGITS}"]
+            )
         try:
             bindings[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -365,8 +374,11 @@ def run_structure(
 
 def _emit(text: str, output: str | None):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError([f"cannot write {output!r}: {exc}"]) from None
     else:
         sys.stdout.write(text)
 
@@ -472,7 +484,11 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help, the version or a usage error
+        return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return _dispatch(args)
     except INPUT_ERRORS as exc:

@@ -157,14 +157,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         odata = other.data
-        data = []
-        for arow in self.data:
-            out = {}
-            for k, a in arow.items():
-                for j, b in odata[k].items():
-                    s = out.get(j)
-                    out[j] = a * b if s is None else s + a * b
-            data.append({j: x for j, x in out.items() if not x.is_zero()})
+        data = [row_times(arow, odata) for arow in self.data]
         return Matrix.from_dicts(self.rows, other.cols, data, self.params)
 
     def transpose(self):
@@ -177,6 +170,16 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in self.row(r)) for r in range(self.rows))
         return f"Matrix[{body}]"
+
+
+def row_times(row: dict, odata) -> dict:
+    """The sparse row ``row @ m``, for ``odata`` the rows ``m.data`` of m."""
+    out = {}
+    for k, a in row.items():
+        for j, b in odata[k].items():
+            s = out.get(j)
+            out[j] = a * b if s is None else s + a * b
+    return {j: x for j, x in out.items() if not x.is_zero()}
 
 
 def _add_scaled(target: dict, f, src: dict):
@@ -334,6 +337,55 @@ def invert(m: Matrix) -> Matrix:
     return solve(m, Matrix.identity(m.rows, m.params))
 
 
+class Echelon:
+    """A subspace of k^dim built one vector at a time, in echelon form.
+
+    ``pivots`` maps the pivot column of each row held to that row, in the
+    order the rows were added. A row is 1 at its own pivot column and zero
+    at the pivot column of every row added before it, so clearing the pivot
+    columns in that order reduces a vector against all of them. Only the
+    new vector is eliminated, never the rows already held.
+    """
+
+    __slots__ = ("dim", "params", "pivots")
+
+    def __init__(self, dim, params):
+        self.dim = dim
+        self.params = params
+        self.pivots = {}
+
+    @property
+    def full(self):
+        return len(self.pivots) == self.dim
+
+    def add(self, row):
+        """Reduce the sparse row ``row`` (read, not changed) against the
+        rows held. A nonzero remainder is scaled to a leading 1, kept and
+        returned; a vector already in the span gives None."""
+        residual = dict(row)
+        for c, prow in self.pivots.items():
+            f = residual.get(c)
+            if f is not None:
+                _add_scaled(residual, -f, prow)
+                if not residual:
+                    return None
+        if not residual:
+            return None
+        c = min(residual)
+        inv = residual[c].inverse()
+        prow = {k: x * inv for k, x in residual.items()}
+        self.pivots[c] = prow
+        return prow
+
+    def subspace(self) -> "Subspace":
+        """The span as a Subspace; only the rows held are put in RREF."""
+        if self.full:
+            return Subspace.full_space(self.dim, self.params)
+        rows = list(self.pivots.values())
+        red, _ = rref(Matrix.from_dicts(len(rows), self.dim, rows, self.params))
+        return Subspace(self.dim, red)
+
+
 def kernel(m: Matrix) -> "Subspace":
     """Null space {v : m v = 0} as an RREF subspace of dimension cols - rank."""
     red, rank = rref(m)
@@ -380,9 +432,18 @@ class Subspace:
     @classmethod
     def span(cls, ambient_dim, vecs, params):
         """Span of sparse vectors given as ``{column: Scalar}`` dicts holding
-        nonzero entries only; the dicts are read, not changed."""
-        red, rank = rref(Matrix.from_dicts(len(vecs), ambient_dim, vecs, params))
-        return cls(ambient_dim, Matrix.from_dicts(rank, ambient_dim, red.data[:rank], params))
+        nonzero entries only; the dicts are read, not changed.
+
+        The vectors go into one ``Echelon`` one at a time, and the rest are
+        not read once the rank reaches ``ambient_dim``. Only the independent
+        rows left are put in RREF, which is unique, so the basis is the
+        RREF of all the vectors."""
+        span = Echelon(ambient_dim, params)
+        for v in vecs:
+            span.add(v)
+            if span.full:
+                break
+        return span.subspace()
 
     @classmethod
     def zero_space(cls, ambient_dim, params=()):

@@ -129,7 +129,8 @@ class Polynomial:
         return Polynomial(self.params, out)
 
     def scale(self, c):
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         if c == 0:
             return Polynomial(self.params, {})
         return Polynomial(self.params, {e: c * v for e, v in self.terms.items()})
@@ -176,6 +177,8 @@ def _int_normalize(p: Polynomial):
     _, lead = p.leading()
     if lead < 0:
         content = -content
+    if content == 1:
+        return content, p
     return content, p.scale(1 / content)
 
 

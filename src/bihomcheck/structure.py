@@ -9,9 +9,16 @@ the result, so runs are reproducible.
 
 A subspace is the sparse matrix of its basis rows, and the products or
 brackets of two subspaces are the rows of one sparse product through the
-structure matrix (``products`` of the structure): the images of a subspace
-under alpha, beta and the H-action are ``rows @ op^T``, and containment is
-tested row by row on the sparse rows.
+structure matrix (``products`` of the structure). Maps act in row form: the
+structure builds alpha, beta, the H-action and the multiplications by each
+basis vector as row-form operators once, on first use, and keeps them, so
+the images of a subspace are ``rows @ op``. Containment is tested row by
+row on the sparse rows.
+
+An ideal closure is spun on one ``Echelon``, as in a MeatAxe spin: only the
+images of basis rows that have just been added are reduced, a row already
+in the span is dropped at once, and the spin stops as soon as the echelon
+fills the whole space.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 from .bihom import BiHomAlgebra, BiHomLie
 from .errors import AmbientMismatch
-from .linalg import Matrix, Subspace, kernel, vstack
+from .linalg import Echelon, Matrix, Subspace, hstack, kernel, row_times
 from .scalars import Scalar
 
 SERIES_ZERO = "terminates-at-zero"
@@ -90,8 +97,8 @@ def _identity(x) -> Matrix:
 def _stability_witness(x, u: Subspace):
     """alpha-, beta-, and H-action stability of a subspace; None when stable."""
     labels = ["alpha(U)", "beta(U)"] + [f"{h}.U" for h in x.module.hopf.basis_names]
-    for label, op in zip(labels, (x.alpha.matrix, x.beta.matrix, *x.module.action)):
-        images = u.basis @ op.transpose()
+    for label, op in zip(labels, x.map_operators):
+        images = u.basis @ op
         i = u.first_outside(images)
         if i is not None:
             return f"{label} is not contained in U", images.row(i)
@@ -132,20 +139,24 @@ def is_H_bihom_ideal(a: BiHomAlgebra, u: Subspace) -> IdealCheck:
     return IdealCheck(True)
 
 
-def _operators(x, rows: Matrix, right=False):
-    """Matrices of v -> w v (v -> v w when ``right``), one per row w of
-    ``rows``, with the product or bracket of x."""
-    ident = _identity(x)
-    out = []
-    for row in rows.data:
-        w = Matrix.from_dicts(1, rows.cols, [row], x.params)
-        out.append((x.products(ident, w) if right else x.products(w, ident)).transpose())
-    return out
+def _combination(ops, w: dict) -> Matrix:
+    """sum_j w_j ops[j] for a nonzero sparse row w: the row-form operator
+    v -> v w from ``right_operators``, or v -> w v from ``left_operators``."""
+    total = None
+    for j, c in w.items():
+        term = ops[j].scale(c)
+        total = term if total is None else total + term
+    return total
+
+
+def _left_kernel(ops) -> Subspace:
+    """{v : v @ op = 0 for every row-form op}."""
+    return kernel(hstack(ops).transpose())
 
 
 def center(l: BiHomLie) -> Subspace:
-    """{z : [z, L] = 0}, the kernel of the stacked right-bracket operators."""
-    return kernel(vstack(_operators(l, _identity(l), right=True)))
+    """{z : [z, L] = 0}, the common kernel of the operators v -> [v, e_j]."""
+    return _left_kernel(l.right_operators)
 
 
 def ideal_closure(x, seed: Subspace, kind: str | None = None) -> Subspace:
@@ -153,25 +164,32 @@ def ideal_closure(x, seed: Subspace, kind: str | None = None) -> Subspace:
     H-action, and products with the whole space: on one side ([U, L],
     kind "lie") or on both (AU + UA, kind "associative").
 
-    ``kind`` defaults to the structure's own flavor.
+    ``kind`` defaults to the structure's own flavor. The closure is spun on
+    one ``Echelon``: each row that enters the span has its images under the
+    row-form operators of the structure reduced once, and the spin stops
+    when no new row is left or the span is the whole space.
     """
     _check_ambient(x, seed)
     if kind is None:
         kind = "lie" if isinstance(x, BiHomLie) else "associative"
     if kind not in ("lie", "associative"):
         raise ValueError(f"unknown closure kind {kind!r}")
+    # an identity map adds nothing to a span that holds the row
     ident = _identity(x)
-    maps = [op.transpose() for op in (x.alpha.matrix, x.beta.matrix, *x.module.action)]
-    current = seed
-    while True:
-        rows = current.basis
-        images = [rows, x.products(rows, ident)] + [rows @ op for op in maps]
-        if kind == "associative":
-            images.append(x.products(ident, rows))
-        new = Subspace.span(seed.ambient_dim, [r for m in images for r in m.data], x.params)
-        if new == current:
-            return current
-        current = new
+    ops = [op for op in x.map_operators if op != ident] + x.right_operators
+    if kind == "associative":
+        ops = ops + x.left_operators
+    span = Echelon(seed.ambient_dim, x.params)
+    pending = [r for r in map(span.add, seed.basis.data) if r is not None]
+    while pending and not span.full:
+        row = pending.pop()
+        for op in ops:
+            new = span.add(row_times(row, op.data))
+            if new is not None:
+                if span.full:
+                    break
+                pending.append(new)
+    return span.subspace()
 
 
 def _series(x, start: Subspace, max_steps: int, derived: bool) -> SeriesResult:
@@ -213,19 +231,21 @@ def relative_sets(x, u: Subspace, kind: str) -> Subspace:
     if kind in ("normalizer", "transporter"):
         if not isinstance(x, BiHomLie):
             raise ValueError(f"{kind} needs a Lie ambient")
-        # rows of the annihilator of U composed with each v -> [v, e_j]
+        # each v -> [v, e_j] followed by the equations of U
         ann = u.annihilator_matrix()
-        ops = [ann @ op for op in _operators(x, _identity(x), right=True)] if ann.rows else []
+        ann_t = ann.transpose()
+        ops = [op @ ann_t for op in x.right_operators] if ann.rows else []
     elif kind == "annihilator":
         if not isinstance(x, BiHomAlgebra):
             raise ValueError("annihilator needs an associative ambient")
         # v . i = 0 and i . v = 0 for every basis vector i of U
-        ops = _operators(x, u.basis) + _operators(x, u.basis, right=True)
+        ops = [_combination(x.left_operators, w) for w in u.basis.data]
+        ops += [_combination(x.right_operators, w) for w in u.basis.data]
     else:
         raise ValueError(f"unknown relative set kind {kind!r}")
     if not ops:
         return Subspace.full_space(d, x.params)
-    return kernel(vstack(ops))
+    return _left_kernel(ops)
 
 
 def _probe_rows(x, seed: int, count: int):
@@ -259,7 +279,7 @@ def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certifica
     candidates = found + [Subspace.full_space(d, x.params)]
     for a in candidates:
         for b in candidates:
-            if a.dim and b.dim and _pair_span(x, a, b).dim == 0:
+            if a.dim and b.dim and x.products(a.basis, b.basis).is_zero():
                 nonprime = (a, b)
                 break
         if nonprime:

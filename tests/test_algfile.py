@@ -88,6 +88,22 @@ def test_bad_group_table_is_reported():
     assert any("identity" in item for item in err.value.findings)
 
 
+@pytest.mark.parametrize(
+    "where,names",
+    [("group", ["e", "e"]), ("group", [["e"], "g"]), ("object", ["x1", "x1"]), ("object", [])],
+)
+def test_repeated_or_malformed_basis_names_are_reported(where, names):
+    # repeated Hopf names would make two elements read one action matrix
+    doc = example24_doc()
+    if where == "group":
+        doc["hopf"]["group"]["names"] = names
+    else:
+        doc["objects"]["A"]["basis"] = names
+    with pytest.raises(ValidationError) as err:
+        parse_algebra_file(json.dumps(doc))
+    assert any("distinct basis names" in item for item in err.value.findings)
+
+
 def test_substitute_file_full_binding():
     f = catalog_file("example24")
     g = substitute_file(f, {"b": 3})

@@ -274,6 +274,36 @@ def test_structure_max_steps_below_one_is_input_error(capsys, what, steps):
     assert err == f"error: --max-steps must be at least 1, got {steps}\n"
 
 
+@pytest.mark.parametrize("argv", [["nope"], ["check"], ["check", "kz2", "--bogus"]])
+def test_bad_arguments_return_input_error_instead_of_exiting(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage: bihomcheck" in err
+
+
+def test_help_returns_zero(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: bihomcheck")
+
+
+def test_unwritable_output_is_input_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "out.json"
+    code, out, err = run(capsys, "check", "kz2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {str(target)!r}")
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "1e-99999999999999999999999", "2E+4_301"])
+def test_set_with_a_huge_exponent_is_refused_before_it_is_computed(capsys, value):
+    code, out, err = run(capsys, "check", "example24", "--suite", "hopf", "--set", f"b={value}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --set b: the exponent of {value!r} exceeds 4300\n"
+
+
 def test_trivial_one_dimensional_algebra_passes_everything(capsys, tmp_path):
     doc = {
         "format": "bihom-algebra-file/1",

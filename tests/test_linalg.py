@@ -266,3 +266,58 @@ def test_sparse_kernel_agrees_with_sympy():
                     invert(a)
 
     check()
+
+
+def test_span_agrees_with_rref_on_tall_inputs():
+    # Subspace.span stops reading its vectors once the rank is full and puts
+    # only the rows it kept in RREF; the basis must still be the RREF of
+    # every vector. Half the cases open with a permuted triangular block of
+    # nonzero diagonal, so the rank is full before the tail is read.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def cells(params, n):
+        # three cells in four are zero
+        cell = st.tuples(st.integers(0, 3), st.sampled_from(_ENTRIES[params]))
+        return st.lists(cell, min_size=n, max_size=n).map(
+            lambda cs: [t if k == 0 else "0" for k, t in cs]
+        )
+
+    def case(params):
+        return st.integers(1, 4).flatmap(
+            lambda d: st.tuples(
+                st.just(params),
+                st.just(d),
+                st.booleans(),
+                st.permutations(range(d)),
+                cells(params, d * d),
+                st.integers(0, 3 * d).flatmap(lambda n: cells(params, n * d)),
+            )
+        )
+
+    def sparse_rows(params, texts, d):
+        return [
+            {j: parse_scalar(t, params) for j, t in enumerate(texts[i : i + d]) if t != "0"}
+            for i in range(0, len(texts), d)
+        ]
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(c=st.sampled_from(list(_ENTRIES)).flatmap(case))
+    def check(c):
+        params, d, full_first, order, square, tail = c
+        one = Scalar.of(params, 1)
+        head = []
+        if full_first:
+            for i, row in enumerate(sparse_rows(params, square, d)):
+                head.append({**{j: x for j, x in row.items() if j > i}, i: row.get(i, one)})
+            head = [head[i] for i in order]
+        vecs = head + sparse_rows(params, tail, d)
+        before = [dict(v) for v in vecs]
+        red, rank = rref(Matrix.from_dicts(len(vecs), d, before, params))
+        span = Subspace.span(d, vecs, params)
+        assert span.basis == Matrix.from_dicts(rank, d, red.data[:rank], params)
+        assert vecs == before
+        if full_first:
+            assert span == Subspace.full_space(d, params)
+
+    check()
