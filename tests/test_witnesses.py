@@ -303,10 +303,13 @@ def algebra_cases():
 
 
 def lie_cases():
+    _, r4, a4 = sweedler()
     bases = {
         "heisenberg-lie": heisenberg_lie(),
         "twisted-lie": twisted_heisenberg(),
         "cross-lie": cross_product_lie(),
+        # the braiding of the Sweedler module is not a signed flip
+        "sweedler-lie": commutator_bracket(a4, r4),
     }
     cases = {}
     for name, l in bases.items():
