@@ -25,7 +25,7 @@ from .errors import (
 )
 from .hmod import HModule, ModuleMap, braiding, check_module_algebra, equivariance_witness
 from .hopf import RMatrix, qt_and_flip
-from .linalg import Matrix, invert, kron, multiplication, tensor_matrix
+from .linalg import Matrix, invert, kron, kron_apply, tensor_matrix
 from .report import CheckReport, Witness, column_witness
 
 
@@ -160,13 +160,13 @@ def check_bihom_associative(a: BiHomAlgebra) -> CheckReport:
 
     _maps_commute(rep, "bihom", a)
 
-    w = column_witness([names] * 3, names, M @ kron(am, M) - M @ kron(M, bm))
+    w = column_witness([names] * 3, names, kron_apply(M, [am, M]) - kron_apply(M, [M, bm]))
     rep.add("bihom.assoc", "alpha(a)(bc) = (ab)beta(c)", w is None, w)
 
     for label, f in (("alpha", am), ("beta", bm)):
         law = f"{label}(ab) = {label}(a){label}(b)"
         if a.multiplicative:
-            w = column_witness([names] * 2, names, f @ M - M @ kron(f, f))
+            w = column_witness([names] * 2, names, f @ M - kron_apply(M, [f, f]))
             rep.add(f"bihom.{label}-multiplicative", law, w is None, w)
         else:
             rep.skip(f"bihom.{label}-multiplicative", law, "object not flagged multiplicative")
@@ -176,7 +176,7 @@ def check_bihom_associative(a: BiHomAlgebra) -> CheckReport:
     if a.unit is not None:
         u = Matrix(m.dim, 1, a.unit, a.params)
         w = column_witness(
-            [names], names, multiplication(M, u) - bm, multiplication(M, u, right=True) - am
+            [names], names, kron_apply(M, [u, m.dim]) - bm, kron_apply(M, [m.dim, u]) - am
         )
         rep.add("bihom.unit", "1a = beta(a) and a1 = alpha(a)", w is None, w)
     else:
@@ -216,8 +216,8 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
     _triangular_entry(rep, l)
     _maps_commute(rep, "lie", l)
 
-    w = column_witness(pairs, names, am @ B - B @ kron(am, am)) or column_witness(
-        pairs, names, bm @ B - B @ kron(bm, bm)
+    w = column_witness(pairs, names, am @ B - kron_apply(B, [am, am])) or column_witness(
+        pairs, names, bm @ B - kron_apply(B, [bm, bm])
     )
     rep.add(
         "lie.twist-endomorphisms",
@@ -227,7 +227,7 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
     )
 
     tau = braiding(m, m, l.rmatrix)
-    w = column_witness(pairs, names, B @ kron(bm, am) + (B @ tau) @ kron(am, bm))
+    w = column_witness(pairs, names, kron_apply(B, [bm, am]) + kron_apply(B @ tau, [am, bm]))
     rep.add(
         "lie.skew",
         "[beta(l),alpha(l')] = -[R2.beta(l'), R1.alpha(l)]",
@@ -235,12 +235,11 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
         w,
     )
 
-    inner = B @ kron(bm, am)
-    J = B @ kron(bm @ bm, inner)
-    ident = Matrix.identity(d, l.params)
-    p2 = kron(tau, ident) @ kron(ident, tau)
-    p3 = kron(ident, tau) @ kron(tau, ident)
-    w = column_witness([names] * 3, names, J + J @ p2 + J @ p3)
+    J = kron_apply(B, [bm @ bm, kron_apply(B, [bm, am])])
+    # the two tau-rotations, (tau (x) id)(id (x) tau) and its reverse
+    rot2 = kron_apply(kron_apply(J, [tau, d]), [d, tau])
+    rot3 = kron_apply(kron_apply(J, [d, tau]), [tau, d])
+    w = column_witness([names] * 3, names, J + rot2 + rot3)
     rep.add(
         "lie.jacobi",
         "braided BiHom-Jacobi: {l,l',l''} + {tau-rotations} = 0 with "
@@ -278,7 +277,7 @@ def _commutator_matrix(a: BiHomAlgebra, tau: Matrix) -> Matrix:
         raise NotBijective("beta is not bijective") from None
     M = a.structure_matrix()
     # the first argument lands in the R1 slot
-    return M - (M @ tau) @ kron(a.alpha.matrix @ beta_inv, alpha_inv @ a.beta.matrix)
+    return M - kron_apply(M @ tau, [a.alpha.matrix @ beta_inv, alpha_inv @ a.beta.matrix])
 
 
 def commutator_bracket(a: BiHomAlgebra, r: RMatrix) -> BiHomLie:
@@ -316,11 +315,11 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
     for label, mm in (("alpha", alpha), ("beta", beta)):
         if mm.h_linearity_witness() is not None:
             raise NotEndomorphism(f"{label} is not H-linear")
-        if not (mm.matrix @ B - B @ kron(mm.matrix, mm.matrix)).is_zero():
+        if not (mm.matrix @ B - kron_apply(B, [mm.matrix, mm.matrix])).is_zero():
             raise NotEndomorphism(f"{label} is not a bracket endomorphism")
     if alpha.matrix @ beta.matrix != beta.matrix @ alpha.matrix:
         raise NotEndomorphism("twisting maps do not commute")
-    lie = BiHomLie(m, B @ kron(alpha.matrix, beta.matrix), alpha, beta, l.rmatrix)
+    lie = BiHomLie(m, kron_apply(B, [alpha.matrix, beta.matrix]), alpha, beta, l.rmatrix)
     rep = check_generalized_bihom_lie(lie)
     if not rep.ok:
         raise ConstructionError("twisted bracket fails the BiHom-Lie suite", rep)
@@ -352,23 +351,20 @@ def check_lemma31(a: BiHomAlgebra, r: RMatrix) -> CheckReport:
     am = a.alpha.matrix
     bm = a.beta.matrix
     ab = am @ bm
-    ident = Matrix.identity(d, a.params)
-    # the braided terms multiply left to right, so every intermediate is a
-    # d x d^3 map; this was the fastest order measured on parametric input
     for ident_id, law, lhs, rhs in (
         (
             "lemma31.1",
             "[alpha beta(a), bc] = [beta(a), b] beta(c) + (R2.beta(b))[R1.alpha(a), c]",
-            B @ kron(ab, M),
-            M @ kron(B @ kron(bm, ident), bm)
-            + ((M @ kron(ident, B)) @ kron(tau, ident)) @ kron(kron(am, bm), ident),
+            kron_apply(B, [ab, M]),
+            kron_apply(M, [kron_apply(B, [bm, d]), bm])
+            + kron_apply(kron_apply(kron_apply(M, [d, B]), [tau, d]), [am, bm, d]),
         ),
         (
             "lemma31.2",
             "[ab, alpha beta(c)] = alpha(a)[b, alpha(c)] + [a, R2.beta(c)](R1.alpha(b))",
-            B @ kron(M, ab),
-            M @ kron(am, B @ kron(ident, am))
-            + ((M @ kron(B, ident)) @ kron(ident, tau)) @ kron(ident, kron(am, bm)),
+            kron_apply(B, [M, ab]),
+            kron_apply(M, [am, kron_apply(B, [d, am])])
+            + kron_apply(kron_apply(kron_apply(M, [B, d]), [d, tau]), [d, am, bm]),
         ),
     ):
         diff = lhs - rhs

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch
 from .hopf import HopfAlgebra, RMatrix
-from .linalg import Matrix, flip, hstack, kron
+from .linalg import Matrix, flip, hstack, kron, kron_apply
 from .report import CheckReport, column_witness
 
 
@@ -57,9 +57,8 @@ class ModuleMap:
         """Name of the first Hopf basis element whose action the map does not
         commute with, or None when the map is H-linear."""
         hopf = self.source.hopf
-        ident = Matrix.identity(hopf.dim, hopf.params)
         lhs = self.matrix @ self.source.action_matrix()
-        rhs = self.target.action_matrix() @ kron(ident, self.matrix)
+        rhs = kron_apply(self.target.action_matrix(), [hopf.dim, self.matrix])
         c = (lhs - rhs).first_nonzero_column()
         return None if c is None else hopf.basis_names[c // self.source.dim]
 
@@ -76,12 +75,11 @@ def check_module(m: HModule) -> CheckReport:
     act = m.action_matrix()
     ident = Matrix.identity(m.dim, m.params)
 
-    w = column_witness([names], names, act @ kron(m.hopf.u, ident) - ident)
+    w = column_witness([names], names, kron_apply(act, [m.hopf.u, m.dim]) - ident)
     rep.add("module.unit", "the Hopf unit acts as the identity", w is None, w)
 
     # columns (h, h', v): h.(h'.v) against (h h').v
-    hident = Matrix.identity(m.hopf.dim, m.params)
-    diff = act @ kron(hident, act) - act @ kron(m.hopf.M, ident)
+    diff = kron_apply(act, [m.hopf.dim, act]) - kron_apply(act, [m.hopf.M, m.dim])
     w = column_witness([hnames, hnames, names], names, diff)
     rep.add("module.compat", "h.(h'.m) = (h h').m on all Hopf basis pairs", w is None, w)
     return rep
@@ -122,8 +120,8 @@ def check_braiding_symmetry(m: HModule, r: RMatrix) -> bool:
 def equivariance_witness(m: HModule, product: Matrix):
     """First (h, a, b) with h.(ab) != (h1.a)(h2.b) for a product or bracket
     given as its dim x dim^2 matrix on the module m, or None."""
-    hident = Matrix.identity(m.hopf.dim, m.params)
-    diff = m.action_matrix() @ kron(hident, product) - product @ tensor_module(m, m).action_matrix()
+    act = m.action_matrix()
+    diff = kron_apply(act, [m.hopf.dim, product]) - product @ tensor_module(m, m).action_matrix()
     return column_witness([m.hopf.basis_names, m.basis_names, m.basis_names], m.basis_names, diff)
 
 

@@ -14,7 +14,9 @@ lexicographic order of basis tuples.
 An element x of H (x) H is its d x d coefficient matrix X, x = sum X[a][b]
 e_a (x) e_b. An R-matrix is such an element. Each Hopf and quasitriangular
 axiom is an identity between products of these matrices, and a failing
-check names the first failing basis tuple.
+check names the first failing basis tuple. A map tensored with identities,
+such as M (M (x) id), is applied slot by slot with ``kron_apply``; a map
+into a tensor power, such as (C (x) id) C, through the transpose.
 
 The constructor takes the structure constants as nested lists: mult[i][j][k]
 is the coefficient of e_k in e_i e_j and comult[i][j][k] that of e_j (x) e_k
@@ -32,7 +34,7 @@ from .linalg import (
     flip,
     hstack,
     kron,
-    multiplication,
+    kron_apply,
     solve,
     tensor_matrix,
     vstack,
@@ -191,16 +193,17 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     def basis(c):
         return (names[c],)
 
-    w = column_witness([names] * 3, names, M @ kron(M, ident) - M @ kron(ident, M))
+    w = column_witness([names] * 3, names, kron_apply(M, [M, d]) - kron_apply(M, [d, M]))
     rep.add("hopf.assoc", "(ab)c = a(bc)", w is None, w)
 
-    left, right = multiplication(M, u), multiplication(M, u, right=True)
+    left, right = kron_apply(M, [u, d]), kron_apply(M, [d, u])
     w = column_witness([names], names, left - ident, right - ident)
     rep.add("hopf.unit", "1a = a = a1", w is None, w)
 
-    w = coefficient_witness(
-        basis, lambda c, r: _tensor_name(names, r, 3), kron(C, ident) @ C - kron(ident, C) @ C
-    )
+    # (C (x) id) C is the transpose of C^T (C^T (x) id)
+    Ct = C.transpose()
+    diff = (kron_apply(Ct, [Ct, d]) - kron_apply(Ct, [d, Ct])).transpose()
+    w = coefficient_witness(basis, lambda c, r: _tensor_name(names, r, 3), diff)
     law = "(coproduct (x) id) o coproduct = (id (x) coproduct) o coproduct"
     rep.add("hopf.coassoc", law, w is None, w)
 
@@ -224,7 +227,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     rep.add("hopf.bialgebra", "coproduct and counit are algebra maps", w is None, w)
 
     w = column_witness(
-        [names], names, M @ kron(S, ident) @ C - u @ eps, M @ kron(ident, S) @ C - u @ eps
+        [names], names, kron_apply(M, [S, d]) @ C - u @ eps, kron_apply(M, [d, S]) @ C - u @ eps
     )
     rep.add(
         "hopf.antipode",
@@ -249,22 +252,22 @@ def qt_and_flip(h: HopfAlgebra, r: RMatrix):
     d, names = h.dim, h.basis_names
     M, C, R = h.M, h.C, r.coefficients
     Rt = R.transpose()
-    rho = multiplication(M, h.u, right=True)  # a -> a1
-    lam = multiplication(M, h.u)  # a -> 1a
+    rho_t = kron_apply(M, [d, h.u]).transpose()  # a -> a1, transposed
+    lam_t = kron_apply(M, [h.u, d]).transpose()  # a -> 1a, transposed
     swap = flip(d, d, h.params)
 
     # qt.1 and qt.2 compare tensors on H^(x)3 laid out so that row-major
     # order is lexicographic; transposed, the first failing column and row
     # give the first failing triple
-    # rows (a, b), column c
-    diff = C @ R - kron(rho, lam) @ (M @ kron(Rt, Rt)).transpose()
+    # rows (a, b), column c: (rho (x) lam)(M (R^T (x) R^T))^T
+    diff = C @ R - kron_apply(M, [Rt @ rho_t, Rt @ lam_t]).transpose()
     w = coefficient_witness(
         lambda c: (), lambda c, r: _tensor_name(names, c * d + r, 3), diff.transpose()
     )
     rep.add("qt.1", "(coproduct (x) id)(R) = R13 R23", w is None, w)
 
-    # row a, columns (b, c)
-    diff = R @ C.transpose() - M @ kron(R, R) @ swap @ kron(lam, rho).transpose()
+    # row a, columns (b, c): M (R (x) R) flip (lam (x) rho)^T
+    diff = R @ C.transpose() - kron_apply(M, [R @ rho_t, R @ lam_t]) @ swap
     w = coefficient_witness(
         lambda c: (), lambda c, r: _tensor_name(names, c * d * d + r, 3), diff.transpose()
     )

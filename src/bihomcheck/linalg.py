@@ -2,16 +2,20 @@
 
 A matrix stores its nonzero entries only: row ``r`` is a ``{column:
 Scalar}`` dict, and no stored entry is ever zero. Structure maps on tensor
-powers (braidings, tensor-factor permutations, Kronecker products of
-twisting maps) are mostly zero, so every operation here, products and
-Gauss-Jordan elimination included, costs in proportion to the stored
-nonzeros rather than to rows x cols. Exact arithmetic makes the order in
+powers (braidings, tensor-factor permutations) are mostly zero, so every
+operation here, products and Gauss-Jordan elimination included, costs in
+proportion to the stored nonzeros rather than to rows x cols. A map
+X (F1 (x) F2 (x) ...) on a tensor power is applied slot by slot
+(``kron_apply``): each factor acts on its own slot of X's column index,
+and no Kronecker operator is formed. Exact arithmetic makes the order in
 which entries are summed irrelevant to the result. Subspaces are kept in
 reduced row echelon form so that equality of ideals is equality of
 matrices.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .errors import AmbientMismatch, DimensionMismatch, Singular
 from .scalars import Scalar
@@ -172,14 +176,55 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def row_times(row: dict, odata) -> dict:
-    """The sparse row ``row @ m``, for ``odata`` the rows ``m.data`` of m."""
+def row_times(row: dict, odata, after=1, cols=0) -> dict:
+    """The sparse row ``row @ m``, for ``odata`` the rows ``m.data`` of m.
+
+    With ``after`` > 1, m (``cols`` columns) acts on one slot of the column
+    index instead: column left*n*after + i*after + right, for n the rows of
+    m, goes to left*cols*after + c*after + right for each column c of row i.
+    A product with a factor equal to one is the other factor, so permutations
+    cost no scalar multiplication; the zero filter runs only if terms met."""
     out = {}
-    for k, a in row.items():
-        for j, b in odata[k].items():
-            s = out.get(j)
-            out[j] = a * b if s is None else s + a * b
-    return {j: x for j, x in out.items() if not x.is_zero()}
+    terms = 0
+    width, out_width = len(odata) * after, cols * after
+    for key, a in row.items():
+        left, rest = divmod(key, width)
+        i, right = divmod(rest, after)
+        base = left * out_width + right
+        unit = a.value == 1
+        orow = odata[i]
+        terms += len(orow)
+        for c, b in orow.items():
+            t = b if unit else a if b.value == 1 else a * b
+            k = base + c * after
+            s = out.get(k)
+            out[k] = t if s is None else s + t
+    if terms == len(out):
+        return out
+    return {k: x for k, x in out.items() if not x.is_zero()}
+
+
+def kron_apply(x: Matrix, factors) -> Matrix:
+    """The product of x and ``kron(*factors)``, without forming the latter.
+
+    The columns of x index a tensor power with one slot per factor, of the
+    factor's row count; an int n stands for the identity on a slot of size
+    n, and identity slots are skipped. Each other factor is applied to its
+    own slot of every row in turn (the mode-by-mode product), so no d^k-wide
+    operator is built. A factor may change its slot's size (u: d -> 1, M:
+    d -> d^2) or span two slots (a braiding of V (x) V is one d^2 factor).
+    """
+    sizes = [f if isinstance(f, int) else f.rows for f in factors]
+    if x.cols != prod(sizes):
+        raise ValueError("shape mismatch in product")
+    data, cols, after = x.data, x.cols, x.cols
+    for f, n in zip(factors, sizes):
+        after //= n
+        if isinstance(f, int) or f == Matrix.identity(n, f.params):
+            continue
+        data = [row_times(row, f.data, after, f.cols) for row in data]
+        cols = cols // n * f.cols
+    return Matrix.from_dicts(x.rows, cols, data, x.params)
 
 
 def _add_scaled(target: dict, f, src: dict):
@@ -228,14 +273,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     row[off + l] = x * y
             data.append(row)
     return Matrix.from_dicts(a.rows * b.rows, a.cols * bcols, data, a.params)
-
-
-def multiplication(product: Matrix, x: Matrix, right=False) -> Matrix:
-    """For a product given by its d x d^2 matrix and an element by its d x 1
-    coordinate column x: the d x d matrix of v -> x v (v -> v x when
-    ``right``)."""
-    ident = Matrix.identity(product.rows, product.params)
-    return product @ (kron(ident, x) if right else kron(x, ident))
 
 
 def hstack(blocks) -> Matrix:

@@ -1,13 +1,14 @@
 """Exact matrices, RREF, kernels, and the subspace lattice."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from bihomcheck.errors import AmbientMismatch, Singular
-from bihomcheck.linalg import Matrix, Subspace, invert, kernel, kron, rref
+from bihomcheck.linalg import Matrix, Subspace, flip, invert, kernel, kron, kron_apply, rref
 from bihomcheck.scalars import Scalar, parse_scalar
 
 P = ("b",)
@@ -321,3 +322,108 @@ def test_span_agrees_with_rref_on_tall_inputs():
             assert span == Subspace.full_space(d, params)
 
     check()
+
+
+def test_kron_apply_agrees_with_the_kronecker_product():
+    # kron_apply applies each factor to its own slot of x's column index; the
+    # oracle forms kron(*factors) and multiplies. Factors are identity slots
+    # given as ints, square maps, d -> 1 and d -> d^2 maps, and d^2 x d^2
+    # maps spanning two slots. Entries are mostly +-1, so sums often cancel.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entries = {(): ["1", "-1", "1", "-1", "2", "-1/2"], ("a", "b"): ["1", "-1", "a", "-a", "a*b", "1/b"]}
+    shapes = {"square": lambda n: (n, n), "to-one": lambda n: (n, 1),
+              "to-square": lambda n: (n, n * n), "two-slot": lambda n: (n * n, n * n)}
+
+    def cells(params, n):
+        # one cell in two is zero
+        cell = st.tuples(st.booleans(), st.sampled_from(entries[params]))
+        return st.lists(cell, min_size=n, max_size=n).map(lambda cs: [t if k else "0" for k, t in cs])
+
+    def factor(params):
+        def build(kind, n):
+            if kind == "int":
+                return st.just(n)
+            r, c = shapes[kind](n)
+            return cells(params, r * c).map(lambda ts: (r, c, ts))
+        # slots of size 1 to 3; a factor that squares its size takes 1 or 2
+        return st.sampled_from(["int", *shapes]).flatmap(
+            lambda kind: st.integers(1, 2 if kind in ("to-square", "two-slot") else 3).flatmap(
+                lambda n: build(kind, n)
+            )
+        )
+
+    def case(params):
+        return st.tuples(st.integers(1, 3), st.lists(factor(params), min_size=1, max_size=3)).flatmap(
+            lambda rf: st.tuples(
+                st.just(params), st.just(rf[0]), st.just(rf[1]),
+                cells(params, rf[0] * math.prod(f if isinstance(f, int) else f[0] for f in rf[1])),
+            )
+        )
+
+    cancelled = []
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(c=st.sampled_from(list(entries)).flatmap(case))
+    def check(c):
+        params, rows, specs, texts = c
+
+        def ours(r, cols, ts):
+            return Matrix(r, cols, [parse_scalar(t, params) for t in ts], params)
+
+        factors = [f if isinstance(f, int) else ours(*f) for f in specs]
+        mats = [Matrix.identity(f, params) if isinstance(f, int) else f for f in factors]
+        x = ours(rows, len(texts) // rows, texts)
+        want = x @ functools.reduce(kron, mats)
+        got = kron_apply(x, factors)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got == want
+        assert not _stored_zeros(got)
+        # a structurally nonzero entry that is not stored has cancelled
+        big = functools.reduce(kron, mats)
+        reach = {(r, j) for r, row in enumerate(x.data) for k in row for j in big.data[k]}
+        if len(reach) > sum(len(row) for row in got.data):
+            cancelled.append(c)
+
+    check()
+    assert cancelled
+
+
+def test_unit_factors_cost_no_scalar_multiplication(monkeypatch):
+    params = ("a", "b")
+    x = mat([["a", 0, "1/b", 2, 0, "a*b"], [0, "-1", 0, "b", "a", 0], ["a+b", 1, 0, 0, 3, "-a"]], params)
+    # a permutation of the six columns, and one of a slot of size 3
+    perm = Matrix.from_dicts(6, 6, [{(5 * i + 2) % 6: Scalar.of(params, 1)} for i in range(6)], params)
+    cycle = Matrix.from_dicts(3, 3, [{(i + 1) % 3: Scalar.of(params, 1)} for i in range(3)], params)
+    swap = flip(2, 3, params)
+
+    def plain(a, b):
+        # the product entry by entry, every term multiplied out
+        return Matrix(a.rows, b.cols, [
+            sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), Scalar.of(params, 0))
+            for i in range(a.rows) for j in range(b.cols)
+        ], params)
+
+    want = {
+        "perm": plain(x, perm),
+        "swap": plain(x, swap),
+        "slots": plain(x, kron(Matrix.identity(2, params), cycle)),
+        "identity": x,
+    }
+    calls = []
+    real = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    got = {
+        "perm": x @ perm,
+        "swap": kron_apply(x, [swap]),
+        "slots": kron_apply(x, [2, cycle]),
+        "identity": kron_apply(x, [Matrix.identity(2, params), 3]),
+    }
+    assert not calls
+    assert got == want
