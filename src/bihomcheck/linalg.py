@@ -183,7 +183,7 @@ def row_times(row: dict, odata, after=1, cols=0) -> dict:
     index instead: column left*n*after + i*after + right, for n the rows of
     m, goes to left*cols*after + c*after + right for each column c of row i.
     A product with a factor equal to one is the other factor, so permutations
-    cost no scalar multiplication; the zero filter runs only if terms met."""
+    cost no scalar multiplication; zeros are filtered only if two terms met."""
     out = {}
     terms = 0
     width, out_width = len(odata) * after, cols * after
