@@ -24,7 +24,7 @@ from .errors import (
     Singular,
 )
 from .hmod import HModule, ModuleMap, braiding, check_module_algebra, equivariance_witness
-from .hopf import RMatrix, qt_and_flip
+from .hopf import RMatrix, triangularity
 from .linalg import Matrix, invert, kron, kron_apply, tensor_matrix
 from .report import CheckReport, Witness, column_witness
 
@@ -126,6 +126,7 @@ class BiHomLie(_StructureBase):
     def __init__(self, module, bracket, alpha, beta, rmatrix: RMatrix):
         super().__init__(module, bracket, alpha, beta)
         self.rmatrix = rmatrix
+        self.validation = None  # the passing BiHom-Lie report of a construction
 
     @property
     def bracket(self):
@@ -186,25 +187,19 @@ def check_bihom_associative(a: BiHomAlgebra) -> CheckReport:
     return rep
 
 
-def _triangular_entry(rep: CheckReport, l: BiHomLie):
-    try:
-        qt, flip_is_inverse = qt_and_flip(l.module.hopf, l.rmatrix)
-        tri = qt.ok and flip_is_inverse
-    except NotInvertible:
-        tri = False
-    rep.add(
-        "lie.rmatrix-triangular",
-        "the R-matrix is quasitriangular with flip(R) = inverse(R)",
-        tri,
-        None,
-        "" if tri else "braided axioms below are evaluated anyway",
-    )
-    return tri
+def _refusal(verdict):
+    """Why a ``triangularity`` verdict fails, or None when R is triangular."""
+    if isinstance(verdict, NotInvertible):
+        return f"R is not invertible: {verdict}"
+    if not verdict[0].ok:
+        return "R fails the quasitriangular axioms"
+    return None if verdict[1] else "R is quasitriangular but flip(R) != inverse(R)"
 
 
-def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
+def check_generalized_bihom_lie(l: BiHomLie, *, verdict=None, tau=None) -> CheckReport:
     """The four defining identities of a generalized BiHom-Lie algebra plus
-    the morphism conditions on the bracket and the twisting maps."""
+    the morphism conditions on the bracket and the twisting maps. The
+    ``triangularity`` verdict and the braiding are computed unless passed."""
     rep = CheckReport("bihom-lie")
     m = l.module
     names = m.basis_names
@@ -213,7 +208,14 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
     am = l.alpha.matrix
     bm = l.beta.matrix
     B = l.structure_matrix()
-    _triangular_entry(rep, l)
+    tri = _refusal(triangularity(m.hopf, l.rmatrix) if verdict is None else verdict) is None
+    rep.add(
+        "lie.rmatrix-triangular",
+        "the R-matrix is quasitriangular with flip(R) = inverse(R)",
+        tri,
+        None,
+        "" if tri else "braided axioms below are evaluated anyway",
+    )
     _maps_commute(rep, "lie", l)
 
     w = column_witness(pairs, names, am @ B - kron_apply(B, [am, am])) or column_witness(
@@ -226,7 +228,8 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
         w,
     )
 
-    tau = braiding(m, m, l.rmatrix)
+    if tau is None:
+        tau = braiding(m, m, l.rmatrix)
     w = column_witness(pairs, names, kron_apply(B, [bm, am]) + kron_apply(B @ tau, [am, bm]))
     rep.add(
         "lie.skew",
@@ -254,17 +257,6 @@ def check_generalized_bihom_lie(l: BiHomLie) -> CheckReport:
     return rep
 
 
-def _check_triangular_or_raise(a_or_module, r: RMatrix):
-    try:
-        qt, flip_is_inverse = qt_and_flip(a_or_module.module.hopf, r)
-    except NotInvertible as exc:
-        raise NotTriangular(f"R is not invertible: {exc}") from None
-    if not qt.ok:
-        raise NotTriangular("R fails the quasitriangular axioms")
-    if not flip_is_inverse:
-        raise NotTriangular("R is quasitriangular but flip(R) != inverse(R)")
-
-
 def _commutator_matrix(a: BiHomAlgebra, tau: Matrix) -> Matrix:
     """B = M - M tau (alpha inv(beta) (x) inv(alpha) beta) for the braiding tau."""
     try:
@@ -280,17 +272,21 @@ def _commutator_matrix(a: BiHomAlgebra, tau: Matrix) -> Matrix:
     return M - kron_apply(M @ tau, [a.alpha.matrix @ beta_inv, alpha_inv @ a.beta.matrix])
 
 
-def commutator_bracket(a: BiHomAlgebra, r: RMatrix) -> BiHomLie:
+def commutator_bracket(a: BiHomAlgebra, r: RMatrix, *, verdict=None) -> BiHomLie:
     """Braided commutator of a BiHom-associative algebra over triangular (H, R).
 
     Refuses (NotBijective / NotTriangular) when the construction's
     preconditions fail; the returned object has been re-checked against the
-    generalized BiHom-Lie suite.
+    generalized BiHom-Lie suite, and carries that report as ``validation``.
+    The re-check gets this call's ``triangularity`` verdict and braiding.
     """
-    _check_triangular_or_raise(a, r)
-    bracket = _commutator_matrix(a, braiding(a.module, a.module, r))
-    lie = BiHomLie(a.module, bracket, a.alpha, a.beta, r)
-    rep = check_generalized_bihom_lie(lie)
+    if verdict is None:
+        verdict = triangularity(a.module.hopf, r)
+    if reason := _refusal(verdict):
+        raise NotTriangular(reason)
+    tau = braiding(a.module, a.module, r)
+    lie = BiHomLie(a.module, _commutator_matrix(a, tau), a.alpha, a.beta, r)
+    rep = lie.validation = check_generalized_bihom_lie(lie, verdict=verdict, tau=tau)
     if not rep.ok:
         raise ConstructionError(
             "commutator bracket fails the BiHom-Lie suite; "
@@ -305,7 +301,9 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
 
     The input must carry identity twisting maps; alpha and beta must be
     commuting bracket endomorphisms that are H-linear (NotEndomorphism
-    otherwise). The result is validated before it is returned.
+    otherwise). The result is validated by one run of the BiHom-Lie suite,
+    which decides the triangularity of (H, R) once; the passing report is
+    kept as ``validation``.
     """
     m = l.module
     ident = Matrix.identity(m.dim, l.params)
@@ -320,13 +318,13 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
     if alpha.matrix @ beta.matrix != beta.matrix @ alpha.matrix:
         raise NotEndomorphism("twisting maps do not commute")
     lie = BiHomLie(m, kron_apply(B, [alpha.matrix, beta.matrix]), alpha, beta, l.rmatrix)
-    rep = check_generalized_bihom_lie(lie)
+    rep = lie.validation = check_generalized_bihom_lie(lie)
     if not rep.ok:
         raise ConstructionError("twisted bracket fails the BiHom-Lie suite", rep)
     return lie
 
 
-def check_lemma31(a: BiHomAlgebra, r: RMatrix) -> CheckReport:
+def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, verdict=None) -> CheckReport:
     """Two bracket/product compatibility identities for the braided
     commutator B, as identities of maps A (x) A (x) A -> A:
 
@@ -338,10 +336,11 @@ def check_lemma31(a: BiHomAlgebra, r: RMatrix) -> CheckReport:
                       + M(B (x) id)(id (x) tau)(id (x) alpha (x) beta)
 
     with ab = alpha beta; each nonzero column of a difference is one
-    failing basis triple.
+    failing basis triple. Refuses unless (H, R) is triangular (``verdict``).
     """
     rep = CheckReport("lemma31")
-    _check_triangular_or_raise(a, r)
+    if reason := _refusal(triangularity(a.module.hopf, r) if verdict is None else verdict):
+        raise NotTriangular(reason)
     m = a.module
     d = m.dim
     names = m.basis_names

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -39,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .hmod import check_module, check_module_algebra
-from .hopf import check_hopf_axioms, qt_and_flip
+from .hopf import check_hopf_axioms, triangularity
 from .linalg import Subspace, tensor_matrix
 from .report import CheckReport, format_combination, format_subspace
 from .scalars import MAX_INT_DIGITS, parse_scalar
@@ -99,16 +100,16 @@ def _parse_bindings(pairs):
 
 
 def _prefixed(rep_into: CheckReport, prefix: str, rep: CheckReport):
-    for e in rep.entries:
-        e.check_id = f"{prefix}:{e.check_id}"
-    rep_into.extend(rep)
+    entries = [replace(e, check_id=f"{prefix}:{e.check_id}") for e in rep.entries]
+    rep_into.extend(replace(rep, entries=entries))
+    return rep_into
 
 
-def _bracket_diff_notes(f: AlgebraFile, obj, rep: CheckReport):
+def _bracket_diff_notes(f: AlgebraFile, obj, rep: CheckReport, verdict):
     """Informational diff of the computed commutator against a published
     reference table; discrepancies never fail the run."""
     try:
-        lie = commutator_bracket(obj.as_bihom_algebra(), f.rmatrix)
+        lie = commutator_bracket(obj.as_bihom_algebra(), f.rmatrix, verdict=verdict)
     except BihomError as exc:
         rep.note(f"{obj.name}: reference diff skipped ({exc})")
         return
@@ -135,11 +136,14 @@ def _bracket_diff_notes(f: AlgebraFile, obj, rep: CheckReport):
 
 
 def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
-    """Aggregate the requested axiom suites over every applicable object."""
+    """Aggregate the requested axiom suites over every applicable object.
+    The ``triangularity`` verdict on (H, R) is computed once, on first use,
+    and passed to R:qt, lie.rmatrix-triangular, lemma31 and the reference diff."""
     if suite not in SUITES:
         raise ValidationError([f"unknown suite {suite!r} (choose from {', '.join(SUITES)})"])
     rep = CheckReport(suite)
     tolerant = suite == "all"
+    verdict = functools.cache(lambda: triangularity(f.hopf, f.rmatrix))
 
     def guarded(fn, label):
         try:
@@ -153,15 +157,17 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
         _prefixed(rep, "H", check_hopf_axioms(f.hopf))
 
         def qt():
-            sub, tri = qt_and_flip(f.hopf, f.rmatrix)
-            sub.add(
-                "qt.triangular",
+            if isinstance(verdict(), NotInvertible):
+                raise verdict()
+            sub, tri = verdict()
+            _prefixed(rep, "R", sub)
+            rep.add(
+                "R:qt.triangular",
                 "flip(R) equals the inverse of R in H (x) H",
                 tri,
                 None,
                 "" if tri else "R is quasitriangular at most",
             )
-            _prefixed(rep, "R", sub)
 
         guarded(qt, "R:qt")
     if suite in ("module", "all"):
@@ -178,20 +184,21 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
     if suite in ("bihom-lie", "all"):
         for name, obj in sorted(f.objects.items()):
             if obj.kind == "bracket":
-                _prefixed(rep, name, check_generalized_bihom_lie(obj.as_bihom_lie(f.rmatrix)))
+                lie = obj.as_bihom_lie(f.rmatrix)
+                _prefixed(rep, name, check_generalized_bihom_lie(lie, verdict=verdict()))
     if suite in ("lemma31", "all"):
         for name, obj in sorted(f.objects.items()):
             if obj.kind == "mult":
                 guarded(
                     lambda obj=obj, name=name: _prefixed(
-                        rep, name, check_lemma31(obj.as_bihom_algebra(), f.rmatrix)
+                        rep, name, check_lemma31(obj.as_bihom_algebra(), f.rmatrix, verdict=verdict())
                     ),
                     f"{name}:lemma31",
                 )
     if suite == "all":
         for name, obj in sorted(f.objects.items()):
             if obj.kind == "mult" and obj.reference_bracket is not None:
-                _bracket_diff_notes(f, obj, rep)
+                _bracket_diff_notes(f, obj, rep, verdict())
     return rep
 
 
@@ -214,9 +221,10 @@ def _pick_object(f: AlgebraFile, wanted: str | None, kind: str | None = None):
     return next(iter(pool.values()))
 
 
-def run_construction(f: AlgebraFile, what: str, object_name: str | None = None) -> AlgebraFile:
+def run_construction(f: AlgebraFile, what: str, object_name: str | None = None):
     """Derive a new instance file: the braided commutator of a product
-    object, or the twist of a bracket object by its stored twist maps."""
+    object, or the twist of a bracket object by its stored twist maps,
+    with the BiHom-Lie report that validated it, prefixed as in run_suite."""
     from .catalog import _object_entry  # same conversion the catalog uses
 
     if what == "commutator":
@@ -230,7 +238,7 @@ def run_construction(f: AlgebraFile, what: str, object_name: str | None = None) 
         new_obj = _object_entry(obj.name, lie, "bracket")
     else:
         raise ValidationError([f"unknown construction {what!r}"])
-    return AlgebraFile(
+    derived = AlgebraFile(
         name=f"{f.name}-{what}" if f.name else what,
         parameters=f.parameters,
         hopf_spec=f.hopf_spec,
@@ -238,6 +246,7 @@ def run_construction(f: AlgebraFile, what: str, object_name: str | None = None) 
         rmatrix=f.rmatrix,
         objects={obj.name or "A": new_obj},
     )
+    return derived, _prefixed(CheckReport("bihom-lie"), obj.name or "A", lie.validation)
 
 
 def _parse_space(spec: str | None, dim, params, default=None) -> Subspace:
@@ -459,9 +468,8 @@ def _dispatch(args) -> int:
         rep = run_suite(f, args.suite)
         return _emit_report(rep, args.json, args.output)
     if args.command == "construct":
-        derived = run_construction(f, args.what, args.object_name)
+        derived, rep = run_construction(f, args.what, args.object_name)
         _emit(print_algebra_file(derived), args.output)
-        rep = run_suite(derived, "bihom-lie")
         if args.json:
             sys.stdout.write(json.dumps(rep.to_json(), indent=2) + "\n")
         return EXIT_OK if rep.ok else EXIT_FAIL

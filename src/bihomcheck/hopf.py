@@ -108,13 +108,18 @@ class RMatrix:
         self.coefficients = coefficients
         self.dim = coefficients.rows
 
-    def inverse_in(self, hopf: HopfAlgebra) -> Matrix:
-        """Coefficient matrix of the two-sided inverse of R in the algebra
-        H (x) H; raises NotInvertible when none exists."""
-        d = hopf.dim
-        if d != self.dim:
+    def operators(self, hopf: HopfAlgebra) -> tuple:
+        """The operators y -> R y and y -> y R on H (x) H."""
+        if hopf.dim != self.dim:
             raise DimensionMismatch("R-matrix dimension differs from the Hopf algebra")
-        left = hopf.tensor_square_mult(self.coefficients)
+        x = self.coefficients
+        return hopf.tensor_square_mult(x), hopf.tensor_square_mult(x, right=True)
+
+    def inverse_in(self, hopf: HopfAlgebra, operators=None) -> Matrix:
+        """Coefficient matrix of the two-sided inverse of R in the algebra
+        H (x) H; raises NotInvertible when none exists. ``operators`` is the
+        pair ``operators(hopf)`` when the caller has built it already."""
+        left, right = operators or self.operators(hopf)
         uu = kron(hopf.u, hopf.u)
         try:
             inv = solve(left, uu)
@@ -122,10 +127,9 @@ class RMatrix:
             raise NotInvertible("R has no inverse in the tensor-square algebra") from None
         # one-sided suffices in a finite-dimensional unital algebra, but the
         # input may not satisfy the unit laws, so confirm both sides
-        right = hopf.tensor_square_mult(self.coefficients, right=True)
         if left @ inv != uu or right @ inv != uu:
             raise NotInvertible("R has only a one-sided inverse candidate")
-        return Matrix(d, d, inv.col(0), hopf.params)
+        return Matrix(hopf.dim, hopf.dim, inv.col(0), hopf.params)
 
 
 def group_algebra(cayley, identity, names=None, params=()) -> HopfAlgebra:
@@ -246,8 +250,11 @@ def check_quasitriangular(h: HopfAlgebra, r: RMatrix) -> CheckReport:
 def qt_and_flip(h: HopfAlgebra, r: RMatrix):
     """The report of ``check_quasitriangular`` and the verdict of
     ``is_triangular`` from one solve for the inverse of R (the precondition
-    of both); raises NotInvertible when R is not a unit."""
-    flip_is_inverse = r.inverse_in(h) == r.coefficients.transpose()
+    of both, which also share the operators of R); raises NotInvertible
+    when R is not a unit. Through ``triangularity`` this is the one verdict
+    on (H, R) a command computes and hands to each check that needs it."""
+    left, right = r.operators(h)
+    flip_is_inverse = r.inverse_in(h, (left, right)) == r.coefficients.transpose()
     rep = CheckReport("quasitriangular")
     d, names = h.dim, h.basis_names
     M, C, R = h.M, h.C, r.coefficients
@@ -273,10 +280,20 @@ def qt_and_flip(h: HopfAlgebra, r: RMatrix):
     )
     rep.add("qt.2", "(id (x) coproduct)(R) = R13 R12", w is None, w)
 
-    diff = h.tensor_square_mult(R) @ C - h.tensor_square_mult(R, right=True) @ swap @ C
+    diff = left @ C - right @ swap @ C
     w = coefficient_witness(lambda c: (names[c],), lambda c, r: _tensor_name(names, r, 2), diff)
     rep.add("qt.3", "R coproduct(h) = coproduct-op(h) R for every basis h", w is None, w)
     return rep, flip_is_inverse
+
+
+def triangularity(h: HopfAlgebra, r: RMatrix):
+    """``qt_and_flip(h, r)``, or the NotInvertible it raised: whether (H, R)
+    is triangular, the hypothesis of the braided commutator, the twist and
+    Lemma 3.1. A command keeps it only while it runs."""
+    try:
+        return qt_and_flip(h, r)
+    except NotInvertible as exc:
+        return exc
 
 
 def is_triangular(h: HopfAlgebra, r: RMatrix) -> bool:

@@ -140,7 +140,21 @@ class Matrix:
         return Matrix.from_dicts(self.rows, self.cols, data, self.params)
 
     def __sub__(self, other):
-        return self + -other
+        # row by row, so an entry on both sides costs one subtraction
+        self._check_shape(other)
+        data = []
+        for a, b in zip(self.data, other.data):
+            row = dict(a)
+            for k, y in b.items():
+                v = row.get(k)
+                if v is None:
+                    row[k] = -y
+                elif (v := v - y).is_zero():
+                    del row[k]
+                else:
+                    row[k] = v
+            data.append(row)
+        return Matrix.from_dicts(self.rows, self.cols, data, self.params)
 
     def __neg__(self):
         return Matrix.from_dicts(

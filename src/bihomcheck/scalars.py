@@ -482,7 +482,8 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        # a constant is negated on its value, without a Scalar.__neg__
+        return self + (-other if other.value is None else _const(self.params, -other.value))
 
     def __rsub__(self, other):
         return (-self) + other

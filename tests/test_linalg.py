@@ -425,3 +425,62 @@ def test_unit_factors_cost_no_scalar_multiplication(monkeypatch):
     }
     assert not calls
     assert got == want
+
+
+def test_difference_agrees_with_adding_the_negation():
+    # A - B subtracts row by row; the oracle negates B entry by entry and
+    # adds. A cell of B is zero, a fresh entry or the cell of A itself, so
+    # many differences cancel and must not be stored.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def case(params):
+        cell = st.tuples(
+            st.integers(0, 2), st.sampled_from(_ENTRIES[params]),
+            st.integers(0, 3), st.sampled_from(_ENTRIES[params]),
+        )
+        return st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+            lambda d: st.tuples(st.just(params), st.just(d), st.lists(cell, min_size=d[0] * d[1],
+                                                                      max_size=d[0] * d[1]))
+        )
+
+    cancelled = []
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(c=st.sampled_from(list(_ENTRIES)).flatmap(case))
+    def check(c):
+        params, (rows, cols), cells = c
+        ta = [t if k else "0" for k, t, _, _ in cells]
+        tb = [ta[n] if k == 0 else "0" if k == 1 else t for n, (_, _, k, t) in enumerate(cells)]
+        a = Matrix(rows, cols, [parse_scalar(t, params) for t in ta], params)
+        b = Matrix(rows, cols, [parse_scalar(t, params) for t in tb], params)
+        got = a - b
+        want = Matrix(rows, cols, [x + (-y) for x, y in zip(a.entries, b.entries)], params)
+        assert got == want == a + (-b)
+        assert not _stored_zeros(got)
+        if any(x != "0" and x == y for x, y in zip(ta, tb)):
+            cancelled.append(c)
+
+    check()
+    assert cancelled
+
+
+def test_difference_of_shared_entries_negates_nothing(monkeypatch):
+    # an entry on both sides costs one subtraction; only a constant is on
+    # the right here, so no Scalar is negated
+    q = mat([[1, "-1/2", 0], [0, 3, "2/3"]])
+    x = mat([["a", 0, "1/b"], ["a*b - 1", "b", 0]], ("a", "b"))
+    c = mat([[2, 0, 1], [-1, "1/2", 0]], ("a", "b"))
+    calls = []
+    real = Scalar.__neg__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Scalar, "__neg__", counted)
+    assert (q - q).is_zero()
+    got = x - c
+    assert not calls
+    monkeypatch.setattr(Scalar, "__neg__", real)
+    assert got == x + (-c)

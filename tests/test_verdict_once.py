@@ -1,0 +1,69 @@
+"""A command decides whether (H, R) is triangular once.
+
+The braided commutator, the twist and the Lemma 3.1 identities rest on one
+hypothesis about the pair (H, R). A command decides it once and hands the
+verdict to every consumer, so it solves for the inverse of R once
+(``RMatrix.inverse_in``) and, for ``construct``, validates the result with
+one run of the generalized BiHom-Lie suite. Called on their own, the
+library functions still decide it on every call.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+
+import pytest
+
+from bihomcheck import bihom, cli
+from bihomcheck.catalog import kz2_hopf, r_triangular_kz2
+from bihomcheck.hopf import RMatrix, check_quasitriangular
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of ``RMatrix.inverse_in`` and of the BiHom-Lie suite, wherever
+    the suite is reached from."""
+    seen = {"solves": 0, "lie suites": 0}
+    solve, suite = RMatrix.inverse_in, bihom.check_generalized_bihom_lie
+
+    def counted_solve(*args, **kwargs):
+        seen["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_suite(*args, **kwargs):
+        seen["lie suites"] += 1
+        return suite(*args, **kwargs)
+
+    monkeypatch.setattr(RMatrix, "inverse_in", counted_solve)
+    for module in (bihom, cli):
+        monkeypatch.setattr(module, "check_generalized_bihom_lie", counted_suite)
+    return seen
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, solves, suites",
+    [
+        (["check", "example24", "--suite", "all", "--json"], 1, 1),
+        (["check", "cross-product-classical", "--suite", "all", "--json"], 1, 1),
+        (["construct", "example24", "--what", "commutator", "--json"], 1, 1),
+        (["construct", "example25-heisenberg", "--what", "twist", "--object", "L", "--json"], 1, 1),
+    ],
+)
+def test_one_command_decides_the_pair_once(counts, tmp_path, argv, solves, suites):
+    if argv[0] == "construct":
+        argv = [*argv, "--output", str(tmp_path / "out.json")]
+    assert quiet_main(argv) == 0
+    assert counts == {"solves": solves, "lie suites": suites}
+
+
+def test_library_calls_keep_no_verdict(counts):
+    h, r = kz2_hopf(), r_triangular_kz2()
+    assert check_quasitriangular(h, r).ok
+    assert check_quasitriangular(h, r).ok
+    assert counts["solves"] == 2
