@@ -241,6 +241,49 @@ def test_structure_ideal_check_exit_codes(capsys):
     assert "FAIL" in out
 
 
+IDEAL_LAW = (
+    "structure.ideal: U is an H-BiHom-ideal (alpha, beta, H-stable and AU + UA <= U; "
+    "two-sided form, strictly implies the one-sided (AU)A = A(UA))"
+)
+
+
+@pytest.mark.parametrize(
+    "space, code, body",
+    [
+        ("0,1", 0, f"  PASS  {IDEAL_LAW}\n  => all checks passed\n"),
+        (
+            "1,0",
+            1,
+            f"  FAIL  {IDEAL_LAW}\n"
+            "        at (AU is not contained in U): residual (-1)*x2\n"
+            "  => FAILURES PRESENT\n",
+        ),
+        ("0", 0, f"  PASS  {IDEAL_LAW}\n  => all checks passed\n"),
+        ("full", 0, f"  PASS  {IDEAL_LAW}\n  => all checks passed\n"),
+    ],
+)
+def test_structure_ideal_check_on_a_product_object(capsys, space, code, body):
+    got = run(
+        capsys, "structure", "example24", "--what", "ideal-check", "--object", "A", "--space", space
+    )
+    assert got == (code, "suite structure:ideal-check\n" + body, "")
+
+
+def test_structure_closure_on_a_product_object(capsys):
+    got = run(
+        capsys, "structure", "example24", "--what", "closure", "--object", "A", "--space", "1,0"
+    )
+    assert got == (
+        0,
+        "suite structure:closure\n"
+        "  note: closure kind: associative\n"
+        "  note: seed = span(x1)\n"
+        "  note: closure = span(x1, x2)\n"
+        "  => all checks passed\n",
+        "",
+    )
+
+
 def test_structure_closure(capsys):
     code, out, _ = run(
         capsys,
