@@ -46,28 +46,34 @@ class AlgebraObject:
     def dim(self):
         return len(self.basis)
 
-    def as_bihom_algebra(self) -> BiHomAlgebra:
-        if self.kind != "mult":
-            raise ValidationError([f"object '{self.name}' carries a bracket, not a product"])
-        return BiHomAlgebra(
-            self.module,
-            self.tensor,
-            ModuleMap(self.module, self.module, self.alpha),
-            ModuleMap(self.module, self.module, self.beta),
-            unit=self.unit,
-            multiplicative=self.multiplicative,
+    @classmethod
+    def of(cls, name, structure, **extras):
+        """The file object of a structure: a product object for a
+        BiHomAlgebra, a bracket object for a BiHomLie. ``extras`` sets the
+        optional fields (twist maps, reference bracket)."""
+        module = structure.module
+        return cls(
+            name=name,
+            basis=list(module.basis_names),
+            module=module,
+            kind="bracket" if isinstance(structure, BiHomLie) else "mult",
+            tensor=structure.tensor,
+            alpha=structure.alpha.matrix,
+            beta=structure.beta.matrix,
+            unit=getattr(structure, "unit", None),
+            multiplicative=getattr(structure, "multiplicative", True),
+            **extras,
         )
 
-    def as_bihom_lie(self, rmatrix: RMatrix) -> BiHomLie:
-        if self.kind != "bracket":
-            raise ValidationError([f"object '{self.name}' carries a product, not a bracket"])
-        return BiHomLie(
-            self.module,
-            self.tensor,
-            ModuleMap(self.module, self.module, self.alpha),
-            ModuleMap(self.module, self.module, self.beta),
-            rmatrix,
-        )
+    def structure(self, rmatrix: RMatrix) -> BiHomAlgebra | BiHomLie:
+        """The algebra this object declares: the BiHomLie of a bracket
+        object, braided by ``rmatrix``, or the BiHomAlgebra of a product
+        object, which does not use ``rmatrix``. Each call builds a new one."""
+        m = self.module
+        alpha, beta = ModuleMap(m, m, self.alpha), ModuleMap(m, m, self.beta)
+        if self.kind == "bracket":
+            return BiHomLie(m, self.tensor, alpha, beta, rmatrix)
+        return BiHomAlgebra(m, self.tensor, alpha, beta, self.unit, self.multiplicative)
 
     def twist_maps(self):
         if self.twist_alpha is None or self.twist_beta is None:
@@ -467,9 +473,14 @@ def substitute_file(f: AlgebraFile, bindings) -> AlgebraFile:
             )
         return str(v.reparametrize(tuple(remaining)))
 
-    def walk(node, in_scalar_position):
+    fields = ("format", "name", "parameters", "basis", "names")
+
+    def walk(node, in_scalar_position, named=False):
+        # the keys of the action and objects maps are names, not fields
+        if isinstance(node, dict) and named:
+            return {k: walk(v, True) for k, v in node.items()}
         if isinstance(node, dict):
-            return {k: walk(v, k not in ("format", "name", "parameters", "basis", "names")) for k, v in node.items()}
+            return {k: walk(v, k not in fields, k in ("action", "objects")) for k, v in node.items()}
         if isinstance(node, list):
             return [walk(v, in_scalar_position) for v in node]
         if isinstance(node, str) and in_scalar_position:

@@ -299,16 +299,16 @@ def commutator_bracket(a: BiHomAlgebra, r: RMatrix, *, verdict=None) -> BiHomLie
 def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
     """New bracket [a,b]' = [alpha(a), beta(b)] on a generalized Lie algebra.
 
-    The input must carry identity twisting maps; alpha and beta must be
-    commuting bracket endomorphisms that are H-linear (NotEndomorphism
-    otherwise). The result is validated by one run of the BiHom-Lie suite,
-    which decides the triangularity of (H, R) once; the passing report is
-    kept as ``validation``.
+    The input must carry identity twisting maps (ConstructionError
+    otherwise); alpha and beta must be commuting bracket endomorphisms that
+    are H-linear (NotEndomorphism otherwise). The result is validated by
+    one run of the BiHom-Lie suite, which decides the triangularity of
+    (H, R) once; the passing report is kept as ``validation``.
     """
     m = l.module
     ident = Matrix.identity(m.dim, l.params)
     if l.alpha.matrix != ident or l.beta.matrix != ident:
-        raise ValueError("twist input must be a generalized Lie algebra with identity maps")
+        raise ConstructionError("twist input must be a generalized Lie algebra with identity maps")
     B = l.structure_matrix()
     for label, mm in (("alpha", alpha), ("beta", beta)):
         if mm.h_linearity_witness() is not None:

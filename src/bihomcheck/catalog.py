@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algfile import AlgebraFile, AlgebraObject
 from .bihom import BiHomAlgebra, BiHomLie
 from .hmod import HModule, ModuleMap
 from .hopf import HopfAlgebra, RMatrix, group_algebra
@@ -188,23 +189,6 @@ GROUP_Z1 = {"group": {"names": ["e"], "table": [[0]], "identity": 0}}
 GROUP_Z2 = {"group": {"names": ["e", "g"], "table": [[0, 1], [1, 0]], "identity": 0}}
 
 
-def _object_entry(name, structure, kind, **extras):
-    from .algfile import AlgebraObject
-
-    module = structure.module
-    return AlgebraObject(
-        name=name,
-        basis=list(module.basis_names),
-        module=module,
-        kind=kind,
-        tensor=structure.tensor,
-        alpha=structure.alpha.matrix,
-        beta=structure.beta.matrix,
-        unit=getattr(structure, "unit", None),
-        **extras,
-    )
-
-
 def _reference_bracket_tensor():
     from .scalars import parse_scalar
 
@@ -240,8 +224,6 @@ CATALOG_DESCRIPTIONS = {
 def catalog_file(name):
     """Built-in instance as a validated AlgebraFile, reachable without input
     files; unknown names raise KeyError."""
-    from .algfile import AlgebraFile
-
     if name == "trivial-hopf":
         a = matrix_algebra_2x2()
         return AlgebraFile(
@@ -250,7 +232,7 @@ def catalog_file(name):
             hopf_spec=GROUP_Z1,
             hopf=a.module.hopf,
             rmatrix=trivial_rmatrix(a.module.hopf),
-            objects={"A": _object_entry("A", a, "mult")},
+            objects={"A": AlgebraObject.of("A", a)},
         )
     if name == "kz2":
         hopf = kz2_hopf()
@@ -264,8 +246,7 @@ def catalog_file(name):
         )
     if name == "example24":
         a = example24_algebra()
-        obj = _object_entry("A", a, "mult")
-        obj.reference_bracket = _reference_bracket_tensor()
+        obj = AlgebraObject.of("A", a, reference_bracket=_reference_bracket_tensor())
         return AlgebraFile(
             name=name,
             parameters=("b",),
@@ -278,16 +259,14 @@ def catalog_file(name):
         a = heisenberg_assoc()
         lie = heisenberg_lie()
         alpha, beta = heisenberg_twist_maps()
-        lobj = _object_entry("L", lie, "bracket")
-        lobj.twist_alpha = alpha.matrix
-        lobj.twist_beta = beta.matrix
+        lobj = AlgebraObject.of("L", lie, twist_alpha=alpha.matrix, twist_beta=beta.matrix)
         return AlgebraFile(
             name=name,
             parameters=HEISENBERG_PARAMS,
             hopf_spec=GROUP_Z2,
             hopf=a.module.hopf,
             rmatrix=r_triangular_kz2(HEISENBERG_PARAMS),
-            objects={"A": _object_entry("A", a, "mult"), "L": lobj},
+            objects={"A": AlgebraObject.of("A", a), "L": lobj},
         )
     if name == "example25-twisted":
         lie = twisted_heisenberg()
@@ -297,7 +276,7 @@ def catalog_file(name):
             hopf_spec=GROUP_Z2,
             hopf=lie.module.hopf,
             rmatrix=lie.rmatrix,
-            objects={"L": _object_entry("L", lie, "bracket")},
+            objects={"L": AlgebraObject.of("L", lie)},
         )
     if name == "cross-product-classical":
         lie = cross_product_lie()
@@ -307,6 +286,6 @@ def catalog_file(name):
             hopf_spec=GROUP_Z1,
             hopf=lie.module.hopf,
             rmatrix=lie.rmatrix,
-            objects={"L": _object_entry("L", lie, "bracket")},
+            objects={"L": AlgebraObject.of("L", lie)},
         )
     raise KeyError(f"unknown catalog name {name!r}")

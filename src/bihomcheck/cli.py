@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import __version__
 from .algfile import (
     AlgebraFile,
+    AlgebraObject,
     parse_algebra_file,
     print_algebra_file,
     substitute_file,
@@ -42,7 +43,7 @@ from .errors import (
 from .hmod import check_module, check_module_algebra
 from .hopf import check_hopf_axioms, triangularity
 from .linalg import Subspace, tensor_matrix
-from .report import CheckReport, format_combination, format_subspace
+from .report import CheckReport, Witness, format_combination, format_subspace, residual_from_vector
 from .scalars import MAX_INT_DIGITS, parse_scalar
 from .structure import (
     center,
@@ -105,11 +106,12 @@ def _prefixed(rep_into: CheckReport, prefix: str, rep: CheckReport):
     return rep_into
 
 
-def _bracket_diff_notes(f: AlgebraFile, obj, rep: CheckReport, verdict):
-    """Informational diff of the computed commutator against a published
-    reference table; discrepancies never fail the run."""
+def _bracket_diff_notes(f: AlgebraFile, obj, a, rep: CheckReport, verdict):
+    """Informational diff of the commutator of ``a``, the structure of the
+    product object ``obj``, against its published reference table;
+    discrepancies never fail the run."""
     try:
-        lie = commutator_bracket(obj.as_bihom_algebra(), f.rmatrix, verdict=verdict)
+        lie = commutator_bracket(a, f.rmatrix, verdict=verdict)
     except BihomError as exc:
         rep.note(f"{obj.name}: reference diff skipped ({exc})")
         return
@@ -137,13 +139,20 @@ def _bracket_diff_notes(f: AlgebraFile, obj, rep: CheckReport, verdict):
 
 def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
     """Aggregate the requested axiom suites over every applicable object.
-    The ``triangularity`` verdict on (H, R) is computed once, on first use,
-    and passed to R:qt, lie.rmatrix-triangular, lemma31 and the reference diff."""
+    Each object's structure is built once, on first use, and shared by the
+    module-algebra, bihom-assoc, bihom-lie and lemma31 suites and the
+    reference diff. The ``triangularity`` verdict on (H, R) is likewise
+    computed once and passed to R:qt, lie.rmatrix-triangular, lemma31 and
+    the reference diff."""
     if suite not in SUITES:
         raise ValidationError([f"unknown suite {suite!r} (choose from {', '.join(SUITES)})"])
     rep = CheckReport(suite)
     tolerant = suite == "all"
     verdict = functools.cache(lambda: triangularity(f.hopf, f.rmatrix))
+    structure = functools.cache(lambda name: f.objects[name].structure(f.rmatrix))
+    names = sorted(f.objects)
+    products = [name for name in names if f.objects[name].kind == "mult"]
+    brackets = [name for name in names if name not in products]
 
     def guarded(fn, label):
         try:
@@ -171,34 +180,29 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
 
         guarded(qt, "R:qt")
     if suite in ("module", "all"):
-        for name, obj in sorted(f.objects.items()):
-            _prefixed(rep, name, check_module(obj.module))
+        for name in names:
+            _prefixed(rep, name, check_module(f.objects[name].module))
     if suite in ("module-algebra", "all"):
-        for name, obj in sorted(f.objects.items()):
-            if obj.kind == "mult":
-                _prefixed(rep, name, check_module_algebra(obj.as_bihom_algebra()))
+        for name in products:
+            _prefixed(rep, name, check_module_algebra(structure(name)))
     if suite in ("bihom-assoc", "all"):
-        for name, obj in sorted(f.objects.items()):
-            if obj.kind == "mult":
-                _prefixed(rep, name, check_bihom_associative(obj.as_bihom_algebra()))
+        for name in products:
+            _prefixed(rep, name, check_bihom_associative(structure(name)))
     if suite in ("bihom-lie", "all"):
-        for name, obj in sorted(f.objects.items()):
-            if obj.kind == "bracket":
-                lie = obj.as_bihom_lie(f.rmatrix)
-                _prefixed(rep, name, check_generalized_bihom_lie(lie, verdict=verdict()))
+        for name in brackets:
+            _prefixed(rep, name, check_generalized_bihom_lie(structure(name), verdict=verdict()))
     if suite in ("lemma31", "all"):
-        for name, obj in sorted(f.objects.items()):
-            if obj.kind == "mult":
-                guarded(
-                    lambda obj=obj, name=name: _prefixed(
-                        rep, name, check_lemma31(obj.as_bihom_algebra(), f.rmatrix, verdict=verdict())
-                    ),
-                    f"{name}:lemma31",
-                )
+        for name in products:
+            guarded(
+                lambda name=name: _prefixed(
+                    rep, name, check_lemma31(structure(name), f.rmatrix, verdict=verdict())
+                ),
+                f"{name}:lemma31",
+            )
     if suite == "all":
-        for name, obj in sorted(f.objects.items()):
-            if obj.kind == "mult" and obj.reference_bracket is not None:
-                _bracket_diff_notes(f, obj, rep, verdict())
+        for name in products:
+            if f.objects[name].reference_bracket is not None:
+                _bracket_diff_notes(f, f.objects[name], structure(name), rep, verdict())
     return rep
 
 
@@ -225,17 +229,12 @@ def run_construction(f: AlgebraFile, what: str, object_name: str | None = None):
     """Derive a new instance file: the braided commutator of a product
     object, or the twist of a bracket object by its stored twist maps,
     with the BiHom-Lie report that validated it, prefixed as in run_suite."""
-    from .catalog import _object_entry  # same conversion the catalog uses
-
     if what == "commutator":
         obj = _pick_object(f, object_name, "mult")
-        lie = commutator_bracket(obj.as_bihom_algebra(), f.rmatrix)
-        new_obj = _object_entry(obj.name, lie, "bracket")
+        lie = commutator_bracket(obj.structure(f.rmatrix), f.rmatrix)
     elif what == "twist":
         obj = _pick_object(f, object_name, "bracket")
-        alpha, beta = obj.twist_maps()
-        lie = twist_bracket(obj.as_bihom_lie(f.rmatrix), alpha, beta)
-        new_obj = _object_entry(obj.name, lie, "bracket")
+        lie = twist_bracket(obj.structure(f.rmatrix), *obj.twist_maps())
     else:
         raise ValidationError([f"unknown construction {what!r}"])
     derived = AlgebraFile(
@@ -244,7 +243,7 @@ def run_construction(f: AlgebraFile, what: str, object_name: str | None = None):
         hopf_spec=f.hopf_spec,
         hopf=f.hopf,
         rmatrix=f.rmatrix,
-        objects={obj.name or "A": new_obj},
+        objects={obj.name or "A": AlgebraObject.of(obj.name, lie)},
     )
     return derived, _prefixed(CheckReport("bihom-lie"), obj.name or "A", lie.validation)
 
@@ -293,68 +292,48 @@ def run_structure(
         )
     if max_steps < 1:
         raise ValidationError([f"--max-steps must be at least 1, got {max_steps}"])
-    if what in ("center", "derived-series", "lcs"):
-        obj = _pick_object(f, object_name, "bracket")
-        lie = obj.as_bihom_lie(f.rmatrix)
-        names = obj.basis
-        if what == "center":
-            z = center(lie)
-            rep.note(f"center = {format_subspace(names, z)}")
-        elif what == "derived-series":
-            res = derived_series(lie, max_steps)
-            chain = ", ".join(format_subspace(names, t) for t in res.terms)
-            rep.note(f"derived series: [{chain}]")
-            rep.note(f"verdict: {res.verdict} at step {res.step}")
-            rep.note(f"solvable: {'yes' if res.reaches_zero else 'no'}")
+    lie_only = what in ("center", "derived-series", "lcs")
+    obj = _pick_object(f, object_name, "bracket" if lie_only else None)
+    x = obj.structure(f.rmatrix)
+    names = obj.basis
+    is_lie = obj.kind == "bracket"
+    if what == "center":
+        rep.note(f"center = {format_subspace(names, center(x))}")
+    elif what in ("derived-series", "lcs"):
+        if what == "derived-series":
+            res, label, holds = derived_series(x, max_steps), "derived series", "solvable"
         else:
             start = _parse_space(
                 space, obj.dim, f.parameters, Subspace.full_space(obj.dim, f.parameters)
             )
-            res = lower_central_series(lie, start, max_steps)
-            chain = ", ".join(format_subspace(names, t) for t in res.terms)
-            rep.note(f"lower central series: [{chain}]")
-            rep.note(f"verdict: {res.verdict} at step {res.step}")
-            rep.note(f"nilpotent: {'yes' if res.reaches_zero else 'no'}")
-    elif what in ("ideal-check", "closure"):
-        obj = _pick_object(f, object_name)
-        names = obj.basis
+            res = lower_central_series(x, start, max_steps)
+            label, holds = "lower central series", "nilpotent"
+        chain = ", ".join(format_subspace(names, t) for t in res.terms)
+        rep.note(f"{label}: [{chain}]")
+        rep.note(f"verdict: {res.verdict} at step {res.step}")
+        rep.note(f"{holds}: {'yes' if res.reaches_zero else 'no'}")
+    elif what == "ideal-check":
         sub = _parse_space(space, obj.dim, f.parameters)
-        if obj.kind == "bracket":
-            ambient = obj.as_bihom_lie(f.rmatrix)
-            if what == "ideal-check":
-                verdict = is_H_bihom_lie_ideal(ambient, sub)
-                law = "U is an H-BiHom-Lie ideal (alpha, beta, H-stable and [U,L] <= U)"
-            else:
-                verdict = None
+        if is_lie:
+            verdict = is_H_bihom_lie_ideal(x, sub)
+            law = "U is an H-BiHom-Lie ideal (alpha, beta, H-stable and [U,L] <= U)"
         else:
-            ambient = obj.as_bihom_algebra()
-            if what == "ideal-check":
-                verdict = is_H_bihom_ideal(ambient, sub)
-                law = (
-                    "U is an H-BiHom-ideal (alpha, beta, H-stable and AU + UA <= U; "
-                    "two-sided form, strictly implies the one-sided (AU)A = A(UA))"
-                )
-            else:
-                verdict = None
-        if what == "ideal-check":
-            from .report import Witness, residual_from_vector
-
-            w = None
-            if not verdict:
-                w = Witness((verdict.reason,), residual_from_vector(names, verdict.witness))
-            rep.add("structure.ideal", law, bool(verdict), w)
-        else:
-            closed = ideal_closure(ambient, sub)
-            rep.note(f"closure kind: {'lie' if obj.kind == 'bracket' else 'associative'}")
-            rep.note(f"seed = {format_subspace(names, sub)}")
-            rep.note(f"closure = {format_subspace(names, closed)}")
+            verdict = is_H_bihom_ideal(x, sub)
+            law = (
+                "U is an H-BiHom-ideal (alpha, beta, H-stable and AU + UA <= U; "
+                "two-sided form, strictly implies the one-sided (AU)A = A(UA))"
+            )
+        w = None
+        if not verdict:
+            w = Witness((verdict.reason,), residual_from_vector(names, verdict.witness))
+        rep.add("structure.ideal", law, bool(verdict), w)
+    elif what == "closure":
+        sub = _parse_space(space, obj.dim, f.parameters)
+        rep.note(f"closure kind: {'lie' if is_lie else 'associative'}")
+        rep.note(f"seed = {format_subspace(names, sub)}")
+        rep.note(f"closure = {format_subspace(names, ideal_closure(x, sub))}")
     else:  # certificate
-        obj = _pick_object(f, object_name)
-        names = obj.basis
-        ambient = (
-            obj.as_bihom_lie(f.rmatrix) if obj.kind == "bracket" else obj.as_bihom_algebra()
-        )
-        cert = simplicity_certificate(ambient, probe_seed=probe_seed)
+        cert = simplicity_certificate(x, probe_seed=probe_seed)
         rep.probe_seed = probe_seed
         if cert.nonsimple_ideal is not None:
             rep.note(

@@ -61,7 +61,8 @@ class NotEndomorphism(BihomError):
 
 
 class ConstructionError(BihomError):
-    """A construction produced an object that fails its own axiom suite."""
+    """A construction was given an input it is not defined on, or produced
+    an object that fails its own axiom suite."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

@@ -368,7 +368,7 @@ def test_criterion_8_property_suites_across_the_catalog():
         # closure operator laws and series stability per bracket object
         for obj in f.objects.values():
             if obj.kind == "bracket":
-                lie = obj.as_bihom_lie(f.rmatrix)
+                lie = obj.structure(f.rmatrix)
                 dim = obj.dim
                 for _ in range(4):
                     rows = [

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bihomcheck.algfile import parse_algebra_file
+from bihomcheck.algfile import parse_algebra_file, print_algebra_file, substitute_file
 from bihomcheck.catalog import catalog_names
 from bihomcheck.cli import main
 
@@ -159,6 +159,44 @@ def test_construct_refusal_exit_three(capsys, tmp_path):
     )
     assert code == 3
     assert "refused" in err and "bijective" in err
+
+
+def test_construct_twist_of_a_bracket_with_twisting_maps_is_refused(capsys, tmp_path):
+    # the twist is defined on generalized Lie algebras, whose maps are identities
+    code, out, _ = run(capsys, "print", "example25-heisenberg")
+    doc = json.loads(out)
+    doc["objects"]["L"]["beta"] = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]]
+    p = tmp_path / "twisted-input.json"
+    p.write_text(json.dumps(doc))
+    out_path = tmp_path / "out.json"
+    code, out, err = run(
+        capsys, "construct", str(p), "--what", "twist", "--object", "L", "--output", str(out_path)
+    )
+    assert (code, out) == (3, "")
+    assert err == "refused: twist input must be a generalized Lie algebra with identity maps\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("hname", ["names", "basis", "format", "name", "parameters"])
+def test_set_with_a_hopf_element_named_like_a_field(capsys, tmp_path, hname):
+    # action and objects are keyed by names, so their keys are never fields;
+    # the action of the renamed element is an involution that depends on b
+    code, out, _ = run(capsys, "print", "example24")
+    doc = json.loads(out)
+    doc["hopf"]["group"]["names"] = ["e", hname]
+    obj = doc["objects"].pop("A")
+    del obj["action"]["g"]
+    obj["action"][hname] = [["1", "b"], ["0", "-1"]]
+    doc["objects"]["action"] = obj
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(p), "--suite", "module", "--set", "b=-1")
+    assert (code, err) == (0, "")
+    f = substitute_file(parse_algebra_file(p.read_text()), {"b": -1})
+    printed = json.loads(print_algebra_file(f))
+    assert printed["parameters"] == []
+    assert printed["objects"]["action"]["action"][hname] == [["1", "-1"], ["0", "-1"]]
+    assert printed["objects"]["action"]["beta"] == [["1", "0"], ["0", "-1"]]
 
 
 def test_construct_commutator_output_revalidates(capsys, tmp_path):
