@@ -6,7 +6,9 @@ objects, each carrying an H-action, a mult or bracket tensor as sparse
 (i, j, k, scalar) triples, the twisting maps, and optional extras (unit,
 twist maps for the twist construction, a published reference bracket for
 informational diffs). Parsing either returns a fully validated model or
-raises with every located finding; it never returns a partial object.
+raises with every located finding; it never returns a partial object. The
+model holds each tensor only as the structure matrix its triples sum to
+(``linalg.triples_matrix``), and the printer reads its entries back.
 
 The printer emits a canonical form (fixed key order, sorted triples,
 canonical scalar strings), and parse-then-print is the identity on it.
@@ -21,8 +23,8 @@ from .bihom import BiHomAlgebra, BiHomLie
 from .errors import NotAGroup, ParseError, ValidationError, quoted
 from .hmod import HModule, ModuleMap
 from .hopf import HopfAlgebra, RMatrix, group_algebra
-from .linalg import Matrix
-from .scalars import MAX_INT_DIGITS, Scalar, parse_scalar, too_long_to_print
+from .linalg import Matrix, tensor_matrix, triples_matrix
+from .scalars import MAX_INT_DIGITS, parse_scalar, too_long_to_print
 
 FORMAT = "bihom-algebra-file/1"
 
@@ -33,14 +35,20 @@ class AlgebraObject:
     basis: list
     module: HModule
     kind: str  # "mult" or "bracket"
-    tensor: list
+    tensor: Matrix  # the structure matrix; nested constants are converted
     alpha: Matrix
     beta: Matrix
     unit: list | None = None
     multiplicative: bool = True
     twist_alpha: Matrix | None = None
     twist_beta: Matrix | None = None
-    reference_bracket: list | None = None  # sparse (i, j, k, Scalar) rows
+    reference_bracket: Matrix | None = None
+
+    def __post_init__(self):
+        p, d = self.module.params, self.dim
+        self.tensor = tensor_matrix(self.tensor, d, p, name=self.kind)
+        if self.reference_bracket is not None:
+            self.reference_bracket = tensor_matrix(self.reference_bracket, d, p, name="reference")
 
     @property
     def dim(self):
@@ -57,7 +65,7 @@ class AlgebraObject:
             basis=list(module.basis_names),
             module=module,
             kind="bracket" if isinstance(structure, BiHomLie) else "mult",
-            tensor=structure.tensor,
+            tensor=structure.structure_matrix(),
             alpha=structure.alpha.matrix,
             beta=structure.beta.matrix,
             unit=getattr(structure, "unit", None),
@@ -156,10 +164,10 @@ def _parse_vector(data, dim, params, path, findings):
     return out if ok else None
 
 
-def _parse_triples(data, dim, params, path, findings):
-    """Sparse rank-3 tensor rows (i, j, k, scalar) into a dense tensor."""
-    zero = Scalar.of(params, 0)
-    tensor = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+def _parse_triples(data, dim, params, path, findings, coproduct=False):
+    """Sparse rank-3 tensor rows (i, j, k, scalar), summed into the
+    structure matrix of a product (of a coproduct when ``coproduct``)."""
+    triples = []
     if not isinstance(data, list):
         findings.add(path, "expected a list of (i, j, k, scalar) rows")
         return None
@@ -180,8 +188,8 @@ def _parse_triples(data, dim, params, path, findings):
         if s is None:
             ok = False
             continue
-        tensor[i][j][k] = tensor[i][j][k] + s
-    return tensor if ok else None
+        triples.append((i, j, k, s))
+    return triples_matrix(triples, dim, params, coproduct) if ok else None
 
 
 def _is_name_list(names):
@@ -231,7 +239,7 @@ def _build_hopf(spec, params, findings):
         return None
     d = len(names)
     mult = _parse_triples(raw.get("mult"), d, params, "hopf.raw.mult", findings)
-    comult = _parse_triples(raw.get("comult"), d, params, "hopf.raw.comult", findings)
+    comult = _parse_triples(raw.get("comult"), d, params, "hopf.raw.comult", findings, True)
     unit = _parse_vector(raw.get("unit"), d, params, "hopf.raw.unit", findings)
     counit = _parse_vector(raw.get("counit"), d, params, "hopf.raw.counit", findings)
     antipode = _parse_matrix(raw.get("antipode"), d, d, params, "hopf.raw.antipode", findings)
@@ -286,6 +294,10 @@ def _build_object(name, data, hopf, params, findings):
     else:
         kind = "mult" if has_mult else "bracket"
         tensor = _parse_triples(data[kind], dim, params, f"{path}.{kind}", findings)
+    if kind == "bracket":
+        for key, what in (("unit", "a unit"), ("multiplicative", "a multiplicative flag")):
+            if data.get(key) is not None:
+                findings.add(f"{path}.{key}", f"only a product object has {what}")
 
     if "alpha" not in data:
         findings.add(f"{path}.alpha", "alpha required")
@@ -400,15 +412,11 @@ def parse_algebra_file(text: str) -> AlgebraFile:
 # -- canonical printing ------------------------------------------------------
 
 
-def _tensor_triples(tensor, dim):
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                c = tensor[i][j][k]
-                if not c.is_zero():
-                    out.append([i, j, k, str(c)])
-    return out
+def _tensor_triples(m: Matrix):
+    """The stored entries of a product structure matrix as (i, j, k, scalar)
+    triples in (i, j, k) order."""
+    d = m.rows
+    return sorted([*divmod(c, d), k, str(x)] for k, r in enumerate(m.data) for c, x in r.items())
 
 
 def _matrix_rows(mat: Matrix):
@@ -423,7 +431,7 @@ def _object_json(o: AlgebraObject):
             hname: _matrix_rows(o.module.action[i])
             for i, hname in enumerate(o.module.hopf.basis_names)
         },
-        o.kind: _tensor_triples(o.tensor, o.dim),
+        o.kind: _tensor_triples(o.tensor),
         "alpha": _matrix_rows(o.alpha),
         "beta": _matrix_rows(o.beta),
     }
@@ -436,7 +444,7 @@ def _object_json(o: AlgebraObject):
     if o.twist_beta is not None:
         out["twist_beta"] = _matrix_rows(o.twist_beta)
     if o.reference_bracket is not None:
-        out["reference_bracket"] = _tensor_triples(o.reference_bracket, o.dim)
+        out["reference_bracket"] = _tensor_triples(o.reference_bracket)
     return out
 
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .hmod import HModule, ModuleMap, braiding, check_module_algebra, equivariance_witness
 from .hopf import RMatrix, triangularity
-from .linalg import Matrix, invert, kron, kron_apply, tensor_matrix
+from .linalg import Matrix, invert, kron, kron_apply, nested_tensor, tensor_matrix
 from .report import CheckReport, Witness, column_witness
 
 
@@ -33,9 +33,10 @@ class _StructureBase:
     """An object with a product or bracket, held as its dim x dim^2
     structure matrix B (column i*dim + j holds the image of e_i (x) e_j).
 
-    The constructor takes the matrix or nested structure constants
-    t[i][j][k], the coefficient of e_k in the image of e_i (x) e_j;
-    ``tensor`` gives the nested form back. ``products`` is the one bilinear
+    The constructor takes B, or nested structure constants t[i][j][k] (the
+    coefficient of e_k in the image of e_i (x) e_j), which
+    ``tensor_matrix`` converts; only B is kept. ``tensor`` is a read-only
+    nested view of B, built on first use. ``products`` is the one bilinear
     product: the axiom checks, the vector products and all of structure
     theory are sparse products with B or its stored transpose.
 
@@ -50,18 +51,12 @@ class _StructureBase:
         self.alpha = alpha
         self.beta = beta
         self.params = module.params
-        if isinstance(tensor, Matrix):
-            self._matrix, self._tensor = tensor, None
-        else:
-            self._matrix, self._tensor = tensor_matrix(tensor, module.dim, self.params), tensor
+        self._matrix = tensor_matrix(tensor, module.dim, self.params)
         self._transposed = self._matrix.transpose()
 
-    @property
-    def tensor(self):
-        if self._tensor is None:
-            d = self.module.dim
-            self._tensor = [[self._matrix.col(i * d + j) for j in range(d)] for i in range(d)]
-        return self._tensor
+    @cached_property
+    def tensor(self) -> list:
+        return nested_tensor(self._matrix)
 
     def structure_matrix(self) -> Matrix:
         return self._matrix
@@ -98,11 +93,6 @@ class _StructureBase:
         right), that is kron(left, right) B^T."""
         return kron(left, right) @ self._transposed
 
-    def _vector_product(self, u, v):
-        """Image of u (x) v for coordinate vectors u and v (plain lists)."""
-        p = self.params
-        return self.products(Matrix(1, len(u), u, p), Matrix(1, len(v), v, p)).row(0)
-
 
 class BiHomAlgebra(_StructureBase):
     """(A, m, alpha, beta) living in the module category of its Hopf algebra."""
@@ -115,9 +105,6 @@ class BiHomAlgebra(_StructureBase):
     @property
     def mult(self):
         return self.tensor
-
-    def product_vec(self, u, v):
-        return self._vector_product(u, v)
 
 
 class BiHomLie(_StructureBase):
@@ -133,7 +120,9 @@ class BiHomLie(_StructureBase):
         return self.tensor
 
     def bracket_vec(self, u, v):
-        return self._vector_product(u, v)
+        """Image of u (x) v for coordinate vectors u and v (plain lists)."""
+        p = self.params
+        return self.products(Matrix(1, len(u), u, p), Matrix(1, len(v), v, p)).row(0)
 
 
 def _maps_commute(rep, prefix, x):

@@ -18,8 +18,8 @@ from .algfile import AlgebraFile, AlgebraObject
 from .bihom import BiHomAlgebra, BiHomLie
 from .hmod import HModule, ModuleMap
 from .hopf import HopfAlgebra, RMatrix, group_algebra
-from .linalg import Matrix
-from .scalars import Scalar
+from .linalg import Matrix, triples_matrix
+from .scalars import Scalar, parse_scalar
 
 HEISENBERG_PARAMS = ("l1", "l2", "l1p", "l2p")
 
@@ -189,15 +189,10 @@ GROUP_Z1 = {"group": {"names": ["e"], "table": [[0]], "identity": 0}}
 GROUP_Z2 = {"group": {"names": ["e", "g"], "table": [[0, 1], [1, 0]], "identity": 0}}
 
 
-def _reference_bracket_tensor():
-    from .scalars import parse_scalar
-
+def _reference_bracket():
     params = ("b",)
-    zero = sc(params, 0)
-    tensor = _tensor3(2, zero)
-    for i, j, k, text in EXAMPLE24_PRINTED_BRACKET:
-        tensor[i][j][k] = parse_scalar(text, params)
-    return tensor
+    triples = [(i, j, k, parse_scalar(t, params)) for i, j, k, t in EXAMPLE24_PRINTED_BRACKET]
+    return triples_matrix(triples, 2, params)
 
 
 def catalog_names():
@@ -246,7 +241,7 @@ def catalog_file(name):
         )
     if name == "example24":
         a = example24_algebra()
-        obj = AlgebraObject.of("A", a, reference_bracket=_reference_bracket_tensor())
+        obj = AlgebraObject.of("A", a, reference_bracket=_reference_bracket())
         return AlgebraFile(
             name=name,
             parameters=("b",),

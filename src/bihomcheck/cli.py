@@ -42,7 +42,7 @@ from .errors import (
 )
 from .hmod import check_module, check_module_algebra
 from .hopf import check_hopf_axioms, triangularity
-from .linalg import Subspace, tensor_matrix
+from .linalg import Subspace
 from .report import CheckReport, Witness, format_combination, format_subspace, residual_from_vector
 from .scalars import MAX_INT_DIGITS, parse_scalar
 from .structure import (
@@ -116,8 +116,7 @@ def _bracket_diff_notes(f: AlgebraFile, obj, a, rep: CheckReport, verdict):
         rep.note(f"{obj.name}: reference diff skipped ({exc})")
         return
     names = obj.basis
-    got = lie.structure_matrix()
-    want = tensor_matrix(obj.reference_bracket, obj.dim, f.parameters)
+    got, want = lie.structure_matrix(), obj.reference_bracket
     diffs = []
     for c in (got - want).nonzero_columns():
         i, j = divmod(c, obj.dim)
@@ -207,21 +206,16 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
 
 
 def _pick_object(f: AlgebraFile, wanted: str | None, kind: str | None = None):
-    pool = {
-        name: obj
-        for name, obj in f.objects.items()
-        if kind is None or obj.kind == kind
-    }
+    label = {"mult": "product object", "bracket": "bracket object"}.get(kind, "object")
+    pool = {n: o for n, o in f.objects.items() if kind is None or o.kind == kind}
     if wanted is not None:
         if wanted not in pool:
-            raise ValidationError(
-                [f"no {kind or 'algebra'} object named {wanted!r}; have {sorted(pool) or 'none'}"]
-            )
+            raise ValidationError([f"no {label} named {wanted!r}; have {sorted(pool) or 'none'}"])
         return pool[wanted]
+    if not pool:
+        raise ValidationError([f"the file has no {label}s"])
     if len(pool) != 1:
-        raise ValidationError(
-            [f"choose one of the {kind or ''} objects {sorted(pool)} with --object"]
-        )
+        raise ValidationError([f"choose one of the {label}s {sorted(pool)} with --object"])
     return next(iter(pool.values()))
 
 

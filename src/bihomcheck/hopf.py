@@ -18,13 +18,16 @@ check names the first failing basis tuple. A map tensored with identities,
 such as M (M (x) id), is applied slot by slot with ``kron_apply``; a map
 into a tensor power, such as (C (x) id) C, through the transpose.
 
-The constructor takes the structure constants as nested lists: mult[i][j][k]
-is the coefficient of e_k in e_i e_j and comult[i][j][k] that of e_j (x) e_k
-in the coproduct of e_i. They stay readable as ``mult`` and ``comult``, and
-the unit and counit as the lists ``unit`` and ``counit``.
+The constructor takes ``M`` and ``C``, or nested constants that
+``tensor_matrix`` converts: mult[i][j][k] is the coefficient of e_k in e_i e_j
+and comult[i][j][k] that of e_j (x) e_k in the coproduct of e_i. Only ``M``
+and ``C`` are kept, with ``mult`` and ``comult`` as read-only nested views;
+the unit and counit are also readable as the lists ``unit`` and ``counit``.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import DimensionMismatch, NotAGroup, NotInvertible, Singular
 from .linalg import (
@@ -35,8 +38,10 @@ from .linalg import (
     hstack,
     kron,
     kron_apply,
+    nested_tensor,
     solve,
     tensor_matrix,
+    triples_matrix,
     vstack,
 )
 from .report import CheckReport, coefficient_witness, column_witness, decode
@@ -50,9 +55,7 @@ class HopfAlgebra:
         self.basis_names = list(basis_names)
         self.dim = d = len(self.basis_names)
         self.params = tuple(params)
-        self.mult = mult
         self.unit = list(unit)
-        self.comult = comult
         self.counit = list(counit)
         self.antipode = antipode
         self.M = tensor_matrix(mult, d, self.params, name="mult")
@@ -63,6 +66,16 @@ class HopfAlgebra:
             raise DimensionMismatch("antipode matrix has wrong shape")
         self.u = Matrix(d, 1, self.unit, self.params)
         self.eps = Matrix(1, d, self.counit, self.params)
+
+    @cached_property
+    def mult(self) -> list:
+        """mult[i][j][k], the coefficient of e_k in e_i e_j (a view of M)."""
+        return nested_tensor(self.M)
+
+    @cached_property
+    def comult(self) -> list:
+        """comult[i][j][k], the coefficient of e_j (x) e_k in the coproduct of e_i."""
+        return nested_tensor(self.C, coproduct=True)
 
     def tensor_square_mult(self, x: Matrix, right=False) -> Matrix:
         """Operator of y -> x y (y -> y x when ``right``) on H (x) H for the
@@ -174,10 +187,11 @@ def group_algebra(cayley, identity, names=None, params=()) -> HopfAlgebra:
                     )
     zero = Scalar.of(params, 0)
     one = Scalar.of(params, 1)
-    mult = [[[one if k == cayley[i][j] else zero for k in range(n)] for j in range(n)]
-            for i in range(n)]
-    comult = [[[one if i == j == k else zero for k in range(n)] for j in range(n)]
-              for i in range(n)]
+    mult = triples_matrix(
+        [(i, j, k, one) for i, row in enumerate(cayley) for j, k in enumerate(row)], n, params
+    )
+    # the coproduct of g is g (x) g
+    comult = triples_matrix([(i, i, i, one) for i in range(n)], n, params, coproduct=True)
     unit = [one if i == identity else zero for i in range(n)]
     antipode = Matrix.from_dicts(n, n, [{inverse[i]: one} for i in range(n)], params)
     return HopfAlgebra(names, mult, unit, comult, [one] * n, antipode, params)

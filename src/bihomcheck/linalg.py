@@ -314,29 +314,47 @@ def flip(m, n, params) -> Matrix:
     )
 
 
-def tensor_matrix(tensor, dim, params, coproduct=False, name="structure") -> Matrix:
-    """Nested structure constants t[i][j][k] as a sparse matrix.
+def triples_matrix(triples, dim, params, coproduct=False) -> Matrix:
+    """The structure matrix of (i, j, k, scalar) triples, repeated triples
+    summed and no zero stored. A product (the scalar is the coefficient of
+    e_k in e_i e_j) has the dim x dim^2 matrix with the entry at
+    (k, i*dim + j); a coproduct (the coefficient of e_j (x) e_k in the
+    coproduct of e_i) the dim^2 x dim matrix with it at (j*dim + k, i)."""
+    data = [{} for _ in range(dim * dim if coproduct else dim)]
+    for i, j, k, x in triples:
+        if not x.is_zero():
+            r, c = (j * dim + k, i) if coproduct else (k, i * dim + j)
+            _add_scaled(data[r], None, {c: x})
+    return Matrix.from_dicts(len(data), dim if coproduct else dim * dim, data, params)
 
-    A product (coefficient of e_k in e_i e_j) becomes the dim x dim^2 matrix
-    with entry t[i][j][k] at (k, i*dim + j); a coproduct (coefficient of
-    e_j (x) e_k in the coproduct of e_i) becomes the dim^2 x dim matrix with
-    that entry at (j*dim + k, i). This is the only place that reads the
-    nested-list input format.
-    """
+
+def tensor_matrix(tensor, dim, params, coproduct=False, name="structure") -> Matrix:
+    """Structure constants as a sparse matrix: the one adaptor at the
+    public boundary, where they may still arrive as nested lists t[i][j][k],
+    laid out as in ``triples_matrix``. A ``Matrix`` of the right shape is
+    returned unchanged. ``nested_tensor`` is the inverse."""
+    if isinstance(tensor, Matrix):
+        shape = (dim * dim, dim) if coproduct else (dim, dim * dim)
+        if (tensor.rows, tensor.cols) != shape:
+            raise DimensionMismatch(f"{name} matrix is not {shape[0]}x{shape[1]}")
+        return tensor
     if len(tensor) != dim or any(
         len(plane) != dim or any(len(row) != dim for row in plane) for plane in tensor
     ):
         raise DimensionMismatch(f"{name} tensor is not {dim}x{dim}x{dim}")
-    data = [{} for _ in range(dim * dim if coproduct else dim)]
-    for i, plane in enumerate(tensor):
-        for j, row in enumerate(plane):
-            for k, x in enumerate(row):
-                if not x.is_zero():
-                    if coproduct:
-                        data[j * dim + k][i] = x
-                    else:
-                        data[k][i * dim + j] = x
-    return Matrix.from_dicts(len(data), dim if coproduct else dim * dim, data, params)
+    triples = ((i, j, k, x) for i, plane in enumerate(tensor)
+               for j, row in enumerate(plane) for k, x in enumerate(row))
+    return triples_matrix(triples, dim, params, coproduct)
+
+
+def nested_tensor(m: Matrix, coproduct=False) -> list:
+    """The nested constants t[i][j][k] of a product (or ``coproduct``) matrix,
+    the inverse of ``tensor_matrix``: it backs the read-only nested views."""
+    if coproduct:
+        d = m.cols
+        return [[[m.at(j * d + k, i) for k in range(d)] for j in range(d)] for i in range(d)]
+    d = m.rows
+    return [[m.col(i * d + j) for j in range(d)] for i in range(d)]
 
 
 def rref(m: Matrix):
@@ -559,26 +577,6 @@ class Subspace:
     def contains(self, other) -> bool:
         self._check(other)
         return self.first_outside(other.basis) is None
-
-    def intersect(self, other) -> "Subspace":
-        """Intersection via the kernel of the stacked-basis relation."""
-        self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero_space(self.ambient_dim, self.params)
-        # solve a^T x = b^T y: kernel of [basis_a^T | -basis_b^T]
-        stacked = Matrix.from_dicts(
-            self.dim + other.dim, self.ambient_dim,
-            self.basis.data + (-other.basis).data, self.params,
-        )
-        null = kernel(stacked.transpose())
-        vecs = []
-        for sol in null.basis.data:
-            vec = {}
-            for r, c in sol.items():
-                if r < self.dim:
-                    _add_scaled(vec, c, self.basis.data[r])
-            vecs.append(vec)
-        return Subspace.span(self.ambient_dim, vecs, self.params)
 
     def annihilator_matrix(self) -> Matrix:
         """Rows span {phi : phi . v = 0 for all v in the subspace}; the

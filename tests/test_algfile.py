@@ -1,17 +1,29 @@
 """File format: parse/print round trips, validation findings, substitution."""
 
 import json
+import sys
 
 import pytest
 
-from bihomcheck.algfile import parse_algebra_file, print_algebra_file, substitute_file
-from bihomcheck.catalog import catalog_file, catalog_names
+from bihomcheck import linalg
+from bihomcheck.algfile import (
+    AlgebraFile,
+    AlgebraObject,
+    parse_algebra_file,
+    print_algebra_file,
+    substitute_file,
+)
+from bihomcheck.catalog import catalog_file, catalog_names, example24_algebra, kz2_hopf
+from bihomcheck.cli import main
 from bihomcheck.errors import (
     DenominatorVanishes,
     ParseError,
     UnboundParameter,
     ValidationError,
 )
+from bihomcheck.hopf import HopfAlgebra
+from bihomcheck.linalg import Matrix, nested_tensor
+from test_cli_pins import FILES
 
 
 def test_catalog_files_parse_and_round_trip_byte_identically():
@@ -110,7 +122,7 @@ def test_substitute_file_full_binding():
     assert g.parameters == ()
     obj = g.objects["A"]
     assert str(obj.beta.at(1, 1)) == "3"
-    assert str(obj.tensor[0][1][1]) == "3"
+    assert str(obj.tensor.at(1, 1)) == "3"
 
 
 def test_substitute_file_rejects_unknown_name():
@@ -169,3 +181,98 @@ def test_wrong_format_marker_is_rejected():
     with pytest.raises(ValidationError) as err:
         parse_algebra_file(json.dumps(doc))
     assert any("format" in item for item in err.value.findings)
+
+
+def test_bracket_object_rejects_the_product_only_fields():
+    doc = json.loads(print_algebra_file(catalog_file("example25-twisted")))
+    doc["objects"]["L"]["multiplicative"] = False
+    doc["objects"]["L"]["unit"] = ["1", "0", "0"]
+    with pytest.raises(ValidationError) as err:
+        parse_algebra_file(json.dumps(doc))
+    assert err.value.findings == [
+        "objects.L.unit: only a product object has a unit",
+        "objects.L.multiplicative: only a product object has a multiplicative flag",
+    ]
+
+
+def test_repeated_and_cancelling_triples_sum_into_the_matrix():
+    doc = example24_doc()
+    doc["objects"]["A"]["mult"] = [
+        [0, 0, 0, "1"], [0, 1, 1, "b"], [0, 0, 0, "-1"], [1, 0, 1, "-1/2"], [1, 0, 1, "-1/2"],
+    ]
+    f = parse_algebra_file(json.dumps(doc))
+    tensor = f.objects["A"].tensor
+    # (0, 0, 0) cancelled and is not stored; (1, 0, 1) is one summed entry
+    assert [sorted(row) for row in tensor.data] == [[], [1, 2]]
+    assert [str(tensor.at(1, c)) for c in (1, 2)] == ["b", "-1"]
+    printed = json.loads(print_algebra_file(f))
+    assert printed["objects"]["A"]["mult"] == [[0, 1, 1, "b"], [1, 0, 1, "-1"]]
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), *FILES])
+def test_parsed_objects_hold_the_structure_matrix(name):
+    f = parse_algebra_file(json.dumps(FILES[name])) if name in FILES else catalog_file(name)
+    g = parse_algebra_file(print_algebra_file(f))
+    assert (g.hopf.M, g.hopf.C) == (f.hopf.M, f.hopf.C)
+    assert "mult" not in vars(g.hopf) and "comult" not in vars(g.hopf)
+    assert sorted(g.objects) == sorted(f.objects)
+    for oname, obj in g.objects.items():
+        structure = f.objects[oname].structure(f.rmatrix)
+        assert isinstance(obj.tensor, Matrix)
+        assert obj.tensor == structure.structure_matrix()
+        assert AlgebraObject.of(oname, structure).tensor is structure.structure_matrix()
+        if obj.reference_bracket is not None:
+            assert isinstance(obj.reference_bracket, Matrix)
+            assert obj.reference_bracket == f.objects[oname].reference_bracket
+
+
+def test_nested_and_matrix_objects_print_the_same_bytes():
+    # the benchmark's file generator builds objects from nested tensors
+    f = catalog_file("example24")
+    a = example24_algebra()
+    reference = f.objects["A"].reference_bracket
+
+    def text(tensor, ref):
+        obj = AlgebraObject(
+            name="A", basis=list(a.module.basis_names), module=a.module, kind="mult",
+            tensor=tensor, alpha=a.alpha.matrix, beta=a.beta.matrix, unit=a.unit,
+            reference_bracket=ref,
+        )
+        return print_algebra_file(
+            AlgebraFile(f.name, f.parameters, f.hopf_spec, f.hopf, f.rmatrix, {"A": obj})
+        )
+
+    nested = text(a.mult, nested_tensor(reference))
+    assert nested == text(a.structure_matrix(), reference) == print_algebra_file(f)
+
+
+def test_nested_views_invert_the_stored_matrices():
+    h = kz2_hopf()
+    assert "mult" not in vars(h) and "comult" not in vars(h)
+    again = HopfAlgebra(h.basis_names, h.mult, h.unit, h.comult, h.counit, h.antipode)
+    assert (again.M, again.C) == (h.M, h.C)
+    # g g = e, and the coproduct of g is g (x) g
+    assert h.mult[1][1][0].is_one() and h.mult[1][1][1].is_zero()
+    assert h.comult[1][1][1].is_one() and h.comult[1][0][0].is_zero()
+    assert h.mult is h.mult  # built once per object
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_check_on_a_parsed_file_converts_no_nested_list(name, tmp_path, monkeypatch, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(print_algebra_file(catalog_file(name)))
+    nested = []
+    original = linalg.tensor_matrix
+
+    def counting(tensor, *args, **kwargs):
+        if not isinstance(tensor, Matrix):
+            nested.append(tensor)
+        return original(tensor, *args, **kwargs)
+
+    # the modules that convert structure constants import the adaptor by name
+    for mname, module in list(sys.modules.items()):
+        if mname.startswith("bihomcheck") and hasattr(module, "tensor_matrix"):
+            monkeypatch.setattr(module, "tensor_matrix", counting)
+    assert main(["check", str(path), "--suite", "all"]) in (0, 1)
+    capsys.readouterr()
+    assert nested == []

@@ -345,6 +345,36 @@ def test_unknown_object_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["structure", "kz2", "--what", "certificate"], "the file has no objects"),
+        (["structure", "kz2", "--what", "center"], "the file has no bracket objects"),
+        (["construct", "kz2", "--what", "commutator"], "the file has no product objects"),
+        (["construct", "kz2", "--what", "twist"], "the file has no bracket objects"),
+    ],
+)
+def test_a_file_without_the_object_kind_says_so(capsys, tmp_path, argv, message):
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, *argv, *(["--output", str(out)] if argv[0] == "construct" else []))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_bracket_object_with_a_unit_is_input_error(capsys, tmp_path):
+    code, out, _ = run(capsys, "print", "example25-twisted")
+    doc = json.loads(out)
+    doc["objects"]["L"]["multiplicative"] = False
+    doc["objects"]["L"]["unit"] = ["1", "0", "0"]
+    p = tmp_path / "twisted.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(p), "--suite", "bihom-lie")
+    assert code == 2 and out == ""
+    assert "error: objects.L.unit: only a product object has a unit\n" in err
+    assert "error: objects.L.multiplicative: only a product object has a multiplicative flag\n" in err
+
+
 @pytest.mark.parametrize("what,steps", [("derived-series", "-1"), ("lcs", "0")])
 def test_structure_max_steps_below_one_is_input_error(capsys, what, steps):
     code, out, err = run(
