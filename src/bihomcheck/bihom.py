@@ -261,20 +261,30 @@ def _commutator_matrix(a: BiHomAlgebra, tau: Matrix) -> Matrix:
     return M - kron_apply(M @ tau, [a.alpha.matrix @ beta_inv, alpha_inv @ a.beta.matrix])
 
 
-def commutator_bracket(a: BiHomAlgebra, r: RMatrix, *, verdict=None) -> BiHomLie:
+def braided_commutator(a: BiHomAlgebra, r: RMatrix, *, verdict=None):
+    """The pair (tau, B) that the braided commutator of ``a`` rests on: the
+    braiding tau of A (x) A and the commutator matrix B. Refuses first
+    (NotTriangular) unless (H, R) is triangular (``verdict``, decided here
+    unless passed), then (NotBijective) unless alpha and beta are."""
+    if reason := _refusal(triangularity(a.module.hopf, r) if verdict is None else verdict):
+        raise NotTriangular(reason)
+    tau = braiding(a.module, a.module, r)
+    return tau, _commutator_matrix(a, tau)
+
+
+def commutator_bracket(a: BiHomAlgebra, r: RMatrix, *, verdict=None, commutator=None) -> BiHomLie:
     """Braided commutator of a BiHom-associative algebra over triangular (H, R).
 
     Refuses (NotBijective / NotTriangular) when the construction's
     preconditions fail; the returned object has been re-checked against the
     generalized BiHom-Lie suite, and carries that report as ``validation``.
     The re-check gets this call's ``triangularity`` verdict and braiding.
+    ``commutator`` is the ``braided_commutator`` pair when already computed.
     """
     if verdict is None:
         verdict = triangularity(a.module.hopf, r)
-    if reason := _refusal(verdict):
-        raise NotTriangular(reason)
-    tau = braiding(a.module, a.module, r)
-    lie = BiHomLie(a.module, _commutator_matrix(a, tau), a.alpha, a.beta, r)
+    tau, B = commutator or braided_commutator(a, r, verdict=verdict)
+    lie = BiHomLie(a.module, B, a.alpha, a.beta, r)
     rep = lie.validation = check_generalized_bihom_lie(lie, verdict=verdict, tau=tau)
     if not rep.ok:
         raise ConstructionError(
@@ -313,7 +323,7 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
     return lie
 
 
-def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, verdict=None) -> CheckReport:
+def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, verdict=None, commutator=None) -> CheckReport:
     """Two bracket/product compatibility identities for the braided
     commutator B, as identities of maps A (x) A (x) A -> A:
 
@@ -325,16 +335,15 @@ def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, verdict=None) -> CheckReport:
                       + M(B (x) id)(id (x) tau)(id (x) alpha (x) beta)
 
     with ab = alpha beta; each nonzero column of a difference is one
-    failing basis triple. Refuses unless (H, R) is triangular (``verdict``).
+    failing basis triple. (tau, B) is ``commutator``, or else
+    ``braided_commutator(a, r, verdict=verdict)``, which refuses unless
+    (H, R) is triangular.
     """
     rep = CheckReport("lemma31")
-    if reason := _refusal(triangularity(a.module.hopf, r) if verdict is None else verdict):
-        raise NotTriangular(reason)
+    tau, B = commutator or braided_commutator(a, r, verdict=verdict)
     m = a.module
     d = m.dim
     names = m.basis_names
-    tau = braiding(m, m, r)
-    B = _commutator_matrix(a, tau)
     M = a.structure_matrix()
     am = a.alpha.matrix
     bm = a.beta.matrix

@@ -116,6 +116,11 @@ def matrix_algebra_2x2() -> BiHomAlgebra:
     return BiHomAlgebra(module, mult, ident, ident, unit=[one, zero, zero, one])
 
 
+def heisenberg_module(params=HEISENBERG_PARAMS) -> HModule:
+    """The module x1, x2, x3 over kZ2 on which g negates x1 and x2."""
+    return _sign_action_module(kz2_hopf(params), ["x1", "x2", "x3"], [-1, -1, 1])
+
+
 def heisenberg_assoc(params=HEISENBERG_PARAMS) -> BiHomAlgebra:
     """Strictly upper-triangular 3x3 matrices under the matrix product:
     x1 x2 = x3 is the only nonzero product. g negates x1 and x2.
@@ -124,8 +129,7 @@ def heisenberg_assoc(params=HEISENBERG_PARAMS) -> BiHomAlgebra:
     braiding table and the H-linearity of the bracket force g.x2 = -x2;
     see the check_module tests for the as-printed variant.
     """
-    hopf = kz2_hopf(params)
-    module = _sign_action_module(hopf, ["x1", "x2", "x3"], [-1, -1, 1])
+    module = heisenberg_module(params)
     zero = sc(params, 0)
     one = sc(params, 1)
     mult = _tensor3(3, zero)
@@ -134,33 +138,36 @@ def heisenberg_assoc(params=HEISENBERG_PARAMS) -> BiHomAlgebra:
     return BiHomAlgebra(module, mult, ident, ident)
 
 
-def heisenberg_lie(params=HEISENBERG_PARAMS) -> BiHomLie:
+def heisenberg_lie(params=HEISENBERG_PARAMS, module=None) -> BiHomLie:
     """Generalized Lie algebra [x1,x2] = [x2,x1] = x3 (all other brackets
-    zero) with identity maps; the braided commutator of heisenberg_assoc."""
-    hopf = kz2_hopf(params)
-    module = _sign_action_module(hopf, ["x1", "x2", "x3"], [-1, -1, 1])
-    zero = sc(params, 0)
-    one = sc(params, 1)
+    zero) with identity maps; the braided commutator of heisenberg_assoc.
+    Built on ``module`` when given, else on a new
+    ``heisenberg_module(params)``."""
+    if module is None:
+        module = heisenberg_module(params)
+    zero = sc(module.params, 0)
+    one = sc(module.params, 1)
     bracket = _tensor3(3, zero)
     bracket[0][1][2] = one
     bracket[1][0][2] = one
     ident = ModuleMap.identity(module)
-    return BiHomLie(module, bracket, ident, ident, r_triangular_kz2(params))
+    return BiHomLie(module, bracket, ident, ident, r_triangular_kz2(module.params))
 
 
-def heisenberg_twist_maps(params=HEISENBERG_PARAMS):
-    """alpha = diag(l1, l2, l1 l2), beta = diag(l1p, l2p, l1p l2p)."""
-    lie = heisenberg_lie(params)
+def heisenberg_twist_maps(module: HModule):
+    """alpha = diag(l1, l2, l1 l2), beta = diag(l1p, l2p, l1p l2p) on a
+    Heisenberg module whose parameters include l1, l2, l1p and l2p."""
+    params = module.params
     l1, l2, l1p, l2p = (Scalar.param(params, n) for n in HEISENBERG_PARAMS)
-    alpha = ModuleMap(lie.module, lie.module, diagonal(params, [l1, l2, l1 * l2]))
-    beta = ModuleMap(lie.module, lie.module, diagonal(params, [l1p, l2p, l1p * l2p]))
+    alpha = ModuleMap(module, module, diagonal(params, [l1, l2, l1 * l2]))
+    beta = ModuleMap(module, module, diagonal(params, [l1p, l2p, l1p * l2p]))
     return alpha, beta
 
 
 def twisted_heisenberg(params=HEISENBERG_PARAMS) -> BiHomLie:
     """[x1,x2]' = l1 l2p x3, [x2,x1]' = l1p l2 x3, all other brackets zero."""
     base = heisenberg_lie(params)
-    alpha, beta = heisenberg_twist_maps(params)
+    alpha, beta = heisenberg_twist_maps(base.module)
     zero = sc(params, 0)
     bracket = _tensor3(3, zero)
     bracket[0][1][2] = Scalar.param(params, "l1") * Scalar.param(params, "l2p")
@@ -251,9 +258,10 @@ def catalog_file(name):
             objects={"A": obj},
         )
     if name == "example25-heisenberg":
+        # A and L share one module, and so one Hopf algebra
         a = heisenberg_assoc()
-        lie = heisenberg_lie()
-        alpha, beta = heisenberg_twist_maps()
+        lie = heisenberg_lie(module=a.module)
+        alpha, beta = heisenberg_twist_maps(a.module)
         lobj = AlgebraObject.of("L", lie, twist_alpha=alpha.matrix, twist_beta=beta.matrix)
         return AlgebraFile(
             name=name,

@@ -24,7 +24,14 @@ from .algfile import (
     print_algebra_file,
     substitute_file,
 )
-from .bihom import check_bihom_associative, check_generalized_bihom_lie, check_lemma31, commutator_bracket, twist_bracket
+from .bihom import (
+    braided_commutator,
+    check_bihom_associative,
+    check_generalized_bihom_lie,
+    check_lemma31,
+    commutator_bracket,
+    twist_bracket,
+)
 from .catalog import CATALOG_DESCRIPTIONS, catalog_file, catalog_names
 from .errors import (
     BihomError,
@@ -106,15 +113,10 @@ def _prefixed(rep_into: CheckReport, prefix: str, rep: CheckReport):
     return rep_into
 
 
-def _bracket_diff_notes(f: AlgebraFile, obj, a, rep: CheckReport, verdict):
-    """Informational diff of the commutator of ``a``, the structure of the
-    product object ``obj``, against its published reference table;
-    discrepancies never fail the run."""
-    try:
-        lie = commutator_bracket(a, f.rmatrix, verdict=verdict)
-    except BihomError as exc:
-        rep.note(f"{obj.name}: reference diff skipped ({exc})")
-        return
+def _bracket_diff_notes(obj, lie, rep: CheckReport):
+    """Informational diff of ``lie``, the commutator of the product object
+    ``obj``, against its published reference table; discrepancies never
+    fail the run."""
     names = obj.basis
     got, want = lie.structure_matrix(), obj.reference_bracket
     diffs = []
@@ -142,13 +144,17 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
     module-algebra, bihom-assoc, bihom-lie and lemma31 suites and the
     reference diff. The ``triangularity`` verdict on (H, R) is likewise
     computed once and passed to R:qt, lie.rmatrix-triangular, lemma31 and
-    the reference diff."""
+    the reference diff, and so are the braiding and the commutator matrix
+    of each product object, to lemma31 and the reference diff."""
     if suite not in SUITES:
         raise ValidationError([f"unknown suite {suite!r} (choose from {', '.join(SUITES)})"])
     rep = CheckReport(suite)
     tolerant = suite == "all"
     verdict = functools.cache(lambda: triangularity(f.hopf, f.rmatrix))
     structure = functools.cache(lambda name: f.objects[name].structure(f.rmatrix))
+    commutator = functools.cache(
+        lambda name: braided_commutator(structure(name), f.rmatrix, verdict=verdict())
+    )
     names = sorted(f.objects)
     products = [name for name in names if f.objects[name].kind == "mult"]
     brackets = [name for name in names if name not in products]
@@ -194,14 +200,23 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
         for name in products:
             guarded(
                 lambda name=name: _prefixed(
-                    rep, name, check_lemma31(structure(name), f.rmatrix, verdict=verdict())
+                    rep, name, check_lemma31(structure(name), f.rmatrix, commutator=commutator(name))
                 ),
                 f"{name}:lemma31",
             )
     if suite == "all":
         for name in products:
-            if f.objects[name].reference_bracket is not None:
-                _bracket_diff_notes(f, f.objects[name], structure(name), rep, verdict())
+            obj = f.objects[name]
+            if obj.reference_bracket is None:
+                continue
+            try:
+                lie = commutator_bracket(
+                    structure(name), f.rmatrix, verdict=verdict(), commutator=commutator(name)
+                )
+            except BihomError as exc:
+                rep.note(f"{obj.name}: reference diff skipped ({exc})")
+                continue
+            _bracket_diff_notes(obj, lie, rep)
     return rep
 
 

@@ -205,7 +205,8 @@ def row_times(row: dict, odata, after=1, cols=0) -> dict:
         left, rest = divmod(key, width)
         i, right = divmod(rest, after)
         base = left * out_width + right
-        unit = a.value == 1
+        # is_one never compares a Fraction; the test per term below stays inline
+        unit = a.is_one()
         orow = odata[i]
         terms += len(orow)
         for c, b in orow.items():

@@ -10,6 +10,15 @@ on constants never builds a ``Polynomial``. Any other scalar is a reduced
 pair of polynomials. Canonical-form rule: every construction path puts a
 constant-valued result into the constant form, so ``==`` and ``hash``
 compare representations.
+
+Arithmetic between two constants works on their integer numerators and
+denominators: two ints are added or multiplied as ints, and any other pair
+goes through the gcd-reduced formulas of Knuth (TAOCP vol. 2, 4.5.1), the
+ones ``Fraction``'s own ``+`` and ``*`` use. ``_q`` turns the reduced pair
+into the canonical value, setting a new ``Fraction``'s two slots directly,
+since the pair needs no second gcd. So constant arithmetic runs no
+``Fraction`` constructor or arithmetic operator, and the values still
+compare, hash and print exactly as ``Fraction``s do.
 """
 
 from __future__ import annotations
@@ -20,8 +29,6 @@ from math import comb
 from math import gcd as int_gcd
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, UnboundParameter, quoted
-
-Rational = Fraction
 
 
 def _grlex_key(exps):
@@ -312,6 +319,73 @@ def _const(params, value):
     return s
 
 
+# -- constants on integer pairs ----------------------------------------------
+#
+# The helpers below take and return canonical constant values (see
+# ``_norm``). A Fraction value is never integral, so its denominator is
+# above 1 and it is never zero.
+
+
+def _q(n, d):
+    """The canonical value of n/d for coprime n and d > 0: n itself when
+    d = 1, else a Fraction whose two slots are set here. ``Fraction(n, d)``
+    would reduce the pair again, and the pair is already reduced."""
+    if d == 1:
+        return n
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _qadd(a, b):
+    """a + b, where at least one of a and b is a Fraction."""
+    if type(a) is int:
+        a, b = b, a
+    na, da = a._numerator, a._denominator
+    if type(b) is int:
+        # gcd(na + b*da, da) = gcd(na, da) = 1
+        return _q(na + b * da, da)
+    nb, db = b._numerator, b._denominator
+    g = int_gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = int_gcd(t, g)
+    return _q(t // g2, s * (db // g2))
+
+
+def _qmul(a, b):
+    """a * b, where at least one of a and b is a Fraction."""
+    if type(a) is int:
+        a, b = b, a
+    na, da = a._numerator, a._denominator
+    if type(b) is int:
+        g = int_gcd(b, da)
+        return _q(na * (b // g), da // g)
+    nb, db = b._numerator, b._denominator
+    g1 = int_gcd(na, db)
+    g2 = int_gcd(nb, da)
+    return _q((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
+def _qneg(a):
+    """-a."""
+    if type(a) is int:
+        return -a
+    return _q(-a._numerator, a._denominator)
+
+
+def _qinv(a):
+    """1/a for a nonzero a; the sign moves to the numerator."""
+    if type(a) is int:
+        n, d = 1, a
+    else:
+        n, d = a._denominator, a._numerator
+    return _q(n, d) if d > 0 else _q(-n, -d)
+
+
 # the shared zero and one of each parameter context, keyed by (params, value);
 # scalars are never mutated after construction, so sharing them is safe
 _INTERNED = {}
@@ -338,6 +412,13 @@ class Scalar:
     construction puts a constant-valued result into constant form, so
     ``==`` and ``hash`` are structural. ``num`` and ``den`` are readable on
     every scalar; for a constant they are built on demand.
+
+    Two constants combine on their integer numerators and denominators
+    (``_qadd``, ``_qmul``, ``_qneg``, ``_qinv``); two ints take one int
+    operation. A non-integral result comes from
+    ``_q``, which sets the slots of a new ``Fraction`` because the pair is
+    already reduced, so no ``Fraction`` constructor or arithmetic operator
+    runs.
     """
 
     __slots__ = ("params", "value", "_num", "_den")
@@ -403,11 +484,15 @@ class Scalar:
         p = tuple(params)
         return cls(Polynomial.variable(p, name), Polynomial.constant(p, 1))
 
+    # only an int value can be 0 or 1, so a Fraction value is never compared
+
     def is_zero(self) -> bool:
-        return self.value == 0
+        v = self.value
+        return type(v) is int and v == 0
 
     def is_one(self) -> bool:
-        return self.value == 1
+        v = self.value
+        return type(v) is int and v == 1
 
     def is_constant(self) -> bool:
         return self.value is not None
@@ -419,8 +504,9 @@ class Scalar:
         return Fraction(v) if type(v) is int else v
 
     # A non-constant n/d plus or times a nonzero constant c gives
-    # (n + c*d)/d or (c*n)/d. Both pairs are reduced, since
-    # gcd(n + c*d, d) = gcd(c*n, d) = gcd(n, d), and neither is constant.
+    # (n + c*d)/d or (c*n)/d, and c minus it gives (c*d - n)/d. All three
+    # pairs are reduced, since gcd(n + c*d, d) = gcd(c*n, d) = gcd(n, d),
+    # and none is constant.
 
     def _plus_constant(self, c):
         return _fraction(self.params, self._num + self._den.scale(c), self._den)
@@ -453,18 +539,24 @@ class Scalar:
     def __neg__(self):
         v = self.value
         if v is not None:
-            return _const(self.params, -v)
+            return _const(self.params, _qneg(v))
         return _fraction(self.params, -self._num, self._den)
 
+    # Each binary operation below starts with the same test: an operand
+    # that is not a Scalar of this very parameter tuple goes through
+    # ``_coerce``, which converts it or raises.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar or other.params is not self.params:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a = self.value
         b = other.value
         if a is not None:
             if b is not None:
-                return _const(self.params, _norm(a + b))
+                v = a + b if type(a) is int and type(b) is int else _qadd(a, b)
+                return _const(self.params, v)
             return other._plus_constant(a) if a else other
         if b is not None:
             return self._plus_constant(b) if b else self
@@ -479,24 +571,42 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # a constant is negated on its value, without a Scalar.__neg__
-        return self + (-other if other.value is None else _const(self.params, -other.value))
+        if type(other) is not Scalar or other.params is not self.params:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a = self.value
+        b = other.value
+        if b is not None:
+            if a is not None:
+                v = a - b if type(a) is int and type(b) is int else _qadd(a, _qneg(b))
+                return _const(self.params, v)
+            return self._plus_constant(_qneg(b)) if b else self
+        on, od = other._num, other._den
+        if a is not None:
+            return _fraction(self.params, od.scale(a) - on, od)
+        sn, sd = self._num, self._den
+        if sd.is_one() and od.is_one():
+            num = sn - on
+            if num.is_constant():
+                return _const(self.params, _norm(num.constant_value()))
+            return _fraction(self.params, num, sd)
+        return Scalar(sn * od - on * sd, sd * od)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar or other.params is not self.params:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a = self.value
         b = other.value
         if a is not None:
             if b is not None:
-                return _const(self.params, _norm(a * b))
+                v = a * b if type(a) is int and type(b) is int else _qmul(a, b)
+                return _const(self.params, v)
             return other._times_constant(a) if a else self
         if b is not None:
             return self._times_constant(b) if b else other
@@ -522,9 +632,7 @@ class Scalar:
             raise DivisionByZero("inverse of the zero scalar")
         v = self.value
         if v is not None:
-            if type(v) is int:
-                return _const(self.params, _norm(Fraction(1, v)))
-            return _const(self.params, _norm(Fraction(v.denominator, v.numerator)))
+            return _const(self.params, _qinv(v))
         return Scalar(self._den, self._num)
 
     def substitute(self, bindings) -> "Scalar":

@@ -291,7 +291,7 @@ def test_criterion_4_degeneration_matches_classical_commutator():
 
 def test_criterion_5_twist_reproduces_printed_table_and_hom_case():
     base = heisenberg_lie()
-    alpha, beta = heisenberg_twist_maps()
+    alpha, beta = heisenberg_twist_maps(base.module)
     lie = twist_bracket(base, alpha, beta)
     want_01 = parse_scalar("l1*l2p", L)
     want_10 = parse_scalar("l1p*l2", L)

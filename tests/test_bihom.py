@@ -175,7 +175,7 @@ def test_classical_cross_product_reduces_to_antisymmetry_and_jacobi():
 
 def test_twist_bracket_symbolic_table():
     base = heisenberg_lie()
-    alpha, beta = heisenberg_twist_maps()
+    alpha, beta = heisenberg_twist_maps(base.module)
     lie = twist_bracket(base, alpha, beta)
     want_01 = parse_scalar("l1*l2p", L)
     want_10 = parse_scalar("l1p*l2", L)
@@ -236,7 +236,7 @@ def test_twist_rejects_non_endomorphism():
 def test_twist_hom_degeneration():
     # beta := alpha collapses to the Hom case and still passes the suite
     base = heisenberg_lie()
-    alpha, _ = heisenberg_twist_maps()
+    alpha, _ = heisenberg_twist_maps(base.module)
     lie = twist_bracket(base, alpha, alpha)
     assert check_generalized_bihom_lie(lie).ok
     want = parse_scalar("l1*l2", L)
@@ -272,7 +272,7 @@ def test_hom_configuration_verdicts_match_on_equal_maps():
     # must agree axiom by axiom, on valid and on broken instances alike
     cases = []
     base = heisenberg_lie()
-    alpha, _ = heisenberg_twist_maps()
+    alpha, _ = heisenberg_twist_maps(base.module)
     cases.append(twist_bracket(base, alpha, alpha))
     cases.append(cross_product_lie())
     # a broken instance: symmetric bracket where antisymmetry is required

@@ -18,6 +18,7 @@ from bihomcheck.scalars import (
     MAX_POWER_TERMS,
     Polynomial,
     Scalar,
+    _q,
     parse_scalar,
     poly_divexact,
     poly_gcd,
@@ -333,6 +334,79 @@ def test_constants_are_never_floats():
     assert type((Scalar.of(P, Fraction(3, 2)) * 2).value) is int
     assert type(Scalar.of((), -1).inverse().value) is int
     assert type((Scalar.of(L, 6) / Scalar.of(L, 4)).as_fraction()) is Fraction
+
+
+def _agrees_with(s, q):
+    """The constant scalar s holds the value of the Fraction q canonically:
+    an int iff q is integral, reduced, and equal in hash and text."""
+    assert isinstance(s, Scalar) and s.is_constant()
+    want = q.numerator if q.denominator == 1 else q
+    assert type(s.value) is type(want)
+    assert (s.value.numerator, s.value.denominator) == (q.numerator, q.denominator)
+    assert s == Scalar.of(s.params, q) and s.is_zero() == (q == 0) and s.is_one() == (q == 1)
+    assert hash(s) == hash(q)
+    assert str(s) == str(q)
+
+
+def test_constant_arithmetic_agrees_with_fraction():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # small values meet zero results and sign changes often; the wide ones
+    # have more than 100 digits
+    numerators = st.one_of(st.integers(-12, 12), st.integers(-(10**130), 10**130))
+    denominators = st.one_of(st.integers(1, 12), st.integers(1, 10**120))
+    rationals = st.builds(Fraction, numerators, denominators)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(x=rationals, y=rationals, params=st.sampled_from([(), P]))
+    def check(x, y, params):
+        a, b = Scalar.of(params, x), Scalar.of(params, y)
+        for other, q in ((b, y), (y, y), (a, x)):
+            _agrees_with(a + other, x + q)
+            _agrees_with(a - other, x - q)
+            _agrees_with(a * other, x * q)
+            _agrees_with(other + a, q + x)
+            _agrees_with(other - a, q - x)
+            _agrees_with(other * a, q * x)
+            if q:
+                _agrees_with(a / other, x / q)
+            if x:
+                _agrees_with(other / a, q / x)
+        _agrees_with(-a, -x)
+        _agrees_with(a + (-a), Fraction(0))
+        _agrees_with(a * 0, Fraction(0))
+        if x:
+            _agrees_with(a.inverse(), 1 / x)
+            _agrees_with(a * a.inverse(), Fraction(1))
+        else:
+            with pytest.raises(DivisionByZero):
+                a.inverse()
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        (0, 1),
+        (1, 1),
+        (-7, 1),
+        (1, 2),
+        (-3, 4),
+        (22, 7),
+        pytest.param(10**120 + 1, 10**110, id="121-digits"),
+        pytest.param(-(2**400), 3**250, id="121-digits-negative"),
+    ],
+)
+def test_fraction_built_from_its_slots_is_a_fraction(n, d):
+    # _q sets the two slots of a Fraction instead of calling the
+    # constructor; a change to Fraction's slots in the standard library
+    # would show here first
+    q, want = _q(n, d), Fraction(n, d)
+    assert type(q) is (int if d == 1 else Fraction)
+    assert q == want and hash(q) == hash(want) and str(q) == str(want)
+    assert (q.numerator, q.denominator) == (want.numerator, want.denominator)
+    assert q + Fraction(1, 3) == want + Fraction(1, 3) and q * 3 == want * 3
 
 
 def _trees(st, params):

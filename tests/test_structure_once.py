@@ -4,7 +4,8 @@ Each object of an algebra file is one BiHom-associative algebra or one
 generalized BiHom-Lie algebra. ``check`` builds it once and hands it to every
 suite that acts on it, and ``structure`` builds the chosen object once for
 its computation. Counted on parsed files, so no catalog constructor adds to
-the count.
+the count. The catalog itself builds each object of a file once, over one
+Hopf algebra.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import io
 import pytest
 
 from bihomcheck import bihom, cli
+from bihomcheck.catalog import catalog_file
+from bihomcheck.hopf import HopfAlgebra
 
 
 @pytest.fixture
@@ -78,3 +81,21 @@ def test_structure_builds_the_object_once(built, parsed, argv):
     built.clear()
     assert quiet_main(["structure", path, *argv]) in (0, 1)
     assert built == ["BiHomAlgebra"]
+
+
+def test_heisenberg_catalog_file_builds_one_hopf_algebra(built, monkeypatch):
+    # the twist maps are built on the file's module, not on a Heisenberg
+    # algebra of their own
+    hopfs = []
+    init = HopfAlgebra.__init__
+
+    def counted_init(self, *args, **kwargs):
+        hopfs.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HopfAlgebra, "__init__", counted_init)
+    f = catalog_file("example25-heisenberg")
+    assert len(hopfs) == 1
+    assert built == ["BiHomAlgebra", "BiHomLie"]
+    assert f.hopf is hopfs[0]
+    assert f.objects["A"].module.hopf is f.objects["L"].module.hopf is f.hopf

@@ -4,7 +4,9 @@ The braided commutator, the twist and the Lemma 3.1 identities rest on one
 hypothesis about the pair (H, R). A command decides it once and hands the
 verdict to every consumer, so it solves for the inverse of R once
 (``RMatrix.inverse_in``) and, for ``construct``, validates the result with
-one run of the generalized BiHom-Lie suite. Called on their own, the
+one run of the generalized BiHom-Lie suite. In the same way, ``check
+--suite all`` builds the braiding and the commutator matrix of a product
+object once, for lemma31 and the reference diff. Called on their own, the
 library functions still decide it on every call.
 """
 
@@ -15,7 +17,7 @@ import io
 
 import pytest
 
-from bihomcheck import bihom, cli
+from bihomcheck import bihom, cli, hmod
 from bihomcheck.catalog import kz2_hopf, r_triangular_kz2
 from bihomcheck.hopf import RMatrix, check_quasitriangular
 
@@ -67,3 +69,24 @@ def test_library_calls_keep_no_verdict(counts):
     assert check_quasitriangular(h, r).ok
     assert check_quasitriangular(h, r).ok
     assert counts["solves"] == 2
+
+
+def test_one_command_builds_the_braided_commutator_once(monkeypatch):
+    # example24 has a reference bracket, so --suite all reaches the braided
+    # commutator twice: from lemma31 and from the reference diff
+    seen = {"braidings": 0, "commutator matrices": 0}
+    braid, commutator = hmod.braiding, bihom._commutator_matrix
+
+    def counted_braid(*args, **kwargs):
+        seen["braidings"] += 1
+        return braid(*args, **kwargs)
+
+    def counted_commutator(*args, **kwargs):
+        seen["commutator matrices"] += 1
+        return commutator(*args, **kwargs)
+
+    for module in (hmod, bihom):
+        monkeypatch.setattr(module, "braiding", counted_braid)
+    monkeypatch.setattr(bihom, "_commutator_matrix", counted_commutator)
+    assert quiet_main(["check", "example24", "--suite", "all", "--json"]) == 0
+    assert seen == {"braidings": 1, "commutator matrices": 1}
