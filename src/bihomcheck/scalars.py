@@ -1,24 +1,39 @@
-"""Exact coefficient arithmetic: Q, sparse polynomials over Q, and their fraction field.
+"""Exact coefficient arithmetic: Q, sparse polynomials over Z, and the fraction field Q(params).
 
 Every identity the checkers decide is a polynomial identity in the declared
-parameters, so the coefficient domain is the fraction field of Q[params].
-Zero-testing is exact, never numeric sampling.
+parameters, so the coefficient domain is the fraction field of Q[params],
+which is also the fraction field of Z[params]. Zero-testing is exact, never
+numeric sampling.
 
 A ``Scalar`` has two representations. A constant is held directly as an
 ``int`` when it is integral and as a ``Fraction`` otherwise, so arithmetic
-on constants never builds a ``Polynomial``. Any other scalar is a reduced
-pair of polynomials. Canonical-form rule: every construction path puts a
-constant-valued result into the constant form, so ``==`` and ``hash``
-compare representations.
+on constants never builds a ``Polynomial``. Any other scalar is c*P/Q, the
+layout of FLINT's ``fmpq_poly`` (an integer polynomial over one common
+denominator) carried over to rational functions: P and Q are coprime
+polynomials with integer coefficients, each primitive (the gcd of its
+coefficients is 1) with a positive leading coefficient in graded-lex order,
+and the constant c holds the rest of the value. Canonical-form rule: every
+construction path puts a constant-valued result into the constant form, and
+any other value has exactly one such layout, so ``==`` and ``hash`` compare
+representations.
 
-Arithmetic between two constants works on their integer numerators and
-denominators: two ints are added or multiplied as ints, and any other pair
-goes through the gcd-reduced formulas of Knuth (TAOCP vol. 2, 4.5.1), the
-ones ``Fraction``'s own ``+`` and ``*`` use. ``_q`` turns the reduced pair
-into the canonical value, setting a new ``Fraction``'s two slots directly,
-since the pair needs no second gcd. So constant arithmetic runs no
-``Fraction`` constructor or arithmetic operator, and the values still
-compare, hash and print exactly as ``Fraction``s do.
+Arithmetic between two constants, and on the constant c of a rational
+function, works on their integer numerators and denominators: two ints are
+added or multiplied as ints, and any other pair goes through the
+gcd-reduced formulas of Knuth (TAOCP vol. 2, 4.5.1), the ones
+``Fraction``'s own ``+`` and ``*`` use. ``_q`` turns the reduced pair into
+the canonical value, setting a new ``Fraction``'s two slots directly, since
+the pair needs no second gcd. So constant arithmetic runs no ``Fraction``
+constructor or arithmetic operator, and the values still compare, hash and
+print exactly as ``Fraction``s do.
+
+Polynomial arithmetic runs on ints only, and content is taken in one place,
+``_split``. Negation, scaling by a constant and the inverse touch only c
+(the inverse also swaps P and Q). A product of primitive polynomials is
+primitive (Gauss's lemma), so a product of rational functions needs no
+content pass: it cancels with the cross gcds gcd(P1, Q2) and gcd(P2, Q1),
+as Knuth's rational multiply does. A sum cancels only through the gcd of
+the two denominators.
 """
 
 from __future__ import annotations
@@ -29,279 +44,17 @@ from math import comb
 from math import gcd as int_gcd
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, UnboundParameter, quoted
-
-
-def _grlex_key(exps):
-    return (sum(exps), exps)
-
-
-class Polynomial:
-    """Sparse multivariate polynomial over Q.
-
-    ``params`` is the ordered tuple of parameter names; ``terms`` maps
-    exponent tuples (same length as ``params``) to nonzero Fractions.
-    Instances are immutable; all arithmetic returns new objects.
-    """
-
-    __slots__ = ("params", "terms")
-
-    def __init__(self, params, terms):
-        self.params = tuple(params)
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-
-    @classmethod
-    def constant(cls, params, value):
-        value = Fraction(value)
-        if value == 0:
-            return cls(params, {})
-        return cls(params, {(0,) * len(params): value})
-
-    @classmethod
-    def variable(cls, params, name):
-        params = tuple(params)
-        i = params.index(name)
-        e = tuple(1 if j == i else 0 for j in range(len(params)))
-        return cls(params, {e: Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self):
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms[(0,) * len(self.params)]
-
-    def is_one(self):
-        return self.is_constant() and self.constant_value() == 1
-
-    def leading(self):
-        """Leading (exponent, coefficient) in graded-lex order."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
-
-    def occurring(self):
-        """Names of parameters with a positive exponent somewhere."""
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > 0:
-                    used.add(self.params[i])
-        return used
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.params == other.params
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.params, frozenset(self.terms.items())))
-
-    def __neg__(self):
-        return Polynomial(self.params, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if self.params != other.params:
-            raise ValueError("parameter context mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Polynomial(self.params, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.params != other.params:
-            raise ValueError("parameter context mismatch")
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.params, out)
-
-    def scale(self, c):
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        if c == 0:
-            return Polynomial(self.params, {})
-        return Polynomial(self.params, {e: c * v for e, v in self.terms.items()})
-
-    def evaluate(self, values):
-        """Full evaluation; ``values`` maps every occurring name to a Fraction."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v *= values[self.params[i]] ** k
-            total += v
-        return total
-
-    def __repr__(self):
-        return f"Polynomial({self.params!r}, {self.terms!r})"
-
-
-# -- gcd machinery -----------------------------------------------------------
-#
-# Reduction of fractions needs a multivariate gcd. Most factors met in
-# practice are monomials (Laurent-style twists such as s*t against s), so
-# ``poly_gcd`` tries the monomial rule first: when one side is a single
-# term, every divisor of it is a monomial, so the gcd is the largest
-# monomial dividing both sides, the minimum exponent of each parameter over
-# all terms, with coefficient 1. That is exactly the primitive gcd with
-# positive leading coefficient, so the result does not depend on which path
-# found it. Any other pair goes through content extraction and a primitive
-# pseudo-remainder sequence (Brown, JACM 1971).
-
-
-def _int_normalize(p: Polynomial):
-    """Split p = c * q with q integer-coefficient, coprime content, positive
-    graded-lex leading coefficient. Returns (c, q); c = 0 for the zero poly."""
-    if p.is_zero():
-        return Fraction(0), p
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = int_gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    _, lead = p.leading()
-    if lead < 0:
-        content = -content
-    if content == 1:
-        return content, p
-    return content, p.scale(1 / content)
-
-
-def _deg_in(p: Polynomial, var: int):
-    return max((e[var] for e in p.terms), default=0)
-
-
-def _coeff_wrt(p: Polynomial, var: int, k: int):
-    """Coefficient of var^k, a polynomial with the var slot zeroed."""
-    out = {}
-    for e, c in p.terms.items():
-        if e[var] == k:
-            out[e[:var] + (0,) + e[var + 1 :]] = c
-    return Polynomial(p.params, out)
-
-def _shift_var(p: Polynomial, var: int, k: int):
-    return Polynomial(p.params, {e[:var] + (e[var] + k,) + e[var + 1 :]: c for e, c in p.terms.items()})
-
-
-def _content_wrt(p: Polynomial, var: int):
-    """gcd of the var-coefficients (a polynomial free of var)."""
-    c = Polynomial(p.params, {})
-    for k in range(_deg_in(p, var) + 1):
-        q = _coeff_wrt(p, var, k)
-        if not q.is_zero():
-            c = poly_gcd(c, q)
-            if c.is_one():
-                break
-    return c
-
-
-def _pseudo_rem(f: Polynomial, g: Polynomial, var: int):
-    """Pseudo-remainder of f by g in the main variable var."""
-    dg = _deg_in(g, var)
-    lg = _coeff_wrt(g, var, dg)
-    r = f
-    while not r.is_zero():
-        dr = _deg_in(r, var)
-        if dr < dg:
-            break
-        lr = _coeff_wrt(r, var, dr)
-        r = r * lg - _shift_var(lr * g, var, dr - dg)
-    return r
-
-
-def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact quotient f/g; raises ArithmeticError if g does not divide f."""
-    if g.is_zero():
-        raise DivisionByZero("polynomial division by zero")
-    if f.is_zero():
-        return f
-    if len(g.terms) == 1:
-        # division by a monomial shifts exponents
-        ((ge, gc),) = g.terms.items()
-        quot = {}
-        for e, c in f.terms.items():
-            qe = tuple(a - b for a, b in zip(e, ge))
-            if any(k < 0 for k in qe):
-                raise ArithmeticError("inexact polynomial division")
-            quot[qe] = c / gc
-        return Polynomial(f.params, quot)
-    quot = {}
-    ge, gc = g.leading()
-    r = f
-    while not r.is_zero():
-        re, rc = r.leading()
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(k < 0 for k in qe):
-            raise ArithmeticError("inexact polynomial division")
-        qc = rc / gc
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
-        r = r - g * Polynomial(f.params, {qe: qc})
-    return Polynomial(f.params, quot)
-
-
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Primitive gcd over Q[params], positive leading coefficient; constants
-    collapse to 1 (rational contents are units in the fraction field)."""
-    if f.is_zero() and g.is_zero():
-        return f
-    if f.is_zero():
-        return _int_normalize(g)[1]
-    if g.is_zero():
-        return _int_normalize(f)[1]
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        # the monomial rule (see above); a constant side gives 1
-        e = tuple(map(min, zip(*f.terms, *g.terms)))
-        return Polynomial(f.params, {e: Fraction(1)})
-    f = _int_normalize(f)[1]
-    g = _int_normalize(g)[1]
-    used = sorted(set().union(*(
-        {i for i, k in enumerate(e) if k > 0} for p in (f, g) for e in p.terms
-    )))
-    var = used[-1]
-    if _deg_in(f, var) == 0 or _deg_in(g, var) == 0:
-        # var occurs in only one of the two: gcd divides the other's content
-        cf = _content_wrt(f, var) if _deg_in(f, var) else f
-        cg = _content_wrt(g, var) if _deg_in(g, var) else g
-        return poly_gcd(cf, cg)
-    cf = _content_wrt(f, var)
-    cg = _content_wrt(g, var)
-    c = poly_gcd(cf, cg)
-    a = poly_divexact(f, cf)
-    b = poly_divexact(g, cg)
-    if _deg_in(a, var) < _deg_in(b, var):
-        a, b = b, a
-    while True:
-        r = _pseudo_rem(a, b, var)
-        if r.is_zero():
-            break
-        if _deg_in(r, var) == 0:
-            return _int_normalize(c)[1]
-        # primitive over Z as well: without the rational content the
-        # coefficients grow exponentially along the sequence
-        a, b = b, _int_normalize(poly_divexact(r, _content_wrt(r, var)))[1]
-    return _int_normalize(c * poly_divexact(b, _content_wrt(b, var)))[1]
+from .polynomials import (
+    Polynomial,
+    _grlex_key,
+    _lc,
+    _lincomb,
+    _one,
+    _poly,
+    _split,
+    poly_divexact,
+    poly_gcd,
+)
 
 
 def _norm(value):
@@ -336,6 +89,21 @@ def _q(n, d):
     q._numerator = n
     q._denominator = d
     return q
+
+
+def _ratio(n, d):
+    """The canonical value of n/d for ints n and d != 0."""
+    g = int_gcd(n, d)
+    if d < 0:
+        g = -g
+    return _q(n // g, d // g)
+
+
+def _pair(a):
+    """(numerator, denominator) of a canonical value."""
+    if type(a) is int:
+        return a, 1
+    return a._numerator, a._denominator
 
 
 def _qadd(a, b):
@@ -386,83 +154,179 @@ def _qinv(a):
     return _q(n, d) if d > 0 else _q(-n, -d)
 
 
+def _times(a, b):
+    """a * b for any two canonical values."""
+    return a * b if type(a) is int and type(b) is int else _qmul(a, b)
+
+
+def _nonzero(a):
+    """True for a canonical value other than 0 (a Fraction never is 0)."""
+    return type(a) is not int or a != 0
+
+
+# -- rational functions c*P/Q ------------------------------------------------
+#
+# The helpers below take the parts of non-constant scalars, (c, P, Q) in the
+# layout of the module docstring, and return scalars.
+
+
+def _fraction(params, c, P, Q):
+    """Non-constant scalar c*P/Q from parts already in canonical form."""
+    s = object.__new__(Scalar)
+    s.params = params
+    s.value = None
+    s._parts = (c, P, Q)
+    return s
+
+
+def _ratfunc(params, c, P, Q):
+    """c*P/Q from canonical parts; the constant c when P = Q = 1."""
+    if P.is_one() and Q.is_one():
+        return _const(params, c)
+    return _fraction(params, c, P, Q)
+
+
+def _cofactors(a, b):
+    """Ints (m, n, d), d > 0, with a*X + b*Y = (m*X + n*Y)/d for nonzero
+    canonical values a and b."""
+    na, da = _pair(a)
+    nb, db = _pair(b)
+    if da == db:
+        return na, nb, da
+    g = int_gcd(da, db)
+    return na * (db // g), nb * (da // g), da // g * db
+
+
+def _combine(params, m, X, n, Y, d):
+    """The value (m*X + n*Y)/d, for Polynomials X and Y, as a constant and
+    the primitive part: (c, P), or None when the sum is zero."""
+    k, T = _split(_lincomb(m, X.terms, n, Y.terms))
+    if not k:
+        return None
+    return _ratio(k, d), _poly(params, T)
+
+
+def _plus_constant(params, k, c, P, Q):
+    """k + c*P/Q for a nonzero constant k. The pair (k*Q + c*P)/Q is
+    reduced, since gcd(k*Q + c*P, Q) = gcd(c*P, Q) = 1, and not constant."""
+    m, n, d = _cofactors(c, k)
+    c, P = _combine(params, m, P, n, Q, d)
+    return _fraction(params, c, P, Q)
+
+
+def _sum(params, c1, P1, Q1, c2, P2, Q2):
+    """c1*P1/Q1 + c2*P2/Q2 (Knuth's rational add). Over g = gcd(Q1, Q2),
+    with Q1 = g*s and Q2 = g*t, the sum is (c1*P1*t + c2*P2*s)/(g*s*t), and
+    only a factor of g can cancel from it."""
+    m, n, d = _cofactors(c1, c2)
+    if Q1 == Q2:
+        part = _combine(params, m, P1, n, P2, d)
+        if part is None:
+            return Scalar.of(params, 0)
+        c, P = part
+        Q = Q1
+        if not Q.is_one():
+            g = poly_gcd(P, Q)
+            if not g.is_one():
+                P, Q = poly_divexact(P, g), poly_divexact(Q, g)
+        return _ratfunc(params, c, P, Q)
+    g = None if Q1.is_one() or Q2.is_one() else poly_gcd(Q1, Q2)
+    if g is None or g.is_one():
+        # coprime denominators: nothing cancels, and Q1*Q2 is not 1
+        part = _combine(params, m, P1 * Q2, n, P2 * Q1, d)
+        if part is None:
+            return Scalar.of(params, 0)
+        return _fraction(params, *part, Q1 * Q2)
+    s, t = poly_divexact(Q1, g), poly_divexact(Q2, g)
+    part = _combine(params, m, P1 * t, n, P2 * s, d)
+    if part is None:
+        return Scalar.of(params, 0)
+    c, P = part
+    h = poly_gcd(P, g)
+    if not h.is_one():
+        P, Q2 = poly_divexact(P, h), poly_divexact(Q2, h)
+    return _ratfunc(params, c, P, s * Q2)
+
+
+def _product(params, c, P1, Q1, P2, Q2):
+    """c * (P1/Q1) * (P2/Q2) (Knuth's rational multiply): only P1 and Q2,
+    and P2 and Q1, can share a factor, and the products of the primitive
+    remainders are primitive."""
+    if not Q2.is_one():
+        g = poly_gcd(P1, Q2)
+        if not g.is_one():
+            P1, Q2 = poly_divexact(P1, g), poly_divexact(Q2, g)
+    if not Q1.is_one():
+        g = poly_gcd(P2, Q1)
+        if not g.is_one():
+            P2, Q1 = poly_divexact(P2, g), poly_divexact(Q1, g)
+    return _ratfunc(params, c, P1 * P2, Q1 * Q2)
+
+
 # the shared zero and one of each parameter context, keyed by (params, value);
 # scalars are never mutated after construction, so sharing them is safe
 _INTERNED = {}
 
 
-def _fraction(params, num, den):
-    """Non-constant scalar from a pair already in reduced form."""
-    s = object.__new__(Scalar)
-    s.params = params
-    s.value = None
-    s._num = num
-    s._den = den
-    return s
-
-
 class Scalar:
-    """Element of the fraction field of Q[params], kept in canonical form.
+    """Element of the fraction field of Z[params], kept in canonical form.
 
     A constant is held as ``value``: an int when it is integral, a Fraction
-    otherwise. Any other scalar has ``value`` None and a reduced pair of
-    polynomials: the denominator is an integer-coefficient polynomial with
-    coprime content and positive graded-lex leading coefficient, and
-    numerator and denominator have no common polynomial factor. Every
-    construction puts a constant-valued result into constant form, so
-    ``==`` and ``hash`` are structural. ``num`` and ``den`` are readable on
-    every scalar; for a constant they are built on demand.
+    otherwise. Any other scalar has ``value`` None and is c*P/Q (see the
+    module docstring), held as ``_parts`` = (c, P, Q): P and Q are coprime
+    primitive integer polynomials with positive graded-lex leading
+    coefficients, not both 1, and c is a nonzero canonical constant. Every construction puts a
+    constant-valued result into constant form, so ``==`` and ``hash`` are
+    structural.
+
+    ``num`` and ``den`` are readable on every scalar: with c = a/b in lowest
+    terms they are the integer polynomials a*P and b*Q (a and b for a
+    constant), so ``Scalar(x.num, x.den) == x``.
 
     Two constants combine on their integer numerators and denominators
     (``_qadd``, ``_qmul``, ``_qneg``, ``_qinv``); two ints take one int
-    operation. A non-integral result comes from
-    ``_q``, which sets the slots of a new ``Fraction`` because the pair is
-    already reduced, so no ``Fraction`` constructor or arithmetic operator
-    runs.
+    operation. A non-integral result comes from ``_q``, which sets the slots
+    of a new ``Fraction`` because the pair is already reduced, so no
+    ``Fraction`` constructor or arithmetic operator runs.
     """
 
-    __slots__ = ("params", "value", "_num", "_den")
+    __slots__ = ("params", "value", "_parts")
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
             raise DivisionByZero("scalar with zero denominator")
+        self.params = params = num.params
         if num.is_zero():
-            den = Polynomial.constant(num.params, 1)
-        elif den.is_one():
-            pass
-        elif den.is_constant():
-            num = num.scale(1 / den.constant_value())
-            den = Polynomial.constant(num.params, 1)
-        else:
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
-            c, den = _int_normalize(den)
-            if den.is_one():
-                num = num.scale(1 / c)
-                den = Polynomial.constant(num.params, 1)
-            else:
-                num = num.scale(1 / c)
-        self.params = num.params
-        if den.is_one() and num.is_constant():
-            self.value = _norm(num.constant_value())
+            self.value = 0
+            return
+        g = poly_gcd(num, den)
+        if not g.is_one():
+            num, den = poly_divexact(num, g), poly_divexact(den, g)
+        a, P = _split(num.terms)
+        b, Q = _split(den.terms)
+        P, Q = _poly(params, P), _poly(params, Q)
+        c = _ratio(a, b)
+        if P.is_one() and Q.is_one():
+            self.value = c
         else:
             self.value = None
-            self._num = num
-            self._den = den
+            self._parts = (c, P, Q)
 
     @property
     def num(self) -> Polynomial:
-        if self.value is None:
-            return self._num
-        return Polynomial.constant(self.params, self.value)
+        v = self.value
+        if v is None:
+            c, P, _ = self._parts
+            return P.scale(_pair(c)[0])
+        return Polynomial.constant(self.params, _pair(v)[0])
 
     @property
     def den(self) -> Polynomial:
-        if self.value is None:
-            return self._den
-        return Polynomial.constant(self.params, 1)
+        v = self.value
+        if v is None:
+            c, _, Q = self._parts
+            return Q.scale(_pair(c)[1])
+        return Polynomial.constant(self.params, _pair(v)[1])
 
     @classmethod
     def of(cls, params, value):
@@ -482,7 +346,7 @@ class Scalar:
     @classmethod
     def param(cls, params, name):
         p = tuple(params)
-        return cls(Polynomial.variable(p, name), Polynomial.constant(p, 1))
+        return _fraction(p, 1, Polynomial.variable(p, name), _one(p))
 
     # only an int value can be 0 or 1, so a Fraction value is never compared
 
@@ -503,17 +367,6 @@ class Scalar:
             raise ValueError(f"scalar {self} is not constant")
         return Fraction(v) if type(v) is int else v
 
-    # A non-constant n/d plus or times a nonzero constant c gives
-    # (n + c*d)/d or (c*n)/d, and c minus it gives (c*d - n)/d. All three
-    # pairs are reduced, since gcd(n + c*d, d) = gcd(c*n, d) = gcd(n, d),
-    # and none is constant.
-
-    def _plus_constant(self, c):
-        return _fraction(self.params, self._num + self._den.scale(c), self._den)
-
-    def _times_constant(self, c):
-        return _fraction(self.params, self._num.scale(c), self._den)
-
     def _coerce(self, other):
         if isinstance(other, Scalar):
             if other.params is not self.params and other.params != self.params:
@@ -529,18 +382,19 @@ class Scalar:
             return NotImplemented
         if self.value is not None or other.value is not None:
             return self.value == other.value
-        return self._num == other._num and self._den == other._den
+        return self._parts == other._parts
 
     def __hash__(self):
         if self.value is not None:
             return hash(self.value)
-        return hash((self._num, self._den))
+        return hash(self._parts)
 
     def __neg__(self):
         v = self.value
         if v is not None:
             return _const(self.params, _qneg(v))
-        return _fraction(self.params, -self._num, self._den)
+        c, P, Q = self._parts
+        return _fraction(self.params, _qneg(c), P, Q)
 
     # Each binary operation below starts with the same test: an operand
     # that is not a Scalar of this very parameter tuple goes through
@@ -557,16 +411,14 @@ class Scalar:
             if b is not None:
                 v = a + b if type(a) is int and type(b) is int else _qadd(a, b)
                 return _const(self.params, v)
-            return other._plus_constant(a) if a else other
+            if _nonzero(a):
+                return _plus_constant(self.params, a, *other._parts)
+            return other
         if b is not None:
-            return self._plus_constant(b) if b else self
-        sn, sd, on, od = self._num, self._den, other._num, other._den
-        if sd.is_one() and od.is_one():
-            num = sn + on
-            if num.is_constant():
-                return _const(self.params, _norm(num.constant_value()))
-            return _fraction(self.params, num, sd)
-        return Scalar(sn * od + on * sd, sd * od)
+            if _nonzero(b):
+                return _plus_constant(self.params, b, *self._parts)
+            return self
+        return _sum(self.params, *self._parts, *other._parts)
 
     __radd__ = __add__
 
@@ -581,17 +433,17 @@ class Scalar:
             if a is not None:
                 v = a - b if type(a) is int and type(b) is int else _qadd(a, _qneg(b))
                 return _const(self.params, v)
-            return self._plus_constant(_qneg(b)) if b else self
-        on, od = other._num, other._den
+            if _nonzero(b):
+                return _plus_constant(self.params, _qneg(b), *self._parts)
+            return self
+        # self - other = self + (-other), and negation touches only c
+        c, P, Q = other._parts
+        c = _qneg(c)
         if a is not None:
-            return _fraction(self.params, od.scale(a) - on, od)
-        sn, sd = self._num, self._den
-        if sd.is_one() and od.is_one():
-            num = sn - on
-            if num.is_constant():
-                return _const(self.params, _norm(num.constant_value()))
-            return _fraction(self.params, num, sd)
-        return Scalar(sn * od - on * sd, sd * od)
+            if _nonzero(a):
+                return _plus_constant(self.params, a, c, P, Q)
+            return _fraction(self.params, c, P, Q)
+        return _sum(self.params, *self._parts, c, P, Q)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -607,14 +459,18 @@ class Scalar:
             if b is not None:
                 v = a * b if type(a) is int and type(b) is int else _qmul(a, b)
                 return _const(self.params, v)
-            return other._times_constant(a) if a else self
+            if _nonzero(a):
+                c, P, Q = other._parts
+                return _fraction(self.params, _times(a, c), P, Q)
+            return self
         if b is not None:
-            return self._times_constant(b) if b else other
-        sn, sd, on, od = self._num, self._den, other._num, other._den
-        if sd.is_one() and od.is_one():
-            # a product of non-constant polynomials is non-constant
-            return _fraction(self.params, sn * on, sd)
-        return Scalar(sn * on, sd * od)
+            if _nonzero(b):
+                c, P, Q = self._parts
+                return _fraction(self.params, _times(c, b), P, Q)
+            return other
+        c1, P1, Q1 = self._parts
+        c2, P2, Q2 = other._parts
+        return _product(self.params, _times(c1, c2), P1, Q1, P2, Q2)
 
     __rmul__ = __mul__
 
@@ -633,7 +489,8 @@ class Scalar:
         v = self.value
         if v is not None:
             return _const(self.params, _qinv(v))
-        return Scalar(self._den, self._num)
+        c, P, Q = self._parts
+        return _fraction(self.params, _qinv(c), Q, P)
 
     def substitute(self, bindings) -> "Scalar":
         """Evaluate every occurring parameter; a ring homomorphism into Q.
@@ -644,23 +501,23 @@ class Scalar:
         values = {k: Fraction(v) for k, v in bindings.items()}
         if self.value is not None:
             return self
-        num, den = self._num, self._den
-        for name in sorted(num.occurring() | den.occurring()):
+        c, P, Q = self._parts
+        for name in sorted(P.occurring() | Q.occurring()):
             if name not in values:
                 raise UnboundParameter(f"parameter '{name}' is unbound")
-        d = den.evaluate(values)
+        d = Q.evaluate(values)
         if d == 0:
-            raise DenominatorVanishes(f"denominator {poly_str(den)} vanishes")
-        n = num.evaluate(values)
-        return Scalar.of(self.params, n / d)
+            raise DenominatorVanishes(f"denominator {poly_str(Q)} vanishes")
+        return Scalar.of(self.params, c * P.evaluate(values) / d)
 
     def reparametrize(self, new_params) -> "Scalar":
         """Move to another parameter context; every occurring name must survive."""
         new_params = tuple(new_params)
         if self.value is not None:
             return _const(new_params, self.value)
+        c, P, Q = self._parts
         idx = {name: i for i, name in enumerate(new_params)}
-        missing = (self._num.occurring() | self._den.occurring()) - set(new_params)
+        missing = (P.occurring() | Q.occurring()) - set(new_params)
         if missing:
             raise UnboundParameter(
                 f"parameters {sorted(missing)} do not exist in the new context"
@@ -674,9 +531,16 @@ class Scalar:
                     if k:
                         ne[idx[p.params[i]]] = k
                 out[tuple(ne)] = c
-            return Polynomial(new_params, out)
+            return _poly(new_params, out)
 
-        return Scalar(remap(self._num), remap(self._den))
+        # the graded-lex order follows the parameter order, so the sign of
+        # a leading coefficient may change
+        P, Q = remap(P), remap(Q)
+        if _lc(P.terms) < 0:
+            c, P = _qneg(c), -P
+        if _lc(Q.terms) < 0:
+            c, Q = _qneg(c), -Q
+        return _fraction(new_params, c, P, Q)
 
     def __str__(self):
         return scalar_str(self)
@@ -688,34 +552,50 @@ class Scalar:
 # -- canonical printing ------------------------------------------------------
 
 
-def poly_str(p: Polynomial) -> str:
-    if p.is_zero():
+def _scaled(c, v):
+    """(numerator, denominator) of c*v in lowest terms, for a canonical
+    constant c and an int v."""
+    if type(c) is int:
+        return c * v, 1
+    n, d = c._numerator, c._denominator
+    g = int_gcd(v, d)
+    return n * (v // g), d // g
+
+
+def _terms_str(params, terms, c=1):
+    """Text of the polynomial c*P, for the terms of P and a canonical
+    constant c."""
+    if not terms:
         return "0"
     parts = []
-    for e in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[e]
+    for e in sorted(terms, key=_grlex_key, reverse=True):
+        n, d = _scaled(c, terms[e])
+        coef = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         mono = "*".join(
             name if k == 1 else f"{name}^{k}"
-            for name, k in zip(p.params, e)
+            for name, k in zip(params, e)
             if k > 0
         )
         if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
+            body = coef
+        elif coef == "1":
             body = mono
         else:
-            body = f"{abs(c)}*{mono}"
+            body = f"{coef}*{mono}"
         if not parts:
-            parts.append(("-" if c < 0 else "") + body)
+            parts.append(("-" if n < 0 else "") + body)
         else:
-            parts.append((" - " if c < 0 else " + ") + body)
+            parts.append((" - " if n < 0 else " + ") + body)
     return "".join(parts)
 
 
+def poly_str(p: Polynomial) -> str:
+    return _terms_str(p.params, p.terms)
+
+
 def _den_atomic(p: Polynomial) -> bool:
-    # safe to print unparenthesized after '/': integer, or a power of one name
-    if p.is_constant():
-        return True
+    # safe to print unparenthesized after '/': a power of one name (a
+    # denominator Q is never constant)
     if len(p.terms) != 1:
         return False
     (e, c), = p.terms.items()
@@ -723,17 +603,18 @@ def _den_atomic(p: Polynomial) -> bool:
 
 
 def scalar_str(s: Scalar) -> str:
-    """Canonical text form; ``parse_scalar`` inverts it exactly."""
+    """Canonical text form; ``parse_scalar`` inverts it exactly. A rational
+    function c*P/Q prints as the polynomial c*P over Q."""
     if s.value is not None:
         return str(s.value)
-    n, d = s._num, s._den
-    if d.is_one():
-        return poly_str(n)
-    num = poly_str(n)
-    if len(n.terms) > 1:
+    c, P, Q = s._parts
+    num = _terms_str(s.params, P.terms, c)
+    if Q.is_one():
+        return num
+    if len(P.terms) > 1:
         num = f"({num})"
-    den = poly_str(d)
-    if not _den_atomic(d):
+    den = poly_str(Q)
+    if not _den_atomic(Q):
         den = f"({den})"
     return f"{num}/{den}"
 
@@ -758,18 +639,19 @@ MAX_INT_DIGITS = 4300
 _INT_LIMIT = 10**MAX_INT_DIGITS
 
 
-def _rationals(s: Scalar):
-    """The rational numbers a scalar is built from: its constant value, or
-    the coefficients of its numerator and denominator."""
+def _printed_numbers(s: Scalar):
+    """(numerator, denominator) of every number the text of s shows: its
+    constant value, or the coefficients of c*P and of Q."""
     if s.value is not None:
-        return (s.value,)
-    return (*s._num.terms.values(), *s._den.terms.values())
+        return (_pair(s.value),)
+    c, P, Q = s._parts
+    return (*(_scaled(c, v) for v in P.terms.values()), *((v, 1) for v in Q.terms.values()))
 
 
 def too_long_to_print(s: Scalar) -> bool:
     """True when a numerator or denominator in s has more than
     MAX_INT_DIGITS digits."""
-    return any(max(abs(q.numerator), q.denominator) >= _INT_LIMIT for q in _rationals(s))
+    return any(max(abs(n), d) >= _INT_LIMIT for n, d in _printed_numbers(s))
 
 
 def _power_bits(s: Scalar, exponent) -> int:
@@ -777,8 +659,8 @@ def _power_bits(s: Scalar, exponent) -> int:
     length of the largest numerator or denominator in s, plus the log of
     its term count (the growth of a sum raised to a power), minus one, times
     the exponent. For a constant this is a lower bound."""
-    terms = 1 if s.value is not None else max(len(s._num.terms), len(s._den.terms))
-    bits = max(max(abs(q.numerator), q.denominator).bit_length() for q in _rationals(s))
+    terms = 1 if s.value is not None else max(len(p.terms) for p in s._parts[1:])
+    bits = max(max(abs(n), d).bit_length() for n, d in _printed_numbers(s))
     return (bits + terms.bit_length() - 2) * exponent
 
 
@@ -790,7 +672,7 @@ def _power_terms(s: Scalar, exponent) -> int:
     if s.value is not None:
         return 1
     out = 0
-    for p in (s._num, s._den):
+    for p in s._parts[1:]:
         box = 1
         for degree in map(max, zip(*p.terms)):
             box *= exponent * degree + 1
@@ -803,9 +685,12 @@ def _product_terms(v: Scalar, w: Scalar, divide=False) -> int:
     v*w (v/w when ``divide``), for non-constant v and w. A product of
     polynomials with n and m terms has at most n*m terms, and its degree in
     each parameter is the sum of the two degrees there."""
-    wn, wd = (w._den, w._num) if divide else (w._num, w._den)
+    _, wn, wd = w._parts
+    if divide:
+        wn, wd = wd, wn
     out = 0
-    for p, q in ((v._num, wn), (v._den, wd)):
+    _, vn, vd = v._parts
+    for p, q in ((vn, wn), (vd, wd)):
         box = 1
         for a, b in zip(map(max, zip(*p.terms)), map(max, zip(*q.terms))):
             box *= a + b + 1

@@ -1,6 +1,8 @@
 """Exact scalar arithmetic, reduction, substitution, and text round-trips."""
 
+import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -409,30 +411,130 @@ def test_fraction_built_from_its_slots_is_a_fraction(n, d):
     assert q + Fraction(1, 3) == want + Fraction(1, 3) and q * 3 == want * 3
 
 
-def _trees(st, params):
+def _trees(st, params, factors=False):
     """Expression trees: leaves are ("c", q) for Scalar.of, ("n", q) for a
-    bare int or Fraction operand, ("p", name); nodes are (op, left, right)."""
+    bare int or Fraction operand, ("p", name), and with ``factors`` also
+    ("f", name, k) for the parameter plus the int k, so that sums share
+    factors and reduction has something to cancel; nodes are
+    (op, left, right) for the four operations and (op, child) for "neg" and
+    "inv"."""
     q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     leaves = [q.map(lambda v: ("c", v)), q.map(lambda v: ("n", v.numerator if v.denominator == 1 else v))]
     if params:
         leaves.append(st.sampled_from(params).map(lambda n: ("p", n)))
+        if factors:
+            leaves.append(st.tuples(st.just("f"), st.sampled_from(params), st.integers(-2, 2)))
     return st.recursive(
         st.one_of(*leaves),
-        lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids),
+        lambda kids: st.one_of(
+            st.tuples(st.sampled_from("+-*/"), kids, kids),
+            st.tuples(st.sampled_from(["neg", "inv"]), kids),
+        ),
         max_leaves=6,
     )
+
+
+_OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+    "neg": lambda x: -x,
+    "inv": lambda x: x.inverse() if isinstance(x, Scalar) else 1 / x,
+}
+
+
+def _build(sympy, tree, params, symbols, check):
+    """(value, sympy expression) of a tree, calling ``check(value,
+    expression)`` after every operation; None after a division by zero,
+    which must raise DivisionByZero."""
+    kind = tree[0]
+    if kind == "p":
+        return Scalar.param(params, tree[1]), symbols[tree[1]]
+    if kind == "f":
+        _, name, k = tree
+        return Scalar.param(params, name) + k, symbols[name] + k
+    if kind in ("c", "n"):
+        v = Fraction(tree[1])
+        s = Scalar.of(params, v) if kind == "c" else tree[1]
+        return s, sympy.Rational(v.numerator, v.denominator)
+    kids = [_build(sympy, t, params, symbols, check) for t in tree[1:]]
+    if None in kids:
+        return None
+    values = [x for x, _ in kids]
+    exprs = [e for _, e in kids]
+    if not any(isinstance(x, Scalar) for x in values):
+        values[0] = Scalar.of(params, values[0])
+    divisor = exprs[-1] if kind in ("/", "inv") else None
+    if divisor is not None and sympy.cancel(divisor) == 0:
+        with pytest.raises((DivisionByZero, ZeroDivisionError)):
+            _OPS[kind](*values)
+        return None
+    out = _OPS[kind](*values)
+    expr = 1 / exprs[0] if kind == "inv" else _OPS[kind](*exprs)
+    check(out, expr)
+    return out, expr
+
+
+def _assert_canonical(x, constant_valued):
+    """x is in canonical form: the constant form when its value is a
+    constant, else c*P/Q with integer coefficients, P and Q primitive and
+    coprime (sympy decides), positive leading coefficients and not both 1;
+    num and den are integer polynomials that rebuild x."""
+    sympy = pytest.importorskip("sympy")
+    for p in (x.num, x.den):
+        assert p.params == x.params
+        assert all(type(v) is int and v for v in p.terms.values())
+    assert x.is_constant() == constant_valued
+    if x.is_constant():
+        v = x.value
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+        assert Scalar(x.num, x.den) == x
+        return
+    c, P, Q = x._parts
+    assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
+    assert not (P.is_one() and Q.is_one())
+    for p in (P, Q):
+        assert p.params == x.params and p.terms
+        assert all(type(v) is int and v for v in p.terms.values())
+        assert math.gcd(*p.terms.values()) == 1
+        assert p.leading()[1] > 0
+    symbols = sympy.symbols(x.params) if x.params else ()
+
+    def to_sympy(p):
+        return sum(
+            (v * sympy.Mul(*(s**k for s, k in zip(symbols, e))) for e, v in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    assert sympy.gcd(to_sympy(P), to_sympy(Q)).is_number
+    assert Scalar(x.num, x.den) == x and hash(Scalar(x.num, x.den)) == hash(x)
+
+
+def test_every_operation_keeps_the_canonical_layout():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    contexts = st.sampled_from([("a",), ("a", "b"), ("a", "b", "c", "d")])
+
+    def check(x, expr):
+        assert isinstance(x, Scalar)
+        _assert_canonical(x, not sympy.cancel(expr).free_symbols)
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(case=contexts.flatmap(lambda p: st.tuples(st.just(p), _trees(st, p, factors=True))))
+    def run(case):
+        params, tree = case
+        symbols = {name: sympy.Symbol(name) for name in params}
+        _build(sympy, tree, params, symbols, check)
+
+    run()
 
 
 def test_arithmetic_agrees_with_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    ops = {
-        "+": lambda x, y: x + y,
-        "-": lambda x, y: x - y,
-        "*": lambda x, y: x * y,
-        "/": lambda x, y: x / y,
-    }
 
     def agree(x, expr, params, symbols):
         assert isinstance(x, Scalar)
@@ -449,41 +551,66 @@ def test_arithmetic_agrees_with_sympy_cancel():
         assert x.is_constant() and x == constant and hash(x) == hash(constant)
         assert type(x.as_fraction()) is Fraction and x.as_fraction() == q
         assert type(x.value) is (int if q.denominator == 1 else Fraction)
-        assert x.den.is_one() and x.num == Polynomial.constant(params, q)
+        # the integer pair of the constant
+        assert (x.num, x.den) == (
+            Polynomial.constant(params, q.numerator),
+            Polynomial.constant(params, q.denominator),
+        )
 
-    def build(tree, params, symbols):
-        """(value, sympy expression), or None after a division by zero."""
-        kind = tree[0]
-        if kind == "p":
-            return Scalar.param(params, tree[1]), symbols[tree[1]]
-        if kind in ("c", "n"):
-            v = Fraction(tree[1])
-            s = Scalar.of(params, v) if kind == "c" else tree[1]
-            return s, sympy.Rational(v.numerator, v.denominator)
-        left, right = build(tree[1], params, symbols), build(tree[2], params, symbols)
-        if left is None or right is None:
-            return None
-        (x, ex), (y, ey) = left, right
-        if not isinstance(x, Scalar) and not isinstance(y, Scalar):
-            x = Scalar.of(params, x)
-        if tree[0] == "/" and sympy.cancel(ey) == 0:
-            with pytest.raises(DivisionByZero):
-                ops["/"](x, y)
-            return None
-        out, expr = ops[tree[0]](x, y), ops[tree[0]](ex, ey)
-        agree(out, expr, params, symbols)
-        return out, expr
+    contexts = st.sampled_from([(), ("a", "b"), ("a", "b", "c", "d")])
 
-    contexts = st.sampled_from([(), ("a", "b")])
-
-    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @hypothesis.given(case=contexts.flatmap(lambda p: st.tuples(st.just(p), _trees(st, p))))
     def check(case):
         params, tree = case
         symbols = {name: sympy.Symbol(name) for name in params}
-        build(tree, params, symbols)
+        _build(sympy, tree, params, symbols, lambda x, e: agree(x, e, params, symbols))
 
     check()
+
+
+def _fraction_calls(fn):
+    """Names of the functions of the fractions module that run inside fn()."""
+    import fractions
+
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            seen.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_polynomial_arithmetic_and_gcd_run_no_fraction_code():
+    xy = ("x", "y")
+    f = parse_scalar("(x + y)*(x - 2*y + 1)*(x^2 + y)", xy).num
+    g = parse_scalar("(x + y)*(y^2 - 3*x)", xy).num
+    h = parse_scalar("(x - 3)^4*(x + 2)^3", xy).num
+    a = parse_scalar("(2*x^2 - 3*y)/(6*x*y + 4)", xy)
+    b = parse_scalar("(3/4*x + 1/6)/(x - y)", xy)
+    c = Scalar.of(xy, Fraction(-5, 6))
+
+    def polynomial_work():
+        assert poly_gcd(f, g) == parse_scalar("x + y", xy).num
+        assert poly_gcd(f * h, g * h) == parse_scalar("(x + y)*(x - 3)^4*(x + 2)^3", xy).num
+        assert poly_divexact(f * g, g) == f
+        assert ((f + g) * (f - g) - (f * f - g * g)).is_zero()
+        assert (-f).scale(3) == f.scale(-3)
+
+    def scalar_work():
+        x = (a + b) * (a - b) / (b * c + a)
+        y = (x - c).inverse() * a * a - b / c
+        assert (y - y).is_zero() and (x / x).is_one()
+        assert (a * c + c * b - c * (a + b)).is_zero()
+
+    assert _fraction_calls(polynomial_work) == set()
+    assert _fraction_calls(scalar_work) == set()
 
 
 def test_integer_literal_above_the_digit_limit_is_a_located_parse_error():
