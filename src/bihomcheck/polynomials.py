@@ -140,11 +140,13 @@ def _poly(params, terms):
     return p
 
 
-# the polynomial 1 of each parameter context, shared like interned scalars
+# the polynomial 1 of each parameter context; polynomials are immutable, so
+# sharing it is safe
 _ONES = {}
 
 
 def _one(params):
+    """The polynomial 1 in the context ``params``."""
     p = _ONES.get(params)
     if p is None:
         p = _ONES[params] = _poly(params, {(0,) * len(params): 1})
@@ -271,7 +273,7 @@ def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     divides it over Z."""
     if g.is_zero():
         raise DivisionByZero("polynomial division by zero")
-    if f.is_zero():
+    if f.is_zero() or g.is_one():
         return f
     quot = {}
     if len(g.terms) == 1:

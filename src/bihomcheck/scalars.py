@@ -1,4 +1,4 @@
-"""Exact coefficient arithmetic: Q, sparse polynomials over Z, and the fraction field Q(params).
+"""Exact coefficient arithmetic: Q and the fraction field Q(params).
 
 Every identity the checkers decide is a polynomial identity in the declared
 parameters, so the coefficient domain is the fraction field of Q[params],
@@ -27,13 +27,13 @@ the pair needs no second gcd. So constant arithmetic runs no ``Fraction``
 constructor or arithmetic operator, and the values still compare, hash and
 print exactly as ``Fraction``s do.
 
-Polynomial arithmetic runs on ints only, and content is taken in one place,
-``_split``. Negation, scaling by a constant and the inverse touch only c
-(the inverse also swaps P and Q). A product of primitive polynomials is
-primitive (Gauss's lemma), so a product of rational functions needs no
-content pass: it cancels with the cross gcds gcd(P1, Q2) and gcd(P2, Q1),
-as Knuth's rational multiply does. A sum cancels only through the gcd of
-the two denominators.
+Polynomial arithmetic (``polynomials``) runs on ints only, and content is
+taken in one place, ``polynomials._split``. Negation, scaling by a constant
+and the inverse touch only c (the inverse also swaps P and Q). A product of
+primitive polynomials is primitive (Gauss's lemma), so a product of
+rational functions needs no content pass: it cancels with the cross gcds
+gcd(P1, Q2) and gcd(P2, Q1), as Knuth's rational multiply does. A sum
+cancels only through the gcd of the two denominators.
 """
 
 from __future__ import annotations
@@ -218,33 +218,21 @@ def _sum(params, c1, P1, Q1, c2, P2, Q2):
     """c1*P1/Q1 + c2*P2/Q2 (Knuth's rational add). Over g = gcd(Q1, Q2),
     with Q1 = g*s and Q2 = g*t, the sum is (c1*P1*t + c2*P2*s)/(g*s*t), and
     only a factor of g can cancel from it."""
-    m, n, d = _cofactors(c1, c2)
+    one = _one(params)
     if Q1 == Q2:
-        part = _combine(params, m, P1, n, P2, d)
-        if part is None:
-            return Scalar.of(params, 0)
-        c, P = part
-        Q = Q1
-        if not Q.is_one():
-            g = poly_gcd(P, Q)
-            if not g.is_one():
-                P, Q = poly_divexact(P, g), poly_divexact(Q, g)
-        return _ratfunc(params, c, P, Q)
-    g = None if Q1.is_one() or Q2.is_one() else poly_gcd(Q1, Q2)
-    if g is None or g.is_one():
-        # coprime denominators: nothing cancels, and Q1*Q2 is not 1
-        part = _combine(params, m, P1 * Q2, n, P2 * Q1, d)
-        if part is None:
-            return Scalar.of(params, 0)
-        return _fraction(params, *part, Q1 * Q2)
-    s, t = poly_divexact(Q1, g), poly_divexact(Q2, g)
+        g, s, t = Q1, one, one
+    else:
+        g = one if Q1.is_one() or Q2.is_one() else poly_gcd(Q1, Q2)
+        s, t = poly_divexact(Q1, g), poly_divexact(Q2, g)
+    m, n, d = _cofactors(c1, c2)
     part = _combine(params, m, P1 * t, n, P2 * s, d)
     if part is None:
         return Scalar.of(params, 0)
     c, P = part
-    h = poly_gcd(P, g)
-    if not h.is_one():
-        P, Q2 = poly_divexact(P, h), poly_divexact(Q2, h)
+    if not g.is_one():
+        h = poly_gcd(P, g)
+        if not h.is_one():
+            P, Q2 = poly_divexact(P, h), poly_divexact(Q2, h)
     return _ratfunc(params, c, P, s * Q2)
 
 
@@ -275,9 +263,9 @@ class Scalar:
     otherwise. Any other scalar has ``value`` None and is c*P/Q (see the
     module docstring), held as ``_parts`` = (c, P, Q): P and Q are coprime
     primitive integer polynomials with positive graded-lex leading
-    coefficients, not both 1, and c is a nonzero canonical constant. Every construction puts a
-    constant-valued result into constant form, so ``==`` and ``hash`` are
-    structural.
+    coefficients, not both 1, and c is a nonzero canonical constant. Every
+    construction puts a constant-valued result into constant form, so ``==``
+    and ``hash`` are structural.
 
     ``num`` and ``den`` are readable on every scalar: with c = a/b in lowest
     terms they are the integer polynomials a*P and b*Q (a and b for a

@@ -103,7 +103,7 @@ def test_poly_gcd_basics():
 
 def test_poly_gcd_keeps_pseudo_remainders_primitive():
     # coprime powers: unless each pseudo-remainder is divided by its
-    # rational content, the coefficients grow exponentially along the
+    # integer content, the coefficients grow exponentially along the
     # sequence and this gcd takes seconds
     a = Polynomial.variable(("a",), "a")
     f, g = a + Polynomial.constant(("a",), 2), a + Polynomial.constant(("a",), 3)
@@ -515,18 +515,39 @@ def test_every_operation_keeps_the_canonical_layout():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    contexts = st.sampled_from([("a",), ("a", "b"), ("a", "b", "c", "d")])
+    # one tree strategy per context, built once
+    trees = {p: _trees(st, p, factors=True) for p in [("a",), ("a", "b"), ("a", "b", "c", "d")]}
 
     def check(x, expr):
         assert isinstance(x, Scalar)
         _assert_canonical(x, not sympy.cancel(expr).free_symbols)
 
-    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(case=contexts.flatmap(lambda p: st.tuples(st.just(p), _trees(st, p, factors=True))))
+    def undone(x, ex, y, ey):
+        """Each operation with y, then its inverse: the results are
+        canonical and the inverse gives x back. Undoing makes factors
+        cancel, the work that reduction has to get right."""
+        steps = [("+", "-"), ("-", "+")]
+        if not y.is_zero():
+            steps += [("*", "/"), ("/", "*")]
+        for op, back in steps:
+            there = _OPS[op](x, y)
+            check(there, _OPS[op](ex, ey))
+            again = _OPS[back](there, y)
+            _assert_canonical(again, x.is_constant())
+            assert again == x and hash(again) == hash(x)
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        case=st.sampled_from(sorted(trees)).flatmap(lambda p: st.tuples(st.just(p), trees[p], trees[p]))
+    )
     def run(case):
-        params, tree = case
+        params, left, right = case
         symbols = {name: sympy.Symbol(name) for name in params}
-        _build(sympy, tree, params, symbols, check)
+        built = [_build(sympy, t, params, symbols, check) for t in (left, right)]
+        if None not in built:
+            (x, ex), (y, ey) = built
+            # a leaf may be a bare int or Fraction
+            undone(Scalar.of(params, 0) + x, ex, Scalar.of(params, 0) + y, ey)
 
     run()
 
@@ -557,10 +578,10 @@ def test_arithmetic_agrees_with_sympy_cancel():
             Polynomial.constant(params, q.denominator),
         )
 
-    contexts = st.sampled_from([(), ("a", "b"), ("a", "b", "c", "d")])
+    trees = {p: _trees(st, p) for p in [(), ("a", "b"), ("a", "b", "c", "d")]}
 
     @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(case=contexts.flatmap(lambda p: st.tuples(st.just(p), _trees(st, p))))
+    @hypothesis.given(case=st.sampled_from(sorted(trees)).flatmap(lambda p: st.tuples(st.just(p), trees[p])))
     def check(case):
         params, tree = case
         symbols = {name: sympy.Symbol(name) for name in params}
