@@ -513,12 +513,12 @@ class Scalar:
 
         def remap(p):
             out = {}
-            for e, c in p.terms.items():
+            for e, v in p.terms.items():
                 ne = [0] * len(new_params)
                 for i, k in enumerate(e):
                     if k:
                         ne[idx[p.params[i]]] = k
-                out[tuple(ne)] = c
+                out[tuple(ne)] = v
             return _poly(new_params, out)
 
         # the graded-lex order follows the parameter order, so the sign of

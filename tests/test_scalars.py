@@ -237,6 +237,12 @@ def test_reparametrize():
     assert w.params == ("a", "b")
     with pytest.raises(UnboundParameter):
         v.reparametrize(("c",))
+    # the graded-lex order follows the parameter order, so a leading
+    # coefficient can change sign; the moved value stays canonical
+    v = sc("-3/(2*a - 4*b)", ("a", "b"))
+    w = v.reparametrize(("b", "a"))
+    assert str(w) == "3/2/(2*b - a)"
+    assert w == parse_scalar(str(w), ("b", "a")) and w.reparametrize(("a", "b")) == v
 
 
 def test_exponent_above_the_limit_is_refused_at_the_exponent():
