@@ -47,7 +47,6 @@ from .errors import DenominatorVanishes, DivisionByZero, ParseError, UnboundPara
 from .polynomials import (
     Polynomial,
     _grlex_key,
-    _lc,
     _lincomb,
     _one,
     _poly,
@@ -524,9 +523,9 @@ class Scalar:
         # the graded-lex order follows the parameter order, so the sign of
         # a leading coefficient may change
         P, Q = remap(P), remap(Q)
-        if _lc(P.terms) < 0:
+        if P.leading()[1] < 0:
             c, P = _qneg(c), -P
-        if _lc(Q.terms) < 0:
+        if Q.leading()[1] < 0:
             c, Q = _qneg(c), -Q
         return _fraction(new_params, c, P, Q)
 
