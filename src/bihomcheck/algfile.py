@@ -7,24 +7,26 @@ objects, each carrying an H-action, a mult or bracket tensor as sparse
 twist maps for the twist construction, a published reference bracket for
 informational diffs). Parsing either returns a fully validated model or
 raises with every located finding; it never returns a partial object. The
-model holds each tensor only as the structure matrix its triples sum to
-(``linalg.triples_matrix``), and the printer reads its entries back.
+model holds every scalar, parsed once: each tensor as the structure matrix
+its triples sum to (``linalg.triples_matrix``), and the raw Hopf section
+also as parsed, with a ``Scalar`` in each cell, since its rows print in
+input order. ``--set`` (``substitute_file``) maps the model.
 
-The printer emits a canonical form (fixed key order, sorted triples,
+The printer emits a canonical form (fixed key order, sorted object triples,
 canonical scalar strings), and parse-then-print is the identity on it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .bihom import BiHomAlgebra, BiHomLie
 from .errors import NotAGroup, ParseError, ValidationError, quoted
 from .hmod import HModule, ModuleMap
 from .hopf import HopfAlgebra, RMatrix, group_algebra
 from .linalg import Matrix, tensor_matrix, triples_matrix
-from .scalars import MAX_INT_DIGITS, parse_scalar, too_long_to_print
+from .scalars import MAX_INT_DIGITS, Scalar, parse_scalar, too_long_to_print
 
 FORMAT = "bihom-algebra-file/1"
 
@@ -127,46 +129,41 @@ def _parse_scalar_at(text, params, path, findings):
         return None
 
 
+def _parse_cells(cells, params, path, findings):
+    """Parse every cell of the list ``cells`` and write its Scalar back in
+    place; True when all of them parse."""
+    ok = True
+    for i, cell in enumerate(cells):
+        cells[i] = _parse_scalar_at(cell, params, f"{path}[{i}]", findings)
+        ok = ok and cells[i] is not None
+    return ok
+
+
 def _parse_matrix(data, dim_rows, dim_cols, params, path, findings):
     if not isinstance(data, list) or len(data) != dim_rows:
         findings.add(path, f"expected {dim_rows} rows")
         return None
-    rows = []
     ok = True
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != dim_cols:
             findings.add(f"{path}[{i}]", f"expected {dim_cols} entries")
             ok = False
-            continue
-        out = []
-        for j, cell in enumerate(row):
-            s = _parse_scalar_at(cell, params, f"{path}[{i}][{j}]", findings)
-            if s is None:
-                ok = False
-            out.append(s)
-        rows.append(out)
-    if not ok:
-        return None
-    return Matrix.from_rows(rows, params)
+        elif not _parse_cells(row, params, f"{path}[{i}]", findings):
+            ok = False
+    return Matrix.from_rows(data, params) if ok else None
 
 
 def _parse_vector(data, dim, params, path, findings):
     if not isinstance(data, list) or len(data) != dim:
         findings.add(path, f"expected a vector of length {dim}")
         return None
-    out = []
-    ok = True
-    for i, cell in enumerate(data):
-        s = _parse_scalar_at(cell, params, f"{path}[{i}]", findings)
-        if s is None:
-            ok = False
-        out.append(s)
-    return out if ok else None
+    return data if _parse_cells(data, params, path, findings) else None
 
 
 def _parse_triples(data, dim, params, path, findings, coproduct=False):
     """Sparse rank-3 tensor rows (i, j, k, scalar), summed into the
-    structure matrix of a product (of a coproduct when ``coproduct``)."""
+    structure matrix of a product (of a coproduct when ``coproduct``); each
+    parsed Scalar is written back into its row."""
     triples = []
     if not isinstance(data, list):
         findings.add(path, "expected a list of (i, j, k, scalar) rows")
@@ -184,7 +181,7 @@ def _parse_triples(data, dim, params, path, findings, coproduct=False):
             )
             ok = False
             continue
-        s = _parse_scalar_at(cell, params, f"{path}[{n}][3]", findings)
+        s = row[3] = _parse_scalar_at(cell, params, f"{path}[{n}][3]", findings)
         if s is None:
             ok = False
             continue
@@ -308,27 +305,18 @@ def _build_object(name, data, hopf, params, findings):
     alpha = _parse_matrix(data["alpha"], dim, dim, params, f"{path}.alpha", findings)
     beta = _parse_matrix(data["beta"], dim, dim, params, f"{path}.beta", findings)
 
-    unit = None
-    if data.get("unit") is not None:
-        unit = _parse_vector(data["unit"], dim, params, f"{path}.unit", findings)
+    def optional(key, parse, *shape):
+        value = data.get(key)
+        return None if value is None else parse(value, *shape, params, f"{path}.{key}", findings)
+
+    unit = optional("unit", _parse_vector, dim)
     multiplicative = data.get("multiplicative", True)
     if not isinstance(multiplicative, bool):
         findings.add(f"{path}.multiplicative", "expected true or false")
         multiplicative = True
-    twist_alpha = twist_beta = None
-    if data.get("twist_alpha") is not None:
-        twist_alpha = _parse_matrix(
-            data["twist_alpha"], dim, dim, params, f"{path}.twist_alpha", findings
-        )
-    if data.get("twist_beta") is not None:
-        twist_beta = _parse_matrix(
-            data["twist_beta"], dim, dim, params, f"{path}.twist_beta", findings
-        )
-    reference = None
-    if data.get("reference_bracket") is not None:
-        reference = _parse_triples(
-            data["reference_bracket"], dim, params, f"{path}.reference_bracket", findings
-        )
+    twist_alpha = optional("twist_alpha", _parse_matrix, dim, dim)
+    twist_beta = optional("twist_beta", _parse_matrix, dim, dim)
+    reference = optional("reference_bracket", _parse_triples, dim)
     if action is None or None in (tensor, alpha, beta):
         return None
     module = HModule(hopf, basis, action)
@@ -448,53 +436,69 @@ def _object_json(o: AlgebraObject):
     return out
 
 
+# the keys _build_hopf reads, in printed order
+_HOPF_KEYS = {
+    "group": ("names", "table", "identity"),
+    "raw": ("names", "mult", "comult", "unit", "counit", "antipode"),
+}
+
+
 def print_algebra_file(f: AlgebraFile) -> str:
+    ((kind, body),) = f.hopf_spec.items()
     doc = {
         "format": FORMAT,
         "name": f.name,
         "parameters": list(f.parameters),
-        "hopf": f.hopf_spec,
+        "hopf": {kind: {k: body[k] for k in _HOPF_KEYS[kind] if body.get(k) is not None}},
         "rmatrix": _matrix_rows(f.rmatrix.coefficients),
         "objects": {name: _object_json(obj) for name, obj in sorted(f.objects.items())},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    # the raw Hopf section holds parsed Scalars, printed canonically
+    return json.dumps(doc, indent=2, default=str) + "\n"
 
 
 def substitute_file(f: AlgebraFile, bindings) -> AlgebraFile:
-    """Apply a full parameter substitution to every scalar in the file.
+    """The file at a point: ``Scalar.substitute`` mapped over every scalar
+    of the model, the raw Hopf section included.
 
     Binding names must be declared parameters; every parameter occurring
     anywhere in the file must be bound (UnboundParameter otherwise), and
-    bindings may not hit a pole (DenominatorVanishes)."""
+    bindings may not hit a pole (DenominatorVanishes) or make a number too
+    long to print (ValidationError)."""
     unknown = sorted(set(bindings) - set(f.parameters))
     if unknown:
         raise ValidationError([f"--set: unknown parameter names {unknown}"])
-    text = print_algebra_file(f)
-    new = json.loads(text)
-    remaining = [p for p in f.parameters if p not in bindings]
+    params = tuple(p for p in f.parameters if p not in bindings)
 
-    def sub_scalar(s):
-        v = parse_scalar(str(s), f.parameters).substitute(bindings)
+    def sub(s):
+        v = s.substitute(bindings)
         if too_long_to_print(v):
             raise ValidationError(
-                [f"--set: {quoted(s)} becomes a number of more than {MAX_INT_DIGITS} digits"]
+                [f"--set: {quoted(str(s))} becomes a number of more than {MAX_INT_DIGITS} digits"]
             )
-        return str(v.reparametrize(tuple(remaining)))
+        return v.reparametrize(params)
 
-    fields = ("format", "name", "parameters", "basis", "names")
-
-    def walk(node, in_scalar_position, named=False):
-        # the keys of the action and objects maps are names, not fields
-        if isinstance(node, dict) and named:
-            return {k: walk(v, True) for k, v in node.items()}
+    def walk(node):
+        if isinstance(node, Scalar):
+            return sub(node)
+        if isinstance(node, Matrix):
+            return node.map(sub, params)
+        if isinstance(node, HModule):
+            # over the substituted Hopf algebra, which is built first
+            return HModule(hopf, node.basis_names, walk(node.action))
         if isinstance(node, dict):
-            return {k: walk(v, k not in fields, k in ("action", "objects")) for k, v in node.items()}
+            return {k: walk(v) for k, v in node.items()}
         if isinstance(node, list):
-            return [walk(v, in_scalar_position) for v in node]
-        if isinstance(node, str) and in_scalar_position:
-            return sub_scalar(node)
+            return [walk(v) for v in node]
         return node
 
-    new = walk(new, False)
-    new["parameters"] = remaining
-    return parse_algebra_file(json.dumps(new))
+    # the sections in printed order, so a finding names the first one that fails
+    hopf_spec = walk(f.hopf_spec)
+    h = f.hopf
+    hopf = HopfAlgebra(h.basis_names, *map(walk, (h.M, h.unit, h.C, h.counit, h.antipode)), params)
+    rmatrix = RMatrix(walk(f.rmatrix.coefficients))
+    objects = {
+        name: replace(o, **{x.name: walk(getattr(o, x.name)) for x in fields(o)})
+        for name, o in sorted(f.objects.items())
+    }
+    return AlgebraFile(f.name, params, hopf_spec, hopf, rmatrix, objects)

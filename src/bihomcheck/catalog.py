@@ -68,10 +68,6 @@ def _sign_action_module(hopf, basis_names, signs) -> HModule:
     return HModule(hopf, basis_names, [ident, gmat])
 
 
-def _tensor3(dim, zero):
-    return [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-
-
 def example24_algebra() -> BiHomAlgebra:
     """Two-dimensional BiHom-associative algebra over kZ2 with parameter b:
     x1 x1 = x1, x1 x2 = b x2, x2 x1 = -x2, x2 x2 = 0; alpha = diag(1,-1),
@@ -82,10 +78,7 @@ def example24_algebra() -> BiHomAlgebra:
     zero = sc(params, 0)
     one = sc(params, 1)
     b = Scalar.param(params, "b")
-    mult = _tensor3(2, zero)
-    mult[0][0][0] = one
-    mult[0][1][1] = b
-    mult[1][0][1] = -one
+    mult = triples_matrix([(0, 0, 0, one), (0, 1, 1, b), (1, 0, 1, -one)], 2, params)
     alpha = ModuleMap(module, module, diagonal(params, [one, -one]))
     beta = ModuleMap(module, module, diagonal(params, [one, b]))
     return BiHomAlgebra(module, mult, alpha, beta, unit=[one, zero])
@@ -106,12 +99,12 @@ def matrix_algebra_2x2() -> BiHomAlgebra:
     module = HModule(hopf, names, [Matrix.identity(4, params)])
     zero = sc(params, 0)
     one = sc(params, 1)
-    mult = _tensor3(4, zero)
     pos = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    for (i, j), a in pos.items():
-        for (k, l), b in pos.items():
-            if j == k:
-                mult[a][b][pos[(i, l)]] = one
+    # E_ij E_kl = E_il when j = k
+    triples = [
+        (a, b, pos[i, l], one) for (i, j), a in pos.items() for (k, l), b in pos.items() if j == k
+    ]
+    mult = triples_matrix(triples, 4, params)
     ident = ModuleMap.identity(module)
     return BiHomAlgebra(module, mult, ident, ident, unit=[one, zero, zero, one])
 
@@ -130,10 +123,7 @@ def heisenberg_assoc(params=HEISENBERG_PARAMS) -> BiHomAlgebra:
     see the check_module tests for the as-printed variant.
     """
     module = heisenberg_module(params)
-    zero = sc(params, 0)
-    one = sc(params, 1)
-    mult = _tensor3(3, zero)
-    mult[0][1][2] = one
+    mult = triples_matrix([(0, 1, 2, sc(params, 1))], 3, params)
     ident = ModuleMap.identity(module)
     return BiHomAlgebra(module, mult, ident, ident)
 
@@ -145,11 +135,8 @@ def heisenberg_lie(params=HEISENBERG_PARAMS, module=None) -> BiHomLie:
     ``heisenberg_module(params)``."""
     if module is None:
         module = heisenberg_module(params)
-    zero = sc(module.params, 0)
     one = sc(module.params, 1)
-    bracket = _tensor3(3, zero)
-    bracket[0][1][2] = one
-    bracket[1][0][2] = one
+    bracket = triples_matrix([(0, 1, 2, one), (1, 0, 2, one)], 3, module.params)
     ident = ModuleMap.identity(module)
     return BiHomLie(module, bracket, ident, ident, r_triangular_kz2(module.params))
 
@@ -168,10 +155,8 @@ def twisted_heisenberg(params=HEISENBERG_PARAMS) -> BiHomLie:
     """[x1,x2]' = l1 l2p x3, [x2,x1]' = l1p l2 x3, all other brackets zero."""
     base = heisenberg_lie(params)
     alpha, beta = heisenberg_twist_maps(base.module)
-    zero = sc(params, 0)
-    bracket = _tensor3(3, zero)
-    bracket[0][1][2] = Scalar.param(params, "l1") * Scalar.param(params, "l2p")
-    bracket[1][0][2] = Scalar.param(params, "l1p") * Scalar.param(params, "l2")
+    l1, l2, l1p, l2p = (Scalar.param(params, n) for n in HEISENBERG_PARAMS)
+    bracket = triples_matrix([(0, 1, 2, l1 * l2p), (1, 0, 2, l1p * l2)], 3, params)
     return BiHomLie(base.module, bracket, alpha, beta, base.rmatrix)
 
 
@@ -180,12 +165,9 @@ def cross_product_lie() -> BiHomLie:
     params = ()
     hopf = trivial_hopf(params)
     module = HModule(hopf, ["e1", "e2", "e3"], [Matrix.identity(3, params)])
-    zero = sc(params, 0)
-    one = sc(params, 1)
-    bracket = _tensor3(3, zero)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        bracket[i][j][k] = one
-        bracket[j][i][k] = -one
+    # [e_i, e_j] = c e_k for each (i, j, k, c)
+    signs = ((0, 1, 2, 1), (0, 2, 1, -1), (1, 0, 2, -1), (1, 2, 0, 1), (2, 0, 1, 1), (2, 1, 0, -1))
+    bracket = triples_matrix([(i, j, k, sc(params, c)) for i, j, k, c in signs], 3, params)
     ident = ModuleMap.identity(module)
     return BiHomLie(module, bracket, ident, ident, trivial_rmatrix(hopf))
 

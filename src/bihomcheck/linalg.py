@@ -178,6 +178,12 @@ class Matrix:
         data = [row_times(arow, odata) for arow in self.data]
         return Matrix.from_dicts(self.rows, other.cols, data, self.params)
 
+    def map(self, f, params):
+        """The matrix of f(x) for every stored entry x, over ``params``; f
+        must send zero to zero, and entries it sends to zero are dropped."""
+        data = [{c: y for c, x in row.items() if not (y := f(x)).is_zero()} for row in self.data]
+        return Matrix.from_dicts(self.rows, self.cols, data, params)
+
     def transpose(self):
         data = [{} for _ in range(self.cols)]
         for r, row in enumerate(self.data):

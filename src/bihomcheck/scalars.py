@@ -485,9 +485,9 @@ class Scalar:
         Raises UnboundParameter if an occurring parameter is missing from
         ``bindings`` and DenominatorVanishes if the binding hits a pole.
         """
-        values = {k: Fraction(v) for k, v in bindings.items()}
         if self.value is not None:
             return self
+        values = {k: Fraction(v) for k, v in bindings.items()}
         c, P, Q = self._parts
         for name in sorted(P.occurring() | Q.occurring()):
             if name not in values:

@@ -175,6 +175,44 @@ def test_raw_hopf_spec_round_trip():
     assert print_algebra_file(parse_algebra_file(text)) == text
 
 
+def test_hopf_section_prints_canonically():
+    # non-canonical cells, out-of-order keys and triples, and keys the
+    # parser does not read
+    raw = {
+        "colour": "red",
+        "antipode": [["2/2", 0], [0, "t-t+1"]],
+        "counit": [1, "(t+1)/(t+1)"],
+        "unit": ["1", "0*t"],
+        "comult": [[1, 1, 1, "2-1"], [0, 0, 0, 1]],
+        "mult": [[1, 1, 0, "1"], [0, 0, 0, "3/3"], [1, 0, 1, "1"], [0, 1, 1, "1"]],
+        "names": ["e", "g"],
+    }
+    doc = {
+        "format": "bihom-algebra-file/1",
+        "name": "raw-kz2",
+        "parameters": ["t"],
+        "hopf": {"raw": raw},
+        "rmatrix": [["1", "0"], ["0", "0"]],
+        "objects": {},
+    }
+    text = print_algebra_file(parse_algebra_file(json.dumps(doc)))
+    assert json.loads(text)["hopf"] == {
+        "raw": {
+            "names": ["e", "g"],
+            "mult": [[1, 1, 0, "1"], [0, 0, 0, "1"], [1, 0, 1, "1"], [0, 1, 1, "1"]],
+            "comult": [[1, 1, 1, "1"], [0, 0, 0, "1"]],
+            "unit": ["1", "0"],
+            "counit": ["1", "1"],
+            "antipode": [["1", "0"], ["0", "1"]],
+        }
+    }
+    assert print_algebra_file(parse_algebra_file(text)) == text
+    doc["hopf"] = {"group": {"identity": 0, "colour": "red", "table": [[0, 1], [1, 0]]}}
+    text = print_algebra_file(parse_algebra_file(json.dumps(doc)))
+    assert list(json.loads(text)["hopf"]["group"]) == ["table", "identity"]
+    assert print_algebra_file(parse_algebra_file(text)) == text
+
+
 def test_wrong_format_marker_is_rejected():
     doc = example24_doc()
     doc["format"] = "something-else/9"
