@@ -32,8 +32,9 @@ from functools import cached_property
 from .errors import DimensionMismatch, NotAGroup, NotInvertible, Singular
 from .linalg import (
     Matrix,
-    _add_kron_row,
     _add_scaled,
+    _kernel_row,
+    _scalar_row,
     flip,
     hstack,
     kron,
@@ -85,11 +86,12 @@ class HopfAlgebra:
         the right when ``right``) and x_i = sum_b x[i][b] e_b the i-th row
         of x, this is the sum over i of kron(L_i, L_{x_i}). Every L_b is read
         off the columns of M (column i*d + j is e_i e_j), and the Kronecker
-        rows are accumulated in place; no d^4-wide operator is formed."""
+        rows are accumulated in place; no d^4-wide operator is formed. They
+        hold kernel values (see ``linalg``) until the operator is returned."""
         d = self.dim
         ops = [[{} for _ in range(d)] for _ in range(d)]
         for k, mrow in enumerate(self.M.data):
-            for c, v in mrow.items():
+            for c, v in _kernel_row(mrow).items():
                 i, j = divmod(c, d)
                 # e_i e_j is column i of R_{e_j} and column j of L_{e_i}
                 if right:
@@ -101,15 +103,17 @@ class HopfAlgebra:
             if not xrow:
                 continue
             xi = [{} for _ in range(d)]
-            for b, f in xrow.items():
+            for b, f in _kernel_row(xrow).items():
                 for xr, orow in zip(xi, ops[b]):
                     _add_scaled(xr, f, orow)
             for k, lrow in enumerate(ops[i]):
                 if lrow:
                     for l, xr in enumerate(xi):
                         if xr:
-                            _add_kron_row(out[k * d + l], lrow, xr, d)
-        return Matrix.from_dicts(d * d, d * d, out, self.params)
+                            for j, v in lrow.items():
+                                _add_scaled(out[k * d + l], v, xr, j * d)
+        data = [_scalar_row(self.params, r) for r in out]
+        return Matrix.from_dicts(d * d, d * d, data, self.params)
 
 
 class RMatrix:

@@ -11,14 +11,24 @@ and no Kronecker operator is formed. Exact arithmetic makes the order in
 which entries are summed irrelevant to the result. Subspaces are kept in
 reduced row echelon form so that equality of ideals is equality of
 matrices.
+
+Elimination and the Hopf product operators run on *kernel values*, as
+FLINT's exact kernels run on integers: a constant is its canonical ``int``
+or ``Fraction`` (``Scalar.value``), only a non-constant stays a Scalar, and
+two ints add and multiply inline. One Scalar is made per entry that leaves
+a kernel: a row kept by ``Echelon.add``, the results of ``rref``,
+``solve``, ``kernel`` and ``Subspace.span``, and the operator of
+``HopfAlgebra.tensor_square_mult``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import prod
+from operator import add, mul
 
 from .errors import AmbientMismatch, DimensionMismatch, Singular
-from .scalars import Scalar
+from .scalars import Scalar, _const, _qadd, _qinv, _qmul
 
 
 class Matrix:
@@ -40,12 +50,8 @@ class Matrix:
             if not entries:
                 raise ValueError("parameter context required for empty matrices")
             params = entries[0].params
-        data = []
-        for r in range(rows):
-            base = r * cols
-            data.append(
-                {c: x for c, x in enumerate(entries[base : base + cols]) if not x.is_zero()}
-            )
+        data = [{c: x for c, x in enumerate(entries[r * cols : (r + 1) * cols]) if not x.is_zero()}
+                for r in range(rows)]
         self._set(rows, cols, data, params)
 
     def _set(self, rows, cols, data, params):
@@ -83,10 +89,7 @@ class Matrix:
 
     @property
     def entries(self):
-        out = []
-        for r in range(self.rows):
-            out.extend(self.row(r))
-        return out
+        return [x for r in range(self.rows) for x in self.row(r)]
 
     def at(self, r, c) -> Scalar:
         return self.data[r].get(c, self._zero)
@@ -135,7 +138,14 @@ class Matrix:
         data = []
         for a, b in zip(self.data, other.data):
             row = dict(a)
-            _add_scaled(row, None, b)
+            for k, y in b.items():
+                v = row.get(k)
+                if v is None:
+                    row[k] = y
+                elif (v := v + y).is_zero():
+                    del row[k]
+                else:
+                    row[k] = v
             data.append(row)
         return Matrix.from_dicts(self.rows, self.cols, data, self.params)
 
@@ -203,26 +213,49 @@ def row_times(row: dict, odata, after=1, cols=0) -> dict:
     index instead: column left*n*after + i*after + right, for n the rows of
     m, goes to left*cols*after + c*after + right for each column c of row i.
     A product with a factor equal to one is the other factor, so permutations
-    cost no scalar multiplication; zeros are filtered only if two terms met."""
+    cost no scalar multiplication; other terms and sums are kernel values,
+    so one Scalar is made per entry of the result."""
     out = {}
     terms = 0
+    raw = False
     width, out_width = len(odata) * after, cols * after
     for key, a in row.items():
-        left, rest = divmod(key, width)
-        i, right = divmod(rest, after)
-        base = left * out_width + right
-        # is_one never compares a Fraction; the test per term below stays inline
-        unit = a.is_one()
+        if after == 1 and key < width:
+            # a plain product reads the row straight from the column index
+            i, base = key, 0
+        else:
+            left, rest = divmod(key, width)
+            i, right = divmod(rest, after)
+            base = left * out_width + right
+        # only an int can be 1, so no Fraction is ever compared
+        av = a.value
+        unit = type(av) is int and av == 1
         orow = odata[i]
         terms += len(orow)
         for c, b in orow.items():
-            t = b if unit else a if b.value == 1 else a * b
+            if unit:
+                t = b
+            elif type(bv := b.value) is int and bv == 1:
+                t = a
+            else:
+                raw = True
+                t = av * bv if type(av) is int and type(bv) is int else _kmul(a, b)
             k = base + c * after
             s = out.get(k)
-            out[k] = t if s is None else s + t
-    if terms == len(out):
+            if s is None:
+                out[k] = t
+                continue
+            # a unit term is a Scalar; its constant value adds inline
+            if type(s) is Scalar and (v := s.value) is not None:
+                s = v
+            if type(t) is Scalar and (v := t.value) is not None:
+                t = v
+            out[k] = s + t if type(s) is int and type(t) is int else _kadd(s, t)
+    if terms == len(out) and not raw:
         return out
-    return {k: x for k, x in out.items() if not x.is_zero()}
+    params = a.params
+    return {k: x if type(x) is Scalar else _const(params, x)
+            for k, x in out.items() if type(x) is not int or x}
 
 
 def kron_apply(x: Matrix, factors) -> Matrix:
@@ -248,37 +281,60 @@ def kron_apply(x: Matrix, factors) -> Matrix:
     return Matrix.from_dicts(x.rows, cols, data, x.params)
 
 
-def _add_scaled(target: dict, f, src: dict):
-    """target += f * src in place (f None means 1), dropping entries that cancel."""
+def _kernel_row(row: dict) -> dict:
+    """The kernel values of a sparse row of Scalars, in a new dict."""
+    return {k: x if (v := x.value) is None else v for k, x in row.items()}
+
+
+def _scalar_row(params, row: dict) -> dict:
+    """The Scalars of a kernel row: one new Scalar per constant entry."""
+    return {k: x if type(x) is Scalar else _const(params, x) for k, x in row.items()}
+
+
+def _kop(op, qop, a, b):
+    """op(a, b) as a kernel value, for kernel values or Scalars a and b: qop
+    for two constants not both ints, the Scalar operator for a non-constant."""
+    if type(a) is Scalar and (v := a.value) is not None:
+        a = v
+    if type(b) is Scalar and (v := b.value) is not None:
+        b = v
+    if type(a) is not Scalar and type(b) is not Scalar:
+        return op(a, b) if type(a) is int and type(b) is int else qop(a, b)
+    p = (a if type(a) is Scalar else b).params
+    s = op(a if type(a) is Scalar else _const(p, a), b if type(b) is Scalar else _const(p, b))
+    return s if (v := s.value) is None else v
+
+
+_kadd = partial(_kop, add, _qadd)
+_kmul = partial(_kop, mul, _qmul)
+_kneg = partial(_kmul, -1)
+
+
+def _add_scaled(target: dict, f, src: dict, off=0):
+    """target[off + k] += f * src[k] in place, for kernel rows and a kernel
+    value f, dropping entries that cancel. Only an int kernel value is zero."""
+    fint = type(f) is int
     for k, y in src.items():
-        t = y if f is None else f * y
+        t = f * y if fint and type(y) is int else _kmul(f, y)
+        k += off
         v = target.get(k)
         if v is None:
             target[k] = t
         else:
-            v = v + t
-            if v.is_zero():
+            v = v + t if type(v) is int and type(t) is int else _kadd(v, t)
+            if type(v) is int and not v:
                 del target[k]
             else:
                 target[k] = v
 
 
-def _add_kron_row(target: dict, arow: dict, brow: dict, bcols):
-    """target += the row of kron(a, b) made of rows ``arow`` of a and
-    ``brow`` of b (b having ``bcols`` columns), in place."""
-    for j, x in arow.items():
-        off = j * bcols
-        for l, y in brow.items():
-            t = x * y
-            v = target.get(off + l)
-            if v is None:
-                target[off + l] = t
-            else:
-                v = v + t
-                if v.is_zero():
-                    del target[off + l]
-                else:
-                    target[off + l] = v
+def _monic(row: dict, c) -> dict:
+    """The kernel row scaled to 1 at its column c."""
+    p = row[c]
+    if type(p) is int and p == 1:
+        return row
+    inv = p.inverse() if type(p) is Scalar else _qinv(p)
+    return {k: _kmul(x, inv) for k, x in row.items()}
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -329,9 +385,10 @@ def triples_matrix(triples, dim, params, coproduct=False) -> Matrix:
     coproduct of e_i) the dim^2 x dim matrix with it at (j*dim + k, i)."""
     data = [{} for _ in range(dim * dim if coproduct else dim)]
     for i, j, k, x in triples:
-        if not x.is_zero():
-            r, c = (j * dim + k, i) if coproduct else (k, i * dim + j)
-            _add_scaled(data[r], None, {c: x})
+        r, c = (j * dim + k, i) if coproduct else (k, i * dim + j)
+        v = data[r].get(c)
+        data[r][c] = x if v is None else v + x
+    data = [{c: x for c, x in row.items() if not x.is_zero()} for row in data]
     return Matrix.from_dicts(len(data), dim if coproduct else dim * dim, data, params)
 
 
@@ -364,27 +421,34 @@ def nested_tensor(m: Matrix, coproduct=False) -> list:
     return [[m.col(i * d + j) for j in range(d)] for i in range(d)]
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form over the fraction field; returns (rref, rank)."""
-    rows = [dict(r) for r in m.data]
+def _reduce(rows: list) -> int:
+    """Gauss-Jordan elimination of kernel rows in place, to reduced row
+    echelon form; returns the rank."""
+    n = len(rows)
     pivot_row = 0
-    while pivot_row < m.rows:
+    while pivot_row < n:
         # the next pivot column is the smallest column still occupied below
         c = min((min(r) for r in rows[pivot_row:] if r), default=None)
         if c is None:
             break
-        pr = next(r for r in range(pivot_row, m.rows) if c in rows[r])
+        pr = next(r for r in range(pivot_row, n) if c in rows[r])
         rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        inv = rows[pivot_row][c].inverse()
-        prow = {k: x * inv for k, x in rows[pivot_row].items()}
-        rows[pivot_row] = prow
-        for r in range(m.rows):
+        prow = rows[pivot_row] = _monic(rows[pivot_row], c)
+        for r in range(n):
             if r != pivot_row:
                 f = rows[r].get(c)
                 if f is not None:
-                    _add_scaled(rows[r], -f, prow)
+                    _add_scaled(rows[r], _kneg(f), prow)
         pivot_row += 1
-    return Matrix.from_dicts(m.rows, m.cols, rows, m.params), pivot_row
+    return pivot_row
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form over the fraction field; returns (rref, rank)."""
+    rows = [_kernel_row(r) for r in m.data]
+    rank = _reduce(rows)
+    data = [_scalar_row(m.params, r) for r in rows]
+    return Matrix.from_dicts(m.rows, m.cols, data, m.params), rank
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix:
@@ -392,19 +456,14 @@ def solve(m: Matrix, b: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("solve with a non-square matrix")
     n = m.rows
-    aug = Matrix.from_dicts(
-        n,
-        n + b.cols,
-        [{**row, **{n + k: x for k, x in brow.items()}} for row, brow in zip(m.data, b.data)],
-        m.params,
-    )
-    red, _ = rref(aug)
+    rows = [_kernel_row({**row, **{n + k: x for k, x in brow.items()}})
+            for row, brow in zip(m.data, b.data)]
+    _reduce(rows)
     data = []
-    for i, row in enumerate(red.data):
-        left = [k for k in row if k < n]
-        if left != [i] or not row[i].is_one():
+    for i, row in enumerate(rows):
+        if [k for k in row if k < n] != [i]:
             raise Singular("matrix is singular")
-        data.append({k - n: x for k, x in row.items() if k >= n})
+        data.append(_scalar_row(m.params, {k - n: x for k, x in row.items() if k >= n}))
     return Matrix.from_dicts(n, b.cols, data, m.params)
 
 
@@ -417,10 +476,10 @@ class Echelon:
     """A subspace of k^dim built one vector at a time, in echelon form.
 
     ``pivots`` maps the pivot column of each row held to that row, in the
-    order the rows were added. A row is 1 at its own pivot column and zero
-    at the pivot column of every row added before it, so clearing the pivot
-    columns in that order reduces a vector against all of them. Only the
-    new vector is eliminated, never the rows already held.
+    order the rows were added, as kernel values. A row is 1 at its own pivot
+    column and zero at the pivot column of every row added before it, so
+    clearing the pivot columns in that order reduces a vector against all
+    of them. Only the new vector is eliminated, never the rows already held.
     """
 
     __slots__ = ("dim", "params", "pivots")
@@ -437,50 +496,36 @@ class Echelon:
     def add(self, row):
         """Reduce the sparse row ``row`` (read, not changed) against the
         rows held. A nonzero remainder is scaled to a leading 1, kept and
-        returned; a vector already in the span gives None."""
-        residual = dict(row)
+        returned as Scalars; a vector already in the span gives None."""
+        residual = _kernel_row(row)
         for c, prow in self.pivots.items():
             f = residual.get(c)
             if f is not None:
-                _add_scaled(residual, -f, prow)
+                _add_scaled(residual, _kneg(f), prow)
                 if not residual:
                     return None
         if not residual:
             return None
         c = min(residual)
-        inv = residual[c].inverse()
-        prow = {k: x * inv for k, x in residual.items()}
-        self.pivots[c] = prow
-        return prow
+        prow = self.pivots[c] = _monic(residual, c)
+        return _scalar_row(self.params, prow)
 
     def subspace(self) -> "Subspace":
         """The span as a Subspace; only the rows held are put in RREF."""
         if self.full:
             return Subspace.full_space(self.dim, self.params)
-        rows = list(self.pivots.values())
-        red, _ = rref(Matrix.from_dicts(len(rows), self.dim, rows, self.params))
-        return Subspace(self.dim, red)
+        return Subspace._of_rows(self.dim, [dict(r) for r in self.pivots.values()], self.params)
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Null space {v : m v = 0} as an RREF subspace of dimension cols - rank."""
-    red, rank = rref(m)
-    one = Scalar.of(m.params, 1)
-    basis = {}
-    pivots = set()
-    for row in red.data[:rank]:
-        pc = min(row)
-        pivots.add(pc)
-        for fc, x in row.items():
-            if fc != pc:
-                basis.setdefault(fc, {})[pc] = -x
-    vecs = []
-    for fc in range(m.cols):
-        if fc not in pivots:
-            v = basis.get(fc, {})
-            v[fc] = one
-            vecs.append(v)
-    return Subspace.span(m.cols, vecs, m.params)
+    rows = [_kernel_row(r) for r in m.data]
+    rank = _reduce(rows)
+    pivots = {min(row): row for row in rows[:rank]}
+    # one vector per free column: 1 there, and minus that column at each pivot
+    vecs = [{**{pc: _kneg(row[fc]) for pc, row in pivots.items() if fc in row}, fc: 1}
+            for fc in range(m.cols) if fc not in pivots]
+    return Subspace._of_rows(m.cols, vecs, m.params)
 
 
 class Subspace:
@@ -522,6 +567,13 @@ class Subspace:
         return span.subspace()
 
     @classmethod
+    def _of_rows(cls, ambient_dim, rows, params):
+        """The span of independent kernel rows, which are put in RREF in place."""
+        _reduce(rows)
+        data = [_scalar_row(params, r) for r in rows]
+        return cls(ambient_dim, Matrix.from_dicts(len(rows), ambient_dim, data, params))
+
+    @classmethod
     def zero_space(cls, ambient_dim, params=()):
         return cls(ambient_dim, Matrix.zero(0, ambient_dim, params))
 
@@ -559,15 +611,15 @@ class Subspace:
     def _coordinates(self, row):
         """Coordinates ``{basis row: Scalar}`` of a sparse vector in this
         basis, or None if it lies outside."""
-        residual = dict(row)
+        residual = _kernel_row(row)
         coords = {}
         for i, brow in enumerate(self.basis.data):
             # the RREF pivot column of a basis row is zero in every other row
             coeff = residual.get(min(brow))
             if coeff is not None:
                 coords[i] = coeff
-                _add_scaled(residual, -coeff, brow)
-        return None if residual else coords
+                _add_scaled(residual, _kneg(coeff), _kernel_row(brow))
+        return None if residual else _scalar_row(self.params, coords)
 
     def coordinates(self, rows: Matrix):
         """The coordinates of each row of ``rows`` in this basis, as the rows
