@@ -305,8 +305,7 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
     (H, R) once; the passing report is kept as ``validation``.
     """
     m = l.module
-    ident = Matrix.identity(m.dim, l.params)
-    if l.alpha.matrix != ident or l.beta.matrix != ident:
+    if not (l.alpha.matrix.is_identity() and l.beta.matrix.is_identity()):
         raise ConstructionError("twist input must be a generalized Lie algebra with identity maps")
     B = l.structure_matrix()
     for label, mm in (("alpha", alpha), ("beta", beta)):

@@ -33,8 +33,6 @@ from .errors import DimensionMismatch, NotAGroup, NotInvertible, Singular
 from .linalg import (
     Matrix,
     _add_scaled,
-    _kernel_row,
-    _scalar_row,
     flip,
     hstack,
     kron,
@@ -86,12 +84,13 @@ class HopfAlgebra:
         the right when ``right``) and x_i = sum_b x[i][b] e_b the i-th row
         of x, this is the sum over i of kron(L_i, L_{x_i}). Every L_b is read
         off the columns of M (column i*d + j is e_i e_j), and the Kronecker
-        rows are accumulated in place; no d^4-wide operator is formed. They
-        hold kernel values (see ``linalg``) until the operator is returned."""
+        rows are accumulated in place on the kernel values of M and x (see
+        ``linalg``), and taken over as the operator's rows; no d^4-wide
+        operator is formed and no Scalar is made."""
         d = self.dim
         ops = [[{} for _ in range(d)] for _ in range(d)]
         for k, mrow in enumerate(self.M.data):
-            for c, v in _kernel_row(mrow).items():
+            for c, v in mrow.items():
                 i, j = divmod(c, d)
                 # e_i e_j is column i of R_{e_j} and column j of L_{e_i}
                 if right:
@@ -103,7 +102,7 @@ class HopfAlgebra:
             if not xrow:
                 continue
             xi = [{} for _ in range(d)]
-            for b, f in _kernel_row(xrow).items():
+            for b, f in xrow.items():
                 for xr, orow in zip(xi, ops[b]):
                     _add_scaled(xr, f, orow)
             for k, lrow in enumerate(ops[i]):
@@ -112,8 +111,7 @@ class HopfAlgebra:
                         if xr:
                             for j, v in lrow.items():
                                 _add_scaled(out[k * d + l], v, xr, j * d)
-        data = [_scalar_row(self.params, r) for r in out]
-        return Matrix.from_dicts(d * d, d * d, data, self.params)
+        return Matrix.from_dicts(d * d, d * d, out, self.params)
 
 
 class RMatrix:
@@ -197,7 +195,7 @@ def group_algebra(cayley, identity, names=None, params=()) -> HopfAlgebra:
     # the coproduct of g is g (x) g
     comult = triples_matrix([(i, i, i, one) for i in range(n)], n, params, coproduct=True)
     unit = [one if i == identity else zero for i in range(n)]
-    antipode = Matrix.from_dicts(n, n, [{inverse[i]: one} for i in range(n)], params)
+    antipode = Matrix.from_dicts(n, n, [{inverse[i]: 1} for i in range(n)], params)
     return HopfAlgebra(names, mult, unit, comult, [one] * n, antipode, params)
 
 

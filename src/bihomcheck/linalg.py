@@ -1,7 +1,7 @@
 """Sparse exact linear algebra over the scalar fraction field.
 
 A matrix stores its nonzero entries only: row ``r`` is a ``{column:
-Scalar}`` dict, and no stored entry is ever zero. Structure maps on tensor
+value}`` dict, and no stored entry is ever zero. Structure maps on tensor
 powers (braidings, tensor-factor permutations) are mostly zero, so every
 operation here, products and Gauss-Jordan elimination included, costs in
 proportion to the stored nonzeros rather than to rows x cols. A map
@@ -12,32 +12,47 @@ which entries are summed irrelevant to the result. Subspaces are kept in
 reduced row echelon form so that equality of ideals is equality of
 matrices.
 
-Elimination and the Hopf product operators run on *kernel values*, as
-FLINT's exact kernels run on integers: a constant is its canonical ``int``
-or ``Fraction`` (``Scalar.value``), only a non-constant stays a Scalar, and
-two ints add and multiply inline. One Scalar is made per entry that leaves
-a kernel: a row kept by ``Echelon.add``, the results of ``rref``,
-``solve``, ``kernel`` and ``Subspace.span``, and the operator of
-``HopfAlgebra.tensor_square_mult``.
+Entries are stored as *kernel values*, as FLINT's exact kernels run on
+integers: a constant is its canonical ``int`` or ``Fraction``
+(``Scalar.value``), and only a non-constant stays a Scalar. Two ints add
+and multiply inline; any other pair goes through ``_kadd``/``_kmul``. The
+constructors unwrap Scalars, and a Scalar is made only where an entry is
+read through ``at``, ``row``, ``col``, ``entries``, ``row_list`` or the
+printed form.
+
+``Echelon`` keeps an all-constant row as a primitive integer row (content
+1, positive pivot): a vector has its denominators cleared on entry and is
+reduced fraction-free, r <- (p/g) r - (f/g) row for the pivot p of a held
+row and g = gcd(p, f), as in Bareiss (1968) and FLINT's ``fmpz_mat``, so a
+span of rational vectors is spun on ints only.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
-from math import prod
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .errors import AmbientMismatch, DimensionMismatch, Singular
 from .scalars import Scalar, _const, _qadd, _qinv, _qmul
 
 
+def _kval(x: Scalar):
+    """The kernel value of a Scalar: its constant value, or x itself."""
+    return x if (v := x.value) is None else v
+
+
 class Matrix:
-    """Sparse row-major matrix of Scalars.
+    """Sparse row-major matrix over the fraction field.
 
     ``data[r]`` maps each column holding a nonzero entry of row ``r`` to
-    that entry; absent columns are zero. ``entries`` is the dense row-major
-    list, built on demand. ``at``, ``row`` and ``col`` fill the gaps with
-    the one shared zero scalar of the parameter context.
+    that entry as a kernel value (see the module docstring); absent columns
+    are zero. ``Matrix(...)`` and ``from_rows`` take Scalars and unwrap
+    them, and ``from_dicts`` takes kernel rows as they are. ``at``, ``row``,
+    ``col`` and ``entries`` (the dense row-major list, built on demand) make
+    a Scalar of each entry they return and fill the gaps with the one
+    shared zero scalar of the parameter context.
     """
 
     __slots__ = ("rows", "cols", "data", "params", "_zero")
@@ -50,8 +65,8 @@ class Matrix:
             if not entries:
                 raise ValueError("parameter context required for empty matrices")
             params = entries[0].params
-        data = [{c: x for c, x in enumerate(entries[r * cols : (r + 1) * cols]) if not x.is_zero()}
-                for r in range(rows)]
+        data = [{c: _kval(x) for c, x in enumerate(entries[r * cols : (r + 1) * cols])
+                 if not x.is_zero()} for r in range(rows)]
         self._set(rows, cols, data, params)
 
     def _set(self, rows, cols, data, params):
@@ -63,8 +78,8 @@ class Matrix:
 
     @classmethod
     def from_dicts(cls, rows, cols, data, params):
-        """Matrix over row dicts ``{column: Scalar}`` that hold nonzero
-        entries only; the dicts are taken over, not copied."""
+        """Matrix over row dicts ``{column: kernel value}`` that hold
+        nonzero entries only; the dicts are taken over, not copied."""
         m = object.__new__(cls)
         m._set(rows, cols, data, params)
         return m
@@ -80,24 +95,30 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, params=()):
-        one = Scalar.of(params, 1)
-        return cls.from_dicts(n, n, [{i: one} for i in range(n)], params)
+        return cls.from_dicts(n, n, [{i: 1} for i in range(n)], params)
 
     @classmethod
     def zero(cls, rows, cols, params=()):
         return cls.from_dicts(rows, cols, [{} for _ in range(rows)], params)
+
+    def _scalar(self, x) -> Scalar:
+        """The Scalar of a kernel value; an int one is the shared one."""
+        if type(x) is int:
+            return Scalar.of(self.params, x)
+        return x if type(x) is Scalar else _const(self.params, x)
 
     @property
     def entries(self):
         return [x for r in range(self.rows) for x in self.row(r)]
 
     def at(self, r, c) -> Scalar:
-        return self.data[r].get(c, self._zero)
+        x = self.data[r].get(c)
+        return self._zero if x is None else self._scalar(x)
 
     def row(self, r):
         out = [self._zero] * self.cols
         for c, x in self.data[r].items():
-            out[c] = x
+            out[c] = self._scalar(x)
         return out
 
     def row_list(self):
@@ -105,7 +126,7 @@ class Matrix:
 
     def col(self, c):
         zero = self._zero
-        return [row.get(c, zero) for row in self.data]
+        return [zero if (x := row.get(c)) is None else self._scalar(x) for row in self.data]
 
     def first_nonzero_column(self):
         """Smallest column holding a nonzero entry, or None for the zero matrix."""
@@ -114,6 +135,14 @@ class Matrix:
     def nonzero_columns(self):
         """Sorted columns holding a nonzero entry."""
         return sorted({c for row in self.data for c in row})
+
+    def is_identity(self):
+        """True for a square matrix with 1 on the diagonal and no other
+        entry; only an int can be 1, so no Fraction is compared."""
+        return self.rows == self.cols and all(
+            len(row) == 1 and type(x := row.get(r)) is int and x == 1
+            for r, row in enumerate(self.data)
+        )
 
     def __eq__(self, other):
         return (
@@ -129,56 +158,39 @@ class Matrix:
     def is_zero(self):
         return not any(self.data)
 
-    def _check_shape(self, other):
+    def _plus(self, other, f):
+        """self + f * other, row by row: an entry on both sides costs one sum."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        data = []
+        for a, b in zip(self.data, other.data):
+            row = dict(a)
+            _add_scaled(row, f, b)
+            data.append(row)
+        return Matrix.from_dicts(self.rows, self.cols, data, self.params)
 
     def __add__(self, other):
-        self._check_shape(other)
-        data = []
-        for a, b in zip(self.data, other.data):
-            row = dict(a)
-            for k, y in b.items():
-                v = row.get(k)
-                if v is None:
-                    row[k] = y
-                elif (v := v + y).is_zero():
-                    del row[k]
-                else:
-                    row[k] = v
-            data.append(row)
-        return Matrix.from_dicts(self.rows, self.cols, data, self.params)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        # row by row, so an entry on both sides costs one subtraction
-        self._check_shape(other)
-        data = []
-        for a, b in zip(self.data, other.data):
-            row = dict(a)
-            for k, y in b.items():
-                v = row.get(k)
-                if v is None:
-                    row[k] = -y
-                elif (v := v - y).is_zero():
-                    del row[k]
-                else:
-                    row[k] = v
-            data.append(row)
-        return Matrix.from_dicts(self.rows, self.cols, data, self.params)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return Matrix.from_dicts(
             self.rows, self.cols,
-            [{c: -x for c, x in row.items()} for row in self.data], self.params,
+            [{c: _kneg(x) for c, x in row.items()} for row in self.data], self.params,
         )
 
-    def scale(self, c: Scalar):
-        if c.is_zero():
+    def scale(self, c):
+        """c times the matrix, for a Scalar or a kernel value c."""
+        if type(c) is Scalar:
+            c = _kval(c)
+        if type(c) is int and not c:
             return Matrix.zero(self.rows, self.cols, self.params)
         # the fraction field has no zero divisors: c * x stays nonzero
         return Matrix.from_dicts(
             self.rows, self.cols,
-            [{k: c * x for k, x in row.items()} for row in self.data], self.params,
+            [{k: _kmul(c, x) for k, x in row.items()} for row in self.data], self.params,
         )
 
     def __matmul__(self, other):
@@ -189,9 +201,11 @@ class Matrix:
         return Matrix.from_dicts(self.rows, other.cols, data, self.params)
 
     def map(self, f, params):
-        """The matrix of f(x) for every stored entry x, over ``params``; f
-        must send zero to zero, and entries it sends to zero are dropped."""
-        data = [{c: y for c, x in row.items() if not (y := f(x)).is_zero()} for row in self.data]
+        """The matrix of f(x) for every stored entry x, read as a Scalar,
+        over ``params``; f must send zero to zero, and entries it sends to
+        zero are dropped."""
+        data = [{c: _kval(y) for c, x in row.items() if not (y := f(self._scalar(x))).is_zero()}
+                for row in self.data]
         return Matrix.from_dicts(self.rows, self.cols, data, params)
 
     def transpose(self):
@@ -207,17 +221,17 @@ class Matrix:
 
 
 def row_times(row: dict, odata, after=1, cols=0) -> dict:
-    """The sparse row ``row @ m``, for ``odata`` the rows ``m.data`` of m.
+    """The sparse kernel row ``row @ m``, for ``odata`` the rows ``m.data``
+    of m.
 
     With ``after`` > 1, m (``cols`` columns) acts on one slot of the column
     index instead: column left*n*after + i*after + right, for n the rows of
     m, goes to left*cols*after + c*after + right for each column c of row i.
     A product with a factor equal to one is the other factor, so permutations
-    cost no scalar multiplication; other terms and sums are kernel values,
-    so one Scalar is made per entry of the result."""
+    cost no scalar multiplication; only an int can be 1, so no Fraction is
+    ever compared."""
     out = {}
     terms = 0
-    raw = False
     width, out_width = len(odata) * after, cols * after
     for key, a in row.items():
         if after == 1 and key < width:
@@ -227,35 +241,25 @@ def row_times(row: dict, odata, after=1, cols=0) -> dict:
             left, rest = divmod(key, width)
             i, right = divmod(rest, after)
             base = left * out_width + right
-        # only an int can be 1, so no Fraction is ever compared
-        av = a.value
-        unit = type(av) is int and av == 1
+        aint = type(a) is int
+        unit = aint and a == 1
         orow = odata[i]
         terms += len(orow)
         for c, b in orow.items():
-            if unit:
-                t = b
-            elif type(bv := b.value) is int and bv == 1:
-                t = a
+            if type(b) is int:
+                t = a * b if aint else a if b == 1 else _kmul(a, b)
             else:
-                raw = True
-                t = av * bv if type(av) is int and type(bv) is int else _kmul(a, b)
+                t = b if unit else _kmul(a, b)
             k = base + c * after
             s = out.get(k)
             if s is None:
                 out[k] = t
-                continue
-            # a unit term is a Scalar; its constant value adds inline
-            if type(s) is Scalar and (v := s.value) is not None:
-                s = v
-            if type(t) is Scalar and (v := t.value) is not None:
-                t = v
-            out[k] = s + t if type(s) is int and type(t) is int else _kadd(s, t)
-    if terms == len(out) and not raw:
+            else:
+                out[k] = s + t if type(s) is int and type(t) is int else _kadd(s, t)
+    # the fraction field has no zero divisors: only a sum can be zero
+    if terms == len(out):
         return out
-    params = a.params
-    return {k: x if type(x) is Scalar else _const(params, x)
-            for k, x in out.items() if type(x) is not int or x}
+    return {k: x for k, x in out.items() if type(x) is not int or x}
 
 
 def kron_apply(x: Matrix, factors) -> Matrix:
@@ -274,30 +278,17 @@ def kron_apply(x: Matrix, factors) -> Matrix:
     data, cols, after = x.data, x.cols, x.cols
     for f, n in zip(factors, sizes):
         after //= n
-        if isinstance(f, int) or f == Matrix.identity(n, f.params):
+        if isinstance(f, int) or f.is_identity():
             continue
         data = [row_times(row, f.data, after, f.cols) for row in data]
         cols = cols // n * f.cols
     return Matrix.from_dicts(x.rows, cols, data, x.params)
 
 
-def _kernel_row(row: dict) -> dict:
-    """The kernel values of a sparse row of Scalars, in a new dict."""
-    return {k: x if (v := x.value) is None else v for k, x in row.items()}
-
-
-def _scalar_row(params, row: dict) -> dict:
-    """The Scalars of a kernel row: one new Scalar per constant entry."""
-    return {k: x if type(x) is Scalar else _const(params, x) for k, x in row.items()}
-
-
 def _kop(op, qop, a, b):
-    """op(a, b) as a kernel value, for kernel values or Scalars a and b: qop
-    for two constants not both ints, the Scalar operator for a non-constant."""
-    if type(a) is Scalar and (v := a.value) is not None:
-        a = v
-    if type(b) is Scalar and (v := b.value) is not None:
-        b = v
+    """op(a, b) as a kernel value, for kernel values a and b: op itself for
+    two ints, qop for two other constants, the Scalar operator for a
+    non-constant."""
     if type(a) is not Scalar and type(b) is not Scalar:
         return op(a, b) if type(a) is int and type(b) is int else qop(a, b)
     p = (a if type(a) is Scalar else b).params
@@ -328,6 +319,27 @@ def _add_scaled(target: dict, f, src: dict, off=0):
                 target[k] = v
 
 
+def _add_ints(target: dict, f: int, src: dict):
+    """target[k] += f * src[k] in place, for int rows and an int f."""
+    for k, y in src.items():
+        if v := target.get(k, 0) + f * y:
+            target[k] = v
+        else:
+            del target[k]
+
+
+def _integral(row: dict):
+    """(r, True) for r the row times the least common denominator of its
+    entries, as ints, or (a copy of the row, False) when an entry is not
+    constant."""
+    kinds = set(map(type, row.values()))
+    if Scalar in kinds or Fraction not in kinds:
+        return dict(row), Scalar not in kinds
+    m = lcm(*(x._denominator for x in row.values() if type(x) is Fraction))
+    return {k: x * m if type(x) is int else x._numerator * (m // x._denominator)
+            for k, x in row.items()}, True
+
+
 def _monic(row: dict, c) -> dict:
     """The kernel row scaled to 1 at its column c."""
     p = row[c]
@@ -347,7 +359,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             for j, x in arow.items():
                 off = j * bcols
                 for l, y in brow.items():
-                    row[off + l] = x * y
+                    row[off + l] = x * y if type(x) is int and type(y) is int else _kmul(x, y)
             data.append(row)
     return Matrix.from_dicts(a.rows * b.rows, a.cols * bcols, data, a.params)
 
@@ -371,9 +383,8 @@ def vstack(blocks) -> Matrix:
 
 def flip(m, n, params) -> Matrix:
     """The factor swap e_a (x) e_b -> e_b (x) e_a from k^m (x) k^n to k^n (x) k^m."""
-    one = Scalar.of(params, 1)
     return Matrix.from_dicts(
-        n * m, m * n, [{a * n + b: one} for b in range(n) for a in range(m)], params
+        n * m, m * n, [{a * n + b: 1} for b in range(n) for a in range(m)], params
     )
 
 
@@ -388,7 +399,7 @@ def triples_matrix(triples, dim, params, coproduct=False) -> Matrix:
         r, c = (j * dim + k, i) if coproduct else (k, i * dim + j)
         v = data[r].get(c)
         data[r][c] = x if v is None else v + x
-    data = [{c: x for c, x in row.items() if not x.is_zero()} for row in data]
+    data = [{c: _kval(x) for c, x in row.items() if not x.is_zero()} for row in data]
     return Matrix.from_dicts(len(data), dim if coproduct else dim * dim, data, params)
 
 
@@ -445,10 +456,9 @@ def _reduce(rows: list) -> int:
 
 def rref(m: Matrix):
     """Reduced row echelon form over the fraction field; returns (rref, rank)."""
-    rows = [_kernel_row(r) for r in m.data]
+    rows = [dict(r) for r in m.data]
     rank = _reduce(rows)
-    data = [_scalar_row(m.params, r) for r in rows]
-    return Matrix.from_dicts(m.rows, m.cols, data, m.params), rank
+    return Matrix.from_dicts(m.rows, m.cols, rows, m.params), rank
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix:
@@ -456,14 +466,13 @@ def solve(m: Matrix, b: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("solve with a non-square matrix")
     n = m.rows
-    rows = [_kernel_row({**row, **{n + k: x for k, x in brow.items()}})
-            for row, brow in zip(m.data, b.data)]
+    rows = [{**row, **{n + k: x for k, x in brow.items()}} for row, brow in zip(m.data, b.data)]
     _reduce(rows)
     data = []
     for i, row in enumerate(rows):
         if [k for k in row if k < n] != [i]:
             raise Singular("matrix is singular")
-        data.append(_scalar_row(m.params, {k - n: x for k, x in row.items() if k >= n}))
+        data.append({k - n: x for k, x in row.items() if k >= n})
     return Matrix.from_dicts(n, b.cols, data, m.params)
 
 
@@ -475,11 +484,19 @@ def invert(m: Matrix) -> Matrix:
 class Echelon:
     """A subspace of k^dim built one vector at a time, in echelon form.
 
-    ``pivots`` maps the pivot column of each row held to that row, in the
-    order the rows were added, as kernel values. A row is 1 at its own pivot
-    column and zero at the pivot column of every row added before it, so
-    clearing the pivot columns in that order reduces a vector against all
-    of them. Only the new vector is eliminated, never the rows already held.
+    ``pivots`` maps the pivot column of each row held to (row, integral),
+    in the order the rows were added; rows hold kernel values. A row is
+    nonzero at its own pivot column and zero at the pivot column of every
+    row added before it, so clearing the pivot columns in that order
+    reduces a vector against all of them. Only the new vector is
+    eliminated, never the rows already held.
+
+    A vector whose entries are all constant has its denominators cleared on
+    entry. Against an integral row of pivot p, an integer vector r that is f
+    at the pivot column becomes (p/g) r - (f/g) row with g = gcd(p, f), so
+    it stays integral, and it is kept as a primitive integer row (content
+    1, positive pivot). Any other row (one with a non-constant entry, or
+    reduced against such a row) is kept scaled to 1 at its pivot.
     """
 
     __slots__ = ("dim", "params", "pivots")
@@ -494,32 +511,46 @@ class Echelon:
         return len(self.pivots) == self.dim
 
     def add(self, row):
-        """Reduce the sparse row ``row`` (read, not changed) against the
-        rows held. A nonzero remainder is scaled to a leading 1, kept and
-        returned as Scalars; a vector already in the span gives None."""
-        residual = _kernel_row(row)
-        for c, prow in self.pivots.items():
+        """Reduce the sparse kernel row ``row`` (read, not changed) against
+        the rows held. A nonzero remainder is kept and returned, as a
+        primitive integer row or a row with a leading 1 (see the class
+        docstring); a vector already in the span gives None."""
+        residual, integral = _integral(row)
+        for c, (prow, whole) in self.pivots.items():
             f = residual.get(c)
-            if f is not None:
-                _add_scaled(residual, _kneg(f), prow)
-                if not residual:
-                    return None
+            if f is None:
+                continue
+            p = prow[c]
+            if integral and whole:
+                g = gcd(p, f)
+                if p != g:
+                    residual = {k: p // g * x for k, x in residual.items()}
+                _add_ints(residual, -f // g, prow)
+            else:
+                _add_scaled(residual, _kmul(f, _qinv(-p)), prow)
+                integral = False
         if not residual:
             return None
         c = min(residual)
-        prow = self.pivots[c] = _monic(residual, c)
-        return _scalar_row(self.params, prow)
+        if integral:
+            g = gcd(*residual.values()) if residual[c] > 0 else -gcd(*residual.values())
+            if g != 1:
+                residual = {k: x // g for k, x in residual.items()}
+        else:
+            residual = _monic(residual, c)
+        self.pivots[c] = (residual, integral)
+        return residual
 
     def subspace(self) -> "Subspace":
         """The span as a Subspace; only the rows held are put in RREF."""
         if self.full:
             return Subspace.full_space(self.dim, self.params)
-        return Subspace._of_rows(self.dim, [dict(r) for r in self.pivots.values()], self.params)
+        return Subspace._of_rows(self.dim, [dict(r) for r, _ in self.pivots.values()], self.params)
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Null space {v : m v = 0} as an RREF subspace of dimension cols - rank."""
-    rows = [_kernel_row(r) for r in m.data]
+    rows = [dict(r) for r in m.data]
     rank = _reduce(rows)
     pivots = {min(row): row for row in rows[:rank]}
     # one vector per free column: 1 there, and minus that column at each pivot
@@ -552,8 +583,8 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim, vecs, params):
-        """Span of sparse vectors given as ``{column: Scalar}`` dicts holding
-        nonzero entries only; the dicts are read, not changed.
+        """Span of sparse vectors given as kernel rows ``{column: value}``
+        holding nonzero entries only; the dicts are read, not changed.
 
         The vectors go into one ``Echelon`` one at a time, and the rest are
         not read once the rank reaches ``ambient_dim``. Only the independent
@@ -570,8 +601,7 @@ class Subspace:
     def _of_rows(cls, ambient_dim, rows, params):
         """The span of independent kernel rows, which are put in RREF in place."""
         _reduce(rows)
-        data = [_scalar_row(params, r) for r in rows]
-        return cls(ambient_dim, Matrix.from_dicts(len(rows), ambient_dim, data, params))
+        return cls(ambient_dim, Matrix.from_dicts(len(rows), ambient_dim, rows, params))
 
     @classmethod
     def zero_space(cls, ambient_dim, params=()):
@@ -609,17 +639,17 @@ class Subspace:
         return Subspace.span(self.ambient_dim, self.basis.data + other.basis.data, self.params)
 
     def _coordinates(self, row):
-        """Coordinates ``{basis row: Scalar}`` of a sparse vector in this
-        basis, or None if it lies outside."""
-        residual = _kernel_row(row)
+        """Coordinates ``{basis row: kernel value}`` of a sparse kernel row
+        in this basis, or None if it lies outside."""
+        residual = dict(row)
         coords = {}
         for i, brow in enumerate(self.basis.data):
             # the RREF pivot column of a basis row is zero in every other row
             coeff = residual.get(min(brow))
             if coeff is not None:
                 coords[i] = coeff
-                _add_scaled(residual, _kneg(coeff), _kernel_row(brow))
-        return None if residual else _scalar_row(self.params, coords)
+                _add_scaled(residual, _kneg(coeff), brow)
+        return None if residual else coords
 
     def coordinates(self, rows: Matrix):
         """The coordinates of each row of ``rows`` in this basis, as the rows

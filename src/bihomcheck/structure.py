@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .bihom import BiHomAlgebra, BiHomLie
 from .errors import AmbientMismatch
 from .linalg import Echelon, Matrix, Subspace, hstack, kernel, row_times
-from .scalars import Scalar
 
 SERIES_ZERO = "terminates-at-zero"
 SERIES_STABLE = "stabilizes-nonzero"
@@ -175,8 +174,7 @@ def ideal_closure(x, seed: Subspace, kind: str | None = None) -> Subspace:
     if kind not in ("lie", "associative"):
         raise ValueError(f"unknown closure kind {kind!r}")
     # an identity map adds nothing to a span that holds the row
-    ident = _identity(x)
-    ops = [op for op in x.map_operators if op != ident] + x.right_operators
+    ops = [op for op in x.map_operators if not op.is_identity()] + x.right_operators
     if kind == "associative":
         ops = ops + x.left_operators
     span = Echelon(seed.ambient_dim, x.params)
@@ -249,12 +247,12 @@ def relative_sets(x, u: Subspace, kind: str) -> Subspace:
 
 
 def _probe_rows(x, seed: int, count: int):
-    """Seeded probe vectors with coordinates in -3..3, as sparse rows."""
+    """Seeded probe vectors with coordinates in -3..3, as sparse kernel rows."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         coords = [rng.randint(-3, 3) for _ in range(x.module.dim)]
-        out.append({k: Scalar.of(x.params, c) for k, c in enumerate(coords) if c})
+        out.append({k: c for k, c in enumerate(coords) if c})
     return out
 
 

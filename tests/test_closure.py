@@ -72,8 +72,7 @@ def _abelian(cycled):
     """k^3 with the zero bracket and the shift e1 -> e2 -> e3 -> e1 as alpha
     or beta: a closure is spanned by the shifts of the seed, so it needs
     that map and no other operator."""
-    one = Scalar.of((), 1)
-    shift = Matrix.from_dicts(3, 3, [{2: one}, {0: one}, {1: one}], ())
+    shift = Matrix.from_dicts(3, 3, [{2: 1}, {0: 1}, {1: 1}], ())
     return _lie(Matrix.zero(3, 9, ()), **{cycled: shift})
 
 
@@ -81,8 +80,7 @@ def _filiform():
     """The filiform Lie algebra [e4, e1] = e2, [e4, e2] = e3 with its
     generator last, so closing e1 needs the bracket with the last basis
     vector and no other operator."""
-    one = Scalar.of((), 1)
-    rows = [{}, {3 * 4 + 0: one, 0 * 4 + 3: -one}, {3 * 4 + 1: one, 1 * 4 + 3: -one}, {}]
+    rows = [{}, {3 * 4 + 0: 1, 0 * 4 + 3: -1}, {3 * 4 + 1: 1, 1 * 4 + 3: -1}, {}]
     return _lie(Matrix.from_dicts(4, 16, rows, ()))
 
 
@@ -151,14 +149,10 @@ def test_closure_matches_the_rounds(name):
         # seed rows are combinations of the basis of a proper ideal, when
         # there is one and ``inside`` asks for it, else of the whole space
         gens = proper.basis.data if inside and proper is not None else ident.data
-        rows = []
-        for cs in coeffs:
-            row = {}
-            for c, g in zip(cs, gens):
-                for k, v in g.items():
-                    row[k] = row.get(k, Scalar.of(p, 0)) + Scalar.of(p, c) * v
-            rows.append({k: v for k, v in row.items() if not v.is_zero()})
-        seed = Subspace.span(d, rows, p)
+        gens = Matrix.from_dicts(len(gens), d, gens, p)
+        rows = [[sum((Scalar.of(p, c) * g for c, g in zip(cs, col)), Scalar.of(p, 0))
+                 for col in map(gens.col, range(d))] for cs in coeffs]
+        seed = Subspace.from_rows(d, rows, p)
         got = ideal_closure(x, seed, kind)
         assert got == closure_by_rounds(x, seed, kind)
         if inside and proper is not None:

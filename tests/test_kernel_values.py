@@ -1,16 +1,18 @@
 """Elimination and the Hopf multiplication operators on kernel values.
 
-``rref``, ``Echelon``, ``Subspace.span``, ``invert``, ``kernel`` and
-``HopfAlgebra.tensor_square_mult`` run on raw constants (an ``int`` or a
-``Fraction``) and keep a Scalar only for a non-constant. Each is checked
-here against a dense reference written on plain Scalar arithmetic, over Q
-with Fraction entries, over Q(s) with rows that mix constants and
-non-constants, and on Sweedler's H4, whose coproduct is not cocommutative.
-Every result must be stored canonically: no zero, only Scalars, and an int
-for every integral constant.
+A ``Matrix`` stores kernel values: a constant as its canonical ``int`` or
+``Fraction``, and a Scalar only for a non-constant. ``rref``, ``Echelon``,
+``Subspace.span``, ``invert``, ``kernel`` and
+``HopfAlgebra.tensor_square_mult`` run on them. Each is checked here
+against a dense reference written on plain Scalar arithmetic, over Q with
+Fraction entries and with large integers over mixed denominators, over
+Q(s) with rows that mix constants and non-constants, and on Sweedler's H4,
+whose coproduct is not cocommutative. Every result must be stored
+canonically, and read back as Scalars equal to the stored values.
 """
 
 import fractions
+import math
 import sys
 from fractions import Fraction
 
@@ -32,13 +34,32 @@ _ENTRIES = {
 
 
 def _assert_canonical(rows):
-    """No stored zero, only Scalars, and an int for an integral constant."""
+    """No stored zero, an int for an integral constant, a Fraction only when
+    the denominator is not 1, and a Scalar only for a non-constant."""
     for row in rows:
         for x in row.values():
-            assert type(x) is Scalar
-            assert not x.is_zero()
-            v = x.value
-            assert v is None or type(v) is int or (type(v) is Fraction and v.denominator != 1)
+            if type(x) is int:
+                assert x != 0
+            elif type(x) is Fraction:
+                assert x.denominator != 1
+            else:
+                assert type(x) is Scalar and x.value is None
+
+
+def _assert_stored(m):
+    """m is stored canonically, and ``at``, ``row``, ``col`` and ``entries``
+    read every cell as a Scalar equal to the stored value."""
+    _assert_canonical(m.data)
+    zero = Scalar.of(m.params, 0)
+    entries = m.entries
+    cols = [m.col(c) for c in range(m.cols)]
+    for r, stored in enumerate(m.data):
+        row = m.row(r)
+        for c in range(m.cols):
+            v = stored.get(c)
+            want = zero if v is None else v if type(v) is Scalar else Scalar.of(m.params, v)
+            got = [m.at(r, c), row[c], cols[c][r], entries[r * m.cols + c]]
+            assert all(type(x) is Scalar and x == want for x in got)
 
 
 def _mat(params, rows, cols, texts):
@@ -129,6 +150,49 @@ def _cells(st, params, n):
     return st.lists(cell, min_size=n, max_size=n).map(lambda cs: [t if k else "0" for k, t in cs])
 
 
+def _large_matrices(st):
+    """Q only, up to 8 rows: integers up to 10^12 in size and fractions over
+    3 and 7, so a row mixes denominators and elimination grows coefficients."""
+    n = st.integers(-10**12, 10**12)
+    cell = st.one_of(st.just("0"), n.map(str),
+                     st.tuples(n, st.sampled_from([3, 7])).map(lambda t: f"{t[0]}/{t[1]}"))
+    return st.tuples(st.integers(1, 8), st.integers(1, 5)).flatmap(
+        lambda rc: st.tuples(st.just(()), st.just(rc[0]), st.just(rc[1]),
+                             st.lists(cell, min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]))
+    )
+
+
+def _ref_echelon_add(held, v):
+    """The Echelon of plain Scalars with a leading 1 on every row: v reduced
+    against the rows held, in order, and kept; None when it vanishes."""
+    for c, h in held:
+        if not v[c].is_zero():
+            f = v[c]
+            v = [x - f * y for x, y in zip(v, h)]
+    c = next((c for c, x in enumerate(v) if not x.is_zero()), None)
+    if c is None:
+        return None
+    inv = v[c].inverse()
+    held.append((c, [x * inv for x in v]))
+    return held[-1][1]
+
+
+def _assert_kept(kept, want, params):
+    """A row Echelon keeps is a nonzero multiple of the reference's row. Over
+    Q it is a primitive integer row with a positive pivot; a row holding a
+    non-constant entry has a leading 1."""
+    _assert_canonical([kept])
+    got = Matrix.from_dicts(1, len(want), [kept], params).row(0)
+    c = min(kept)
+    ratio = got[c] / want[c]
+    assert got == [ratio * x for x in want]
+    if not params:
+        assert all(type(x) is int for x in kept.values())
+        assert math.gcd(*kept.values()) == 1 and kept[c] > 0
+    if any(type(x) is Scalar for x in kept.values()):
+        assert type(kept[c]) is int and kept[c] == 1
+
+
 def _matrices(st, params_list, max_rows=4, max_cols=4, square=False):
     def shape(params):
         dims = st.integers(1, max_rows).flatmap(
@@ -145,38 +209,38 @@ def test_elimination_agrees_with_a_scalar_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(c=_matrices(st, [(), S], max_rows=5))
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(c=st.one_of(_matrices(st, [(), S], max_rows=5), _large_matrices(st)))
     def check(c):
         params, rows, cols, texts = c
         m = _mat(params, rows, cols, texts)
+        _assert_stored(m)
         before = [dict(r) for r in m.data]
 
         red, rank = rref(m)
         want, want_rank = _ref_rref(m.row_list(), cols, params)
         assert (red.row_list(), rank) == (want, want_rank)
-        _assert_canonical(red.data)
+        _assert_stored(red)
 
         span = Subspace.span(cols, m.data, params)
         assert span.basis.row_list() == _ref_span(m.row_list(), cols, params)
-        _assert_canonical(span.basis.data)
+        _assert_stored(span.basis)
 
-        # Echelon keeps a row exactly when the rank grows
+        # Echelon keeps a row exactly when the reference does, and the same
+        # row up to a nonzero factor
         ech = Echelon(cols, params)
-        rank = 0
-        for i, v in enumerate(m.data):
+        held = []
+        for v, dense in zip(m.data, m.row_list()):
             kept = ech.add(v)
-            grown = len(_ref_span(m.row_list()[: i + 1], cols, params))
-            assert (kept is not None) == (grown > rank)
-            rank = grown
+            want = _ref_echelon_add(held, dense)
+            assert (kept is None) == (want is None)
             if kept is not None:
-                _assert_canonical([kept])
-                assert kept[min(kept)].is_one()
+                _assert_kept(kept, want, params)
         assert ech.subspace() == span
 
         ker = kernel(m)
         assert ker.basis.row_list() == _ref_kernel(m)
-        _assert_canonical(ker.basis.data)
+        _assert_stored(ker.basis)
         assert (m @ ker.basis.transpose()).is_zero()
         assert [dict(r) for r in m.data] == before
 
@@ -201,7 +265,7 @@ def test_inverse_agrees_with_a_scalar_reference():
             return
         got = invert(m)
         assert got.row_list() == want
-        _assert_canonical(got.data)
+        _assert_stored(got)
         assert m @ got == Matrix.identity(n, params)
 
     check()
@@ -220,14 +284,14 @@ def test_sweedler_tensor_square_operators_agree_with_the_product_constants():
         x = _mat(T, 4, 4, texts)
         got = hopf.tensor_square_mult(x, right=right)
         assert got.row_list() == _ref_tensor_square_mult(hopf, x, right)
-        _assert_canonical(got.data)
+        _assert_stored(got)
 
     check()
     # R_t itself: Fraction and non-constant coefficients
     for right in (False, True):
         got = hopf.tensor_square_mult(r.coefficients, right=right)
         assert got.row_list() == _ref_tensor_square_mult(hopf, r.coefficients, right)
-        _assert_canonical(got.data)
+        _assert_stored(got)
 
 
 def test_non_constants_that_cancel_or_turn_constant_are_stored_canonically():
@@ -237,17 +301,17 @@ def test_non_constants_that_cancel_or_turn_constant_are_stored_canonically():
     red, rank = rref(m)
     assert rank == 2
     assert red.row_list() == _ref_rref(m.row_list(), 3, S)[0]
-    assert red.data[0] == {0: Scalar.of(S, 1), 2: Scalar.of(S, 2)}
-    assert type(red.data[0][0].value) is int and type(red.data[0][2].value) is int
-    _assert_canonical(red.data)
+    assert red.data[0] == {0: 1, 2: 2}
+    assert type(red.data[0][0]) is int and type(red.data[0][2]) is int
+    _assert_stored(red)
     # a row that is s times another is dependent; a row 1/s times a constant
     # row is not, and its leading entry becomes the int 1
     ech = Echelon(3, S)
     first = ech.add({0: parse_scalar("s", S), 1: parse_scalar("s^2", S)})
-    assert first == {0: Scalar.of(S, 1), 1: parse_scalar("s", S)}
+    assert first == {0: 1, 1: parse_scalar("s", S)} and type(first[0]) is int
     assert ech.add({0: parse_scalar("s^2", S), 1: parse_scalar("s^3", S)}) is None
-    kept = ech.add({1: parse_scalar("1/s", S), 2: Scalar.of(S, 3)})
-    assert type(kept[1].value) is int and kept[2] == parse_scalar("3*s", S)
+    kept = ech.add({1: parse_scalar("1/s", S), 2: 3})
+    assert type(kept[1]) is int and kept[1] == 1 and kept[2] == parse_scalar("3*s", S)
     _assert_canonical([first, kept])
 
 
@@ -273,16 +337,19 @@ def _calls(fn):
 def test_products_over_fraction_entries_run_no_fraction_code():
     # every entry of the operator is +-1/4, as in R0 (x) R0 over Z2xZ2, and
     # the rows of x hold ints, a Fraction and 1, so terms cancel, collide
-    # and are unit products
+    # and are unit products; a diagonal factor of Fractions is tested for
+    # being the identity without comparing a Fraction
     signs = [[1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1]]
     r = Matrix.from_rows([[Scalar.of((), Fraction(s, 4)) for s in row] for row in signs], ())
     x = _mat((), 3, 4, ["2", "0", "-1", "1", "1", "1", "0", "0", "1/3", "-2", "3", "0"])
     y = _mat((), 2, 8, ["1", "-1", "0", "2", "1/2", "0", "1", "1",
                         "0", "3", "1", "1", "0", "-1", "0", "1/3"])
+    diag = _mat((), 2, 2, ["1/2", "0", "0", "1/3"])
     want = {
         "product": Matrix.from_rows(_dense_product(x, r), ()),
         "slot": Matrix.from_rows(_dense_product(y, kron(r, Matrix.identity(2, ()))), ()),
         "last": Matrix.from_rows(_dense_product(y, kron(Matrix.identity(2, ()), r)), ()),
+        "diag": Matrix.from_rows(_dense_product(x, kron(diag, Matrix.identity(2, ()))), ()),
     }
     got = {}
 
@@ -292,13 +359,14 @@ def test_products_over_fraction_entries_run_no_fraction_code():
     def slots():
         got["slot"] = kron_apply(y, [r, 2])
         got["last"] = kron_apply(y, [2, r])
+        got["diag"] = kron_apply(x, [diag, 2])
 
     # a plain product reads the operator row from the column index
     assert _calls(product) == set()
     assert _calls(slots) <= {"divmod"}
     assert got == want
     for m in got.values():
-        _assert_canonical(m.data)
+        _assert_stored(m)
 
 
 def _dense_product(a, b):

@@ -152,7 +152,7 @@ _ENTRIES = {
 
 
 def _stored_zeros(m):
-    return [x for row in m.data for x in row.values() if x.is_zero()]
+    return [x for row in m.data for x in row.values() if x == 0]
 
 
 def test_sparse_kernel_agrees_with_sympy():
@@ -263,20 +263,18 @@ def test_span_agrees_with_rref_on_tall_inputs():
         )
 
     def sparse_rows(params, texts, d):
-        return [
-            {j: parse_scalar(t, params) for j, t in enumerate(texts[i : i + d]) if t != "0"}
-            for i in range(0, len(texts), d)
-        ]
+        # the stored kernel rows of the matrix with these rows
+        rows = [[parse_scalar(t, params) for t in texts[i : i + d]] for i in range(0, len(texts), d)]
+        return Matrix.from_rows(rows, params).data
 
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @hypothesis.given(c=st.sampled_from(list(_ENTRIES)).flatmap(case))
     def check(c):
         params, d, full_first, order, square, tail = c
-        one = Scalar.of(params, 1)
         head = []
         if full_first:
             for i, row in enumerate(sparse_rows(params, square, d)):
-                head.append({**{j: x for j, x in row.items() if j > i}, i: row.get(i, one)})
+                head.append({**{j: x for j, x in row.items() if j > i}, i: row.get(i, 1)})
             head = [head[i] for i in order]
         vecs = head + sparse_rows(params, tail, d)
         before = [dict(v) for v in vecs]
@@ -357,8 +355,8 @@ def test_unit_factors_cost_no_scalar_multiplication(monkeypatch):
     params = ("a", "b")
     x = mat([["a", 0, "1/b", 2, 0, "a*b"], [0, "-1", 0, "b", "a", 0], ["a+b", 1, 0, 0, 3, "-a"]], params)
     # a permutation of the six columns, and one of a slot of size 3
-    perm = Matrix.from_dicts(6, 6, [{(5 * i + 2) % 6: Scalar.of(params, 1)} for i in range(6)], params)
-    cycle = Matrix.from_dicts(3, 3, [{(i + 1) % 3: Scalar.of(params, 1)} for i in range(3)], params)
+    perm = Matrix.from_dicts(6, 6, [{(5 * i + 2) % 6: 1} for i in range(6)], params)
+    cycle = Matrix.from_dicts(3, 3, [{(i + 1) % 3: 1} for i in range(3)], params)
     swap = flip(2, 3, params)
 
     def plain(a, b):

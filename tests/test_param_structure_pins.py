@@ -71,7 +71,8 @@ def conjugation(l, n, name):
     powers = [Scalar.of(params, 1)]
     for _ in range(n - 1):
         powers.append(powers[-1] * x)
-    rows = [{n * i + j: powers[i] / powers[j]} for i in range(n) for j in range(n)]
+    # the kernel value of each entry: the int 1 on the diagonal, x^(i - j) off it
+    rows = [{n * i + j: 1 if i == j else powers[i] / powers[j]} for i in range(n) for j in range(n)]
     return ModuleMap(l.module, l.module, Matrix.from_dicts(n * n, n * n, rows, params))
 
 

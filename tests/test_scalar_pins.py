@@ -47,7 +47,7 @@ def files():
 
 
 def _matrix_scalars(m):
-    return [x for row in m.data for x in row.values()]
+    return [m.at(r, c) for r, row in enumerate(m.data) for c in row]
 
 
 def file_scalars(f):

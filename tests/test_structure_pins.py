@@ -75,11 +75,8 @@ def matrix_algebra(n):
 
 def change_of_basis(d, params):
     """A fixed dense unimodular P (upper ones times lower twos) and P^-1."""
-    one, two = Scalar.of(params, 1), Scalar.of(params, 2)
-    upper = Matrix.from_dicts(d, d, [{j: one for j in range(i, d)} for i in range(d)], params)
-    lower = Matrix.from_dicts(
-        d, d, [{i: one, **({i - 1: two} if i else {})} for i in range(d)], params
-    )
+    upper = Matrix.from_dicts(d, d, [{j: 1 for j in range(i, d)} for i in range(d)], params)
+    lower = Matrix.from_dicts(d, d, [{i: 1, **({i - 1: 2} if i else {})} for i in range(d)], params)
     p = upper @ lower
     return p, invert(p)
 
@@ -101,8 +98,7 @@ def conjugate(x):
 def cyclic_twist(l):
     """l twisted by alpha = id and beta = the automorphism e1 -> e2 -> e3 -> e1
     of the cross product, so that beta can move a subspace alpha fixes."""
-    one = Scalar.of(l.params, 1)
-    cycle = Matrix.from_dicts(3, 3, [{2: one}, {0: one}, {1: one}], l.params)
+    cycle = Matrix.from_dicts(3, 3, [{2: 1}, {0: 1}, {1: 1}], l.params)
     return twist_bracket(l, ModuleMap.identity(l.module), ModuleMap(l.module, l.module, cycle))
 
 

@@ -416,9 +416,8 @@ def tensor_square_cases():
         ("t",),
     )
     z4 = zn(4)
-    one, two = Scalar.of((), 1), Scalar.of((), 2)
-    upper = Matrix.from_dicts(4, 4, [{j: one for j in range(i, 4)} for i in range(4)], ())
-    lower = Matrix.from_dicts(4, 4, [{i: one, **({i - 1: two} if i else {})} for i in range(4)], ())
+    upper = Matrix.from_dicts(4, 4, [{j: 1 for j in range(i, 4)} for i in range(4)], ())
+    lower = Matrix.from_dicts(4, 4, [{i: 1, **({i - 1: 2} if i else {})} for i in range(4)], ())
     p = upper @ lower
     cz4 = conjugated(z4, p, invert(p))
     values = Matrix.from_rows(
