@@ -182,9 +182,7 @@ class Matrix:
         )
 
     def scale(self, c):
-        """c times the matrix, for a Scalar or a kernel value c."""
-        if type(c) is Scalar:
-            c = _kval(c)
+        """c times the matrix, for a kernel value c."""
         if type(c) is int and not c:
             return Matrix.zero(self.rows, self.cols, self.params)
         # the fraction field has no zero divisors: c * x stays nonzero
