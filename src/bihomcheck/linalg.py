@@ -514,12 +514,12 @@ class Echelon:
         primitive integer row or a row with a leading 1 (see the class
         docstring); a vector already in the span gives None."""
         residual, integral = _integral(row)
-        for c, (prow, whole) in self.pivots.items():
+        for c, (prow, int_row) in self.pivots.items():
             f = residual.get(c)
             if f is None:
                 continue
             p = prow[c]
-            if integral and whole:
+            if integral and int_row:
                 g = gcd(p, f)
                 if p != g:
                     residual = {k: p // g * x for k, x in residual.items()}
