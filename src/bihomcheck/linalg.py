@@ -21,10 +21,11 @@ read through ``at``, ``row``, ``col``, ``entries``, ``row_list`` or the
 printed form.
 
 ``Echelon`` keeps an all-constant row as a primitive integer row (content
-1, positive pivot): a vector has its denominators cleared on entry and is
+1, positive pivot). A vector has its denominators cleared on entry and is
 reduced fraction-free, r <- (p/g) r - (f/g) row for the pivot p of a held
-row and g = gcd(p, f), as in Bareiss (1968) and FLINT's ``fmpz_mat``, so a
-span of rational vectors is spun on ints only.
+row and g = gcd(p, f), so a span of rational vectors is spun on ints only.
+There is no exact division by the previous pivot as in Bareiss (1968):
+the content of the new vector is removed once, when it is kept.
 """
 
 from __future__ import annotations
@@ -182,7 +183,9 @@ class Matrix:
         )
 
     def scale(self, c):
-        """c times the matrix, for a kernel value c."""
+        """c times the matrix, for a Scalar or kernel value c."""
+        if type(c) is Scalar:
+            c = _kval(c)
         if type(c) is int and not c:
             return Matrix.zero(self.rows, self.cols, self.params)
         # the fraction field has no zero divisors: c * x stays nonzero
@@ -315,15 +318,6 @@ def _add_scaled(target: dict, f, src: dict, off=0):
                 del target[k]
             else:
                 target[k] = v
-
-
-def _add_ints(target: dict, f: int, src: dict):
-    """target[k] += f * src[k] in place, for int rows and an int f."""
-    for k, y in src.items():
-        if v := target.get(k, 0) + f * y:
-            target[k] = v
-        else:
-            del target[k]
 
 
 def _integral(row: dict):
@@ -492,9 +486,10 @@ class Echelon:
     A vector whose entries are all constant has its denominators cleared on
     entry. Against an integral row of pivot p, an integer vector r that is f
     at the pivot column becomes (p/g) r - (f/g) row with g = gcd(p, f), so
-    it stays integral, and it is kept as a primitive integer row (content
-    1, positive pivot). Any other row (one with a non-constant entry, or
-    reduced against such a row) is kept scaled to 1 at its pivot.
+    it stays integral; its content is divided out only when it is kept, as
+    a primitive integer row (content 1, positive pivot). Any other row (one
+    with a non-constant entry, or reduced against such a row) is kept
+    scaled to 1 at its pivot.
     """
 
     __slots__ = ("dim", "params", "pivots")
@@ -512,7 +507,8 @@ class Echelon:
         """Reduce the sparse kernel row ``row`` (read, not changed) against
         the rows held. A nonzero remainder is kept and returned, as a
         primitive integer row or a row with a leading 1 (see the class
-        docstring); a vector already in the span gives None."""
+        docstring); a vector already in the span gives None. The row
+        returned is the one held, so the caller must not change it."""
         residual, integral = _integral(row)
         for c, (prow, int_row) in self.pivots.items():
             f = residual.get(c)
@@ -523,7 +519,7 @@ class Echelon:
                 g = gcd(p, f)
                 if p != g:
                     residual = {k: p // g * x for k, x in residual.items()}
-                _add_ints(residual, -f // g, prow)
+                _add_scaled(residual, -f // g, prow)
             else:
                 _add_scaled(residual, _kmul(f, _qinv(-p)), prow)
                 integral = False
