@@ -19,8 +19,11 @@ from fractions import Fraction
 import pytest
 
 from bihomcheck.errors import Singular
-from bihomcheck.linalg import Echelon, Matrix, Subspace, invert, kernel, kron, kron_apply, rref
+from bihomcheck.linalg import (
+    Echelon, Matrix, Subspace, _kval, invert, kernel, kron, kron_apply, rref,
+)
 from bihomcheck.scalars import Scalar, parse_scalar
+from storage import assert_canonical
 from test_witnesses import sweedler
 
 S = ("s",)
@@ -33,23 +36,10 @@ _ENTRIES = {
 }
 
 
-def _assert_canonical(rows):
-    """No stored zero, an int for an integral constant, a Fraction only when
-    the denominator is not 1, and a Scalar only for a non-constant."""
-    for row in rows:
-        for x in row.values():
-            if type(x) is int:
-                assert x != 0
-            elif type(x) is Fraction:
-                assert x.denominator != 1
-            else:
-                assert type(x) is Scalar and x.value is None
-
-
 def _assert_stored(m):
     """m is stored canonically, and ``at``, ``row``, ``col`` and ``entries``
     read every cell as a Scalar equal to the stored value."""
-    _assert_canonical(m.data)
+    assert_canonical(m.data)
     zero = Scalar.of(m.params, 0)
     entries = m.entries
     cols = [m.col(c) for c in range(m.cols)]
@@ -181,7 +171,7 @@ def _assert_kept(kept, want, params):
     """A row Echelon keeps is a nonzero multiple of the reference's row. Over
     Q it is a primitive integer row with a positive pivot; a row holding a
     non-constant entry has a leading 1."""
-    _assert_canonical([kept])
+    assert_canonical([kept])
     got = Matrix.from_dicts(1, len(want), [kept], params).row(0)
     c = min(kept)
     ratio = got[c] / want[c]
@@ -312,7 +302,7 @@ def test_non_constants_that_cancel_or_turn_constant_are_stored_canonically():
     assert ech.add({0: parse_scalar("s^2", S), 1: parse_scalar("s^3", S)}) is None
     kept = ech.add({1: parse_scalar("1/s", S), 2: 3})
     assert type(kept[1]) is int and kept[1] == 1 and kept[2] == parse_scalar("3*s", S)
-    _assert_canonical([first, kept])
+    assert_canonical([first, kept])
 
 
 def _calls(fn):
@@ -332,6 +322,17 @@ def _calls(fn):
     finally:
         sys.setprofile(None)
     return seen
+
+
+def test_scale_stores_a_scalar_factor_as_its_kernel_value():
+    m = _mat(S, 2, 2, ["1/2", "s", "0", "3"])
+    assert m.scale(Scalar.of(S, 0)).is_zero()
+    assert Matrix.identity(3, S).scale(Scalar.of(S, 1)).is_identity()
+    for c in ("2", "-1/3", "s", "1/s"):
+        got = m.scale(parse_scalar(c, S))
+        _assert_stored(got)
+        assert got == m.scale(_kval(parse_scalar(c, S)))
+        assert got.row_list() == [[parse_scalar(c, S) * x for x in row] for row in m.row_list()]
 
 
 def test_products_over_fraction_entries_run_no_fraction_code():
