@@ -3,11 +3,12 @@
 A matrix stores its nonzero entries only: row ``r`` is a ``{column:
 value}`` dict, and no stored entry is ever zero. Structure maps on tensor
 powers (braidings, tensor-factor permutations) are mostly zero, so every
-operation here, products and Gauss-Jordan elimination included, costs in
-proportion to the stored nonzeros rather than to rows x cols. A map
+operation here, products and elimination included, costs in proportion to
+the stored nonzeros rather than to rows x cols. A map
 X (F1 (x) F2 (x) ...) on a tensor power is applied slot by slot
 (``kron_apply``): each factor acts on its own slot of X's column index,
-and no Kronecker operator is formed. Exact arithmetic makes the order in
+and no Kronecker operator is formed; a permutation factor only relabels
+that slot. Exact arithmetic makes the order in
 which entries are summed irrelevant to the result. Subspaces are kept in
 reduced row echelon form so that equality of ideals is equality of
 matrices.
@@ -20,12 +21,14 @@ constructors unwrap Scalars, and a Scalar is made only where an entry is
 read through ``at``, ``row``, ``col``, ``entries``, ``row_list`` or the
 printed form.
 
-``Echelon`` keeps an all-constant row as a primitive integer row (content
-1, positive pivot). A vector has its denominators cleared on entry and is
+There is one elimination, ``Echelon``: ``rref``, ``solve``, ``invert``,
+``kernel`` and ``Subspace`` put their rows in one at a time and read its
+RREF. An all-constant vector has its denominators cleared on entry and is
 reduced fraction-free, r <- (p/g) r - (f/g) row for the pivot p of a held
 row and g = gcd(p, f), so a span of rational vectors is spun on ints only.
 There is no exact division by the previous pivot as in Bareiss (1968):
-the content of the new vector is removed once, when it is kept.
+content is removed when a row is kept and when back-substitution changes
+it, and only the RREF divides by the pivots.
 """
 
 from __future__ import annotations
@@ -272,6 +275,9 @@ def kron_apply(x: Matrix, factors) -> Matrix:
     own slot of every row in turn (the mode-by-mode product), so no d^k-wide
     operator is built. A factor may change its slot's size (u: d -> 1, M:
     d -> d^2) or span two slots (a braiding of V (x) V is one d^2 factor).
+    A permutation factor (each row a single int 1, no column repeated, as
+    in a flip) relabels the slot value of every column index and
+    multiplies nothing; any other factor goes through ``row_times``.
     """
     sizes = [f if isinstance(f, int) else f.rows for f in factors]
     if x.cols != prod(sizes):
@@ -281,7 +287,15 @@ def kron_apply(x: Matrix, factors) -> Matrix:
         after //= n
         if isinstance(f, int) or f.is_identity():
             continue
-        data = [row_times(row, f.data, after, f.cols) for row in data]
+        # row i of a permutation factor sends slot value i to to[i]
+        to = [c for row in f.data if len(row) == 1
+              for c, v in row.items() if type(v) is int and v == 1]
+        if len(to) == n == len(set(to)):
+            span, width = n * after, f.cols * after
+            data = [{k // span * width + to[k // after % n] * after + k % after: v
+                     for k, v in row.items()} for row in data]
+        else:
+            data = [row_times(row, f.data, after, f.cols) for row in data]
         cols = cols // n * f.cols
     return Matrix.from_dicts(x.rows, cols, data, x.params)
 
@@ -330,6 +344,27 @@ def _integral(row: dict):
     m = lcm(*(x._denominator for x in row.values() if type(x) is Fraction))
     return {k: x * m if type(x) is int else x._numerator * (m // x._denominator)
             for k, x in row.items()}, True
+
+
+def _clear(residual: dict, integral, prow: dict, int_row, c):
+    """The kernel row ``residual``, which the caller owns, cleared at the
+    pivot column c of the held row ``prow``, and whether it is integral."""
+    f = residual[c]
+    p = prow[c]
+    if integral and int_row:
+        g = gcd(p, f)
+        if p != g:
+            residual = {k: p // g * x for k, x in residual.items()}
+        _add_scaled(residual, -f // g, prow)
+        return residual, True
+    _add_scaled(residual, _kmul(f, _qinv(-p)), prow)
+    return residual, False
+
+
+def _primitive(row: dict, c) -> dict:
+    """The integer row divided by its content, positive at its column c."""
+    g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+    return row if g == 1 else {k: x // g for k, x in row.items()}
 
 
 def _monic(row: dict, c) -> dict:
@@ -424,32 +459,23 @@ def nested_tensor(m: Matrix, coproduct=False) -> list:
     return [[m.col(i * d + j) for j in range(d)] for i in range(d)]
 
 
-def _reduce(rows: list) -> int:
-    """Gauss-Jordan elimination of kernel rows in place, to reduced row
-    echelon form; returns the rank."""
-    n = len(rows)
-    pivot_row = 0
-    while pivot_row < n:
-        # the next pivot column is the smallest column still occupied below
-        c = min((min(r) for r in rows[pivot_row:] if r), default=None)
-        if c is None:
+def _reduce(rows, dim, params) -> list:
+    """The nonzero rows of the RREF of kernel rows of length ``dim`` (read,
+    not changed), sorted by pivot; rows after the rank reaches ``dim`` are
+    not read."""
+    span = Echelon(dim, params)
+    for row in rows:
+        span.add(row)
+        if span.full:
             break
-        pr = next(r for r in range(pivot_row, n) if c in rows[r])
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        prow = rows[pivot_row] = _monic(rows[pivot_row], c)
-        for r in range(n):
-            if r != pivot_row:
-                f = rows[r].get(c)
-                if f is not None:
-                    _add_scaled(rows[r], _kneg(f), prow)
-        pivot_row += 1
-    return pivot_row
+    return span.rows()
 
 
 def rref(m: Matrix):
     """Reduced row echelon form over the fraction field; returns (rref, rank)."""
-    rows = [dict(r) for r in m.data]
-    rank = _reduce(rows)
+    rows = _reduce(m.data, m.cols, m.params)
+    rank = len(rows)
+    rows += [{} for _ in range(m.rows - rank)]
     return Matrix.from_dicts(m.rows, m.cols, rows, m.params), rank
 
 
@@ -459,12 +485,11 @@ def solve(m: Matrix, b: Matrix) -> Matrix:
         raise ValueError("solve with a non-square matrix")
     n = m.rows
     rows = [{**row, **{n + k: x for k, x in brow.items()}} for row, brow in zip(m.data, b.data)]
-    _reduce(rows)
-    data = []
-    for i, row in enumerate(rows):
-        if [k for k in row if k < n] != [i]:
-            raise Singular("matrix is singular")
-        data.append({k - n: x for k, x in row.items() if k >= n})
+    rows = _reduce(rows, n + b.cols, m.params)
+    # m is invertible exactly when the pivots are the columns 0..n-1
+    if [min(row) for row in rows[:n]] != list(range(n)):
+        raise Singular("matrix is singular")
+    data = [{k - n: x for k, x in row.items() if k >= n} for row in rows]
     return Matrix.from_dicts(n, b.cols, data, m.params)
 
 
@@ -481,15 +506,13 @@ class Echelon:
     nonzero at its own pivot column and zero at the pivot column of every
     row added before it, so clearing the pivot columns in that order
     reduces a vector against all of them. Only the new vector is
-    eliminated, never the rows already held.
+    eliminated, never the rows already held. ``rows`` then puts the span in
+    RREF with one back-substitution pass over the rows held.
 
-    A vector whose entries are all constant has its denominators cleared on
-    entry. Against an integral row of pivot p, an integer vector r that is f
-    at the pivot column becomes (p/g) r - (f/g) row with g = gcd(p, f), so
-    it stays integral; its content is divided out only when it is kept, as
-    a primitive integer row (content 1, positive pivot). Any other row (one
-    with a non-constant entry, or reduced against such a row) is kept
-    scaled to 1 at its pivot.
+    A vector of constants is reduced fraction-free (see the module
+    docstring) and kept as a primitive integer row (content 1, positive
+    pivot). Any other row (one with a non-constant entry, or reduced
+    against such a row) is kept scaled to 1 at its pivot.
     """
 
     __slots__ = ("dim", "params", "pivots")
@@ -511,46 +534,48 @@ class Echelon:
         returned is the one held, so the caller must not change it."""
         residual, integral = _integral(row)
         for c, (prow, int_row) in self.pivots.items():
-            f = residual.get(c)
-            if f is None:
-                continue
-            p = prow[c]
-            if integral and int_row:
-                g = gcd(p, f)
-                if p != g:
-                    residual = {k: p // g * x for k, x in residual.items()}
-                _add_scaled(residual, -f // g, prow)
-            else:
-                _add_scaled(residual, _kmul(f, _qinv(-p)), prow)
-                integral = False
+            if c in residual:
+                residual, integral = _clear(residual, integral, prow, int_row, c)
+                if not residual:
+                    return None
         if not residual:
             return None
         c = min(residual)
-        if integral:
-            g = gcd(*residual.values()) if residual[c] > 0 else -gcd(*residual.values())
-            if g != 1:
-                residual = {k: x // g for k, x in residual.items()}
-        else:
-            residual = _monic(residual, c)
+        residual = _primitive(residual, c) if integral else _monic(residual, c)
         self.pivots[c] = (residual, integral)
         return residual
 
-    def subspace(self) -> "Subspace":
-        """The span as a Subspace; only the rows held are put in RREF."""
+    def rows(self) -> list:
+        """The span in RREF: its rows, each with a leading 1, by pivot."""
         if self.full:
-            return Subspace.full_space(self.dim, self.params)
-        return Subspace._of_rows(self.dim, [dict(r) for r, _ in self.pivots.values()], self.params)
+            return [{i: 1} for i in range(self.dim)]
+        done = {}
+        # last kept first: a held row is zero at the pivots kept before it,
+        # and a row done is zero at every pivot but its own
+        for c, (row, integral) in reversed(self.pivots.items()):
+            hits = [k for k in row if k in done]
+            if hits:
+                row = dict(row)
+            for k in hits:
+                row, integral = _clear(row, integral, *done[k], k)
+            if hits and integral:
+                row = _primitive(row, c)
+            done[c] = (row, integral)
+        return [_monic(done[c][0], c) for c in sorted(done)]
+
+    def subspace(self) -> "Subspace":
+        """The span as a Subspace."""
+        rows = self.rows()
+        return Subspace(self.dim, Matrix.from_dicts(len(rows), self.dim, rows, self.params))
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Null space {v : m v = 0} as an RREF subspace of dimension cols - rank."""
-    rows = [dict(r) for r in m.data]
-    rank = _reduce(rows)
-    pivots = {min(row): row for row in rows[:rank]}
+    pivots = {min(row): row for row in _reduce(m.data, m.cols, m.params)}
     # one vector per free column: 1 there, and minus that column at each pivot
     vecs = [{**{pc: _kneg(row[fc]) for pc, row in pivots.items() if fc in row}, fc: 1}
             for fc in range(m.cols) if fc not in pivots]
-    return Subspace._of_rows(m.cols, vecs, m.params)
+    return Subspace.span(m.cols, vecs, m.params)
 
 
 class Subspace:
@@ -584,17 +609,7 @@ class Subspace:
         not read once the rank reaches ``ambient_dim``. Only the independent
         rows left are put in RREF, which is unique, so the basis is the
         RREF of all the vectors."""
-        span = Echelon(ambient_dim, params)
-        for v in vecs:
-            span.add(v)
-            if span.full:
-                break
-        return span.subspace()
-
-    @classmethod
-    def _of_rows(cls, ambient_dim, rows, params):
-        """The span of independent kernel rows, which are put in RREF in place."""
-        _reduce(rows)
+        rows = _reduce(vecs, ambient_dim, params)
         return cls(ambient_dim, Matrix.from_dicts(len(rows), ambient_dim, rows, params))
 
     @classmethod

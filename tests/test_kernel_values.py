@@ -2,8 +2,8 @@
 
 A ``Matrix`` stores kernel values: a constant as its canonical ``int`` or
 ``Fraction``, and a Scalar only for a non-constant. ``rref``, ``Echelon``,
-``Subspace.span``, ``invert``, ``kernel`` and
-``HopfAlgebra.tensor_square_mult`` run on them. Each is checked here
+``Subspace.span``, ``solve``, ``invert``, ``kernel`` (one elimination path)
+and ``HopfAlgebra.tensor_square_mult`` run on them. Each is checked here
 against a dense reference written on plain Scalar arithmetic, over Q with
 Fraction entries and with large integers over mixed denominators, over
 Q(s) with rows that mix constants and non-constants, and on Sweedler's H4,
@@ -20,7 +20,7 @@ import pytest
 
 from bihomcheck.errors import Singular
 from bihomcheck.linalg import (
-    Echelon, Matrix, Subspace, _kval, invert, kernel, kron, kron_apply, rref,
+    Echelon, Matrix, Subspace, _kval, invert, kernel, kron, kron_apply, rref, solve,
 )
 from bihomcheck.scalars import Scalar, parse_scalar
 from storage import assert_canonical
@@ -235,6 +235,92 @@ def test_elimination_agrees_with_a_scalar_reference():
         assert [dict(r) for r in m.data] == before
 
     check()
+
+
+def _dependent_matrices(st, square=False):
+    """Inputs of low rank: up to three seed rows, and rows that repeat a seed
+    or add a multiple of one seed to another. Over Q the entries include
+    Fractions; over Q(s) the first seed row is all constant and the others
+    may hold non-constants, so rows mix both kinds."""
+    def build(params, cols, seeds, picks):
+        seeds = [[parse_scalar(t, params) for t in ts] for ts in seeds]
+        rows = []
+        for i, j, f in picks:
+            a, b = seeds[i % len(seeds)], seeds[j % len(seeds)]
+            f = parse_scalar(f, params)
+            rows.append(a if i == j else [x + f * y for x, y in zip(a, b)])
+        return params, len(rows), cols, [x for r in rows for x in r]
+
+    def seeds(params, cols):
+        first = _cells(st, (), cols)
+        rest = st.lists(_cells(st, params, cols), min_size=0, max_size=2)
+        return st.tuples(first, rest).map(lambda fr: [fr[0], *fr[1]])
+
+    def case(params, rows, cols):
+        pick = st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(_ENTRIES[params]))
+        return st.tuples(st.just(params), st.just(cols), seeds(params, cols),
+                         st.lists(pick, min_size=rows, max_size=rows)).map(lambda c: build(*c))
+
+    shape = st.integers(1, 5).flatmap(
+        lambda r: st.tuples(st.just(r), st.just(r) if square else st.integers(1, 5)))
+    return st.tuples(st.sampled_from([(), S]), shape).flatmap(lambda ps: case(ps[0], *ps[1]))
+
+
+def test_rref_and_kernel_of_dependent_rows_agree_with_a_scalar_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    deficient = []
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(c=_dependent_matrices(st))
+    def check(c):
+        params, rows, cols, scalars = c
+        m = Matrix(rows, cols, scalars, params)
+        red, rank = rref(m)
+        want, want_rank = _ref_rref(m.row_list(), cols, params)
+        assert (red.row_list(), rank) == (want, want_rank)
+        _assert_stored(red)
+        ker = kernel(m)
+        assert ker.basis.row_list() == _ref_kernel(m)
+        _assert_stored(ker.basis)
+        if rank < rows:
+            deficient.append(c)
+
+    check()
+    assert deficient
+
+
+def test_solve_agrees_with_a_scalar_reference():
+    # m X = b with several right-hand columns: Singular exactly when the
+    # reference rank of m is below n, and otherwise the right-hand block of
+    # the reference RREF of [m | b]
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = set()
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(c=st.one_of(_dependent_matrices(st, square=True),
+                                  _matrices(st, [(), S], square=True)),
+                      k=st.integers(1, 3), data=st.data())
+    def check(c, k, data):
+        params, n, _, cells = c
+        entries = [x if type(x) is Scalar else parse_scalar(x, params) for x in cells]
+        m = Matrix(n, n, entries, params)
+        b = _mat(params, n, k, data.draw(_cells(st, params, n * k)))
+        _, rank = _ref_rref(m.row_list(), n, params)
+        seen.add(rank < n)
+        if rank < n:
+            with pytest.raises(Singular):
+                solve(m, b)
+            return
+        red, _ = _ref_rref([r + s for r, s in zip(m.row_list(), b.row_list())], n + k, params)
+        got = solve(m, b)
+        assert got.row_list() == [row[n:] for row in red]
+        _assert_stored(got)
+        assert m @ got == b
+
+    check()
+    assert seen == {True, False}
 
 
 def test_inverse_agrees_with_a_scalar_reference():

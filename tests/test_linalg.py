@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bihomcheck.errors import AmbientMismatch, Singular
+from bihomcheck import linalg
 from bihomcheck.linalg import Matrix, Subspace, flip, invert, kernel, kron, kron_apply, rref
 from bihomcheck.scalars import Scalar, parse_scalar
 
@@ -389,6 +390,59 @@ def test_unit_factors_cost_no_scalar_multiplication(monkeypatch):
     }
     assert not calls
     assert got == want
+
+
+def _row_times_calls(monkeypatch):
+    calls = []
+    real = linalg.row_times
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "row_times", counted)
+    return calls
+
+
+def test_permutation_factors_relabel_columns_without_row_times(monkeypatch):
+    # each row of a permutation factor is a single int 1 and no column
+    # repeats, so kron_apply relabels the column index of x instead of
+    # multiplying. The oracle is x @ kron(...). The 3-cycle is not its own
+    # inverse, so relabelling by the inverse permutation gives a different
+    # matrix; x holds ints and Fractions over Q, and non-constants over Q(s).
+    d = 3
+    xs = [
+        mat([[1, 0, "-1/2", 2, 0, 0, 3, "5/7", 0] * 3, [0, "2/3", 1, 0, -4, 1, 0, 0, "1/3"] * 3]),
+        mat([["s", 0, 1, "1/(s+1)", 0, "2/3", "s^2", 0, -1] * 3, [0, 1, 0, 0, "-s", 0, 2, 0, 0] * 3],
+            ("s",)),
+    ]
+    for x in xs:
+        params = x.params
+        cycle = Matrix.from_dicts(d, d, [{(i + 1) % d: 1} for i in range(d)], params)
+        swap = flip(d, d, params)
+        # the flip of two slots in every position of the 3-slot power, the
+        # flips of one slot past the other two, and the 3-cycle on each slot
+        cases = [[swap, d], [d, swap], [flip(d, d * d, params)], [flip(d * d, d, params)],
+                 [cycle, d, d], [d, cycle, d], [d, d, cycle], [cycle, swap]]
+        want = [x @ functools.reduce(kron, [Matrix.identity(f, params) if isinstance(f, int)
+                                            else f for f in fs]) for fs in cases]
+        calls = _row_times_calls(monkeypatch)
+        got = [kron_apply(x, fs) for fs in cases]
+        monkeypatch.undo()
+        assert not calls
+        assert got == want
+        assert not any(_stored_zeros(m) for m in got)
+    # a 2 in a row, or a column hit twice, is not a permutation: the generic
+    # product runs, and it still agrees
+    params = xs[0].params
+    scaled = Matrix.from_dicts(d, d, [{1: 1}, {2: 2}, {0: 1}], params)
+    merged = Matrix.from_dicts(d, d, [{1: 1}, {1: 1}, {0: 1}], params)
+    for f in (scaled, merged):
+        want = xs[0] @ kron(Matrix.identity(d, params), kron(f, Matrix.identity(d, params)))
+        calls = _row_times_calls(monkeypatch)
+        got = kron_apply(xs[0], [d, f, d])
+        monkeypatch.undo()
+        assert calls and got == want
 
 
 def test_difference_agrees_with_adding_the_negation():
