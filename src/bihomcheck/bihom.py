@@ -289,8 +289,7 @@ def commutator_bracket(a: BiHomAlgebra, r: RMatrix, *, verdict=None, commutator=
     if not rep.ok:
         raise ConstructionError(
             "commutator bracket fails the BiHom-Lie suite; "
-            "the input is not a valid generalized BiHom-associative algebra",
-            rep,
+            "the input is not a valid generalized BiHom-associative algebra"
         )
     return lie
 
@@ -318,7 +317,7 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
     lie = BiHomLie(m, kron_apply(B, [alpha.matrix, beta.matrix]), alpha, beta, l.rmatrix)
     rep = lie.validation = check_generalized_bihom_lie(lie)
     if not rep.ok:
-        raise ConstructionError("twisted bracket fails the BiHom-Lie suite", rep)
+        raise ConstructionError("twisted bracket fails the BiHom-Lie suite")
     return lie
 
 

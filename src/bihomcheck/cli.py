@@ -91,6 +91,8 @@ def _parse_bindings(pairs):
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise ValidationError([f"--set expects NAME=RATIONAL, got {item!r}"])
+        if name in bindings:
+            raise ValidationError([f"--set {name}: given more than once"])
         # Fraction("1e999999999") would build a billion-digit integer
         _, e, exponent = value.lower().partition("e")
         digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")

@@ -64,10 +64,6 @@ class ConstructionError(BihomError):
     """A construction was given an input it is not defined on, or produced
     an object that fails its own axiom suite."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class ParseError(BihomError):
     """Located syntax error in a scalar expression or algebra file."""
@@ -85,7 +81,5 @@ class ValidationError(BihomError):
     """Semantic errors in an algebra file; carries all located findings."""
 
     def __init__(self, findings):
-        if isinstance(findings, str):
-            findings = [findings]
         self.findings = list(findings)
         super().__init__("; ".join(self.findings))

@@ -111,12 +111,6 @@ def braiding(m: HModule, n: HModule, r: RMatrix) -> Matrix:
     return out
 
 
-def check_braiding_symmetry(m: HModule, r: RMatrix) -> bool:
-    """tau_{M,M} squared is the identity (triangular R gives a symmetry)."""
-    tau = braiding(m, m, r)
-    return tau @ tau == Matrix.identity(m.dim * m.dim, m.params)
-
-
 def equivariance_witness(m: HModule, product: Matrix):
     """First (h, a, b) with h.(ab) != (h1.a)(h2.b) for a product or bracket
     given as its dim x dim^2 matrix on the module m, or None."""
@@ -141,8 +135,3 @@ def check_module_algebra(a) -> CheckReport:
     )
     return rep
 
-
-def is_H_commutative(a, r: RMatrix) -> bool:
-    """(R2.b)(R1.a) = ab on all basis pairs, products taken in the algebra."""
-    M = a.structure_matrix()
-    return M @ braiding(a.module, a.module, r) == M

@@ -627,12 +627,6 @@ class Subspace:
     def vectors(self):
         return self.basis.row_list()
 
-    def _check(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatch(
-                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
-            )
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -643,48 +637,19 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
 
-    def __add__(self, other):
-        self._check(other)
-        return Subspace.span(self.ambient_dim, self.basis.data + other.basis.data, self.params)
-
-    def _coordinates(self, row):
-        """Coordinates ``{basis row: kernel value}`` of a sparse kernel row
-        in this basis, or None if it lies outside."""
+    def _holds(self, row):
+        """Whether a sparse kernel row lies in this subspace."""
         residual = dict(row)
-        coords = {}
-        for i, brow in enumerate(self.basis.data):
+        for brow in self.basis.data:
             # the RREF pivot column of a basis row is zero in every other row
             coeff = residual.get(min(brow))
             if coeff is not None:
-                coords[i] = coeff
                 _add_scaled(residual, _kneg(coeff), brow)
-        return None if residual else coords
-
-    def coordinates(self, rows: Matrix):
-        """The coordinates of each row of ``rows`` in this basis, as the rows
-        of a matrix, or None if a row lies outside."""
-        data = [self._coordinates(row) for row in rows.data]
-        if any(c is None for c in data):
-            return None
-        return Matrix.from_dicts(rows.rows, self.dim, data, self.params)
+        return not residual
 
     def first_outside(self, rows: Matrix):
         """Index of the first row of ``rows`` outside this subspace, or None."""
-        return next((i for i, row in enumerate(rows.data) if self._coordinates(row) is None), None)
-
-    def contains(self, other) -> bool:
-        self._check(other)
-        return self.first_outside(other.basis) is None
-
-    def annihilator_matrix(self) -> Matrix:
-        """Rows span {phi : phi . v = 0 for all v in the subspace}; the
-        subspace is exactly the solution set of these linear equations."""
-        if self.dim == 0:
-            return Matrix.identity(self.ambient_dim, self.params)
-        ann = kernel(self.basis)
-        if ann.dim == 0:
-            return Matrix.zero(0, self.ambient_dim, self.params)
-        return ann.basis
+        return next((i for i, row in enumerate(rows.data) if not self._holds(row)), None)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"

@@ -168,12 +168,6 @@ class CheckReport:
     def ok(self) -> bool:
         return all(e.status != FAIL for e in self.entries)
 
-    def entry(self, check_id) -> CheckEntry:
-        for e in self.entries:
-            if e.check_id == check_id:
-                return e
-        raise KeyError(check_id)
-
     def to_json(self):
         return {
             "schema": REPORT_SCHEMA,

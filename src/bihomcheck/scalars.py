@@ -345,15 +345,6 @@ class Scalar:
         v = self.value
         return type(v) is int and v == 1
 
-    def is_constant(self) -> bool:
-        return self.value is not None
-
-    def as_fraction(self) -> Fraction:
-        v = self.value
-        if v is None:
-            raise ValueError(f"scalar {self} is not constant")
-        return Fraction(v) if type(v) is int else v
-
     def _coerce(self, other):
         if isinstance(other, Scalar):
             if other.params is not self.params and other.params != self.params:

@@ -66,23 +66,12 @@ class Certificate:
     probe_seed: int
     probes: int
 
-    @property
-    def certified_nonsimple(self):
-        return self.nonsimple_ideal is not None
-
 
 def _check_ambient(x, space: Subspace):
     if space.ambient_dim != x.module.dim:
         raise AmbientMismatch(
             f"subspace lives in dim {space.ambient_dim}, structure in {x.module.dim}"
         )
-
-
-def bracket_of_subspaces(l: BiHomLie, u: Subspace, v: Subspace) -> Subspace:
-    """Span of [u_i, v_j] over the basis vectors of the two subspaces."""
-    _check_ambient(l, u)
-    _check_ambient(l, v)
-    return _pair_span(l, u, v)
 
 
 def _pair_span(x, u: Subspace, v: Subspace) -> Subspace:
@@ -138,24 +127,9 @@ def is_H_bihom_ideal(a: BiHomAlgebra, u: Subspace) -> IdealCheck:
     return IdealCheck(True)
 
 
-def _combination(ops, w: dict) -> Matrix:
-    """sum_j w_j ops[j] for a nonzero sparse row w: the row-form operator
-    v -> v w from ``right_operators``, or v -> w v from ``left_operators``."""
-    total = None
-    for j, c in w.items():
-        term = ops[j].scale(c)
-        total = term if total is None else total + term
-    return total
-
-
-def _left_kernel(ops) -> Subspace:
-    """{v : v @ op = 0 for every row-form op}."""
-    return kernel(hstack(ops).transpose())
-
-
 def center(l: BiHomLie) -> Subspace:
     """{z : [z, L] = 0}, the common kernel of the operators v -> [v, e_j]."""
-    return _left_kernel(l.right_operators)
+    return kernel(hstack(l.right_operators).transpose())
 
 
 def ideal_closure(x, seed: Subspace, kind: str | None = None) -> Subspace:
@@ -221,31 +195,6 @@ def lower_central_series(l: BiHomLie, start: Subspace, max_steps: int = 16) -> S
     return _series(l, start, max_steps, derived=False)
 
 
-def relative_sets(x, u: Subspace, kind: str) -> Subspace:
-    """normalizer/transporter {v : [v, L] <= U} for a Lie ambient, or the
-    annihilator {v : vI = Iv = 0} for an associative ambient."""
-    _check_ambient(x, u)
-    d = x.module.dim
-    if kind in ("normalizer", "transporter"):
-        if not isinstance(x, BiHomLie):
-            raise ValueError(f"{kind} needs a Lie ambient")
-        # each v -> [v, e_j] followed by the equations of U
-        ann = u.annihilator_matrix()
-        ann_t = ann.transpose()
-        ops = [op @ ann_t for op in x.right_operators] if ann.rows else []
-    elif kind == "annihilator":
-        if not isinstance(x, BiHomAlgebra):
-            raise ValueError("annihilator needs an associative ambient")
-        # v . i = 0 and i . v = 0 for every basis vector i of U
-        ops = [_combination(x.left_operators, w) for w in u.basis.data]
-        ops += [_combination(x.right_operators, w) for w in u.basis.data]
-    else:
-        raise ValueError(f"unknown relative set kind {kind!r}")
-    if not ops:
-        return Subspace.full_space(d, x.params)
-    return _left_kernel(ops)
-
-
 def _probe_rows(x, seed: int, count: int):
     """Seeded probe vectors with coordinates in -3..3, as sparse kernel rows."""
     rng = random.Random(seed)
@@ -290,25 +239,3 @@ def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certifica
             break
     return Certificate(nonsimple, nonprime, nonsemiprime, probe_seed, probes)
 
-
-def restrict_lie(l: BiHomLie, s: Subspace) -> BiHomLie:
-    """The Lie structure induced on a bracket-closed, map- and H-stable
-    subspace, in the coordinates of its RREF basis."""
-    from .hmod import HModule, ModuleMap  # local import to avoid a cycle at load
-
-    _check_ambient(l, s)
-    basis = s.basis
-
-    def restrict(images, what):
-        # row j of the coordinates is the image of basis vector j
-        coords = s.coordinates(images)
-        if coords is None:
-            raise ValueError(f"subspace is not closed under {what}")
-        return coords.transpose()
-
-    action = [restrict(basis @ op.transpose(), "the H-action") for op in l.module.action]
-    module = HModule(l.module.hopf, [f"v{i + 1}" for i in range(s.dim)], action)
-    alpha = ModuleMap(module, module, restrict(basis @ l.alpha.matrix.transpose(), "alpha"))
-    beta = ModuleMap(module, module, restrict(basis @ l.beta.matrix.transpose(), "beta"))
-    bracket = restrict(l.products(basis, basis), "the bracket")
-    return BiHomLie(module, bracket, alpha, beta, l.rmatrix)

@@ -34,12 +34,11 @@ from bihomcheck.catalog import (
     trivial_rmatrix,
 )
 from bihomcheck.cli import run_structure, run_suite
-from bihomcheck.hmod import HModule, ModuleMap, check_braiding_symmetry
+from bihomcheck.hmod import HModule, ModuleMap, braiding
 from bihomcheck.hopf import check_quasitriangular, is_triangular
 from bihomcheck.linalg import Matrix, Subspace
 from bihomcheck.scalars import Scalar, parse_scalar
 from bihomcheck.structure import (
-    bracket_of_subspaces,
     center,
     derived_series,
     ideal_closure,
@@ -47,6 +46,7 @@ from bihomcheck.structure import (
     lower_central_series,
     simplicity_certificate,
 )
+from report_entry import entry
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 L = ("l1", "l2", "l1p", "l2p")
@@ -73,10 +73,10 @@ def test_criterion_2_example24_bihom_associative_suite_symbolic():
     rep = check_bihom_associative(example24_algebra())
     assert rep.ok, rep.render_text()
     # the suite enumerated all 8 triples with symbolic b and found zero residuals
-    assert rep.entry("bihom.assoc").status == "pass"
-    assert rep.entry("bihom.alpha-multiplicative").status == "pass"
-    assert rep.entry("bihom.beta-multiplicative").status == "pass"
-    assert rep.entry("module-algebra.equivariance").status == "pass"
+    assert entry(rep, "bihom.assoc").status == "pass"
+    assert entry(rep, "bihom.alpha-multiplicative").status == "pass"
+    assert entry(rep, "bihom.beta-multiplicative").status == "pass"
+    assert entry(rep, "module-algebra.equivariance").status == "pass"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
     announce(2, f"Example 2.4 passes the full BiHom-associative suite in Q(b), {elapsed * 1000:.0f}ms")
@@ -88,7 +88,7 @@ def test_criterion_3_commutator_construction_on_example24():
     rep = check_generalized_bihom_lie(lie)
     assert rep.ok, rep.render_text()
     for check_id in ("lie.maps-commute", "lie.twist-endomorphisms", "lie.skew", "lie.jacobi"):
-        assert rep.entry(check_id).status == "pass"
+        assert entry(rep, check_id).status == "pass"
     # the computed table is emitted alongside an informational diff against
     # the published values; correctness is judged by the formula, so the
     # discrepancy must be reported without failing anything
@@ -257,7 +257,7 @@ def test_criterion_4_degeneration_matches_classical_commutator():
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    assert lie.bracket[i][j][k].as_fraction() == classical[i][j][k]
+                    assert lie.bracket[i][j][k].value == classical[i][j][k]
         rep = check_generalized_bihom_lie(lie)
         assert rep.ok
         assert classical_antisymmetry(classical) and classical_jacobi(classical)
@@ -278,10 +278,10 @@ def test_criterion_4_degeneration_matches_classical_commutator():
         for constants in variants:
             lie = _as_bihom_lie(constants)
             rep = check_generalized_bihom_lie(lie)
-            assert rep.entry("lie.skew").status == (
+            assert entry(rep, "lie.skew").status == (
                 "pass" if classical_antisymmetry(constants) else "fail"
             )
-            assert rep.entry("lie.jacobi").status == (
+            assert entry(rep, "lie.jacobi").status == (
                 "pass" if classical_jacobi(constants) else "fail"
             )
             agreements += 1
@@ -321,9 +321,9 @@ def test_criterion_6_lemma31_zero_residuals():
     assert rep_m2.ok, rep_m2.render_text()
     for rep, triples in ((rep24, 8), (rep_m2, 64)):
         for cid in ("lemma31.1", "lemma31.2"):
-            entry = rep.entry(cid)
-            assert entry.status == "pass"
-            assert entry.detail == f"{triples} triples checked"
+            e = entry(rep, cid)
+            assert e.status == "pass"
+            assert e.detail == f"{triples} triples checked"
     announce(6, "Lemma 3.1 identities have zero residuals on every triple of example24 and the trivial-Hopf instance")
 
 
@@ -335,9 +335,7 @@ def test_criterion_7_structure_theory_values():
     assert series.reaches_zero and series.step == 2
     assert [t.dim for t in series.terms] == [3, 1, 0]
     assert series.terms[1] == x3
-    full = Subspace.full_space(3, L)
-    derived1 = bracket_of_subspaces(lie, full, full)
-    lcs = lower_central_series(lie, derived1)
+    lcs = lower_central_series(lie, series.terms[1])
     assert lcs.reaches_zero
     cert = simplicity_certificate(lie)
     assert cert.nonsimple_ideal == x3
@@ -364,7 +362,8 @@ def test_criterion_8_property_suites_across_the_catalog():
         f = catalog_file(name)
         # braiding symmetry on every module of the instance
         for obj in f.objects.values():
-            assert check_braiding_symmetry(obj.module, f.rmatrix), (name, obj.name)
+            tau = braiding(obj.module, obj.module, f.rmatrix)
+            assert (tau @ tau).is_identity(), (name, obj.name)
         # closure operator laws and series stability per bracket object
         for obj in f.objects.values():
             if obj.kind == "bracket":
@@ -377,14 +376,14 @@ def test_criterion_8_property_suites_across_the_catalog():
                     ]
                     seed = Subspace.from_rows(dim, rows, f.parameters)
                     closed = ideal_closure(lie, seed)
-                    assert closed.contains(seed)
+                    assert closed.first_outside(seed.basis) is None
                     assert ideal_closure(lie, closed) == closed
-                    one_more = seed + Subspace.from_rows(
+                    one_more = Subspace.from_rows(
                         dim,
-                        [[Scalar.of(f.parameters, 1)] + [Scalar.of(f.parameters, 0)] * (dim - 1)],
+                        rows + [[Scalar.of(f.parameters, 1)] + [Scalar.of(f.parameters, 0)] * (dim - 1)],
                         f.parameters,
                     )
-                    assert ideal_closure(lie, one_more).contains(closed)
+                    assert ideal_closure(lie, one_more).first_outside(closed.basis) is None
                 for res in (
                     derived_series(lie),
                     lower_central_series(lie, Subspace.full_space(dim, f.parameters)),

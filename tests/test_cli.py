@@ -243,6 +243,14 @@ def test_check_with_numeric_substitution(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("second", ["b=2", "b=1"])
+def test_a_repeated_set_is_refused_and_names_the_parameter(capsys, second):
+    code, out, err = run(capsys, "check", "example24", "--set", "b=1", "--set", second)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --set b: given more than once\n"
+
+
 def test_structure_center_output(capsys):
     code, out, _ = run(
         capsys, "structure", "example25-heisenberg", "--what", "center", "--object", "L"

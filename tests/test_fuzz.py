@@ -108,7 +108,9 @@ FLAG_VALUES = {
                          "certificate", "nope"],
     "--object": ["A", "L", "nope", ""],
     "--space": ["0", "full", "1,0,0", "0,0,1", "1,0", "1,0,0,0", "a,b", "1/0,0,0", "b,1", ";", ""],
-    "--set": ["b=2", "b=0", "t=1/2", "b=", "=1", "b=x", "b=1e999999999", "b=99999", "zz=1"],
+    # a tuple is several tokens: ("b=1", "--set", "b=2") repeats the name
+    "--set": ["b=2", "b=0", "t=1/2", "b=", "=1", "b=x", "b=1e999999999", "b=99999", "zz=1",
+              ("b=1", "--set", "b=2")],
     "--max-steps": ["1", "0", "-3", "16", "x"],
     "--probe-seed": ["0", "7", "-1", "x"],
 }
@@ -146,7 +148,8 @@ def command_lines(draw, tmp: pathlib.Path):
             argv.append(draw(st.sampled_from(outputs)))
         elif flag != "--json":
             values = FLAG_VALUES.get(flag) or FLAG_VALUES[f"{command} {flag}"]
-            argv.append(draw(st.sampled_from(values)))
+            value = draw(st.sampled_from(values))
+            argv.extend(value if isinstance(value, tuple) else [value])
     if draw(st.integers(0, 9)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-h", "x"])))
     return argv

@@ -15,6 +15,7 @@ from bihomcheck.hopf import (
 )
 from bihomcheck.linalg import Matrix, flip, kron
 from bihomcheck.scalars import Scalar
+from report_entry import entry
 
 Z2 = [[0, 1], [1, 0]]
 Z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
@@ -59,9 +60,9 @@ def test_zero_antipode_fails_with_witness():
         h.basis_names, h.mult, h.unit, h.comult, h.counit, Matrix.zero(2, 2), ()
     )
     rep = check_hopf_axioms(broken)
-    entry = rep.entry("hopf.antipode")
-    assert entry.status == "fail"
-    assert entry.witness.basis == ("e",)
+    e = entry(rep, "hopf.antipode")
+    assert e.status == "fail"
+    assert e.witness.basis == ("e",)
     assert not rep.ok
 
 
@@ -106,7 +107,7 @@ def test_qt1_fails_for_e_tensor_g():
     inv = r.inverse_in(h)
     assert inv.at(0, 1) == one
     rep = check_quasitriangular(h, r)
-    assert rep.entry("qt.1").status == "fail"
+    assert entry(rep, "qt.1").status == "fail"
     assert not rep.ok
 
 

@@ -12,7 +12,6 @@ from bihomcheck.catalog import (
     example24_algebra,
     heisenberg_lie,
     matrix_algebra_2x2,
-    r_triangular_kz2,
     trivial_rmatrix,
     twisted_heisenberg,
 )
@@ -22,15 +21,12 @@ from bihomcheck.scalars import Scalar
 from bihomcheck.structure import (
     SERIES_STABLE,
     SERIES_ZERO,
-    bracket_of_subspaces,
     center,
     derived_series,
     ideal_closure,
     is_H_bihom_ideal,
     is_H_bihom_lie_ideal,
     lower_central_series,
-    relative_sets,
-    restrict_lie,
     simplicity_certificate,
 )
 
@@ -49,17 +45,6 @@ def x3_line(params=L):
     return span(3, [[0, 0, 1]], params)
 
 
-def test_bracket_of_subspaces_heisenberg():
-    lie = heisenberg_lie()
-    full = Subspace.full_space(3, L)
-    zero = Subspace.zero_space(3, L)
-    assert bracket_of_subspaces(lie, full, zero) == zero
-    assert bracket_of_subspaces(lie, full, full) == x3_line()
-    assert bracket_of_subspaces(lie, x3_line(), full) == zero
-    with pytest.raises(AmbientMismatch):
-        bracket_of_subspaces(lie, Subspace.zero_space(2, L), full)
-
-
 def test_lie_ideal_checks():
     lie = heisenberg_lie()
     assert is_H_bihom_lie_ideal(lie, Subspace.full_space(3, L))
@@ -69,6 +54,8 @@ def test_lie_ideal_checks():
     assert "[U, L]" in verdict.reason
     # witness is the escaping bracket value [x1, x2] = x3
     assert [str(c) for c in verdict.witness] == ["0", "0", "1"]
+    with pytest.raises(AmbientMismatch):
+        is_H_bihom_lie_ideal(lie, Subspace.zero_space(2, L))
 
 
 def test_associative_ideal_checks():
@@ -122,10 +109,10 @@ def test_closure_operator_laws():
             ]
             seed = span(dim, rows, params)
             closed = ideal_closure(x, seed)
-            assert closed.contains(seed)
+            assert closed.first_outside(seed.basis) is None
             assert ideal_closure(x, closed) == closed
-            bigger = seed + span(dim, [[1] + [0] * (dim - 1)], params)
-            assert ideal_closure(x, bigger).contains(closed)
+            bigger = span(dim, rows + [[1] + [0] * (dim - 1)], params)
+            assert ideal_closure(x, bigger).first_outside(closed.basis) is None
 
 
 def test_derived_series_heisenberg():
@@ -166,23 +153,8 @@ def test_lower_central_series():
     assert res.verdict == SERIES_STABLE
 
 
-def test_relative_sets():
-    lie = heisenberg_lie()
-    full = Subspace.full_space(3, L)
-    assert relative_sets(lie, full, "normalizer") == full
-    # every bracket lands in span(x3)
-    assert relative_sets(lie, x3_line(), "transporter") == full
-    # T(0) coincides with the center
-    assert relative_sets(lie, Subspace.zero_space(3, L), "transporter") == center(lie)
-    # annihilator of span(x2) in example24: x2 x2 = 0 but x1 x2 != 0
-    a = example24_algebra()
-    ann = relative_sets(a, span(2, [[0, 1]], ("b",)), "annihilator")
-    assert ann == span(2, [[0, 1]], ("b",))
-
-
 def test_simplicity_certificate_heisenberg():
     cert = simplicity_certificate(heisenberg_lie())
-    assert cert.certified_nonsimple
     assert cert.nonsimple_ideal == x3_line()
     assert cert.nonsemiprime_ideal is not None
     assert cert.nonprime_pair is not None
@@ -206,12 +178,12 @@ def test_simplicity_certificate_finds_nothing_on_probes():
         m, [[[zero]]], ModuleMap.identity(m), ModuleMap.identity(m), trivial_rmatrix(h)
     )
     cert = simplicity_certificate(one_dim)
-    assert not cert.certified_nonsimple  # no proper nonzero subspace exists
+    assert cert.nonsimple_ideal is None  # no proper nonzero subspace exists
     # but the zero bracket makes (L, L) a primality counterexample
     assert cert.nonprime_pair is not None
     # cross product: no counterexample of any kind surfaces
     cert = simplicity_certificate(cross_product_lie())
-    assert not cert.certified_nonsimple
+    assert cert.nonsimple_ideal is None
     assert cert.nonprime_pair is None
     assert cert.nonsemiprime_ideal is None
 
@@ -244,84 +216,6 @@ def test_center_brackets_vanish_exactly():
                 assert all(c.is_zero() for c in out)
 
 
-def test_restrict_lie_to_derived_subalgebra():
-    a = matrix_algebra_2x2()
-    lie = commutator_bracket(a, trivial_rmatrix(a.module.hopf))
-    derived = bracket_of_subspaces(
-        lie, Subspace.full_space(4, ()), Subspace.full_space(4, ())
-    )
-    assert derived.dim == 3  # traceless matrices
-    sub = restrict_lie(lie, derived)
-    from bihomcheck.bihom import check_generalized_bihom_lie
-
-    assert check_generalized_bihom_lie(sub).ok
-    # sl2 over Q has no proper nonzero ideals reachable by closure probes
-    cert = simplicity_certificate(sub)
-    assert not cert.certified_nonsimple
-
-
-def theorem_39_instance_check(algebra, r):
-    """Instance-level form of the solvability conclusion: in a (presumed)
-    simple unital ambient, every proper Lie ideal V of [L, L] found by the
-    certificate machinery is solvable within 3 steps and [V, V] is nilpotent.
-
-    Returns 'skipped: <reason>' when the hypotheses fail, else 'checked'.
-    """
-    if algebra.unit is None:
-        return "skipped: not unital"
-    cert = simplicity_certificate(algebra)
-    if cert.certified_nonsimple:
-        return "skipped: certified nonsimple"
-    lie = commutator_bracket(algebra, r)
-    d = lie.module.dim
-    full = Subspace.full_space(d, lie.params)
-    derived = bracket_of_subspaces(lie, full, full)
-    if derived.dim == 0:
-        return "checked"
-    sub = restrict_lie(lie, derived)
-    candidates = [Subspace.zero_space(derived.dim, lie.params)]
-    inner = simplicity_certificate(sub)
-    if inner.nonsimple_ideal is not None:
-        candidates.append(inner.nonsimple_ideal)
-    for v in candidates:
-        if v.dim == derived.dim:
-            continue
-        if not is_H_bihom_lie_ideal(sub, v):
-            continue
-        if v.dim:
-            rows = v.basis.row_list()
-            vsub = Subspace.from_rows(derived.dim, rows, lie.params)
-        else:
-            vsub = v
-        # solvable within 3 steps
-        term = vsub
-        for _ in range(3):
-            term = bracket_of_subspaces(sub, term, term)
-        assert term.dim == 0, "derived series of V does not vanish within 3 steps"
-        vv = bracket_of_subspaces(sub, vsub, vsub)
-        assert lower_central_series(sub, vv).reaches_zero, "[V,V] is not nilpotent"
-    return "checked"
-
-
-def test_theorem_39_conclusions_on_catalog_instances():
-    from bihomcheck.catalog import heisenberg_assoc
-
-    results = {
-        "trivial-hopf": theorem_39_instance_check(
-            matrix_algebra_2x2(), trivial_rmatrix(matrix_algebra_2x2().module.hopf)
-        ),
-        "example24": theorem_39_instance_check(
-            example24_algebra(), r_triangular_kz2(("b",))
-        ),
-        "example25-heisenberg": theorem_39_instance_check(
-            heisenberg_assoc(), r_triangular_kz2(L)
-        ),
-    }
-    assert results["trivial-hopf"] == "checked"
-    assert results["example24"] == "skipped: certified nonsimple"
-    assert results["example25-heisenberg"] == "skipped: not unital"
-
-
 def test_theorem_33_conclusion_on_matrix_algebra_under_both_readings():
     # the ambient hypothesis is stated as 'prime' but used as 'simple'; the
     # 2x2 matrix algebra satisfies both semi-decisions (no counterexample),
@@ -330,15 +224,14 @@ def test_theorem_33_conclusion_on_matrix_algebra_under_both_readings():
     cert = simplicity_certificate(a)
     readings = {
         "prime": cert.nonprime_pair is None,
-        "simple": not cert.certified_nonsimple,
+        "simple": cert.nonsimple_ideal is None,
     }
     assert readings["prime"] and readings["simple"]
     lie = commutator_bracket(a, trivial_rmatrix(a.module.hopf))
-    full = Subspace.full_space(4, ())
-    derived = bracket_of_subspaces(lie, full, full)
+    # L, then [L, L] = sl2, which is its own bracket [[L,L],[L,L]]
+    series = derived_series(lie)
+    assert series.verdict == SERIES_STABLE and [t.dim for t in series.terms] == [4, 3]
+    full, derived = series.terms
     for u in (full, derived):
-        if bracket_of_subspaces(lie, u, u).dim == 0:
-            continue
-        # I = L works: [L, L] = sl2 is nonzero and contained in U
-        br = bracket_of_subspaces(lie, full, full)
-        assert br.dim > 0 and u.contains(br)
+        # [U, U] = [L, L] is nonzero, and I = L works: [L, L] lies in U
+        assert u.first_outside(derived.basis) is None

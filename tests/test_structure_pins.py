@@ -1,8 +1,8 @@
 """Pinned structure-theory outputs, witnesses included.
 
 Ideal checks (verdict, reason and offending vector), ideal closures,
-centers, derived and lower central series, relative sets, restrictions to
-subspaces and simplicity certificates (probe seeds 0-3) are pinned in
+centers, derived and lower central series and simplicity certificates
+(probe seeds 0-3) are pinned in
 ``tests/witnesses/structure.json`` for every catalog object, two braided
 commutators, a twist of the cross product and gl3, each in its standard
 basis and in a fixed conjugated basis. The seed subspaces are each basis
@@ -43,8 +43,6 @@ from bihomcheck.structure import (
     is_H_bihom_ideal,
     is_H_bihom_lie_ideal,
     lower_central_series,
-    relative_sets,
-    restrict_lie,
     simplicity_certificate,
 )
 
@@ -149,10 +147,6 @@ def space(s):
     return [[str(c) for c in row] for row in s.vectors()]
 
 
-def matrix(m):
-    return [[str(c) for c in row] for row in m.row_list()]
-
-
 def ideal(check):
     witness = None if check.witness is None else [str(c) for c in check.witness]
     return {"ok": check.is_ideal, "reason": check.reason, "witness": witness}
@@ -171,40 +165,20 @@ def certificate(cert):
     }
 
 
-def restriction(l, s):
-    try:
-        r = restrict_lie(l, s)
-    except ValueError as exc:
-        return f"refused: {exc}"
-    return {
-        "bracket": matrix(r.structure_matrix()),
-        "alpha": matrix(r.alpha.matrix),
-        "beta": matrix(r.beta.matrix),
-        "action": [matrix(op) for op in r.module.action],
-    }
-
-
 def object_outputs(name, x):
     out = {}
     lie = isinstance(x, BiHomLie)
     seeds = seed_spaces(name, x)
     if lie:
         out["center"] = space(center(x))
-        derived = derived_series(x)
-        out["derived"] = series(derived)
-        for k, term in enumerate(derived.terms):
-            out[f"derived{k}/restrict"] = restriction(x, term)
+        out["derived"] = series(derived_series(x))
     for label, s in seeds.items():
         key = f"{label}/"
         if lie:
             out[key + "ideal"] = ideal(is_H_bihom_lie_ideal(x, s))
             out[key + "lcs"] = series(lower_central_series(x, s))
-            out[key + "normalizer"] = space(relative_sets(x, s, "normalizer"))
-            out[key + "transporter"] = space(relative_sets(x, s, "transporter"))
-            out[key + "restrict"] = restriction(x, s)
         else:
             out[key + "ideal"] = ideal(is_H_bihom_ideal(x, s))
-            out[key + "annihilator"] = space(relative_sets(x, s, "annihilator"))
         out[key + "closure"] = space(ideal_closure(x, s))
     for seed in PROBE_SEEDS:
         out[f"certificate{seed}"] = certificate(simplicity_certificate(x, probe_seed=seed))

@@ -43,7 +43,7 @@ from bihomcheck.catalog import (
     twisted_heisenberg,
 )
 from bihomcheck.errors import BihomError
-from bihomcheck.hmod import HModule, ModuleMap, check_module, check_module_algebra, is_H_commutative
+from bihomcheck.hmod import HModule, ModuleMap, check_module, check_module_algebra
 from bihomcheck.hopf import (
     HopfAlgebra,
     RMatrix,
@@ -202,7 +202,6 @@ def algebra_case(a, r):
         "module": outcome(lambda: check_module(a.module)),
         "module-algebra": outcome(lambda: check_module_algebra(a)),
         "bihom-assoc": outcome(lambda: check_bihom_associative(a)),
-        "h-commutative": outcome(lambda: is_H_commutative(a, r)),
         "lemma31": outcome(lambda: check_lemma31(a, r)),
     }
     try:
