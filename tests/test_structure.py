@@ -45,6 +45,20 @@ def x3_line(params=L):
     return span(3, [[0, 0, 1]], params)
 
 
+def test_bracket_of_subspaces_heisenberg():
+    # the lower central series from L steps through [L, L] and [[L, L], L]
+    lie = heisenberg_lie()
+    full = Subspace.full_space(3, L)
+    zero = Subspace.zero_space(3, L)
+    res = lower_central_series(lie, full)
+    assert res.verdict == SERIES_ZERO and res.step == 2
+    assert res.terms[1] == x3_line()
+    assert res.terms[2] == zero
+    assert lower_central_series(lie, zero).terms == [zero]
+    with pytest.raises(AmbientMismatch):
+        lower_central_series(lie, Subspace.zero_space(2, L))
+
+
 def test_lie_ideal_checks():
     lie = heisenberg_lie()
     assert is_H_bihom_lie_ideal(lie, Subspace.full_space(3, L))
