@@ -139,8 +139,9 @@ def _maps_h_linear(rep, prefix, x):
         rep.add(f"{prefix}.{label}-h-linear", f"{label} commutes with the H-action", bad is None, w)
 
 
-def check_bihom_associative(a: BiHomAlgebra) -> CheckReport:
-    """Eq-by-eq suite for BiHom-associativity in the module category."""
+def check_bihom_associative(a: BiHomAlgebra, *, module_algebra=None) -> CheckReport:
+    """Eq-by-eq suite for BiHom-associativity in the module category. The
+    ``check_module_algebra`` report on ``a`` is computed unless passed."""
     rep = CheckReport("bihom-assoc")
     m = a.module
     names = m.basis_names
@@ -172,7 +173,7 @@ def check_bihom_associative(a: BiHomAlgebra) -> CheckReport:
     else:
         rep.skip("bihom.unit", "1a = beta(a) and a1 = alpha(a)", "object has no unit")
 
-    rep.extend(check_module_algebra(a))
+    rep.extend(module_algebra or check_module_algebra(a))
     return rep
 
 

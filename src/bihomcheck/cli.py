@@ -147,7 +147,8 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
     reference diff. The ``triangularity`` verdict on (H, R) is likewise
     computed once and passed to R:qt, lie.rmatrix-triangular, lemma31 and
     the reference diff, and so are the braiding and the commutator matrix
-    of each product object, to lemma31 and the reference diff."""
+    of each product object, to lemma31 and the reference diff, and its
+    module-algebra report, to bihom-assoc."""
     if suite not in SUITES:
         raise ValidationError([f"unknown suite {suite!r} (choose from {', '.join(SUITES)})"])
     rep = CheckReport(suite)
@@ -157,6 +158,7 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
     commutator = functools.cache(
         lambda name: braided_commutator(structure(name), f.rmatrix, verdict=verdict())
     )
+    module_algebra = functools.cache(lambda name: check_module_algebra(structure(name)))
     names = sorted(f.objects)
     products = [name for name in names if f.objects[name].kind == "mult"]
     brackets = [name for name in names if name not in products]
@@ -191,10 +193,14 @@ def run_suite(f: AlgebraFile, suite: str) -> CheckReport:
             _prefixed(rep, name, check_module(f.objects[name].module))
     if suite in ("module-algebra", "all"):
         for name in products:
-            _prefixed(rep, name, check_module_algebra(structure(name)))
+            _prefixed(rep, name, module_algebra(name))
     if suite in ("bihom-assoc", "all"):
         for name in products:
-            _prefixed(rep, name, check_bihom_associative(structure(name)))
+            _prefixed(
+                rep,
+                name,
+                check_bihom_associative(structure(name), module_algebra=module_algebra(name)),
+            )
     if suite in ("bihom-lie", "all"):
         for name in brackets:
             _prefixed(rep, name, check_generalized_bihom_lie(structure(name), verdict=verdict()))

@@ -222,6 +222,11 @@ def _primitive(p: Polynomial) -> Polynomial:
 # positive leading coefficient, so the result does not depend on which path
 # found it. Any other pair goes through content extraction and a primitive
 # pseudo-remainder sequence (Brown, JACM 1971), all over Z.
+#
+# ``scalars`` avoids this machinery for the commonest case: a product of two
+# Laurent monomials (P and Q single terms) adds and subtracts exponent
+# tuples, and a sum of two fractions with the same P and Q adds their
+# constants, so neither reaches ``poly_gcd`` or ``poly_divexact``.
 
 
 def _deg_in(p: Polynomial, var: int):

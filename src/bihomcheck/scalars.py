@@ -34,6 +34,16 @@ primitive polynomials is primitive (Gauss's lemma), so a product of
 rational functions needs no content pass: it cancels with the cross gcds
 gcd(P1, Q2) and gcd(P2, Q1), as Knuth's rational multiply does. A sum
 cancels only through the gcd of the two denominators.
+
+Two cases take no gcd at all. A Laurent monomial is a scalar whose P and Q
+are single terms; in canonical form they are bare monomials x^a and x^b
+with coefficient 1 and disjoint support. The product of two of them is
+c1*c2*x^e with e = a1 - b1 + a2 - b2, computed on the exponent tuples and
+split into P = x^(e+) and Q = x^(e-), and the constant c1*c2 when e = 0.
+Two scalars with the same P and Q, equal monomials among them, sum to
+(c1 + c2)*P/Q, or to zero when c1 + c2 = 0. Both results are the canonical
+form the gcd path would reach. Twisting by diagonal maps (Yau twists such
+as Ad diag(1, s, s^2)) makes structure constants of this kind.
 """
 
 from __future__ import annotations
@@ -219,6 +229,10 @@ def _sum(params, c1, P1, Q1, c2, P2, Q2):
     only a factor of g can cancel from it."""
     one = _one(params)
     if Q1 == Q2:
+        if P1 == P2:
+            # (c1 + c2)*P/Q (see the module docstring)
+            c = c1 + c2 if type(c1) is int and type(c2) is int else _qadd(c1, c2)
+            return _fraction(params, c, P1, Q1) if _nonzero(c) else Scalar.of(params, 0)
         g, s, t = Q1, one, one
     else:
         g = one if Q1.is_one() or Q2.is_one() else poly_gcd(Q1, Q2)
@@ -235,10 +249,27 @@ def _sum(params, c1, P1, Q1, c2, P2, Q2):
     return _ratfunc(params, c, P, s * Q2)
 
 
+def _monomial(params, c, e):
+    """c * x^e for a Laurent exponent tuple e: P = x^(e+) and Q = x^(e-),
+    which are coprime monomials with coefficient 1; the constant c when e
+    is 0."""
+    if not any(e):
+        return _const(params, c)
+    P = _poly(params, {tuple(k if k > 0 else 0 for k in e): 1})
+    if min(e) >= 0:
+        return _fraction(params, c, P, _one(params))
+    return _fraction(params, c, P, _poly(params, {tuple(-k if k < 0 else 0 for k in e): 1}))
+
+
 def _product(params, c, P1, Q1, P2, Q2):
     """c * (P1/Q1) * (P2/Q2) (Knuth's rational multiply): only P1 and Q2,
     and P2 and Q1, can share a factor, and the products of the primitive
-    remainders are primitive."""
+    remainders are primitive. When all four are monomials, which in
+    canonical form have coefficient 1, the product is a Laurent monomial
+    whose exponents are added and subtracted directly."""
+    if len(P1.terms) == len(Q1.terms) == len(P2.terms) == len(Q2.terms) == 1:
+        (a1,), (b1,), (a2,), (b2,) = P1.terms, Q1.terms, P2.terms, Q2.terms
+        return _monomial(params, c, [p - q + r - t for p, q, r, t in zip(a1, b1, a2, b2)])
     if not Q2.is_one():
         g = poly_gcd(P1, Q2)
         if not g.is_one():
@@ -816,7 +847,13 @@ class _Parser:
 
 
 def parse_scalar(text: str, params=()) -> Scalar:
-    """Parse the textual scalar syntax into a reduced Scalar."""
+    """Parse the textual scalar syntax into a reduced Scalar. An integer
+    literal, optionally negated, is read without the tokenizer."""
+    # the value the parser would build; ``isdecimal`` holds for exactly the
+    # digits that ``\d`` matches and ``int`` reads, and is False on ""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isdecimal() and len(digits) <= MAX_INT_DIGITS:
+        return Scalar.of(params, int(text))
     p = _Parser(_tokenize(text), params)
     try:
         v = p.expr()

@@ -20,7 +20,9 @@ from bihomcheck.scalars import (
     MAX_POWER_TERMS,
     Polynomial,
     Scalar,
+    _Parser,
     _q,
+    _tokenize,
     parse_scalar,
     poly_divexact,
     poly_gcd,
@@ -505,16 +507,17 @@ def _assert_canonical(x, constant_valued):
         assert all(type(v) is int and v for v in p.terms.values())
         assert math.gcd(*p.terms.values()) == 1
         assert p.leading()[1] > 0
-    symbols = sympy.symbols(x.params) if x.params else ()
-
-    def to_sympy(p):
-        return sum(
-            (v * sympy.Mul(*(s**k for s, k in zip(symbols, e))) for e, v in p.terms.items()),
-            sympy.Integer(0),
-        )
-
-    assert sympy.gcd(to_sympy(P), to_sympy(Q)).is_number
+    assert sympy.gcd(_to_sympy(sympy, P), _to_sympy(sympy, Q)).is_number
     assert Scalar(x.num, x.den) == x and hash(Scalar(x.num, x.den)) == hash(x)
+
+
+def _to_sympy(sympy, p):
+    """The integer polynomial p as a sympy expression in its parameters."""
+    symbols = sympy.symbols(p.params) if p.params else ()
+    return sum(
+        (v * sympy.Mul(*(s**k for s, k in zip(symbols, e))) for e, v in p.terms.items()),
+        sympy.Integer(0),
+    )
 
 
 def test_every_operation_keeps_the_canonical_layout():
@@ -596,6 +599,62 @@ def test_arithmetic_agrees_with_sympy_cancel():
     check()
 
 
+def test_laurent_monomial_arithmetic_agrees_with_the_gcd_path_and_sympy():
+    # products and sums of two Laurent monomials c*x^k run on exponent
+    # tuples; each result must be the canonical form the gcd path gives
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+    def monomial(params, c, e):
+        """c*x^e through the constructor, which runs the gcd path."""
+        num = Polynomial(params, {tuple(max(k, 0) for k in e): c.numerator})
+        den = Polynomial(params, {tuple(max(-k, 0) for k in e): c.denominator})
+        return Scalar(num, den)
+
+    def related(case):
+        # the second operand is unrelated, the inverse monomial (products
+        # cancel to a constant), the same monomial, or its negative (sums
+        # cancel to zero)
+        params, c1, e1, c2, e2, how = case
+        if how == "inverse":
+            e2 = tuple(-k for k in e1)
+        elif how == "same":
+            e2 = e1
+        elif how == "negated":
+            c2, e2 = -c1, e1
+        return params, c1, e1, c2, e2
+
+    def pairs(params):
+        exponents = st.tuples(*[st.integers(-3, 3)] * len(params))
+        how = st.sampled_from(["free", "inverse", "same", "negated"])
+        return st.tuples(st.just(params), coefficients, exponents, coefficients, exponents, how).map(related)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        case=st.sampled_from([("a",), ("a", "b"), ("a", "b", "c", "d")]).flatmap(pairs)
+    )
+    def check(case):
+        params, c1, e1, c2, e2 = case
+        x, y = monomial(params, c1, e1), monomial(params, c2, e2)
+        ex, ey = (sympy.cancel(_to_sympy(sympy, v.num) / _to_sympy(sympy, v.den)) for v in (x, y))
+        unreduced = {
+            "*": (x.num * y.num, x.den * y.den),
+            "/": (x.num * y.den, x.den * y.num),
+            "+": (x.num * y.den + y.num * x.den, x.den * y.den),
+            "-": (x.num * y.den - y.num * x.den, x.den * y.den),
+        }
+        for op, (num, den) in unreduced.items():
+            got, want = _OPS[op](x, y), sympy.cancel(_OPS[op](ex, ey))
+            _assert_canonical(got, not want.free_symbols)
+            assert sympy.cancel(_to_sympy(sympy, got.num) / _to_sympy(sympy, got.den) - want) == 0
+            assert got == Scalar(got.num, got.den) == Scalar(num, den)
+            assert hash(got) == hash(Scalar(num, den))
+
+    check()
+
+
 def _fraction_calls(fn):
     """Names of the functions of the fractions module that run inside fn()."""
     import fractions
@@ -647,6 +706,44 @@ def test_integer_literal_above_the_digit_limit_is_a_located_parse_error():
         sc("b + 1" + longest)
     assert info.value.column == 5
     assert f"{MAX_INT_DIGITS + 1} digits exceeds the limit {MAX_INT_DIGITS}" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0",
+        "-0",
+        "007",
+        "-12",
+        "+1",
+        "-",
+        "--1",
+        " 1",
+        "1 ",
+        pytest.param("7" * MAX_INT_DIGITS, id="longest"),
+        pytest.param("-" + "7" * MAX_INT_DIGITS, id="longest-negated"),
+        pytest.param("7" * (MAX_INT_DIGITS + 1), id="too-long"),
+        pytest.param("-" + "7" * (MAX_INT_DIGITS + 1), id="too-long-negated"),
+        pytest.param("\u0664\u0662", id="arabic-indic-42"),
+        pytest.param("-\u0967\u0966", id="devanagari-minus-10"),
+        # a digit to str.isdigit but not a decimal digit to int or \d
+        pytest.param("\u00b2", id="superscript-two"),
+    ],
+)
+@pytest.mark.parametrize("params", [(), P])
+def test_integer_literals_parse_as_the_tokenizer_does(text, params):
+    # parse_scalar reads a bare integer literal without the tokenizer; it
+    # must give what the tokenizer and parser give, value or located error
+    def outcome(parse):
+        try:
+            v = parse()
+        except ParseError as exc:
+            return str(exc), exc.column
+        assert type(v) is Scalar and v.params == params and type(v.value) is int
+        return v
+
+    want = outcome(lambda: _Parser(_tokenize(text), params).expr())
+    assert outcome(lambda: parse_scalar(text, params)) == want
 
 
 @pytest.mark.parametrize("params", [(), P, L])

@@ -11,7 +11,10 @@ rational point must agree with specialising the file at that point
 - a point that hits a pole of the file is refused with DenominatorVanishes.
 
 The inputs are the parametric catalog files, the two generated parametric
-files of the benchmark, and a perturbed ``example24`` whose verdict fails.
+files of the benchmark, a perturbed ``example24`` whose verdict fails, the
+Yau-twisted gl2 over Q(s, t) and gl3 over Q(s) of the parametric structure
+pins, and a gl2 whose bracket has one entry scaled by s, which fails unless
+s = 1.
 """
 
 import functools
@@ -20,12 +23,19 @@ from fractions import Fraction
 
 import pytest
 
-from bihomcheck.algfile import parse_algebra_file, print_algebra_file, substitute_file
-from bihomcheck.catalog import catalog_file
+from bihomcheck.algfile import (
+    AlgebraFile,
+    AlgebraObject,
+    parse_algebra_file,
+    print_algebra_file,
+    substitute_file,
+)
+from bihomcheck.catalog import GROUP_Z1, catalog_file
 from bihomcheck.cli import run_suite
 from bihomcheck.errors import DenominatorVanishes
 from bihomcheck.report import FAIL, PASS
 from bihomcheck.scalars import parse_scalar
+from test_param_structure_pins import INSTANCES, general_linear, yau_general_linear
 from test_scalar_pins import files as scalar_pin_files
 
 VALUES = (2, -1, Fraction(1, 3), Fraction(5, 7))
@@ -47,12 +57,43 @@ def perturbed_example24():
     return parse_algebra_file(json.dumps(doc))
 
 
+def lie_file(name, lie):
+    """The printed algebra file of a BiHom-Lie algebra over the trivial Hopf
+    algebra, as a JSON document."""
+    f = AlgebraFile(
+        name=name,
+        parameters=lie.params,
+        hopf_spec=GROUP_Z1,
+        hopf=lie.module.hopf,
+        rmatrix=lie.rmatrix,
+        objects={"L": AlgebraObject.of("L", lie)},
+    )
+    return json.loads(print_algebra_file(f))
+
+
+def scaled_gl2():
+    """gl2 with [E12, E21] = s*E11 - E22: skew-symmetry fails for generic s
+    and holds again at s = 1."""
+    doc = lie_file("gl2-scaled", general_linear(2, ("s",)))
+    bracket = doc["objects"]["L"]["bracket"]
+    bracket[bracket.index([1, 2, 0, "1"])][3] = "s"
+    return parse_algebra_file(json.dumps(doc))
+
+
 @functools.cache
 def files():
-    """The parametric files among the catalog and the generated ones."""
+    """The parametric files among the catalog and the generated ones, and
+    the failing and Yau-twisted inputs built here."""
     out = {name: f for name, f in scalar_pin_files().items() if f.parameters}
     out["example24-perturbed"] = perturbed_example24()
+    for name in INSTANCES:
+        out[name] = parse_algebra_file(json.dumps(lie_file(name, yau_general_linear(*INSTANCES[name]))))
+    out["gl2-scaled"] = scaled_gl2()
     return out
+
+
+# the files whose symbolic verdict fails
+FAILING = ("example24-perturbed", "gl2-scaled")
 
 
 def vanishes_at(witness, params, point):
@@ -80,4 +121,11 @@ def test_suite_verdicts_commute_with_specialisation(name):
                 failing_points += 1
     if any(e.status == FAIL for e in symbolic):
         assert failing_points > 0
-    assert (name == "example24-perturbed") == any(e.status == FAIL for e in symbolic)
+    assert (name in FAILING) == any(e.status == FAIL for e in symbolic)
+
+
+def test_the_scaled_gl2_passes_where_its_residual_vanishes():
+    f = files()["gl2-scaled"]
+    failed = [e for e in run_suite(f, "all").entries if e.status == FAIL]
+    assert failed and all(vanishes_at(e.witness, f.parameters, {"s": 1}) for e in failed)
+    assert run_suite(substitute_file(f, {"s": 1}), "all").ok

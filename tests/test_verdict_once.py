@@ -6,20 +6,25 @@ verdict to every consumer, so it solves for the inverse of R once
 (``RMatrix.inverse_in``) and, for ``construct``, validates the result with
 one run of the generalized BiHom-Lie suite. In the same way, ``check
 --suite all`` builds the braiding and the commutator matrix of a product
-object once, for lemma31 and the reference diff. Called on their own, the
-library functions still decide it on every call.
+object once, for lemma31 and the reference diff, and runs its
+module-algebra suite once, for module-algebra and bihom-assoc. Called on
+their own, the library functions still decide it on every call.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import pathlib
 
 import pytest
 
 from bihomcheck import bihom, cli, hmod
-from bihomcheck.catalog import kz2_hopf, r_triangular_kz2
+from bihomcheck.catalog import example24_algebra, kz2_hopf, r_triangular_kz2
 from bihomcheck.hopf import RMatrix, check_quasitriangular
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -90,3 +95,41 @@ def test_one_command_builds_the_braided_commutator_once(monkeypatch):
     monkeypatch.setattr(bihom, "_commutator_matrix", counted_commutator)
     assert quiet_main(["check", "example24", "--suite", "all", "--json"]) == 0
     assert seen == {"braidings": 1, "commutator matrices": 1}
+
+
+@pytest.fixture
+def module_algebra_suites(monkeypatch):
+    """Calls of the module-algebra suite, wherever it is reached from."""
+    seen = []
+    suite = hmod.check_module_algebra
+
+    def counted_suite(*args, **kwargs):
+        seen.append(args)
+        return suite(*args, **kwargs)
+
+    for module in (bihom, cli):
+        monkeypatch.setattr(module, "check_module_algebra", counted_suite)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, products",
+    [("example24", 1), ("example25-heisenberg", 1), ("trivial-hopf", 1), ("kz2", 0)],
+)
+def test_one_command_runs_the_module_algebra_suite_once(module_algebra_suites, name, products):
+    # --suite all reports it twice: as its own suite and inside bihom-assoc
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["check", name, "--suite", "all", "--json"]) == 0
+    assert len(module_algebra_suites) == products
+    report = json.loads(out.getvalue())
+    assert report == json.loads((GOLDEN / f"check_all_{name}.json").read_text())
+    ids = [e["id"] for e in report["entries"]]
+    assert sum(i.endswith(":module-algebra.equivariance") for i in ids) == 2 * products
+
+
+def test_bihom_assoc_alone_runs_the_module_algebra_suite(module_algebra_suites):
+    assert quiet_main(["check", "example24", "--suite", "bihom-assoc", "--json"]) == 0
+    assert len(module_algebra_suites) == 1
+    assert bihom.check_bihom_associative(example24_algebra()).ok
+    assert len(module_algebra_suites) == 2
