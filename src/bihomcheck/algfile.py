@@ -19,7 +19,6 @@ canonical scalar strings), and parse-then-print is the identity on it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
 
 from .bihom import BiHomAlgebra, BiHomLie
 from .errors import NotAGroup, ParseError, ValidationError, quoted
@@ -31,26 +30,37 @@ from .scalars import MAX_INT_DIGITS, Scalar, parse_scalar, too_long_to_print
 FORMAT = "bihom-algebra-file/1"
 
 
-@dataclass
 class AlgebraObject:
-    name: str
-    basis: list
-    module: HModule
-    kind: str  # "mult" or "bracket"
-    tensor: Matrix  # the structure matrix; nested constants are converted
-    alpha: Matrix
-    beta: Matrix
-    unit: list | None = None
-    multiplicative: bool = True
-    twist_alpha: Matrix | None = None
-    twist_beta: Matrix | None = None
-    reference_bracket: Matrix | None = None
-
-    def __post_init__(self):
-        p, d = self.module.params, self.dim
-        self.tensor = tensor_matrix(self.tensor, d, p, name=self.kind)
-        if self.reference_bracket is not None:
-            self.reference_bracket = tensor_matrix(self.reference_bracket, d, p, name="reference")
+    def __init__(
+        self,
+        name: str,
+        basis: list,
+        module: HModule,
+        kind: str,  # "mult" or "bracket"
+        tensor: Matrix,  # the structure matrix; nested constants are converted
+        alpha: Matrix,
+        beta: Matrix,
+        unit: list | None = None,
+        multiplicative: bool = True,
+        twist_alpha: Matrix | None = None,
+        twist_beta: Matrix | None = None,
+        reference_bracket: Matrix | None = None,
+    ):
+        p, d = module.params, len(basis)
+        self.name = name
+        self.basis = basis
+        self.module = module
+        self.kind = kind
+        self.tensor = tensor_matrix(tensor, d, p, name=kind)
+        self.alpha = alpha
+        self.beta = beta
+        self.unit = unit
+        self.multiplicative = multiplicative
+        self.twist_alpha = twist_alpha
+        self.twist_beta = twist_beta
+        if reference_bracket is not None:
+            reference_bracket = tensor_matrix(reference_bracket, d, p, name="reference")
+        self.reference_bracket = reference_bracket
 
     @property
     def dim(self):
@@ -96,14 +106,22 @@ class AlgebraObject:
         )
 
 
-@dataclass
 class AlgebraFile:
-    name: str
-    parameters: tuple
-    hopf_spec: dict
-    hopf: HopfAlgebra
-    rmatrix: RMatrix
-    objects: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        parameters: tuple,
+        hopf_spec: dict,
+        hopf: HopfAlgebra,
+        rmatrix: RMatrix,
+        objects: dict | None = None,
+    ):
+        self.name = name
+        self.parameters = parameters
+        self.hopf_spec = hopf_spec
+        self.hopf = hopf
+        self.rmatrix = rmatrix
+        self.objects = {} if objects is None else objects
 
 
 class _Findings:
@@ -350,6 +368,9 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         data = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise ParseError("JSON nesting is too deep") from None
     findings = _Findings()
     if not isinstance(data, dict):
         findings.add("$", "top level must be an object")
@@ -497,8 +518,9 @@ def substitute_file(f: AlgebraFile, bindings) -> AlgebraFile:
     h = f.hopf
     hopf = HopfAlgebra(h.basis_names, *map(walk, (h.M, h.unit, h.C, h.counit, h.antipode)), params)
     rmatrix = RMatrix(walk(f.rmatrix.coefficients))
+    # an object's attributes are its constructor arguments, in order
     objects = {
-        name: replace(o, **{x.name: walk(getattr(o, x.name)) for x in fields(o)})
+        name: AlgebraObject(**{k: walk(v) for k, v in vars(o).items()})
         for name, o in sorted(f.objects.items())
     }
     return AlgebraFile(f.name, params, hopf_spec, hopf, rmatrix, objects)

@@ -1,10 +1,15 @@
 """Command-line surface: check / construct / structure / catalog / print.
 
 Exit codes are a stable contract: 0 all checks passed, 1 at least one
-axiom failed, 2 input error (unreadable/invalid file, bad flags), 3
-precondition refusal (singular twisting maps, non-triangular R-matrix,
-and friends). Reports print as text by default or as versioned JSON with
---json; output is deterministic for a given input and seed.
+axiom failed, 2 input error (unreadable, non-UTF-8, too deeply nested or
+invalid file, bad flags), 3 precondition refusal (singular twisting maps,
+non-triangular R-matrix, and friends). Reports print as text by default or
+as versioned JSON with --json; output is deterministic for a given input
+and seed.
+
+Only the structure command loads the structure-theory code
+(``bihomcheck.structure``): a check, construct or print process never
+imports or compiles it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -50,17 +54,15 @@ from .errors import (
 from .hmod import check_module, check_module_algebra
 from .hopf import check_hopf_axioms, triangularity
 from .linalg import Subspace
-from .report import CheckReport, Witness, format_combination, format_subspace, residual_from_vector
-from .scalars import MAX_INT_DIGITS, parse_scalar
-from .structure import (
-    center,
-    derived_series,
-    ideal_closure,
-    is_H_bihom_ideal,
-    is_H_bihom_lie_ideal,
-    lower_central_series,
-    simplicity_certificate,
+from .report import (
+    CheckEntry,
+    CheckReport,
+    Witness,
+    format_combination,
+    format_subspace,
+    residual_from_vector,
 )
+from .scalars import MAX_INT_DIGITS, parse_scalar
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,6 +84,10 @@ def load_file(ref: str) -> AlgebraFile:
             text = fh.read()
     except OSError as exc:
         raise ValidationError([f"cannot read {ref!r}: {exc}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            [f"cannot read {ref!r}: not UTF-8 text ({exc.reason} at byte {exc.start})"]
+        ) from None
     return parse_algebra_file(text)
 
 
@@ -110,8 +116,11 @@ def _parse_bindings(pairs):
 
 
 def _prefixed(rep_into: CheckReport, prefix: str, rep: CheckReport):
-    entries = [replace(e, check_id=f"{prefix}:{e.check_id}") for e in rep.entries]
-    rep_into.extend(replace(rep, entries=entries))
+    entries = [
+        CheckEntry(f"{prefix}:{e.check_id}", e.law, e.status, e.witness, e.detail)
+        for e in rep.entries
+    ]
+    rep_into.extend(CheckReport(rep.suite, entries, rep.notes, rep.probe_seed))
     return rep_into
 
 
@@ -302,6 +311,17 @@ def run_structure(
 ) -> CheckReport:
     """Structure-theory computations rendered into a report; subspaces are
     printed as RREF bases over the object's named basis."""
+    # imported here, so that no other command loads the structure theory
+    from .structure import (
+        center,
+        derived_series,
+        ideal_closure,
+        is_H_bihom_ideal,
+        is_H_bihom_lie_ideal,
+        lower_central_series,
+        simplicity_certificate,
+    )
+
     rep = CheckReport(f"structure:{what}")
     if what not in STRUCTURE_WHAT:
         raise ValidationError(

@@ -8,8 +8,6 @@ pinning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import __version__
 
 REPORT_SCHEMA = "bihomcheck-report/1"
@@ -19,12 +17,21 @@ FAIL = "fail"
 SKIP = "skipped"
 
 
-@dataclass(frozen=True)
 class Witness:
-    """Offending basis tuple plus the nonzero residual element."""
+    """Offending basis tuple plus the nonzero residual element; equal and
+    hashed by value."""
 
-    basis: tuple
-    residual: tuple  # pairs (basis name, scalar string), zero coefficients dropped
+    def __init__(self, basis: tuple, residual: tuple):
+        self.basis = basis
+        self.residual = residual  # pairs (basis name, scalar string), zero coefficients dropped
+
+    def __eq__(self, other):
+        if not isinstance(other, Witness):
+            return NotImplemented
+        return (self.basis, self.residual) == (other.basis, other.residual)
+
+    def __hash__(self):
+        return hash((self.basis, self.residual))
 
     def to_json(self):
         return {
@@ -122,13 +129,15 @@ def format_subspace(names, subspace) -> str:
     return f"span({', '.join(rows)})"
 
 
-@dataclass
 class CheckEntry:
-    check_id: str
-    law: str
-    status: str
-    witness: Witness | None = None
-    detail: str = ""
+    def __init__(
+        self, check_id: str, law: str, status: str, witness: Witness | None = None, detail: str = ""
+    ):
+        self.check_id = check_id
+        self.law = law
+        self.status = status
+        self.witness = witness
+        self.detail = detail
 
     def to_json(self):
         out = {"id": self.check_id, "law": self.law, "status": self.status}
@@ -139,12 +148,18 @@ class CheckEntry:
         return out
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    entries: list = field(default_factory=list)
-    notes: list = field(default_factory=list)  # informational, never failing
-    probe_seed: int | None = None
+    def __init__(
+        self,
+        suite: str,
+        entries: list | None = None,
+        notes: list | None = None,
+        probe_seed: int | None = None,
+    ):
+        self.suite = suite
+        self.entries = [] if entries is None else entries
+        self.notes = [] if notes is None else notes  # informational, never failing
+        self.probe_seed = probe_seed
 
     def add(self, check_id, law, ok, witness=None, detail=""):
         self.entries.append(

@@ -24,7 +24,6 @@ fills the whole space.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .bihom import BiHomAlgebra, BiHomLie
 from .errors import AmbientMismatch
@@ -34,37 +33,44 @@ SERIES_ZERO = "terminates-at-zero"
 SERIES_STABLE = "stabilizes-nonzero"
 
 
-@dataclass
 class SeriesResult:
-    terms: list
-    verdict: str
-    step: int
+    def __init__(self, terms: list, verdict: str, step: int):
+        self.terms = terms
+        self.verdict = verdict
+        self.step = step
 
     @property
     def reaches_zero(self) -> bool:
         return self.verdict == SERIES_ZERO
 
 
-@dataclass
 class IdealCheck:
-    is_ideal: bool
-    reason: str = ""
-    witness: list | None = None  # offending vector, in ambient coordinates
+    def __init__(self, is_ideal: bool, reason: str = "", witness: list | None = None):
+        self.is_ideal = is_ideal
+        self.reason = reason
+        self.witness = witness  # offending vector, in ambient coordinates
 
     def __bool__(self):
         return self.is_ideal
 
 
-@dataclass
 class Certificate:
     """Semi-decision output; ``found`` certificates are proofs, everything
     else is explicitly 'no counterexample found', never a positive proof."""
 
-    nonsimple_ideal: Subspace | None
-    nonprime_pair: tuple | None
-    nonsemiprime_ideal: Subspace | None
-    probe_seed: int
-    probes: int
+    def __init__(
+        self,
+        nonsimple_ideal: Subspace | None,
+        nonprime_pair: tuple | None,
+        nonsemiprime_ideal: Subspace | None,
+        probe_seed: int,
+        probes: int,
+    ):
+        self.nonsimple_ideal = nonsimple_ideal
+        self.nonprime_pair = nonprime_pair
+        self.nonsemiprime_ideal = nonsemiprime_ideal
+        self.probe_seed = probe_seed
+        self.probes = probes
 
 
 def _check_ambient(x, space: Subspace):

@@ -75,6 +75,47 @@ def test_check_exit_two_on_bad_input(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["check", "print"])
+def test_a_file_that_is_not_utf8_is_input_error(capsys, tmp_path, command):
+    # a UTF-16 byte-order mark: the decoder fails on the first byte
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {str(p)!r}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
+def nested_name_file(capsys, depth):
+    """The kz2 file with its name replaced by a list nested ``depth`` deep."""
+    _, out, _ = run(capsys, "print", "kz2")
+    doc = json.loads(out)
+    doc["name"] = "NAME"
+    return json.dumps(doc).replace('"NAME"', "[" * depth + "]" * depth)
+
+
+@pytest.mark.parametrize("command", ["check", "print"])
+@pytest.mark.parametrize("depth", [990, None], ids=["name-990", "open-100000"])
+def test_json_nested_too_deep_is_input_error(capsys, tmp_path, command, depth):
+    text = "[" * 100_000 if depth is None else nested_name_file(capsys, depth)
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    if depth is None:
+        assert err == "error: JSON nesting is too deep\n"
+    else:
+        # where the decoder's recursion limit is above 990 (a C-stack limit
+        # on newer Pythons), the nested name reaches validation instead
+        assert err in ("error: JSON nesting is too deep\n", "error: name: expected a string\n")
+
+
+def test_json_nested_500_deep_reaches_validation(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text(nested_name_file(capsys, 500))
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out, err) == (2, "", "error: name: expected a string\n")
+
+
 @pytest.mark.parametrize("entry", ['"' + "1" * 5000 + '"', "1" * 5000])
 def test_overlong_integer_literal_is_input_error(capsys, tmp_path, entry):
     # an R-matrix entry written as a scalar string and as a bare JSON integer

@@ -3,10 +3,12 @@
 Algebra files made by mutating the catalog files (a value replaced by an
 arbitrary JSON value, a key or list entry dropped, the text cut short) make
 ``parse_algebra_file`` raise ``ParseError`` or ``ValidationError`` and
-nothing else. Command lines made of a fuzzed file or a catalog name,
-subcommands and flags with odd values make ``cli.main`` return an exit
-code from 0 to 3 without raising. Both fuzzers are derandomized with small
-fixed example budgets.
+nothing else. Command lines made of a fuzzed file, a file that is not
+UTF-8 or is nested too deep, or a catalog name, subcommands and flags with
+odd values make ``cli.main`` return an exit code from 0 to 3 without
+raising. Both fuzzers are derandomized with small fixed example budgets,
+and the command-line fuzzer always runs the two odd files as explicit
+examples.
 """
 
 from __future__ import annotations
@@ -124,6 +126,9 @@ FLAGS = {
     "catalog": ["--json"],
 }
 REQUIRED = {"construct": 2, "structure": 1}
+# files no JSON document prints: bytes that are not UTF-8 (a UTF-16
+# byte-order mark) and nesting deeper than the decoder's recursion limit
+ODD_FILES = {"utf16.json": b"\xff\xfe{\x00}\x00", "deep.json": b"[" * 100_000}
 
 
 @st.composite
@@ -137,7 +142,8 @@ def command_lines(draw, tmp: pathlib.Path):
         encoding="utf-8",
     )
     command = draw(st.sampled_from(sorted(FLAGS)))
-    ref = draw(st.sampled_from([str(path)] * 3 + sorted(DOCS) + [str(tmp / "missing.json")]))
+    refs = [str(path)] * 3 + sorted(DOCS) + [str(tmp / "missing.json")]
+    ref = draw(st.sampled_from(refs + [str(tmp / name) for name in ODD_FILES]))
     argv = [command] if command == "catalog" else [command, ref]
     flags = FLAGS[command]
     required = flags[: REQUIRED.get(command, 0)] if draw(st.integers(0, 9)) else []
@@ -158,9 +164,15 @@ def command_lines(draw, tmp: pathlib.Path):
 def test_fuzzed_command_lines_return_an_exit_code():
     with tempfile.TemporaryDirectory() as name:
         tmp = pathlib.Path(name)
+        for odd, data in ODD_FILES.items():
+            (tmp / odd).write_bytes(data)
 
         @hypothesis.settings(SETTINGS, max_examples=60)
         @hypothesis.given(argv=command_lines(tmp))
+        @hypothesis.example(argv=["check", str(tmp / "utf16.json")])
+        @hypothesis.example(argv=["print", str(tmp / "utf16.json")])
+        @hypothesis.example(argv=["check", str(tmp / "deep.json"), "--json"])
+        @hypothesis.example(argv=["print", str(tmp / "deep.json")])
         def check(argv):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
