@@ -25,7 +25,7 @@ from .errors import (
 )
 from .hmod import HModule, ModuleMap, braiding, check_module_algebra, equivariance_witness
 from .hopf import RMatrix, triangularity
-from .linalg import Matrix, invert, kron, kron_apply, nested_tensor, tensor_matrix
+from .linalg import Matrix, invert, kron, kron_apply, multiplications, nested_tensor, tensor_matrix
 from .report import CheckReport, Witness, column_witness
 
 
@@ -68,25 +68,15 @@ class _StructureBase:
         maps = (self.alpha.matrix, self.beta.matrix, *self.module.action)
         return [m.transpose() for m in maps]
 
-    def _multiplications(self, right):
-        # row i of the j-th operator is e_i e_j (right) or e_j e_i, which is
-        # a row of the stored B^T; the rows are shared, not copied
-        d, t = self.module.dim, self._transposed.data
-        return [
-            Matrix.from_dicts(d, d, [t[i * d + j if right else j * d + i] for i in range(d)],
-                              self.params)
-            for j in range(d)
-        ]
-
     @cached_property
     def right_operators(self) -> list:
         """The row-form operators v -> v e_j, one per basis vector e_j."""
-        return self._multiplications(right=True)
+        return multiplications(self._transposed, right=True)
 
     @cached_property
     def left_operators(self) -> list:
         """The row-form operators v -> e_j v, one per basis vector e_j."""
-        return self._multiplications(right=False)
+        return multiplications(self._transposed, right=False)
 
     def products(self, left: Matrix, right: Matrix) -> Matrix:
         """Row i*right.rows + j is the image of (row i of left) (x) (row j of

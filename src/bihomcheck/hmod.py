@@ -7,14 +7,14 @@ law here is an identity between products of sparse matrices on tensor
 powers. Tensor products of modules use the index convention
 (i, j) -> i * dim_second + j throughout, and the column order of a
 difference matrix is the lexicographic order of the basis tuples it
-checks.
+checks. The action on M (x) N and the braiding go through ``kron_sum``.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch
 from .hopf import HopfAlgebra, RMatrix
-from .linalg import Matrix, flip, hstack, kron, kron_apply
+from .linalg import Matrix, flip, hstack, kron_apply, kron_sum
 from .report import CheckReport, column_witness
 
 
@@ -87,28 +87,16 @@ def check_module(m: HModule) -> CheckReport:
 
 def tensor_module(m: HModule, n: HModule) -> HModule:
     """Tensor product module; H acts through the coproduct."""
-    hopf = m.hopf
     names = [f"{a}(x){b}" for a in m.basis_names for b in n.basis_names]
-    action = [Matrix.zero(m.dim * n.dim, m.dim * n.dim, m.params) for _ in range(hopf.dim)]
-    for pq, row in enumerate(hopf.C.data):
-        p, q = divmod(pq, hopf.dim)
-        op = kron(m.action[p], n.action[q])
-        for i, c in row.items():
-            action[i] = action[i] + op.scale(c)
-    return HModule(hopf, names, action)
+    return HModule(m.hopf, names, [kron_sum(x, m.action, n.action) for x in m.hopf.coproducts()])
 
 
 def braiding(m: HModule, n: HModule, r: RMatrix) -> Matrix:
     """Matrix of tau: M (x) N -> N (x) M, tau(m (x) n) = sum R2.n (x) R1.m."""
     if r.dim != m.hopf.dim:
         raise DimensionMismatch("R-matrix dimension differs from the Hopf algebra")
-    out = Matrix.zero(n.dim * m.dim, m.dim * n.dim, m.params)
-    perm = flip(m.dim, n.dim, m.params)
-    for i, row in enumerate(r.coefficients.data):
-        for j, c in row.items():
-            # tau = (action_N[j] (x) action_M[i]) o flip, weighted by R[i][j]
-            out = out + (kron(n.action[j], m.action[i]) @ perm).scale(c)
-    return out
+    # the flip of R acting on N (x) M, after the factor swap
+    return kron_sum(r.coefficients.transpose(), n.action, m.action) @ flip(m.dim, n.dim, m.params)
 
 
 def equivariance_witness(m: HModule, product: Matrix):

@@ -12,7 +12,9 @@ lexicographic order of basis tuples.
   (d x d) has S(e_i) as column i.
 
 An element x of H (x) H is its d x d coefficient matrix X, x = sum X[a][b]
-e_a (x) e_b. An R-matrix is such an element. Each Hopf and quasitriangular
+e_a (x) e_b: an R-matrix, and each coproduct (``coproducts``). It acts on a
+tensor product through ``linalg.kron_sum``, and on H (x) H itself as
+y -> x y or y x (``tensor_square_mult``). Each Hopf and quasitriangular
 axiom is an identity between products of these matrices, and a failing
 check names the first failing basis tuple. A map tensored with identities,
 such as M (M (x) id), is applied slot by slot with ``kron_apply``; a map
@@ -32,11 +34,12 @@ from functools import cached_property
 from .errors import DimensionMismatch, NotAGroup, NotInvertible, Singular
 from .linalg import (
     Matrix,
-    _add_scaled,
     flip,
     hstack,
     kron,
     kron_apply,
+    kron_sum,
+    multiplications,
     nested_tensor,
     solve,
     tensor_matrix,
@@ -76,42 +79,28 @@ class HopfAlgebra:
         """comult[i][j][k], the coefficient of e_j (x) e_k in the coproduct of e_i."""
         return nested_tensor(self.C, coproduct=True)
 
+    def coproducts(self) -> list:
+        """The coefficient matrix of the coproduct of each basis element."""
+        return _coefficients(self.C, self.dim)
+
     def tensor_square_mult(self, x: Matrix, right=False) -> Matrix:
         """Operator of y -> x y (y -> y x when ``right``) on H (x) H for the
-        element with coefficient matrix x.
+        element with coefficient matrix x: the sum over i of kron(L_i, L_{x_i})
+        for L_b the multiplication by e_b (on the right when ``right``) and
+        x_i = sum_b x[i][b] e_b, built on the row-form operators."""
+        ops = multiplications(self.M.transpose(), right)
+        return kron_sum(x, ops, ops).transpose()
 
-        With L_b the operator of multiplication by e_b (on the left, or on
-        the right when ``right``) and x_i = sum_b x[i][b] e_b the i-th row
-        of x, this is the sum over i of kron(L_i, L_{x_i}). Every L_b is read
-        off the columns of M (column i*d + j is e_i e_j), and the Kronecker
-        rows are accumulated in place on the kernel values of M and x (see
-        ``linalg``), and taken over as the operator's rows; no d^4-wide
-        operator is formed and no Scalar is made."""
-        d = self.dim
-        ops = [[{} for _ in range(d)] for _ in range(d)]
-        for k, mrow in enumerate(self.M.data):
-            for c, v in mrow.items():
-                i, j = divmod(c, d)
-                # e_i e_j is column i of R_{e_j} and column j of L_{e_i}
-                if right:
-                    ops[j][k][i] = v
-                else:
-                    ops[i][k][j] = v
-        out = [{} for _ in range(d * d)]
-        for i, xrow in enumerate(x.data):
-            if not xrow:
-                continue
-            xi = [{} for _ in range(d)]
-            for b, f in xrow.items():
-                for xr, orow in zip(xi, ops[b]):
-                    _add_scaled(xr, f, orow)
-            for k, lrow in enumerate(ops[i]):
-                if lrow:
-                    for l, xr in enumerate(xi):
-                        if xr:
-                            for j, v in lrow.items():
-                                _add_scaled(out[k * d + l], v, xr, j * d)
-        return Matrix.from_dicts(d * d, d * d, out, self.params)
+
+def _coefficients(m: Matrix, d) -> list:
+    """The d x d coefficient matrix of each column of m, a map into H (x) H
+    (row a*d + b holds e_a (x) e_b), on the kernel values of m."""
+    out = [[{} for _ in range(d)] for _ in range(m.cols)]
+    for ab, row in enumerate(m.data):
+        a, b = divmod(ab, d)
+        for c, v in row.items():
+            out[c][a][b] = v
+    return [Matrix.from_dicts(d, d, rows, m.params) for rows in out]
 
 
 class RMatrix:
@@ -144,7 +133,7 @@ class RMatrix:
         # input may not satisfy the unit laws, so confirm both sides
         if left @ inv != uu or right @ inv != uu:
             raise NotInvertible("R has only a one-sided inverse candidate")
-        return Matrix(hopf.dim, hopf.dim, inv.col(0), hopf.params)
+        return _coefficients(inv, hopf.dim)[0]
 
 
 def group_algebra(cayley, identity, names=None, params=()) -> HopfAlgebra:
@@ -235,7 +224,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
 
     # each difference stacks the H (x) H coefficients above the counit row;
     # column i*d + j of the products coproduct(e_i) coproduct(e_j)
-    squares = hstack([h.tensor_square_mult(Matrix(d, d, C.col(i), h.params)) @ C for i in range(d)])
+    squares = hstack([h.tensor_square_mult(x) @ C for x in h.coproducts()])
 
     def label(c, r):
         return _tensor_name(names, r, 2) if r < d * d else "counit"

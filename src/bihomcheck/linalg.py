@@ -8,8 +8,9 @@ the stored nonzeros rather than to rows x cols. A map
 X (F1 (x) F2 (x) ...) on a tensor power is applied slot by slot
 (``kron_apply``): each factor acts on its own slot of X's column index,
 and no Kronecker operator is formed; a permutation factor only relabels
-that slot. Exact arithmetic makes the order in
-which entries are summed irrelevant to the result. Subspaces are kept in
+that slot. An element of H (x) H acts on a tensor product through
+``kron_sum``, the one place where Kronecker terms are summed. Exact
+arithmetic makes the order in which entries are summed irrelevant. Subspaces are kept in
 reduced row echelon form so that equality of ideals is equality of
 matrices.
 
@@ -183,18 +184,6 @@ class Matrix:
         return Matrix.from_dicts(
             self.rows, self.cols,
             [{c: _kneg(x) for c, x in row.items()} for row in self.data], self.params,
-        )
-
-    def scale(self, c):
-        """c times the matrix, for a Scalar or kernel value c."""
-        if type(c) is Scalar:
-            c = _kval(c)
-        if type(c) is int and not c:
-            return Matrix.zero(self.rows, self.cols, self.params)
-        # the fraction field has no zero divisors: c * x stays nonzero
-        return Matrix.from_dicts(
-            self.rows, self.cols,
-            [{k: _kmul(c, x) for k, x in row.items()} for row in self.data], self.params,
         )
 
     def __matmul__(self, other):
@@ -389,6 +378,37 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     row[off + l] = x * y if type(x) is int and type(y) is int else _kmul(x, y)
             data.append(row)
     return Matrix.from_dicts(a.rows * b.rows, a.cols * bcols, data, a.params)
+
+
+def kron_sum(x: Matrix, left, right) -> Matrix:
+    """The sum of x[a][b] kron(left[a], right[b]), for lists of equally
+    shaped matrices: how an element x of H (x) H acts on a tensor product.
+    Each kron(left[a], sum_b x[a][b] right[b]) is accumulated in place on
+    kernel rows; no Kronecker product or Scalar is made."""
+    rrows, rcols = right[0].rows, right[0].cols
+    out = [{} for _ in range(left[0].rows * rrows)]
+    for a, xrow in enumerate(x.data):
+        y = [{} for _ in range(rrows)]
+        for b, f in xrow.items():
+            for yrow, row in zip(y, right[b].data):
+                _add_scaled(yrow, f, row)
+        if not any(y):
+            continue
+        for k, lrow in enumerate(left[a].data):
+            for j, v in lrow.items():
+                for l, yrow in enumerate(y):
+                    if yrow:
+                        _add_scaled(out[k * rrows + l], v, yrow, j * rcols)
+    return Matrix.from_dicts(len(out), left[0].cols * rcols, out, left[0].params)
+
+
+def multiplications(transposed: Matrix, right) -> list:
+    """The row-form operators v -> v e_j (``right``) or v -> e_j v of a
+    product whose d x d^2 matrix has the transpose ``transposed``: row i of
+    the j-th is row i*d + j (or j*d + i) of it, shared, not copied."""
+    d, t = transposed.cols, transposed.data
+    return [Matrix.from_dicts(d, d, [t[i * d + j if right else j * d + i] for i in range(d)],
+                              transposed.params) for j in range(d)]
 
 
 def hstack(blocks) -> Matrix:

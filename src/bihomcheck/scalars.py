@@ -644,6 +644,10 @@ MAX_POWER_TERMS = 300
 # interpreter and every parsed value can be printed
 MAX_INT_DIGITS = 4300
 
+# most parentheses and unary minus signs an expression may nest; the parser
+# recurses once per level, so this keeps it below Python's recursion limit
+MAX_NESTING = 100
+
 # an integer this large has more than MAX_INT_DIGITS digits
 _INT_LIMIT = 10**MAX_INT_DIGITS
 
@@ -743,6 +747,7 @@ class _Parser:
         self.tokens = tokens
         self.params = tuple(params)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -760,6 +765,15 @@ class _Parser:
         """v, or a located ParseError when a number in it is too long to print."""
         if too_long_to_print(v):
             raise ParseError(f"value has a number of more than {MAX_INT_DIGITS} digits", 1, pos + 1)
+        return v
+
+    def nested(self, pos, parse):
+        """parse() one nesting level deeper, for the '(' or '-' at pos."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression is nested more than {MAX_NESTING} deep", 1, pos + 1)
+        self.depth += 1
+        v = parse()
+        self.depth -= 1
         return v
 
     def expr(self):
@@ -795,8 +809,7 @@ class _Parser:
 
     def unary(self):
         if self.peek()[:2] == ("op", "-"):
-            self.take()
-            return -self.unary()
+            return -self.nested(self.take()[2], self.unary)
         return self.power()
 
     def power(self):
@@ -838,7 +851,7 @@ class _Parser:
                 )
             return Scalar.param(self.params, val)
         if (kind, val) == ("op", "("):
-            v = self.expr()
+            v = self.nested(pos, self.expr)
             if self.peek()[:2] != ("op", ")"):
                 self.fail("expected ')'")
             self.take()

@@ -11,6 +11,7 @@ import pytest
 from bihomcheck.algfile import parse_algebra_file, print_algebra_file, substitute_file
 from bihomcheck.catalog import catalog_names
 from bihomcheck.cli import main
+from test_scalars import DEEP_TEXTS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -143,6 +144,30 @@ def test_nested_power_above_the_digit_limit_is_input_error(capsys, tmp_path, com
     assert out == ""
     assert err.startswith("error: rmatrix[0][0]: bad scalar '(2^1000)^1000'")
     assert "more than 4300 digits (line 1, column 10)" in err
+
+
+@pytest.mark.parametrize("entry", DEEP_TEXTS, ids=["parens-199", "minus-2000"])
+def test_deeply_nested_scalar_is_input_error(capsys, tmp_path, entry):
+    code, out, _ = run(capsys, "print", "kz2")
+    doc = json.loads(out)
+    doc["rmatrix"][0][0] = entry
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rmatrix[0][0]: bad scalar")
+    assert "nested more than 100 deep (line 1, column 101)" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_space_coordinate_is_input_error(capsys):
+    deep = "(" * 300 + "1" + ")" * 300
+    code, out, err = run(
+        capsys, "structure", "example25-heisenberg", "--what", "closure", "--object", "L",
+        "--space", f"{deep},0,0",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --space:") and "nested more than 100 deep" in err
 
 
 def test_product_with_too_many_terms_is_input_error(capsys, tmp_path):

@@ -25,6 +25,7 @@ from bihomcheck import cli
 from bihomcheck.algfile import parse_algebra_file, print_algebra_file
 from bihomcheck.catalog import catalog_file, catalog_names
 from bihomcheck.errors import ParseError, ValidationError
+from test_scalars import DEEP_TEXTS
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -36,7 +37,7 @@ DOCS = {name: json.loads(print_algebra_file(catalog_file(name))) for name in cat
 # scalar texts that parse, fail to parse, or sit at a bound
 ODD_TEXTS = [
     "0", "1", "-1", "1/2", "1/0", "b", "t", "a^", "(a+1", "2^1001", "b^1000", "1" * 5000,
-    "x", "", " ", "1e999999999", "nan", "l1*l2", "(a+2)^299/(a+3)^299",
+    "x", "", " ", "1e999999999", "nan", "l1*l2", "(a+2)^299/(a+3)^299", *DEEP_TEXTS,
 ]
 
 leaves = (
@@ -91,9 +92,17 @@ def algebra_texts(draw):
     return text
 
 
+def _with_first_r_entry(text):
+    doc = json.loads(json.dumps(DOCS["kz2"]))
+    doc["rmatrix"][0][0] = text
+    return json.dumps(doc)
+
+
 def test_fuzzed_files_raise_only_input_errors():
     @hypothesis.settings(SETTINGS, max_examples=150)
     @hypothesis.given(text=algebra_texts())
+    @hypothesis.example(text=_with_first_r_entry(DEEP_TEXTS[0]))
+    @hypothesis.example(text=_with_first_r_entry(DEEP_TEXTS[1]))
     def check(text):
         try:
             parse_algebra_file(text)

@@ -1,5 +1,7 @@
 """Module checks, the braiding, and module algebras."""
 
+from itertools import product
+
 from bihomcheck.catalog import (
     example24_algebra,
     heisenberg_assoc,
@@ -16,9 +18,10 @@ from bihomcheck.hmod import (
     check_module_algebra,
     tensor_module,
 )
-from bihomcheck.linalg import Matrix
+from bihomcheck.linalg import Matrix, kron
 from bihomcheck.scalars import Scalar
 from report_entry import entry
+from test_witnesses import sweedler
 
 
 def sign_module(signs, names=None):
@@ -160,34 +163,69 @@ def test_module_algebra_failing_perturbation():
     assert e.witness.basis == ("g", "x1", "x1")
 
 
+def sweedler_modules():
+    """Modules of dimensions 1, 2 and 4 over Sweedler's H4, whose coproduct
+    is not cocommutative, and its R_t, which is not flip-symmetric: the
+    trivial module (h acts by its counit), A = k[u]/(u^2), and H4 acting on
+    itself by left multiplication."""
+    hopf, r, a = sweedler()
+    p, d = hopf.params, hopf.dim
+    trivial = HModule(hopf, ["k"], [Matrix(1, 1, [e], p) for e in hopf.counit])
+    regular = HModule(hopf, hopf.basis_names, [
+        Matrix.from_rows([[hopf.mult[h][j][k] for j in range(d)] for k in range(d)], p)
+        for h in range(d)
+    ])
+    return [trivial, a.module, regular], r
+
+
 def test_braiding_is_h_linear():
     # tau o (h-action on M (x) N) = (h-action on N (x) M) o tau, via QT3
-    for module, r in (
+    modules, r_t = sweedler_modules()
+    cases = [
         (example24_algebra().module, r_triangular_kz2(("b",))),
         (sign_module([-1, -1, 1]), r_triangular_kz2()),
-    ):
-        tau = braiding(module, module, r)
-        square = tensor_module(module, module)
-        for t in range(module.hopf.dim):
-            assert tau @ square.action[t] == square.action[t] @ tau
+    ]
+    pairs = [(m, m, r) for m, r in cases] + [(m, n, r_t) for m in modules for n in modules]
+    for m, n, r in pairs:
+        tau = braiding(m, n, r)
+        mn, nm = tensor_module(m, n), tensor_module(n, m)
+        for t in range(m.hopf.dim):
+            assert tau @ mn.action[t] == nm.action[t] @ tau
+
+
+def test_braiding_matches_its_definition_on_sweedler():
+    # tau(e_i (x) f_j) = sum R[a][b] (h_b . f_j) (x) (h_a . e_i) for the Hopf
+    # basis h, summed entry by entry; R_t is not flip-symmetric, so this
+    # tells R from its flip
+    modules, r = sweedler_modules()
+    R = r.coefficients
+    for m in modules:
+        for n in modules:
+            want = [[Scalar.of(m.params, 0)] * (m.dim * n.dim) for _ in range(n.dim * m.dim)]
+            dims = (R.rows, R.cols, m.dim, n.dim, n.dim, m.dim)
+            for a, b, i, j, c, e in product(*map(range, dims)):
+                term = R.at(a, b) * n.action[b].at(c, j) * m.action[a].at(e, i)
+                want[c * m.dim + e][i * n.dim + j] += term
+            assert braiding(m, n, r).row_list() == want
+
+
+def assert_hexagons(m, n, p, r):
+    # c_{M(x)N,P} = (c_{M,P} (x) 1)(1 (x) c_{N,P}) and
+    # c_{M,N(x)P} = (1 (x) c_{M,P})(c_{M,N} (x) 1)
+    im, i_n, ip = (Matrix.identity(x.dim, x.params) for x in (m, n, p))
+    mp = braiding(m, p, r)
+    lhs = braiding(tensor_module(m, n), p, r)
+    assert lhs == kron(mp, i_n) @ kron(im, braiding(n, p, r))
+    lhs = braiding(m, tensor_module(n, p), r)
+    assert lhs == kron(i_n, mp) @ kron(braiding(m, n, r), ip)
 
 
 def test_hexagon_relations():
-    # c_{M(x)N,P} = (c_{M,P} (x) 1)(1 (x) c_{N,P}) and
-    # c_{M,N(x)P} = (1 (x) c_{M,P})(c_{M,N} (x) 1) on a dim-3 module
-    from bihomcheck.linalg import kron
-
     m = sign_module([-1, -1, 1])
-    r = r_triangular_kz2()
-    mm = tensor_module(m, m)
-    tau = braiding(m, m, r)
-    ident = Matrix.identity(m.dim)
-    lhs = braiding(mm, m, r)
-    rhs = kron(tau, ident) @ kron(ident, tau)
-    assert lhs == rhs
-    lhs2 = braiding(m, mm, r)
-    rhs2 = kron(ident, tau) @ kron(tau, ident)
-    assert lhs2 == rhs2
+    assert_hexagons(m, m, m, r_triangular_kz2())
+    (trivial, a, regular), r_t = sweedler_modules()
+    for mnp in ((a, regular, a), (regular, a, trivial), (a, a, a), (trivial, regular, a)):
+        assert_hexagons(*mnp, r_t)
 
 
 def test_module_map_composition_stays_h_linear():

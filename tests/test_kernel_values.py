@@ -2,13 +2,14 @@
 
 A ``Matrix`` stores kernel values: a constant as its canonical ``int`` or
 ``Fraction``, and a Scalar only for a non-constant. ``rref``, ``Echelon``,
-``Subspace.span``, ``solve``, ``invert``, ``kernel`` (one elimination path)
-and ``HopfAlgebra.tensor_square_mult`` run on them. Each is checked here
-against a dense reference written on plain Scalar arithmetic, over Q with
-Fraction entries and with large integers over mixed denominators, over
-Q(s) with rows that mix constants and non-constants, and on Sweedler's H4,
-whose coproduct is not cocommutative. Every result must be stored
-canonically, and read back as Scalars equal to the stored values.
+``Subspace.span``, ``solve``, ``invert``, ``kernel`` (one elimination path),
+``kron_sum`` and ``HopfAlgebra.tensor_square_mult`` run on them. Each is
+checked here against a dense reference written on plain Scalar arithmetic,
+over Q with Fraction entries and with large integers over mixed
+denominators, over Q(s) with rows that mix constants and non-constants,
+and on Sweedler's H4, whose coproduct is not cocommutative. Every result
+must be stored canonically, and read back as Scalars equal to the stored
+values.
 """
 
 import fractions
@@ -20,7 +21,7 @@ import pytest
 
 from bihomcheck.errors import Singular
 from bihomcheck.linalg import (
-    Echelon, Matrix, Subspace, _kval, invert, kernel, kron, kron_apply, rref, solve,
+    Echelon, Matrix, Subspace, invert, kernel, kron, kron_apply, kron_sum, rref, solve,
 )
 from bihomcheck.scalars import Scalar, parse_scalar
 from storage import assert_canonical
@@ -410,15 +411,58 @@ def _calls(fn):
     return seen
 
 
-def test_scale_stores_a_scalar_factor_as_its_kernel_value():
-    m = _mat(S, 2, 2, ["1/2", "s", "0", "3"])
-    assert m.scale(Scalar.of(S, 0)).is_zero()
-    assert Matrix.identity(3, S).scale(Scalar.of(S, 1)).is_identity()
-    for c in ("2", "-1/3", "s", "1/s"):
-        got = m.scale(parse_scalar(c, S))
-        _assert_stored(got)
-        assert got == m.scale(_kval(parse_scalar(c, S)))
-        assert got.row_list() == [[parse_scalar(c, S) * x for x in row] for row in m.row_list()]
+def _ref_kron_sum(x, left, right):
+    """The sum of x[a][b] kron(left[a], right[b]) on dense lists of Scalars."""
+    zero = Scalar.of(x.params, 0)
+    out = [[zero] * (left[0].cols * right[0].cols) for _ in range(left[0].rows * right[0].rows)]
+    for a, xrow in enumerate(x.row_list()):
+        for b, f in enumerate(xrow):
+            term = kron(left[a], right[b]).row_list()
+            out = [[o + f * t for o, t in zip(orow, trow)] for orow, trow in zip(out, term)]
+    return out
+
+
+def _assert_kron_sum(x, left, right):
+    got = kron_sum(x, left, right)
+    _assert_stored(got)
+    assert got.row_list() == _ref_kron_sum(x, left, right)
+    return got
+
+
+def test_kron_sum_agrees_with_a_sum_of_kronecker_products():
+    # two 2 x 3 operators on the left, three 3 x 2 on the right, so x is
+    # 2 x 3; one cell in two is zero, and a row of x is zero now and then
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cells=_cells(st, S, 6 + 2 * 6 + 3 * 6))
+    def check(cells):
+        x = _mat(S, 2, 3, cells[:6])
+        left = [_mat(S, 2, 3, cells[6 + 6 * i:12 + 6 * i]) for i in range(2)]
+        right = [_mat(S, 3, 2, cells[18 + 6 * i:24 + 6 * i]) for i in range(3)]
+        _assert_kron_sum(x, left, right)
+
+    check()
+
+
+def test_kron_sum_drops_terms_that_cancel():
+    a = _mat(S, 2, 3, ["s", "0", "1/2", "0", "1/s", "-1"])
+    b = _mat(S, 3, 2, ["1", "s + 1", "0", "-2/3", "s^2 - 1", "0"])
+    c = _mat(S, 3, 2, ["0", "0", "1/(s - 1)", "0", "2", "s"])
+    left, right = [a, _mat(S, 2, 3, ["1", "0", "0", "0", "0", "s"])], [b, -b, c]
+    # a zero row of x, and s b - s b cancels inside the row that is left
+    got = _assert_kron_sum(_mat(S, 2, 3, ["0", "0", "0", "s", "s", "1/2"]), left, right)
+    assert got.rows == 6 and got.cols == 6 and not got.is_zero()
+    # the two rows of x give opposite terms on equal left operators
+    x = _mat(S, 2, 3, ["s", "0", "1", "-s", "0", "-1"])
+    assert _assert_kron_sum(x, [a, a], right).is_zero()
+    # a 1 x 1 coefficient times one operator is that operator scaled; the
+    # factor is stored as its kernel value
+    one = [Matrix.identity(1, S)]
+    for t in ("0", "1", "2", "-1/3", "s", "1/s"):
+        got = _assert_kron_sum(_mat(S, 1, 1, [t]), one, [a])
+        assert got.row_list() == [[parse_scalar(t, S) * y for y in row] for row in a.row_list()]
 
 
 def test_products_over_fraction_entries_run_no_fraction_code():

@@ -17,6 +17,7 @@ from bihomcheck.errors import (
 from bihomcheck.scalars import (
     MAX_EXPONENT,
     MAX_INT_DIGITS,
+    MAX_NESTING,
     MAX_POWER_TERMS,
     Polynomial,
     Scalar,
@@ -273,6 +274,28 @@ def test_power_with_too_many_terms_is_refused_at_the_exponent(text, params, colu
     assert time.perf_counter() - start < 0.5
     assert f"more than {MAX_POWER_TERMS} terms" in str(info.value)
     assert info.value.column == column
+
+
+# far below every size bound, but nested deeper than a parser that recurses
+# once per level, with no bound of its own, can go under the default limit
+DEEP_TEXTS = ["(" * 199 + "1" + ")" * 199, "-" * 2000 + "1/2"]
+
+
+@pytest.mark.parametrize("text", DEEP_TEXTS + ["-(" * 60 + "1" + ")" * 60])
+def test_nesting_past_the_bound_is_refused_where_it_passes_it(text):
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text)
+    assert f"nested more than {MAX_NESTING} deep" in str(info.value)
+    assert info.value.column == MAX_NESTING + 1
+
+
+def test_nesting_at_the_bound_parses():
+    n = MAX_NESTING
+    assert parse_scalar("(" * n + "b" + ")" * n, P) == sc("b")
+    assert parse_scalar("-" * n + "1/2") == parse_scalar("1/2")
+    assert parse_scalar("-(" * (n // 2) + "2" + ")" * (n // 2)) == parse_scalar("2")
+    # depth is released as each level closes
+    assert parse_scalar("+".join(["(" * n + "1" + ")" * n] * 3)) == parse_scalar("3")
 
 
 def test_power_just_below_the_term_limit_parses():
