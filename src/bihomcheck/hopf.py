@@ -14,7 +14,10 @@ lexicographic order of basis tuples.
 An element x of H (x) H is its d x d coefficient matrix X, x = sum X[a][b]
 e_a (x) e_b: an R-matrix, and each coproduct (``coproducts``). It acts on a
 tensor product through ``linalg.kron_sum``, and on H (x) H itself as
-y -> x y or y x (``tensor_square_mult``). Each Hopf and quasitriangular
+y -> x y or y x (``tensor_square_mult``). These H (x) H operators are row
+form, like the multiplication operators of a product: for a row vector v
+of coefficients on H (x) H, ``v @ K`` is the row of x v (or v x), so row
+a*d + b of K is x (e_a (x) e_b). Each Hopf and quasitriangular
 axiom is an identity between products of these matrices, and a failing
 check names the first failing basis tuple. A map tensored with identities,
 such as M (M (x) id), is applied slot by slot with ``kron_apply``; a map
@@ -35,7 +38,6 @@ from .errors import DimensionMismatch, NotAGroup, NotInvertible, Singular
 from .linalg import (
     Matrix,
     flip,
-    hstack,
     kron,
     kron_apply,
     kron_sum,
@@ -84,12 +86,13 @@ class HopfAlgebra:
         return _coefficients(self.C, self.dim)
 
     def tensor_square_mult(self, x: Matrix, right=False) -> Matrix:
-        """Operator of y -> x y (y -> y x when ``right``) on H (x) H for the
-        element with coefficient matrix x: the sum over i of kron(L_i, L_{x_i})
-        for L_b the multiplication by e_b (on the right when ``right``) and
-        x_i = sum_b x[i][b] e_b, built on the row-form operators."""
+        """Row-form operator K of y -> x y (y -> y x when ``right``) on
+        H (x) H for the element with coefficient matrix x: ``v @ K`` is the
+        row of x v, and row c*d + e is x (e_c (x) e_e). It is the sum over a
+        of kron(L_a, L_{x_a}) for L_b the row-form multiplication by e_b (on
+        the right when ``right``) and x_a = sum_b x[a][b] e_b."""
         ops = multiplications(self.M.transpose(), right)
-        return kron_sum(x, ops, ops).transpose()
+        return kron_sum(x, ops, ops)
 
 
 def _coefficients(m: Matrix, d) -> list:
@@ -113,7 +116,8 @@ class RMatrix:
         self.dim = coefficients.rows
 
     def operators(self, hopf: HopfAlgebra) -> tuple:
-        """The operators y -> R y and y -> y R on H (x) H."""
+        """The row-form operators of y -> R y and y -> y R on H (x) H
+        (``tensor_square_mult``): ``v @ K`` is the row of R v, or v R."""
         if hopf.dim != self.dim:
             raise DimensionMismatch("R-matrix dimension differs from the Hopf algebra")
         x = self.coefficients
@@ -122,16 +126,22 @@ class RMatrix:
     def inverse_in(self, hopf: HopfAlgebra, operators=None) -> Matrix:
         """Coefficient matrix of the two-sided inverse of R in the algebra
         H (x) H; raises NotInvertible when none exists. ``operators`` is the
-        pair ``operators(hopf)`` when the caller has built it already."""
+        pair ``operators(hopf)`` when the caller has built it already.
+
+        The operators are row form, so R x = 1 (x) 1 reads x @ L = 1 (x) 1
+        for the row x of the inverse: it is solved on the transpose of L,
+        and the candidate is checked on both sides with one-row products
+        x @ K."""
         left, right = operators or self.operators(hopf)
         uu = kron(hopf.u, hopf.u)
         try:
-            inv = solve(left, uu)
+            inv = solve(left.transpose(), uu)
         except Singular:
             raise NotInvertible("R has no inverse in the tensor-square algebra") from None
         # one-sided suffices in a finite-dimensional unital algebra, but the
         # input may not satisfy the unit laws, so confirm both sides
-        if left @ inv != uu or right @ inv != uu:
+        x, one = inv.transpose(), uu.transpose()
+        if x @ left != one or x @ right != one:
             raise NotInvertible("R has only a one-sided inverse candidate")
         return _coefficients(inv, hopf.dim)[0]
 
@@ -222,17 +232,24 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     law = "(counit (x) id) o coproduct = id = (id (x) counit) o coproduct"
     rep.add("hopf.counit", law, w is None, w)
 
-    # each difference stacks the H (x) H coefficients above the counit row;
-    # column i*d + j of the products coproduct(e_i) coproduct(e_j)
-    squares = hstack([h.tensor_square_mult(x) @ C for x in h.coproducts()])
+    # K_i, the row-form operator of y -> coproduct(e_i) y, on multiplication
+    # operators built once: row j of C^T K_i is coproduct(e_i) coproduct(e_j),
+    # so the stacked blocks hold it at row i*d + j, where M^T C^T holds the
+    # coproduct of e_i e_j
+    Mt = M.transpose()
+    ops = multiplications(Mt, False)
+    squares = vstack([Ct @ kron_sum(x, ops, ops) for x in h.coproducts()])
 
     def label(c, r):
         return _tensor_name(names, r, 2) if r < d * d else "counit"
 
+    # each difference stacks the H (x) H coefficients above the counit row,
+    # one column per pair (i, j)
     one = Matrix.identity(1, h.params)
-    w = coefficient_witness(
-        lambda c: decode(c, [names] * 2), label, vstack([C @ M - squares, eps @ M - kron(eps, eps)])
-    ) or coefficient_witness(lambda c: ("1",), label, vstack([C @ u - kron(u, u), eps @ u - one]))
+    diff = vstack([(Mt @ Ct - squares).transpose(), eps @ M - kron(eps, eps)])
+    w = coefficient_witness(lambda c: decode(c, [names] * 2), label, diff) or coefficient_witness(
+        lambda c: ("1",), label, vstack([C @ u - kron(u, u), eps @ u - one])
+    )
     rep.add("hopf.bialgebra", "coproduct and counit are algebra maps", w is None, w)
 
     w = column_witness(
@@ -259,33 +276,36 @@ def qt_and_flip(h: HopfAlgebra, r: RMatrix):
     when R is not a unit. Through ``triangularity`` this is the one verdict
     on (H, R) a command computes and hands to each check that needs it."""
     left, right = r.operators(h)
-    flip_is_inverse = r.inverse_in(h, (left, right)) == r.coefficients.transpose()
     rep = CheckReport("quasitriangular")
     d, names = h.dim, h.basis_names
-    M, C, R = h.M, h.C, r.coefficients
-    Rt = R.transpose()
+    M, R, Rt, Ct = h.M, r.coefficients, r.coefficients.transpose(), h.C.transpose()
+    flip_is_inverse = r.inverse_in(h, (left, right)) == Rt
     rho_t = kron_apply(M, [d, h.u]).transpose()  # a -> a1, transposed
     lam_t = kron_apply(M, [h.u, d]).transpose()  # a -> 1a, transposed
     swap = flip(d, d, h.params)
 
-    # qt.1 and qt.2 compare tensors on H^(x)3 laid out so that row-major
-    # order is lexicographic; transposed, the first failing column and row
-    # give the first failing triple
-    # rows (a, b), column c: (rho (x) lam)(M (R^T (x) R^T))^T
-    diff = C @ R - kron_apply(M, [Rt @ rho_t, Rt @ lam_t]).transpose()
-    w = coefficient_witness(
-        lambda c: (), lambda c, r: _tensor_name(names, c * d + r, 3), diff.transpose()
-    )
+    # qt.1 and qt.2 compare tensors on H^(x)3 as matrices with one row per
+    # value of one slot (the last in qt.1, the first in qt.2) and one column
+    # per pair of the other two; the witness reads the first failing column,
+    # then row, of the difference laid out so that this names the first
+    # failing triple (a, b, c)
+    # row c, columns (a, b): R^T C^T = M (R^T (x) R^T)(rho (x) lam)^T
+    diff = Rt @ Ct - kron_apply(M, [Rt @ rho_t, Rt @ lam_t])
+    w = coefficient_witness(lambda c: (), lambda c, r: _tensor_name(names, c * d + r, 3), diff)
     rep.add("qt.1", "(coproduct (x) id)(R) = R13 R23", w is None, w)
 
-    # row a, columns (b, c): M (R (x) R) flip (lam (x) rho)^T
-    diff = R @ C.transpose() - kron_apply(M, [R @ rho_t, R @ lam_t]) @ swap
+    # row a, columns (b, c): R C^T = M (R (x) R)(rho (x) lam)^T flip, the
+    # flip a relabelling of the column pair
+    diff = R @ Ct - kron_apply(kron_apply(M, [R @ rho_t, R @ lam_t]), [swap])
     w = coefficient_witness(
         lambda c: (), lambda c, r: _tensor_name(names, c * d * d + r, 3), diff.transpose()
     )
     rep.add("qt.2", "(id (x) coproduct)(R) = R13 R12", w is None, w)
 
-    diff = left @ C - right @ swap @ C
+    # row c of C^T K_L is R coproduct(e_c); the flip relabels C^T into the
+    # rows coproduct-op(e_c), and row c of that times K_R is coproduct-op(e_c)
+    # R. Transposed once for the witness: one column per basis element h
+    diff = (Ct @ left - kron_apply(Ct, [swap]) @ right).transpose()
     w = coefficient_witness(lambda c: (names[c],), lambda c, r: _tensor_name(names, r, 2), diff)
     rep.add("qt.3", "R coproduct(h) = coproduct-op(h) R for every basis h", w is None, w)
     return rep, flip_is_inverse

@@ -12,7 +12,9 @@ that slot. An element of H (x) H acts on a tensor product through
 ``kron_sum``, the one place where Kronecker terms are summed. Exact
 arithmetic makes the order in which entries are summed irrelevant. Subspaces are kept in
 reduced row echelon form so that equality of ideals is equality of
-matrices.
+matrices. Storage is canonical (below), so the difference of two equal
+matrices, a passing identity, is decided by one comparison of the stored
+rows and never subtracted entry by entry.
 
 Entries are stored as *kernel values*, as FLINT's exact kernels run on
 integers: a constant is its canonical ``int`` or ``Fraction``
@@ -164,9 +166,13 @@ class Matrix:
         return not any(self.data)
 
     def _plus(self, other, f):
-        """self + f * other, row by row: an entry on both sides costs one sum."""
+        """self + f * other, row by row: an entry on both sides costs one sum.
+        The difference of equal matrices is decided by one comparison of the
+        stored rows, which is exact because storage is canonical."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        if f == -1 and self.data == other.data:
+            return Matrix.zero(self.rows, self.cols, self.params)
         data = []
         for a, b in zip(self.data, other.data):
             row = dict(a)
@@ -553,13 +559,16 @@ class Echelon:
         docstring); a vector already in the span gives None. The row
         returned is the one held, so the caller must not change it."""
         residual, integral = _integral(row)
-        for c, (prow, int_row) in self.pivots.items():
-            if c in residual:
-                residual, integral = _clear(residual, integral, prow, int_row, c)
-                if not residual:
-                    return None
         if not residual:
             return None
+        # a vector that meets no held pivot (a row of a near-identity
+        # operator) is kept as it is, without a pass over the pivots
+        if not self.pivots.keys().isdisjoint(residual.keys()):
+            for c, (prow, int_row) in self.pivots.items():
+                if c in residual:
+                    residual, integral = _clear(residual, integral, prow, int_row, c)
+                    if not residual:
+                        return None
         c = min(residual)
         residual = _primitive(residual, c) if integral else _monic(residual, c)
         self.pivots[c] = (residual, integral)

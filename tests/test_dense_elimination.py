@@ -6,6 +6,11 @@ or a slip in the back-substitution, show up as a wrong answer or as time;
 CI also runs this file as a step of its own under a timeout. ``solve``,
 ``rref`` and ``kernel`` are each compared with Gauss-Jordan on Python
 ``Fraction`` lists.
+
+A seeded 64 x 64 permuted identity with a few dense rows is the other
+extreme, the shape of the near-identity operators that the inverse of a
+trivial R-matrix is solved on: most vectors ``Echelon.add`` sees meet no
+pivot held and are kept without a pass over the pivots.
 """
 
 import math
@@ -129,3 +134,52 @@ def test_back_substituted_rows_are_primitive_within_the_hadamard_bound(monkeypat
         assert all(type(x) is int for x in row.values())
         assert math.gcd(*row.values()) == 1
         assert all(x * x <= bound_sq for x in row.values())
+
+
+# -- a permuted identity: most vectors meet no pivot held -----------------------
+
+P = 64
+
+
+def _permuted_identity_rows(rng, dense):
+    """The P x P permutation matrix of a seeded permutation, with the rows at
+    ``dense`` positions replaced by dense random rows."""
+    perm = list(range(P))
+    rng.shuffle(perm)
+    rows = [[1 if c == perm[i] else 0 for c in range(P)] for i in range(P)]
+    for i in dense:
+        rows[i] = [rng.randint(-3, 3) for _ in range(P)]
+    return rows
+
+
+def test_permuted_identity_solve_and_kernel_match_fractions():
+    rng = random.Random(64)
+    rows = _permuted_identity_rows(rng, [5, 23, 40, 61])
+    rhs = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(P)]
+    red, rank = _fraction_rref([r + b for r, b in zip(rows, rhs)])
+    assert rank == P
+    got = solve(_matrix(rows), _matrix(rhs))
+    assert _dense(got) == [row[P:] for row in red]
+    # a dense row made a combination of two others drops the rank by one
+    rows[40] = [2 * x - 3 * y for x, y in zip(rows[5], rows[23])]
+    m = _matrix(rows)
+    ker = kernel(m)
+    assert _dense(ker.basis) == _fraction_kernel(rows)
+    assert ker.dim == 1 and (m @ ker.basis.transpose()).is_zero()
+
+
+def test_echelon_keeps_a_vector_that_meets_no_pivot_and_drops_one_in_the_span():
+    rng = random.Random(65)
+    rows = _permuted_identity_rows(rng, [3, 17])[:32]
+    span = linalg.Echelon(P, ())
+    for row in _matrix(rows).data:
+        span.add(row)
+    # two columns no held pivot meets: the vector is kept as it is, primitive
+    free, other = [c for c in range(P) if c not in span.pivots][:2]
+    assert span.add({free: 6, other: -4}) == {free: 3, other: -2}
+    rows.append([6 if c == free else -4 if c == other else 0 for c in range(P)])
+    # a combination of two dense rows and a permutation row lies in the span
+    inside = [2 * x - y + 5 * z for x, y, z in zip(rows[3], rows[17], rows[9])]
+    assert span.add({c: x for c, x in enumerate(inside) if x}) is None
+    want, rank = _fraction_rref(rows)
+    assert _dense(Matrix.from_dicts(rank, P, span.rows(), ())) == want[:rank]

@@ -111,7 +111,8 @@ def _ref_invert(m):
 
 def _ref_tensor_square_mult(hopf, x, right):
     """Column (c, e) holds the coefficients of x (e_c (x) e_e), or of
-    (e_c (x) e_e) x when ``right``, from the constants of the product."""
+    (e_c (x) e_e) x when ``right``, from the constants of the product: the
+    column form, the transpose of the row-form operator."""
     d, mult = hopf.dim, hopf.mult
     zero = Scalar.of(hopf.params, 0)
     out = [[zero] * (d * d) for _ in range(d * d)]
@@ -349,6 +350,46 @@ def test_inverse_agrees_with_a_scalar_reference():
     assert singular
 
 
+def test_difference_agrees_with_scalar_subtraction_and_is_zero_only_on_equal_matrices():
+    # a - b of equal matrices is answered by comparing the stored rows; the
+    # pairs here are equal, differ in one entry (often on the same support),
+    # or differ by the sign of one entry
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = set()
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(change=st.sampled_from(["equal", "entry", "sign"]), data=st.data())
+    def check(params, change, data):
+        c = data.draw(_matrices(st, [params]))
+        params, rows, cols, texts = c
+        texts = list(texts)
+        other = list(texts)
+        k = data.draw(st.integers(0, rows * cols - 1))
+        if change == "entry":
+            others = [t for t in ["0", *_ENTRIES[params]] if t != texts[k]]
+            other[k] = data.draw(st.sampled_from(others))
+        elif change == "sign":
+            if texts[k] == "0":
+                texts[k] = other[k] = data.draw(st.sampled_from(_ENTRIES[params]))
+            other[k] = f"-({texts[k]})"
+        a, b = _mat(params, rows, cols, texts), _mat(params, rows, cols, other)
+        got = a - b
+        assert got.row_list() == [[x - y for x, y in zip(ra, rb)]
+                                  for ra, rb in zip(a.row_list(), b.row_list())]
+        assert got.is_zero() == (a == b) == (change == "equal")
+        _assert_stored(got)
+        # the result owns its rows
+        assert not any(g is x for g in got.data for x in a.data + b.data)
+        same_support = [r.keys() for r in a.data] == [r.keys() for r in b.data]
+        seen.add((bool(params), change, same_support and any(a.data)))
+
+    for params in ((), S):
+        check(params)
+    for params in (False, True):
+        assert {(params, "equal", True), (params, "entry", True), (params, "sign", True)} <= seen
+
+
 def test_sweedler_tensor_square_operators_agree_with_the_product_constants():
     # Sweedler's H4 is not cocommutative, and its product has -1 constants
     hypothesis = pytest.importorskip("hypothesis")
@@ -360,15 +401,47 @@ def test_sweedler_tensor_square_operators_agree_with_the_product_constants():
     def check(texts, right):
         x = _mat(T, 4, 4, texts)
         got = hopf.tensor_square_mult(x, right=right)
-        assert got.row_list() == _ref_tensor_square_mult(hopf, x, right)
+        assert got.row_list() == _transposed(_ref_tensor_square_mult(hopf, x, right))
         _assert_stored(got)
 
     check()
     # R_t itself: Fraction and non-constant coefficients
+    x = r.coefficients
     for right in (False, True):
-        got = hopf.tensor_square_mult(r.coefficients, right=right)
-        assert got.row_list() == _ref_tensor_square_mult(hopf, r.coefficients, right)
+        got = hopf.tensor_square_mult(x, right=right)
+        assert got.row_list() == _transposed(_ref_tensor_square_mult(hopf, x, right))
         _assert_stored(got)
+        # row form: row c*4 + e is x (e_c (x) e_e), or (e_c (x) e_e) x
+        for c in range(4):
+            for e in range(4):
+                basis = Matrix.from_dicts(4, 4, [{e: 1} if a == c else {} for a in range(4)], T)
+                want = _square_product(hopf, basis, x) if right else _square_product(hopf, x, basis)
+                assert got.row(c * 4 + e) == want
+        # (1 (x) 1) R = R (1 (x) 1) = R
+        assert got.row(0) == x.entries
+
+
+def _transposed(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _square_product(hopf, x, y):
+    """The coefficients of x y in H (x) H, for coefficient matrices x and y:
+    (e_a (x) e_b)(e_c (x) e_e) = e_a e_c (x) e_b e_e, on the constants of
+    the product."""
+    d, mult = hopf.dim, hopf.mult
+    out = [Scalar.of(hopf.params, 0)] * (d * d)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                for e in range(d):
+                    f = x.at(a, b) * y.at(c, e)
+                    if f.is_zero():
+                        continue
+                    for p in range(d):
+                        for q in range(d):
+                            out[p * d + q] = out[p * d + q] + f * mult[a][c][p] * mult[b][e][q]
+    return out
 
 
 def test_non_constants_that_cancel_or_turn_constant_are_stored_canonically():

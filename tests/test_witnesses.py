@@ -9,7 +9,9 @@ computed must reproduce every verdict, witness tuple and residual byte for
 byte.
 
 ``tensor_square_mult``, which every qt and bialgebra check of these cases
-goes through, is also checked against its definition on H (x) H.
+goes through, is also checked against its definition on H (x) H. The
+definition is written in column form (column c*d + e holds x (e_c (x) e_e));
+the operator is row form, so it is compared with the transpose.
 
 Regenerate the pins (only when a report changes on purpose) with
 
@@ -375,9 +377,10 @@ def test_reports_match_the_pins():
 
 
 def tensor_square_mult_by_definition(h, x, right=False):
-    """y -> x y (y -> y x when ``right``) on H (x) H, from the definition:
-    the product of H (x) H is (M (x) M) o (id (x) flip (x) id) on the
-    d^4-wide space H (x) H (x) H (x) H, applied to x (x) y (y (x) x)."""
+    """y -> x y (y -> y x when ``right``) on H (x) H, in column form, from
+    the definition: the product of H (x) H is (M (x) M) o (id (x) flip (x)
+    id) on the d^4-wide space H (x) H (x) H (x) H, applied to x (x) y
+    (y (x) x)."""
     d, p = h.dim, h.params
     ident, square = Matrix.identity(d, p), Matrix.identity(d * d, p)
     product = kron(h.M, h.M) @ kron(kron(ident, flip(d, d, p)), ident)
@@ -432,13 +435,14 @@ def test_tensor_square_mult_matches_the_definition():
     assert flip(4, 4, h4.params) @ h4.C != h4.C  # Sweedler H4 is not cocommutative
     for h, x in cases:
         for right in (False, True):
-            assert h.tensor_square_mult(x, right) == tensor_square_mult_by_definition(h, x, right)
+            want = tensor_square_mult_by_definition(h, x, right).transpose()
+            assert h.tensor_square_mult(x, right) == want
 
 
 def test_tensor_square_mult_sees_a_change_in_one_column_of_the_product():
     for h, x in tensor_square_cases():
         for right in (False, True):
-            want = tensor_square_mult_by_definition(h, x, right)
+            want = tensor_square_mult_by_definition(h, x, right).transpose()
             # column 1*d + 2 of M holds e_1 e_2
             assert with_bumped_mult(h, 1, 2, 0).tensor_square_mult(x, right) != want
 
