@@ -9,8 +9,8 @@ informational diffs). Parsing either returns a fully validated model or
 raises with every located finding; it never returns a partial object. The
 model holds every scalar, parsed once: each tensor as the structure matrix
 its triples sum to (``linalg.triples_matrix``), and the raw Hopf section
-also as parsed, with a ``Scalar`` in each cell, since its rows print in
-input order. ``--set`` (``substitute_file``) maps the model.
+also as parsed, with a ``Scalar`` in each cell but a matrix cell "0", since
+its rows print in input order. ``--set`` (``substitute_file``) maps the model.
 
 The printer emits a canonical form (fixed key order, sorted object triples,
 canonical scalar strings), and parse-then-print is the identity on it.
@@ -24,7 +24,7 @@ from .bihom import BiHomAlgebra, BiHomLie
 from .errors import NotAGroup, ParseError, ValidationError, quoted
 from .hmod import HModule, ModuleMap
 from .hopf import HopfAlgebra, RMatrix, group_algebra
-from .linalg import Matrix, tensor_matrix, triples_matrix
+from .linalg import Matrix, _kval, tensor_matrix, triples_matrix
 from .scalars import MAX_INT_DIGITS, Scalar, parse_scalar, too_long_to_print
 
 FORMAT = "bihom-algebra-file/1"
@@ -67,10 +67,9 @@ class AlgebraObject:
         return len(self.basis)
 
     @classmethod
-    def of(cls, name, structure, **extras):
+    def of(cls, name, structure):
         """The file object of a structure: a product object for a
-        BiHomAlgebra, a bracket object for a BiHomLie. ``extras`` sets the
-        optional fields (twist maps, reference bracket)."""
+        BiHomAlgebra, a bracket object for a BiHomLie."""
         module = structure.module
         return cls(
             name=name,
@@ -82,7 +81,6 @@ class AlgebraObject:
             beta=structure.beta.matrix,
             unit=getattr(structure, "unit", None),
             multiplicative=getattr(structure, "multiplicative", True),
-            **extras,
         )
 
     def structure(self, rmatrix: RMatrix) -> BiHomAlgebra | BiHomLie:
@@ -158,17 +156,32 @@ def _parse_cells(cells, params, path, findings):
 
 
 def _parse_matrix(data, dim_rows, dim_cols, params, path, findings):
+    """The matrix of ``data`` read sparse, row by row into ``{column:
+    kernel value}`` dicts. Each parsed Scalar is written back into its cell
+    (the raw Hopf section prints from its cells); a cell that is the string
+    "0" is skipped and kept as it is."""
     if not isinstance(data, list) or len(data) != dim_rows:
         findings.add(path, f"expected {dim_rows} rows")
         return None
-    ok = True
+    rows = []
     for i, row in enumerate(data):
+        at = f"{path}[{i}]"
         if not isinstance(row, list) or len(row) != dim_cols:
-            findings.add(f"{path}[{i}]", f"expected {dim_cols} entries")
-            ok = False
-        elif not _parse_cells(row, params, f"{path}[{i}]", findings):
-            ok = False
-    return Matrix.from_rows(data, params) if ok else None
+            findings.add(at, f"expected {dim_cols} entries")
+            rows = None
+            continue
+        kept = {}
+        for j, cell in enumerate(row):
+            if cell == "0":
+                continue
+            s = row[j] = _parse_scalar_at(cell, params, f"{at}[{j}]", findings)
+            if s is None:
+                rows = None
+            elif not s.is_zero():
+                kept[j] = _kval(s)
+        if rows is not None:
+            rows.append(kept)
+    return None if rows is None else Matrix.from_dicts(dim_rows, dim_cols, rows, params)
 
 
 def _parse_vector(data, dim, params, path, findings):

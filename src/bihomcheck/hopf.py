@@ -129,9 +129,9 @@ class RMatrix:
         pair ``operators(hopf)`` when the caller has built it already.
 
         The operators are row form, so R x = 1 (x) 1 reads x @ L = 1 (x) 1
-        for the row x of the inverse: it is solved on the transpose of L,
-        and the candidate is checked on both sides with one-row products
-        x @ K."""
+        for the row x of the inverse. The exact solve on the transpose of L
+        makes that side hold, and the other side, x R = 1 (x) 1, is checked
+        with the one-row product x @ K of the right operator."""
         left, right = operators or self.operators(hopf)
         uu = kron(hopf.u, hopf.u)
         try:
@@ -139,9 +139,8 @@ class RMatrix:
         except Singular:
             raise NotInvertible("R has no inverse in the tensor-square algebra") from None
         # one-sided suffices in a finite-dimensional unital algebra, but the
-        # input may not satisfy the unit laws, so confirm both sides
-        x, one = inv.transpose(), uu.transpose()
-        if x @ left != one or x @ right != one:
+        # input may not satisfy the unit laws, so confirm the other side
+        if inv.transpose() @ right != uu.transpose():
             raise NotInvertible("R has only a one-sided inverse candidate")
         return _coefficients(inv, hopf.dim)[0]
 

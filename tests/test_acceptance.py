@@ -24,11 +24,6 @@ from bihomcheck.bihom import (
 from bihomcheck.catalog import (
     catalog_file,
     catalog_names,
-    example24_algebra,
-    heisenberg_lie,
-    heisenberg_twist_maps,
-    kz2_hopf,
-    matrix_algebra_2x2,
     r_triangular_kz2,
     trivial_hopf,
     trivial_rmatrix,
@@ -47,6 +42,7 @@ from bihomcheck.structure import (
     simplicity_certificate,
 )
 from report_entry import entry
+from shipped import shipped
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 L = ("l1", "l2", "l1p", "l2p")
@@ -58,7 +54,7 @@ def announce(n, text):
 
 def test_criterion_1_quasitriangularity_of_kz2_r0():
     start = time.perf_counter()
-    h = kz2_hopf()
+    h = catalog_file("kz2").hopf
     r = r_triangular_kz2()
     rep = check_quasitriangular(h, r)
     assert rep.ok, rep.render_text()
@@ -70,7 +66,7 @@ def test_criterion_1_quasitriangularity_of_kz2_r0():
 
 def test_criterion_2_example24_bihom_associative_suite_symbolic():
     start = time.perf_counter()
-    rep = check_bihom_associative(example24_algebra())
+    rep = check_bihom_associative(shipped("example24", "A"))
     assert rep.ok, rep.render_text()
     # the suite enumerated all 8 triples with symbolic b and found zero residuals
     assert entry(rep, "bihom.assoc").status == "pass"
@@ -83,7 +79,7 @@ def test_criterion_2_example24_bihom_associative_suite_symbolic():
 
 
 def test_criterion_3_commutator_construction_on_example24():
-    a = example24_algebra()
+    a = shipped("example24", "A")
     lie = commutator_bracket(a, r_triangular_kz2(("b",)))
     rep = check_generalized_bihom_lie(lie)
     assert rep.ok, rep.render_text()
@@ -290,8 +286,8 @@ def test_criterion_4_degeneration_matches_classical_commutator():
 
 
 def test_criterion_5_twist_reproduces_printed_table_and_hom_case():
-    base = heisenberg_lie()
-    alpha, beta = heisenberg_twist_maps(base.module)
+    base = shipped("example25-heisenberg", "L")
+    alpha, beta = catalog_file("example25-heisenberg").objects["L"].twist_maps()
     lie = twist_bracket(base, alpha, beta)
     want_01 = parse_scalar("l1*l2p", L)
     want_10 = parse_scalar("l1p*l2", L)
@@ -314,9 +310,9 @@ def test_criterion_5_twist_reproduces_printed_table_and_hom_case():
 
 
 def test_criterion_6_lemma31_zero_residuals():
-    rep24 = check_lemma31(example24_algebra(), r_triangular_kz2(("b",)))
+    rep24 = check_lemma31(shipped("example24", "A"), r_triangular_kz2(("b",)))
     assert rep24.ok, rep24.render_text()
-    m2 = matrix_algebra_2x2()
+    m2 = shipped("trivial-hopf", "A")
     rep_m2 = check_lemma31(m2, trivial_rmatrix(m2.module.hopf))
     assert rep_m2.ok, rep_m2.render_text()
     for rep, triples in ((rep24, 8), (rep_m2, 64)):
@@ -328,7 +324,7 @@ def test_criterion_6_lemma31_zero_residuals():
 
 
 def test_criterion_7_structure_theory_values():
-    lie = heisenberg_lie()
+    lie = shipped("example25-heisenberg", "L")
     x3 = Subspace.from_rows(3, [[Scalar.of(L, 0), Scalar.of(L, 0), Scalar.of(L, 1)]], L)
     assert center(lie) == x3
     series = derived_series(lie)
@@ -339,7 +335,7 @@ def test_criterion_7_structure_theory_values():
     assert lcs.reaches_zero
     cert = simplicity_certificate(lie)
     assert cert.nonsimple_ideal == x3
-    a24 = example24_algebra()
+    a24 = shipped("example24", "A")
     cert24 = simplicity_certificate(a24)
     x2 = Subspace.from_rows(2, [[Scalar.of(("b",), 0), Scalar.of(("b",), 1)]], ("b",))
     assert cert24.nonsimple_ideal == x2

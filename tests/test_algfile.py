@@ -2,6 +2,7 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from bihomcheck.algfile import (
     print_algebra_file,
     substitute_file,
 )
-from bihomcheck.catalog import catalog_file, catalog_names, example24_algebra, kz2_hopf
+from bihomcheck.catalog import catalog_file, catalog_names
 from bihomcheck.cli import main
 from bihomcheck.errors import (
     DenominatorVanishes,
@@ -23,6 +24,7 @@ from bihomcheck.errors import (
 )
 from bihomcheck.hopf import HopfAlgebra
 from bihomcheck.linalg import Matrix, nested_tensor
+from shipped import shipped
 from test_cli_pins import FILES
 
 
@@ -213,6 +215,33 @@ def test_hopf_section_prints_canonically():
     assert print_algebra_file(parse_algebra_file(text)) == text
 
 
+def test_raw_antipode_cells_print_as_parsed():
+    # the antipode is read sparse, and every cell still prints from its own
+    # parsed value: a JSON int, a fraction not in lowest terms, a zero that
+    # is not the text "0", and "0" itself
+    doc = {
+        "format": "bihom-algebra-file/1",
+        "name": "raw-kz2",
+        "parameters": ["t"],
+        "hopf": {
+            "raw": {
+                "names": ["e", "g"],
+                "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
+                "comult": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+                "unit": ["1", "0"],
+                "counit": ["1", "1"],
+                "antipode": [[1, "0"], ["0*t", "2/4"]],
+            }
+        },
+        "rmatrix": [["1", "0"], ["0", "0"]],
+        "objects": {},
+    }
+    f = parse_algebra_file(json.dumps(doc))
+    assert f.hopf.antipode.data == [{0: 1}, {1: Fraction(1, 2)}]
+    printed = json.loads(print_algebra_file(f))["hopf"]["raw"]["antipode"]
+    assert printed == [["1", "0"], ["0", "1/2"]]
+
+
 def test_wrong_format_marker_is_rejected():
     doc = example24_doc()
     doc["format"] = "something-else/9"
@@ -267,7 +296,7 @@ def test_parsed_objects_hold_the_structure_matrix(name):
 def test_nested_and_matrix_objects_print_the_same_bytes():
     # the benchmark's file generator builds objects from nested tensors
     f = catalog_file("example24")
-    a = example24_algebra()
+    a = shipped("example24", "A")
     reference = f.objects["A"].reference_bracket
 
     def text(tensor, ref):
@@ -285,7 +314,7 @@ def test_nested_and_matrix_objects_print_the_same_bytes():
 
 
 def test_nested_views_invert_the_stored_matrices():
-    h = kz2_hopf()
+    h = catalog_file("kz2").hopf
     assert "mult" not in vars(h) and "comult" not in vars(h)
     again = HopfAlgebra(h.basis_names, h.mult, h.unit, h.comult, h.counit, h.antipode)
     assert (again.M, again.C) == (h.M, h.C)

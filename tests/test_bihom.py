@@ -17,33 +17,35 @@ from bihomcheck.bihom import (
     commutator_bracket,
     twist_bracket,
 )
-from bihomcheck.catalog import (
-    cross_product_lie,
-    diagonal,
-    example24_algebra,
-    heisenberg_assoc,
-    heisenberg_lie,
-    heisenberg_twist_maps,
-    matrix_algebra_2x2,
-    r_triangular_kz2,
-    trivial_hopf,
-    trivial_rmatrix,
-    twisted_heisenberg,
-)
+from bihomcheck.algfile import substitute_file
+from bihomcheck.catalog import catalog_file, r_triangular_kz2, trivial_rmatrix
 from bihomcheck.errors import NotBijective, NotEndomorphism, NotTriangular
 from bihomcheck.hmod import HModule, ModuleMap
 from bihomcheck.hopf import RMatrix
 from bihomcheck.linalg import Matrix
 from bihomcheck.scalars import Scalar, parse_scalar
 from report_entry import entry
+from shipped import shipped
 
 B = ("b",)
 L = ("l1", "l2", "l1p", "l2p")
 
 
+def heisenberg_over_q():
+    """The Heisenberg L of example25-heisenberg over Q, with no parameters:
+    only its twist maps hold parameters, so binding them leaves L as it is."""
+    f = substitute_file(catalog_file("example25-heisenberg"), dict.fromkeys(L, 1))
+    return f.objects["L"].structure(f.rmatrix)
+
+
+def diagonal(values):
+    """The diagonal matrix over Q of the ints ``values``."""
+    return Matrix.from_dicts(len(values), len(values), [{i: v} for i, v in enumerate(values)], ())
+
+
 def substituted_example24(value):
     """Example 2.4 with the parameter pinned to a rational number."""
-    a = example24_algebra()
+    a = shipped("example24", "A")
     m = a.module
 
     def sub_matrix(mat):
@@ -63,18 +65,18 @@ def substituted_example24(value):
 
 
 def test_example24_bihom_associative_suite():
-    rep = check_bihom_associative(example24_algebra())
+    rep = check_bihom_associative(shipped("example24", "A"))
     assert rep.ok
     ids = [e.check_id for e in rep.entries]
     assert "bihom.assoc" in ids and "module-algebra.equivariance" in ids
 
 
 def test_plain_associative_algebra_is_bihom_with_identity_maps():
-    assert check_bihom_associative(matrix_algebra_2x2()).ok
+    assert check_bihom_associative(shipped("trivial-hopf", "A")).ok
 
 
 def test_example24_with_identity_alpha_fails_with_witness():
-    a = example24_algebra()
+    a = shipped("example24", "A")
     ident = ModuleMap.identity(a.module)
     broken = BiHomAlgebra(a.module, a.mult, ident, a.beta, unit=a.unit)
     rep = check_bihom_associative(broken)
@@ -97,7 +99,7 @@ def test_commutator_on_example24_is_the_zero_bracket():
     #   [x2,x1] = -x2 - (x1)(-x2/b) = -x2 + x2 = 0
     #   [x2,x2] = 0 - 0 = 0
     # (the printed table in the source differs; the formula is ground truth)
-    a = example24_algebra()
+    a = shipped("example24", "A")
     lie = commutator_bracket(a, r_triangular_kz2(B))
     for i in range(2):
         for j in range(2):
@@ -106,7 +108,7 @@ def test_commutator_on_example24_is_the_zero_bracket():
 
 
 def test_commutator_trivial_twists_is_classical_commutator():
-    a = matrix_algebra_2x2()
+    a = shipped("trivial-hopf", "A")
     lie = commutator_bracket(a, trivial_rmatrix(a.module.hopf))
     d = a.module.dim
     ident = Matrix.identity(d, a.params)
@@ -121,9 +123,9 @@ def test_commutator_trivial_twists_is_classical_commutator():
 def test_commutator_of_heisenberg_product_is_the_symmetric_bracket():
     # both odd generators: [x1,x2] = x1 x2 - (-1)^{1.1} x2 x1 = x3,
     # [x2,x1] = 0 + x1 x2 = x3; this recovers the catalog bracket exactly
-    a = heisenberg_assoc()
+    a = shipped("example25-heisenberg", "A")
     lie = commutator_bracket(a, r_triangular_kz2(L))
-    expected = heisenberg_lie()
+    expected = shipped("example25-heisenberg", "L")
     for i in range(3):
         for j in range(3):
             assert all(
@@ -138,7 +140,7 @@ def test_commutator_refuses_singular_beta():
 
 
 def test_commutator_refuses_non_quasitriangular_r():
-    a = example24_algebra()
+    a = shipped("example24", "A")
     zero = Scalar.of(B, 0)
     one = Scalar.of(B, 1)
     e_tensor_g = RMatrix(Matrix.from_rows([[zero, one], [zero, zero]], B))
@@ -157,13 +159,13 @@ def test_hom_degeneration_beta_equals_alpha():
 
 
 def test_generalized_lie_suite_on_catalog_brackets():
-    assert check_generalized_bihom_lie(heisenberg_lie()).ok
-    assert check_generalized_bihom_lie(cross_product_lie()).ok
-    assert check_generalized_bihom_lie(twisted_heisenberg()).ok
+    assert check_generalized_bihom_lie(shipped("example25-heisenberg", "L")).ok
+    assert check_generalized_bihom_lie(shipped("cross-product-classical", "L")).ok
+    assert check_generalized_bihom_lie(shipped("example25-twisted", "L")).ok
 
 
 def test_classical_cross_product_reduces_to_antisymmetry_and_jacobi():
-    lie = cross_product_lie()
+    lie = shipped("cross-product-classical", "L")
     rep = check_generalized_bihom_lie(lie)
     assert rep.ok
     # break antisymmetry only: [e1,e2] = e3 but [e2,e1] = e3
@@ -175,8 +177,8 @@ def test_classical_cross_product_reduces_to_antisymmetry_and_jacobi():
 
 
 def test_twist_bracket_symbolic_table():
-    base = heisenberg_lie()
-    alpha, beta = heisenberg_twist_maps(base.module)
+    base = shipped("example25-heisenberg", "L")
+    alpha, beta = catalog_file("example25-heisenberg").objects["L"].twist_maps()
     lie = twist_bracket(base, alpha, beta)
     want_01 = parse_scalar("l1*l2p", L)
     want_10 = parse_scalar("l1p*l2", L)
@@ -191,7 +193,7 @@ def test_twist_bracket_symbolic_table():
                 assert all(c.is_zero() for c in vec)
     assert check_generalized_bihom_lie(lie).ok
     # matches the catalog's stored twisted instance
-    stored = twisted_heisenberg()
+    stored = shipped("example25-twisted", "L")
     for i in range(3):
         for j in range(3):
             assert all(
@@ -201,7 +203,7 @@ def test_twist_bracket_symbolic_table():
 
 
 def test_twist_with_identity_maps_is_identity():
-    base = heisenberg_lie()
+    base = shipped("example25-heisenberg", "L")
     ident = ModuleMap.identity(base.module)
     lie = twist_bracket(base, ident, ident)
     for i in range(3):
@@ -215,10 +217,10 @@ def test_twist_with_identity_maps_is_identity():
 def test_twist_numeric_specialization():
     # alpha = diag(2,1,2), beta = id: [x1,x2]' = 2 x3 and [x2,x1]' = x3,
     # the symbolic table at l1=2, l2=1, l1p=l2p=1
-    base = heisenberg_lie(())
+    base = heisenberg_over_q()
     two = Scalar.of((), 2)
     one = Scalar.of((), 1)
-    alpha = ModuleMap(base.module, base.module, diagonal((), [two, one, two]))
+    alpha = ModuleMap(base.module, base.module, diagonal([2, 1, 2]))
     beta = ModuleMap.identity(base.module)
     lie = twist_bracket(base, alpha, beta)
     assert lie.bracket[0][1][2] == two
@@ -226,18 +228,16 @@ def test_twist_numeric_specialization():
 
 
 def test_twist_rejects_non_endomorphism():
-    base = heisenberg_lie(())
-    one = Scalar.of((), 1)
-    two = Scalar.of((), 2)
-    bad = ModuleMap(base.module, base.module, diagonal((), [one, two, one]))
+    base = heisenberg_over_q()
+    bad = ModuleMap(base.module, base.module, diagonal([1, 2, 1]))
     with pytest.raises(NotEndomorphism):
         twist_bracket(base, bad, ModuleMap.identity(base.module))
 
 
 def test_twist_hom_degeneration():
     # beta := alpha collapses to the Hom case and still passes the suite
-    base = heisenberg_lie()
-    alpha, _ = heisenberg_twist_maps(base.module)
+    base = shipped("example25-heisenberg", "L")
+    alpha, _ = catalog_file("example25-heisenberg").objects["L"].twist_maps()
     lie = twist_bracket(base, alpha, alpha)
     assert check_generalized_bihom_lie(lie).ok
     want = parse_scalar("l1*l2", L)
@@ -272,17 +272,14 @@ def test_hom_configuration_verdicts_match_on_equal_maps():
     # on inputs with beta = alpha the BiHom suite and the Hom-case checker
     # must agree axiom by axiom, on valid and on broken instances alike
     cases = []
-    base = heisenberg_lie()
-    alpha, _ = heisenberg_twist_maps(base.module)
+    base = shipped("example25-heisenberg", "L")
+    alpha, _ = catalog_file("example25-heisenberg").objects["L"].twist_maps()
     cases.append(twist_bracket(base, alpha, alpha))
-    cases.append(cross_product_lie())
+    cross = shipped("cross-product-classical", "L")
+    cases.append(cross)
     # a broken instance: symmetric bracket where antisymmetry is required
     broken = BiHomLie(
-        cross_product_lie().module,
-        heisenberg_lie(()).bracket,
-        ModuleMap.identity(cross_product_lie().module),
-        ModuleMap.identity(cross_product_lie().module),
-        trivial_rmatrix(trivial_hopf()),
+        cross.module, heisenberg_over_q().bracket, cross.alpha, cross.beta, cross.rmatrix
     )
     cases.append(broken)
     for lie in cases:
@@ -297,17 +294,17 @@ def test_hom_configuration_verdicts_match_on_equal_maps():
 def test_lemma31_classical_case():
     # trivial Hopf data and identity maps: both identities reduce to the
     # classical [a,bc] = [a,b]c + b[a,c] and [ab,c] = a[b,c] + [a,c]b
-    a = matrix_algebra_2x2()
+    a = shipped("trivial-hopf", "A")
     rep = check_lemma31(a, trivial_rmatrix(a.module.hopf))
     assert rep.ok
     assert entry(rep, "lemma31.1").detail == "64 triples checked"
 
 
 def test_lemma31_example24():
-    rep = check_lemma31(example24_algebra(), r_triangular_kz2(B))
+    rep = check_lemma31(shipped("example24", "A"), r_triangular_kz2(B))
     assert rep.ok
 
 
 def test_lemma31_heisenberg_product():
-    rep = check_lemma31(heisenberg_assoc(), r_triangular_kz2(L))
+    rep = check_lemma31(shipped("example25-heisenberg", "A"), r_triangular_kz2(L))
     assert rep.ok

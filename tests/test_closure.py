@@ -17,11 +17,12 @@ import functools
 import pytest
 
 from bihomcheck.bihom import BiHomLie, commutator_bracket
-from bihomcheck.catalog import trivial_hopf, trivial_rmatrix, twisted_heisenberg
+from bihomcheck.catalog import trivial_hopf, trivial_rmatrix
 from bihomcheck.hmod import HModule, ModuleMap
 from bihomcheck.linalg import Matrix, Subspace, rref
 from bihomcheck.scalars import Scalar
 from bihomcheck.structure import ideal_closure
+from shipped import shipped
 from test_structure_pins import conjugate, matrix_algebra
 from test_witnesses import sweedler
 
@@ -91,7 +92,7 @@ CASES = {
     "gl3/conjugated": (lambda: conjugate(_gl3()), "lie"),
     "M3/associative": (lambda: matrix_algebra(3), "associative"),
     "M3/right": (lambda: matrix_algebra(3), "lie"),
-    "example25-twisted": (twisted_heisenberg, "lie"),
+    "example25-twisted": (lambda: shipped("example25-twisted", "L"), "lie"),
     "sweedler-A": (lambda: sweedler()[2], "associative"),
     "sweedler-commutator": (_sweedler_commutator, "lie"),
     "abelian/alpha-shift": (lambda: _abelian("alpha"), "lie"),

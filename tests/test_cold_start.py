@@ -1,8 +1,9 @@
 """What a fresh ``bihomcheck`` process loads, and the record classes.
 
 A check must not import ``dataclasses`` (which pulls in ``inspect``,
-``ast``, ``dis`` and ``tokenize``) or the structure theory, which only the
-structure command loads. The record classes of the reports, the algebra
+``ast``, ``dis`` and ``tokenize``), ``importlib.resources`` (which pulls in
+``pathlib``, ``tempfile`` and ``zipfile``; the catalog files are opened by
+path) or the structure theory, which only the structure command loads. The record classes of the reports, the algebra
 file model and the structure certificates are plain classes; their
 constructors take their fields positionally and by keyword, with the same
 defaults as before.
@@ -22,7 +23,7 @@ from bihomcheck.structure import Certificate
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-WATCHED = ("dataclasses", "inspect", "bihomcheck.structure")
+WATCHED = ("dataclasses", "inspect", "importlib.resources", "bihomcheck.structure")
 
 SCRIPT = f"""
 import contextlib, io, json, sys
@@ -47,8 +48,10 @@ def test_a_cold_check_loads_neither_dataclasses_nor_the_structure_theory():
         "PYTHONPATH": os.pathsep.join(filter(None, path)),
         "PYTHONDONTWRITEBYTECODE": "1",
     }
+    # -S: no site, so a .pth file of the environment that imports a watched
+    # module at start-up is not counted against the program
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", SCRIPT], capture_output=True, text=True, env=env, check=True
     )
     check, center = json.loads(proc.stdout)
     assert check == [0, (GOLDEN / "check_all_example24.json").read_text(encoding="utf-8"), []]

@@ -2,14 +2,7 @@
 
 from itertools import product
 
-from bihomcheck.catalog import (
-    example24_algebra,
-    heisenberg_assoc,
-    kz2_hopf,
-    r_triangular_kz2,
-    trivial_hopf,
-    trivial_rmatrix,
-)
+from bihomcheck.catalog import catalog_file, r_triangular_kz2, trivial_hopf, trivial_rmatrix
 from bihomcheck.hmod import (
     HModule,
     ModuleMap,
@@ -21,11 +14,12 @@ from bihomcheck.hmod import (
 from bihomcheck.linalg import Matrix, kron
 from bihomcheck.scalars import Scalar
 from report_entry import entry
+from shipped import shipped
 from test_witnesses import sweedler
 
 
 def sign_module(signs, names=None):
-    hopf = kz2_hopf()
+    hopf = catalog_file("kz2").hopf
     dim = len(signs)
     names = names or [f"x{i + 1}" for i in range(dim)]
     g = Matrix.from_rows(
@@ -39,7 +33,7 @@ def sign_module(signs, names=None):
 
 
 def test_example24_action_is_a_module():
-    assert check_module(example24_algebra().module).ok
+    assert check_module(shipped("example24", "A").module).ok
 
 
 def test_heisenberg_printed_action_is_a_module():
@@ -49,7 +43,7 @@ def test_heisenberg_printed_action_is_a_module():
 
 
 def test_non_involutive_action_fails():
-    hopf = kz2_hopf()
+    hopf = catalog_file("kz2").hopf
     g = Matrix.from_rows(
         [[Scalar.of((), 1), Scalar.of((), 1)], [Scalar.of((), 0), Scalar.of((), 1)]],
         (),
@@ -72,7 +66,7 @@ def apply_tau(tau, m, n, i, j):
 
 
 def test_braiding_example24_table():
-    a = example24_algebra()
+    a = shipped("example24", "A")
     m = a.module
     r = r_triangular_kz2(("b",))
     tau = braiding(m, m, r)
@@ -118,7 +112,7 @@ def test_braiding_symmetry_on_triangular_instances():
     # a triangular R makes tau_{M,M} a symmetry: tau o tau is the identity
     h = trivial_hopf()
     for m, r in (
-        (example24_algebra().module, r_triangular_kz2(("b",))),
+        (shipped("example24", "A").module, r_triangular_kz2(("b",))),
         (sign_module([-1, -1, 1]), r_triangular_kz2()),
         (HModule(h, ["u", "v"], [Matrix.identity(2)]), trivial_rmatrix(h)),
     ):
@@ -127,20 +121,19 @@ def test_braiding_symmetry_on_triangular_instances():
 
 
 def test_module_algebra_example24():
-    assert check_module_algebra(example24_algebra()).ok
+    assert check_module_algebra(shipped("example24", "A")).ok
 
 
 def test_module_algebra_heisenberg_product():
-    assert check_module_algebra(heisenberg_assoc()).ok
+    assert check_module_algebra(shipped("example25-heisenberg", "A")).ok
 
 
 def test_module_algebra_failing_perturbation():
     # flipping the sign pattern to g = diag(-1, 1) keeps a valid module but
     # breaks equivariance at g.(x1 x1) = -x1 versus (g.x1)(g.x1) = x1
-    a = example24_algebra()
-    hopf = kz2_hopf(("b",))
+    a = shipped("example24", "A")
     bad_module = HModule(
-        hopf,
+        a.module.hopf,
         ["x1", "x2"],
         [
             Matrix.identity(2, ("b",)),
@@ -182,7 +175,7 @@ def test_braiding_is_h_linear():
     # tau o (h-action on M (x) N) = (h-action on N (x) M) o tau, via QT3
     modules, r_t = sweedler_modules()
     cases = [
-        (example24_algebra().module, r_triangular_kz2(("b",))),
+        (shipped("example24", "A").module, r_triangular_kz2(("b",))),
         (sign_module([-1, -1, 1]), r_triangular_kz2()),
     ]
     pairs = [(m, m, r) for m, r in cases] + [(m, n, r_t) for m in modules for n in modules]

@@ -7,14 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bihomcheck.bihom import commutator_bracket
-from bihomcheck.catalog import (
-    cross_product_lie,
-    example24_algebra,
-    heisenberg_lie,
-    matrix_algebra_2x2,
-    trivial_rmatrix,
-    twisted_heisenberg,
-)
+from bihomcheck.catalog import trivial_rmatrix
 from bihomcheck.errors import AmbientMismatch
 from bihomcheck.linalg import Subspace
 from bihomcheck.scalars import Scalar
@@ -29,6 +22,7 @@ from bihomcheck.structure import (
     lower_central_series,
     simplicity_certificate,
 )
+from shipped import shipped
 
 L = ("l1", "l2", "l1p", "l2p")
 
@@ -47,7 +41,7 @@ def x3_line(params=L):
 
 def test_bracket_of_subspaces_heisenberg():
     # the lower central series from L steps through [L, L] and [[L, L], L]
-    lie = heisenberg_lie()
+    lie = shipped("example25-heisenberg", "L")
     full = Subspace.full_space(3, L)
     zero = Subspace.zero_space(3, L)
     res = lower_central_series(lie, full)
@@ -60,7 +54,7 @@ def test_bracket_of_subspaces_heisenberg():
 
 
 def test_lie_ideal_checks():
-    lie = heisenberg_lie()
+    lie = shipped("example25-heisenberg", "L")
     assert is_H_bihom_lie_ideal(lie, Subspace.full_space(3, L))
     assert is_H_bihom_lie_ideal(lie, x3_line())
     verdict = is_H_bihom_lie_ideal(lie, span(3, [[1, 0, 0]], L))
@@ -73,7 +67,7 @@ def test_lie_ideal_checks():
 
 
 def test_associative_ideal_checks():
-    a = example24_algebra()
+    a = shipped("example24", "A")
     assert is_H_bihom_ideal(a, Subspace.zero_space(2, ("b",)))
     assert is_H_bihom_ideal(a, span(2, [[0, 1]], ("b",)))
     verdict = is_H_bihom_ideal(a, span(2, [[1, 0]], ("b",)))
@@ -82,10 +76,10 @@ def test_associative_ideal_checks():
 
 
 def test_center_abelian_and_heisenberg():
-    lie = heisenberg_lie()
+    lie = shipped("example25-heisenberg", "L")
     assert center(lie) == x3_line()
     # twisted version with generic symbolic scalars has the same center
-    assert center(twisted_heisenberg()) == x3_line()
+    assert center(shipped("example25-twisted", "L")) == x3_line()
     # an abelian bracket has everything central
     from bihomcheck.bihom import BiHomLie
 
@@ -101,11 +95,11 @@ def test_center_abelian_and_heisenberg():
 
 
 def test_ideal_closure_examples():
-    lie = heisenberg_lie()
+    lie = shipped("example25-heisenberg", "L")
     assert ideal_closure(lie, Subspace.zero_space(3, L)).dim == 0
     got = ideal_closure(lie, span(3, [[1, 0, 0]], L))
     assert got == span(3, [[1, 0, 0], [0, 0, 1]], L)
-    a = example24_algebra()
+    a = shipped("example24", "A")
     x2 = span(2, [[0, 1]], ("b",))
     assert ideal_closure(a, x2) == x2
 
@@ -113,9 +107,9 @@ def test_ideal_closure_examples():
 def test_closure_operator_laws():
     # extensive, idempotent, monotone on seeded random seeds
     rng = random.Random(1234)
-    lie = cross_product_lie()
-    a24 = example24_algebra()
-    for x, dim, params in ((lie, 3, ()), (heisenberg_lie(), 3, L), (a24, 2, ("b",))):
+    lie = shipped("cross-product-classical", "L")
+    a24 = shipped("example24", "A")
+    for x, dim, params in ((lie, 3, ()), (shipped("example25-heisenberg", "L"), 3, L), (a24, 2, ("b",))):
         for _ in range(8):
             rows = [
                 [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
@@ -130,7 +124,7 @@ def test_closure_operator_laws():
 
 
 def test_derived_series_heisenberg():
-    lie = heisenberg_lie()
+    lie = shipped("example25-heisenberg", "L")
     res = derived_series(lie)
     assert res.verdict == SERIES_ZERO and res.step == 2
     assert [t.dim for t in res.terms] == [3, 1, 0]
@@ -140,7 +134,7 @@ def test_derived_series_heisenberg():
 def test_derived_series_abelian_and_simple():
     from bihomcheck.bihom import BiHomLie
 
-    lie = cross_product_lie()
+    lie = shipped("cross-product-classical", "L")
     res = derived_series(lie)
     assert res.verdict == SERIES_STABLE
     assert res.terms[-1].dim == 3  # [L,L] = L for the cross product
@@ -157,25 +151,25 @@ def test_derived_series_abelian_and_simple():
 
 
 def test_lower_central_series():
-    lie = heisenberg_lie()
+    lie = shipped("example25-heisenberg", "L")
     res = lower_central_series(lie, Subspace.zero_space(3, L))
     assert res.verdict == SERIES_ZERO and res.step == 0 or res.terms[0].dim == 0
     res = lower_central_series(lie, Subspace.full_space(3, L))
     assert res.verdict == SERIES_ZERO
     assert [t.dim for t in res.terms] == [3, 1, 0]
-    res = lower_central_series(cross_product_lie(), Subspace.full_space(3, ()))
+    res = lower_central_series(shipped("cross-product-classical", "L"), Subspace.full_space(3, ()))
     assert res.verdict == SERIES_STABLE
 
 
 def test_simplicity_certificate_heisenberg():
-    cert = simplicity_certificate(heisenberg_lie())
+    cert = simplicity_certificate(shipped("example25-heisenberg", "L"))
     assert cert.nonsimple_ideal == x3_line()
     assert cert.nonsemiprime_ideal is not None
     assert cert.nonprime_pair is not None
 
 
 def test_simplicity_certificate_example24():
-    cert = simplicity_certificate(example24_algebra())
+    cert = simplicity_certificate(shipped("example24", "A"))
     assert cert.nonsimple_ideal == span(2, [[0, 1]], ("b",))
 
 
@@ -196,22 +190,22 @@ def test_simplicity_certificate_finds_nothing_on_probes():
     # but the zero bracket makes (L, L) a primality counterexample
     assert cert.nonprime_pair is not None
     # cross product: no counterexample of any kind surfaces
-    cert = simplicity_certificate(cross_product_lie())
+    cert = simplicity_certificate(shipped("cross-product-classical", "L"))
     assert cert.nonsimple_ideal is None
     assert cert.nonprime_pair is None
     assert cert.nonsemiprime_ideal is None
 
 
 def test_certificate_is_deterministic_in_the_seed():
-    a = simplicity_certificate(heisenberg_lie(), probe_seed=7)
-    b = simplicity_certificate(heisenberg_lie(), probe_seed=7)
+    a = simplicity_certificate(shipped("example25-heisenberg", "L"), probe_seed=7)
+    b = simplicity_certificate(shipped("example25-heisenberg", "L"), probe_seed=7)
     assert a.nonsimple_ideal == b.nonsimple_ideal
     assert a.probe_seed == 7
 
 
 def test_series_terms_are_stable_ideals():
     # every term of both series passes the alpha/beta/H stability checks
-    for lie in (heisenberg_lie(), cross_product_lie(), twisted_heisenberg()):
+    for lie in (shipped("example25-heisenberg", "L"), shipped("cross-product-classical", "L"), shipped("example25-twisted", "L")):
         for res in (
             derived_series(lie),
             lower_central_series(lie, Subspace.full_space(lie.module.dim, lie.params)),
@@ -221,7 +215,7 @@ def test_series_terms_are_stable_ideals():
 
 
 def test_center_brackets_vanish_exactly():
-    for lie in (heisenberg_lie(), twisted_heisenberg(), cross_product_lie()):
+    for lie in (shipped("example25-heisenberg", "L"), shipped("example25-twisted", "L"), shipped("cross-product-classical", "L")):
         z = center(lie)
         d = lie.module.dim
         for zv in z.vectors():
@@ -234,7 +228,7 @@ def test_theorem_33_conclusion_on_matrix_algebra_under_both_readings():
     # the ambient hypothesis is stated as 'prime' but used as 'simple'; the
     # 2x2 matrix algebra satisfies both semi-decisions (no counterexample),
     # and for U with [U,U] != 0 an ideal I with 0 != [I,L] <= U exists
-    a = matrix_algebra_2x2()
+    a = shipped("trivial-hopf", "A")
     cert = simplicity_certificate(a)
     readings = {
         "prime": cert.nonprime_pair is None,

@@ -3,9 +3,8 @@
 Each object of an algebra file is one BiHom-associative algebra or one
 generalized BiHom-Lie algebra. ``check`` builds it once and hands it to every
 suite that acts on it, and ``structure`` builds the chosen object once for
-its computation. Counted on parsed files, so no catalog constructor adds to
-the count. The catalog itself builds each object of a file once, over one
-Hopf algebra.
+its computation. Loading a catalog file parses it: that builds one Hopf
+algebra and no structure.
 """
 
 from __future__ import annotations
@@ -84,8 +83,8 @@ def test_structure_builds_the_object_once(built, parsed, argv):
 
 
 def test_heisenberg_catalog_file_builds_one_hopf_algebra(built, monkeypatch):
-    # the twist maps are built on the file's module, not on a Heisenberg
-    # algebra of their own
+    # parsing builds the file's Hopf algebra once, its objects' modules over
+    # it, and no BiHomAlgebra or BiHomLie
     hopfs = []
     init = HopfAlgebra.__init__
 
@@ -96,6 +95,6 @@ def test_heisenberg_catalog_file_builds_one_hopf_algebra(built, monkeypatch):
     monkeypatch.setattr(HopfAlgebra, "__init__", counted_init)
     f = catalog_file("example25-heisenberg")
     assert len(hopfs) == 1
-    assert built == ["BiHomAlgebra", "BiHomLie"]
+    assert built == []
     assert f.hopf is hopfs[0]
     assert f.objects["A"].module.hopf is f.objects["L"].module.hopf is f.hopf

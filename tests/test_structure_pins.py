@@ -22,17 +22,7 @@ import pathlib
 import random
 
 from bihomcheck.bihom import BiHomAlgebra, BiHomLie, commutator_bracket, twist_bracket
-from bihomcheck.catalog import (
-    cross_product_lie,
-    example24_algebra,
-    heisenberg_assoc,
-    heisenberg_lie,
-    matrix_algebra_2x2,
-    r_triangular_kz2,
-    trivial_hopf,
-    trivial_rmatrix,
-    twisted_heisenberg,
-)
+from bihomcheck.catalog import r_triangular_kz2, trivial_hopf, trivial_rmatrix
 from bihomcheck.hmod import HModule, ModuleMap
 from bihomcheck.linalg import Matrix, Subspace, invert, kron
 from bihomcheck.scalars import Scalar
@@ -45,6 +35,7 @@ from bihomcheck.structure import (
     lower_central_series,
     simplicity_certificate,
 )
+from shipped import shipped
 
 PINS = pathlib.Path(__file__).parent / "witnesses" / "structure.json"
 
@@ -101,15 +92,15 @@ def cyclic_twist(l):
 
 
 def objects():
-    m2, m3, a24 = matrix_algebra_2x2(), matrix_algebra(3), example24_algebra()
+    m2, m3, a24 = shipped("trivial-hopf", "A"), matrix_algebra(3), shipped("example24", "A")
     base = {
         "trivial-hopf/A": m2,
         "example24/A": a24,
-        "example25-heisenberg/A": heisenberg_assoc(),
-        "example25-heisenberg/L": heisenberg_lie(),
-        "example25-twisted/L": twisted_heisenberg(),
-        "cross-product-classical/L": cross_product_lie(),
-        "cross-product-cyclic-twist": cyclic_twist(cross_product_lie()),
+        "example25-heisenberg/A": shipped("example25-heisenberg", "A"),
+        "example25-heisenberg/L": shipped("example25-heisenberg", "L"),
+        "example25-twisted/L": shipped("example25-twisted", "L"),
+        "cross-product-classical/L": shipped("cross-product-classical", "L"),
+        "cross-product-cyclic-twist": cyclic_twist(shipped("cross-product-classical", "L")),
         "gl2": commutator_bracket(m2, trivial_rmatrix(m2.module.hopf)),
         "example24-commutator": commutator_bracket(a24, r_triangular_kz2(("b",))),
         "gl3": commutator_bracket(m3, trivial_rmatrix(m3.module.hopf)),

@@ -21,8 +21,9 @@ import pathlib
 import pytest
 
 from bihomcheck import bihom, cli, hmod
-from bihomcheck.catalog import example24_algebra, kz2_hopf, r_triangular_kz2
+from bihomcheck.catalog import catalog_file, r_triangular_kz2
 from bihomcheck.hopf import RMatrix, check_quasitriangular
+from shipped import shipped
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -70,7 +71,7 @@ def test_one_command_decides_the_pair_once(counts, tmp_path, argv, solves, suite
 
 
 def test_library_calls_keep_no_verdict(counts):
-    h, r = kz2_hopf(), r_triangular_kz2()
+    h, r = catalog_file("kz2").hopf, r_triangular_kz2()
     assert check_quasitriangular(h, r).ok
     assert check_quasitriangular(h, r).ok
     assert counts["solves"] == 2
@@ -131,5 +132,5 @@ def test_one_command_runs_the_module_algebra_suite_once(module_algebra_suites, n
 def test_bihom_assoc_alone_runs_the_module_algebra_suite(module_algebra_suites):
     assert quiet_main(["check", "example24", "--suite", "bihom-assoc", "--json"]) == 0
     assert len(module_algebra_suites) == 1
-    assert bihom.check_bihom_associative(example24_algebra()).ok
+    assert bihom.check_bihom_associative(shipped("example24", "A")).ok
     assert len(module_algebra_suites) == 2

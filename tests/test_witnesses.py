@@ -33,17 +33,7 @@ from bihomcheck.bihom import (
     check_lemma31,
     commutator_bracket,
 )
-from bihomcheck.catalog import (
-    cross_product_lie,
-    example24_algebra,
-    heisenberg_assoc,
-    heisenberg_lie,
-    kz2_hopf,
-    matrix_algebra_2x2,
-    r_triangular_kz2,
-    trivial_rmatrix,
-    twisted_heisenberg,
-)
+from bihomcheck.catalog import catalog_file, r_triangular_kz2, trivial_rmatrix
 from bihomcheck.errors import BihomError
 from bihomcheck.hmod import HModule, ModuleMap, check_module, check_module_algebra
 from bihomcheck.hopf import (
@@ -56,6 +46,7 @@ from bihomcheck.hopf import (
 )
 from bihomcheck.linalg import Matrix, flip, invert, kron
 from bihomcheck.scalars import Scalar, parse_scalar
+from shipped import shipped
 
 PINS = pathlib.Path(__file__).parent / "witnesses" / "reports.json"
 
@@ -226,7 +217,7 @@ def lie_case(l):
 def hopf_cases():
     z3, k4 = zn(3), klein()
     bases = {
-        "kz2": (kz2_hopf(), r_triangular_kz2()),
+        "kz2": (catalog_file("kz2").hopf, r_triangular_kz2()),
         "z3": (z3, trivial_rmatrix(z3)),
         "klein": (k4, trivial_rmatrix(k4)),
         "sweedler": sweedler()[:2],
@@ -262,10 +253,10 @@ def hopf_cases():
 
 def algebra_cases():
     _, r4, a4 = sweedler()
-    m2 = matrix_algebra_2x2()
+    m2 = shipped("trivial-hopf", "A")
     bases = {
-        "example24": (example24_algebra(), r_triangular_kz2(("b",))),
-        "heisenberg": (heisenberg_assoc(), r_triangular_kz2(("l1", "l2", "l1p", "l2p"))),
+        "example24": (shipped("example24", "A"), r_triangular_kz2(("b",))),
+        "heisenberg": (shipped("example25-heisenberg", "A"), r_triangular_kz2(("l1", "l2", "l1p", "l2p"))),
         "m2": (m2, trivial_rmatrix(m2.module.hopf)),
         "sweedler-A": (a4, r4),
     }
@@ -306,9 +297,9 @@ def algebra_cases():
 def lie_cases():
     _, r4, a4 = sweedler()
     bases = {
-        "heisenberg-lie": heisenberg_lie(),
-        "twisted-lie": twisted_heisenberg(),
-        "cross-lie": cross_product_lie(),
+        "heisenberg-lie": shipped("example25-heisenberg", "L"),
+        "twisted-lie": shipped("example25-twisted", "L"),
+        "cross-lie": shipped("cross-product-classical", "L"),
         # the braiding of the Sweedler module is not a signed flip
         "sweedler-lie": commutator_bracket(a4, r4),
     }
