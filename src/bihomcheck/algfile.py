@@ -9,8 +9,9 @@ informational diffs). Parsing either returns a fully validated model or
 raises with every located finding; it never returns a partial object. The
 model holds every scalar, parsed once: each tensor as the structure matrix
 its triples sum to (``linalg.triples_matrix``), and the raw Hopf section
-also as parsed, with a ``Scalar`` in each cell but a matrix cell "0", since
-its rows print in input order. ``--set`` (``substitute_file``) maps the model.
+also as parsed, with a ``Scalar`` in each cell (a matrix cell "0" stays the
+string), since its rows print in input order. ``--set``
+(``substitute_file``) maps the model.
 
 The printer emits a canonical form (fixed key order, sorted object triples,
 canonical scalar strings), and parse-then-print is the identity on it.

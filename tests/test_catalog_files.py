@@ -44,11 +44,10 @@ def printed(name, params, spec, hopf, rmatrix, objects):
 
 def diag(params, *texts):
     """The diagonal matrix of scalar texts."""
-    zero, d = Scalar.of(params, 0), len(texts)
-    return Matrix.from_rows(
-        [[parse_scalar(t, params) if i == j else zero for j in range(d)] for i, t in enumerate(texts)],
-        params,
-    )
+    rows = [[Scalar.of(params, 0)] * len(texts) for _ in texts]
+    for i, t in enumerate(texts):
+        rows[i][i] = parse_scalar(t, params)
+    return Matrix.from_rows(rows, params)
 
 
 def triples(params, d, *rows):

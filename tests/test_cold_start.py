@@ -3,10 +3,10 @@
 A check must not import ``dataclasses`` (which pulls in ``inspect``,
 ``ast``, ``dis`` and ``tokenize``), ``importlib.resources`` (which pulls in
 ``pathlib``, ``tempfile`` and ``zipfile``; the catalog files are opened by
-path) or the structure theory, which only the structure command loads. The record classes of the reports, the algebra
-file model and the structure certificates are plain classes; their
-constructors take their fields positionally and by keyword, with the same
-defaults as before.
+path) or the structure theory, which only the structure command loads. The
+record classes of the reports, the algebra file model and the structure
+certificates are plain classes; their constructors take their fields
+positionally and by keyword, with the same defaults as before.
 """
 
 import json

@@ -13,9 +13,10 @@ from bihomcheck.hopf import (
     group_algebra,
     is_triangular,
 )
-from bihomcheck.linalg import Matrix, flip, kron
+from bihomcheck.linalg import Matrix, flip, kron, solve
 from bihomcheck.scalars import Scalar
 from report_entry import entry
+from test_witnesses import sweedler
 
 Z2 = [[0, 1], [1, 0]]
 Z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
@@ -119,6 +120,22 @@ def test_noninvertible_r_is_refused():
     r = RMatrix(Matrix.from_rows([[-one, zero], [zero, one]], ()))
     with pytest.raises(NotInvertible):
         check_quasitriangular(h, r)
+
+
+def test_solve_on_the_left_operator_makes_r_x_the_unit():
+    # RMatrix.inverse_in tests only x R = 1 (x) 1: the exact solve on the
+    # transpose of the left operator makes R x = 1 (x) 1 hold by construction.
+    # kZ2 with R0, Sweedler's H4 with R_t, and Z2 x Z2 (index 2x + y for
+    # (x, y)) with the dense R0 (x) R0
+    h4, r_t, _ = sweedler()
+    klein = group_algebra([[a ^ b for b in range(4)] for a in range(4)], 0)
+    r0 = r_half().coefficients
+    for h, r in ((kz2(), r_half()), (h4, r_t), (klein, RMatrix(kron(r0, r0)))):
+        left, right = r.operators(h)
+        uu = kron(h.u, h.u)
+        x = solve(left.transpose(), uu).transpose()
+        assert x @ left == uu.transpose()
+        assert x @ right == uu.transpose()
 
 
 def test_triangularity_of_r0():
