@@ -17,9 +17,16 @@ tensor product through ``linalg.kron_sum``, and on H (x) H itself as
 y -> x y or y x (``tensor_square_mult``). These H (x) H operators are row
 form, like the multiplication operators of a product: for a row vector v
 of coefficients on H (x) H, ``v @ K`` is the row of x v (or v x), so row
-a*d + b of K is x (e_a (x) e_b). Each Hopf and quasitriangular
-axiom is an identity between products of these matrices, and a failing
-check names the first failing basis tuple. A map tensored with identities,
+a*d + b of K is x (e_a (x) e_b). The product of two elements x and y of
+H (x) H is M (x (x) y) M^T (``tensor_square_product``). Each Hopf and
+quasitriangular axiom is an identity between products of these matrices,
+and a failing check names the first failing basis tuple.
+
+Triangularity, R21 = R^-1, is decided by R R21 = 1 (x) 1 = R21 R; the
+d^2 x d^2 system for R^-1 (``RMatrix.inverse_in``) is solved only when that
+fails. That test and the qt checks run on D R, for D the common denominator
+of R's constants (one denominator, as in FLINT's ``fmpq_mat``), so that a
+rational R is handled on ints. A map tensored with identities,
 such as M (M (x) id), is applied slot by slot with ``kron_apply``; a map
 into a tensor power, such as (C (x) id) C, through the transpose.
 
@@ -32,11 +39,14 @@ the unit and counit are also readable as the lists ``unit`` and ``counit``.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import DimensionMismatch, NotAGroup, NotInvertible, Singular
 from .linalg import (
     Matrix,
+    _kmul,
     flip,
     kron,
     kron_apply,
@@ -94,6 +104,11 @@ class HopfAlgebra:
         ops = multiplications(self.M.transpose(), right)
         return kron_sum(x, ops, ops)
 
+    def tensor_square_product(self, x: Matrix, y: Matrix) -> Matrix:
+        """The coefficient matrix of x y in H (x) H, sum x[a][b] y[c][e]
+        (e_a e_c) (x) (e_b e_e), for coefficient matrices x and y."""
+        return self.M @ (kron(x, y) @ self.M.transpose())
+
 
 def _coefficients(m: Matrix, d) -> list:
     """The d x d coefficient matrix of each column of m, a map into H (x) H
@@ -126,7 +141,8 @@ class RMatrix:
     def inverse_in(self, hopf: HopfAlgebra, operators=None) -> Matrix:
         """Coefficient matrix of the two-sided inverse of R in the algebra
         H (x) H; raises NotInvertible when none exists. ``operators`` is the
-        pair ``operators(hopf)`` when the caller has built it already.
+        pair ``operators(hopf)`` when the caller has built it already. The
+        triangularity verdict calls it only when flip(R) is not the inverse.
 
         The operators are row form, so R x = 1 (x) 1 reads x @ L = 1 (x) 1
         for the row x of the inverse. The exact solve on the transpose of L
@@ -143,6 +159,58 @@ class RMatrix:
         if inv.transpose() @ right != uu.transpose():
             raise NotInvertible("R has only a one-sided inverse candidate")
         return _coefficients(inv, hopf.dim)[0]
+
+    def cleared(self, hopf: HopfAlgebra) -> tuple:
+        """(D, D R) for D the least common multiple of the denominators of
+        the constant coefficients of R, so that a constant D R holds ints."""
+        if hopf.dim != self.dim:
+            raise DimensionMismatch("R-matrix dimension differs from the Hopf algebra")
+        x = self.coefficients
+        D = lcm(*(v._denominator for row in x.data for v in row.values() if type(v) is Fraction))
+        return D, RMatrix(_times(x, D))
+
+
+def _times(m: Matrix, f) -> Matrix:
+    """f m for a nonzero kernel value f; m itself when f is 1."""
+    if type(f) is int and f == 1:
+        return m
+    data = [{c: _kmul(f, x) for c, x in row.items()} for row in m.data]
+    return Matrix.from_dicts(m.rows, m.cols, data, m.params)
+
+
+def _unscaled(diff: Matrix, n) -> Matrix:
+    """diff / n for an int n > 0, the witness scale of an identity scaled
+    by n; a zero diff, a passing identity, costs nothing."""
+    return diff if n == 1 or diff.is_zero() else _times(diff, Fraction(1, n))
+
+
+def _row(x: Matrix) -> Matrix:
+    """The element of H (x) H with coefficient matrix x as one row."""
+    d = x.rows
+    data = [{a * d + b: v for a, row in enumerate(x.data) for b, v in row.items()}]
+    return Matrix.from_dicts(1, d * d, data, x.params)
+
+
+def _flip_is_inverse(h: HopfAlgebra, D, s: RMatrix, operators=None) -> bool:
+    """Whether flip(R) is R^-1 in H (x) H, read on s = D R: s s21 =
+    D^2 (1 (x) 1) = s21 s, by ``tensor_square_product`` or by the given
+    operators of s. Only when that fails is s solved for, to raise
+    NotInvertible for an R with no inverse; an inverse found then is not the
+    flip. If H is associative and unital, a passing R has the inverse R21,
+    so its left multiplication is invertible and the solve agrees."""
+    x = s.coefficients
+    xt = x.transpose()
+    one = _times(h.u @ h.u.transpose(), D * D)
+    if operators:
+        # row form: v @ K is the row of s v (or v s), here for v = s21
+        v, one = _row(xt), _row(one)
+        products = (v @ k for k in operators)
+    else:
+        products = (h.tensor_square_product(*p) for p in ((x, xt), (xt, x)))
+    if all(p == one for p in products):
+        return True
+    s.inverse_in(h, operators)
+    return False
 
 
 def group_algebra(cayley, identity, names=None, params=()) -> HopfAlgebra:
@@ -270,15 +338,17 @@ def check_quasitriangular(h: HopfAlgebra, r: RMatrix) -> CheckReport:
 
 def qt_and_flip(h: HopfAlgebra, r: RMatrix):
     """The report of ``check_quasitriangular`` and the verdict of
-    ``is_triangular`` from one solve for the inverse of R (the precondition
-    of both, which also share the operators of R); raises NotInvertible
-    when R is not a unit. Through ``triangularity`` this is the one verdict
-    on (H, R) a command computes and hands to each check that needs it."""
-    left, right = r.operators(h)
+    ``is_triangular``, on s = D R (``RMatrix.cleared``), whose operators the
+    flip test, qt.3 and any solve share; raises NotInvertible when R is not
+    a unit. qt.1 and qt.2 compare D times their side linear in R with the
+    quadratic side, D^2 times the identity on R (qt.3 is D times it). Through
+    ``triangularity`` this is the one verdict on (H, R) a command computes."""
+    D, s = r.cleared(h)
+    left, right = s.operators(h)
+    flip_is_inverse = _flip_is_inverse(h, D, s, (left, right))
     rep = CheckReport("quasitriangular")
     d, names = h.dim, h.basis_names
-    M, R, Rt, Ct = h.M, r.coefficients, r.coefficients.transpose(), h.C.transpose()
-    flip_is_inverse = r.inverse_in(h, (left, right)) == Rt
+    M, R, Rt, Ct = h.M, s.coefficients, s.coefficients.transpose(), h.C.transpose()
     rho_t = kron_apply(M, [d, h.u]).transpose()  # a -> a1, transposed
     lam_t = kron_apply(M, [h.u, d]).transpose()  # a -> 1a, transposed
     swap = flip(d, d, h.params)
@@ -289,22 +359,21 @@ def qt_and_flip(h: HopfAlgebra, r: RMatrix):
     # then row, of the difference laid out so that this names the first
     # failing triple (a, b, c)
     # row c, columns (a, b): R^T C^T = M (R^T (x) R^T)(rho (x) lam)^T
-    diff = Rt @ Ct - kron_apply(M, [Rt @ rho_t, Rt @ lam_t])
+    diff = _unscaled(_times(Rt @ Ct, D) - kron_apply(M, [Rt @ rho_t, Rt @ lam_t]), D * D)
     w = coefficient_witness(lambda c: (), lambda c, r: _tensor_name(names, c * d + r, 3), diff)
     rep.add("qt.1", "(coproduct (x) id)(R) = R13 R23", w is None, w)
 
     # row a, columns (b, c): R C^T = M (R (x) R)(rho (x) lam)^T flip, the
     # flip a relabelling of the column pair
-    diff = R @ Ct - kron_apply(kron_apply(M, [R @ rho_t, R @ lam_t]), [swap])
-    w = coefficient_witness(
-        lambda c: (), lambda c, r: _tensor_name(names, c * d * d + r, 3), diff.transpose()
-    )
+    diff = _times(R @ Ct, D) - kron_apply(kron_apply(M, [R @ rho_t, R @ lam_t]), [swap])
+    diff = _unscaled(diff, D * D).transpose()
+    w = coefficient_witness(lambda c: (), lambda c, r: _tensor_name(names, c * d * d + r, 3), diff)
     rep.add("qt.2", "(id (x) coproduct)(R) = R13 R12", w is None, w)
 
     # row c of C^T K_L is R coproduct(e_c); the flip relabels C^T into the
     # rows coproduct-op(e_c), and row c of that times K_R is coproduct-op(e_c)
     # R. Transposed once for the witness: one column per basis element h
-    diff = (Ct @ left - kron_apply(Ct, [swap]) @ right).transpose()
+    diff = _unscaled((Ct @ left - kron_apply(Ct, [swap]) @ right).transpose(), D)
     w = coefficient_witness(lambda c: (names[c],), lambda c, r: _tensor_name(names, r, 2), diff)
     rep.add("qt.3", "R coproduct(h) = coproduct-op(h) R for every basis h", w is None, w)
     return rep, flip_is_inverse
@@ -321,5 +390,7 @@ def triangularity(h: HopfAlgebra, r: RMatrix):
 
 
 def is_triangular(h: HopfAlgebra, r: RMatrix) -> bool:
-    """True iff the flip of R equals its inverse in H (x) H."""
-    return r.inverse_in(h) == r.coefficients.transpose()
+    """True iff the flip of R equals its inverse in H (x) H: R R21 and
+    R21 R are 1 (x) 1. Raises NotInvertible when they are not and R has no
+    two-sided inverse (see ``_flip_is_inverse``)."""
+    return _flip_is_inverse(h, *r.cleared(h))

@@ -861,12 +861,19 @@ class _Parser:
 
 def parse_scalar(text: str, params=()) -> Scalar:
     """Parse the textual scalar syntax into a reduced Scalar. An integer
-    literal, optionally negated, is read without the tokenizer."""
+    literal or a quotient p/q of two, optionally negated, is read without
+    the tokenizer."""
     # the value the parser would build; ``isdecimal`` holds for exactly the
     # digits that ``\d`` matches and ``int`` reads, and is False on ""
-    digits = text[1:] if text[:1] == "-" else text
+    negative = text[:1] == "-"
+    digits = text[1:] if negative else text
     if digits.isdecimal() and len(digits) <= MAX_INT_DIGITS:
         return Scalar.of(params, int(text))
+    # a zero q is left to the parser, which locates the division by zero
+    n, _, q = digits.partition("/")
+    if n.isdecimal() and q.isdecimal() and max(len(n), len(q)) <= MAX_INT_DIGITS and int(q):
+        v = _ratio(-int(n) if negative else int(n), int(q))
+        return Scalar.of(params, v) if type(v) is int else _const(tuple(params), v)
     p = _Parser(_tokenize(text), params)
     try:
         v = p.expr()

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from bihomcheck import scalars
 from bihomcheck.errors import (
     DenominatorVanishes,
     DivisionByZero,
@@ -767,6 +768,64 @@ def test_integer_literals_parse_as_the_tokenizer_does(text, params):
 
     want = outcome(lambda: _Parser(_tokenize(text), params).expr())
     assert outcome(lambda: parse_scalar(text, params)) == want
+
+
+QUOTIENTS = ["1/2", "-1/2", "2/4", "-0/3", "007/010", "6/3", "-4/2",
+             "9" * MAX_INT_DIGITS + "/" + "7" * MAX_INT_DIGITS,
+             "-" + "7" * MAX_INT_DIGITS + "/" + "9" * MAX_INT_DIGITS, "\u0664/\u0666"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *(pytest.param(t, id=t if len(t) < 10 else f"{len(t)}-characters") for t in QUOTIENTS),
+        "1/0",
+        "-1/0",
+        "0/000",
+        "1/-2",
+        "--1/2",
+        "1/2/3",
+        "1 /2",
+        "1/2 ",
+        "/2",
+        "1/",
+        pytest.param("9" * (MAX_INT_DIGITS + 1) + "/7", id="numerator-too-long"),
+        pytest.param("-9/" + "7" * (MAX_INT_DIGITS + 1), id="denominator-too-long"),
+    ],
+)
+@pytest.mark.parametrize("params", [(), P])
+def test_quotient_literals_parse_as_the_tokenizer_does(text, params):
+    # parse_scalar reads a plain literal p/q, optionally negated, without the
+    # tokenizer; it must give what the tokenizer and parser give, value or
+    # located error
+    def outcome(parse):
+        try:
+            v = parse()
+        except ParseError as exc:
+            return str(exc), exc.column
+        assert type(v) is Scalar and v.params == params and type(v.value) in (int, Fraction)
+        return v, str(v)
+
+    want = outcome(lambda: _Parser(_tokenize(text), params).expr())
+    assert outcome(lambda: parse_scalar(text, params)) == want
+
+
+def test_quotient_literals_skip_the_tokenizer(monkeypatch):
+    values = [parse_scalar(t) for t in QUOTIENTS]
+    assert [str(v) for v in values[:7]] == ["1/2", "-1/2", "1/2", "0", "7/10", "2", "-2"]
+
+    def tokenize(text):
+        raise AssertionError(f"tokenized {text!r}")
+
+    monkeypatch.setattr(scalars, "_tokenize", tokenize)
+    assert [parse_scalar(t) for t in QUOTIENTS] == values
+    # a zero denominator keeps the parser's error, located past the 0
+    with pytest.raises(AssertionError, match="tokenized '1/0'"):
+        parse_scalar("1/0")
+    monkeypatch.undo()
+    with pytest.raises(ParseError) as info:
+        parse_scalar("1/0")
+    assert (str(info.value), info.value.column) == ("division by zero (line 1, column 4)", 4)
 
 
 @pytest.mark.parametrize("params", [(), P, L])

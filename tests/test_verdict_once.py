@@ -1,10 +1,12 @@
 """A command decides whether (H, R) is triangular once.
 
 The braided commutator, the twist and the Lemma 3.1 identities rest on one
-hypothesis about the pair (H, R). A command decides it once and hands the
-verdict to every consumer, so it solves for the inverse of R once
-(``RMatrix.inverse_in``) and, for ``construct``, validates the result with
-one run of the generalized BiHom-Lie suite. In the same way, ``check
+hypothesis about the pair (H, R). A command decides it once
+(``hopf.qt_and_flip``) and hands the verdict to every consumer, and, for
+``construct``, validates the result with one run of the generalized
+BiHom-Lie suite. The decision solves for the inverse of R
+(``RMatrix.inverse_in``) only when flip(R) is not the inverse, so no
+command on a catalog name solves at all. In the same way, ``check
 --suite all`` builds the braiding and the commutator matrix of a product
 object once, for lemma31 and the reference diff, and runs its
 module-algebra suite once, for module-algebra and bihom-assoc. Called on
@@ -20,9 +22,10 @@ import pathlib
 
 import pytest
 
-from bihomcheck import bihom, cli, hmod
+from bihomcheck import bihom, catalog, cli, hmod, hopf
 from bihomcheck.catalog import catalog_file, r_triangular_kz2
-from bihomcheck.hopf import RMatrix, check_quasitriangular
+from bihomcheck.hopf import RMatrix, check_quasitriangular, is_triangular
+from bihomcheck.linalg import Matrix
 from shipped import shipped
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -30,22 +33,23 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of ``RMatrix.inverse_in`` and of the BiHom-Lie suite, wherever
-    the suite is reached from."""
-    seen = {"solves": 0, "lie suites": 0}
-    solve, suite = RMatrix.inverse_in, bihom.check_generalized_bihom_lie
+    """Calls of ``hopf.qt_and_flip`` (decisions on (H, R)), of
+    ``RMatrix.inverse_in`` (solves) and of the BiHom-Lie suite, wherever
+    each is reached from."""
+    seen = {"decisions": 0, "solves": 0, "lie suites": 0}
 
-    def counted_solve(*args, **kwargs):
-        seen["solves"] += 1
-        return solve(*args, **kwargs)
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return f(*args, **kwargs)
 
-    def counted_suite(*args, **kwargs):
-        seen["lie suites"] += 1
-        return suite(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(RMatrix, "inverse_in", counted_solve)
+    monkeypatch.setattr(hopf, "qt_and_flip", counted("decisions", hopf.qt_and_flip))
+    monkeypatch.setattr(RMatrix, "inverse_in", counted("solves", RMatrix.inverse_in))
+    suite = counted("lie suites", bihom.check_generalized_bihom_lie)
     for module in (bihom, cli):
-        monkeypatch.setattr(module, "check_generalized_bihom_lie", counted_suite)
+        monkeypatch.setattr(module, "check_generalized_bihom_lie", suite)
     return seen
 
 
@@ -55,26 +59,45 @@ def quiet_main(argv):
 
 
 @pytest.mark.parametrize(
-    "argv, solves, suites",
+    "argv, decisions, suites",
     [
         (["check", "example24", "--suite", "all", "--json"], 1, 1),
         (["check", "cross-product-classical", "--suite", "all", "--json"], 1, 1),
         (["construct", "example24", "--what", "commutator", "--json"], 1, 1),
         (["construct", "example25-heisenberg", "--what", "twist", "--object", "L", "--json"], 1, 1),
+        (["check", "kz2", "--suite", "all", "--json"], 1, 0),
     ],
 )
-def test_one_command_decides_the_pair_once(counts, tmp_path, argv, solves, suites):
+def test_one_command_decides_the_pair_once(counts, tmp_path, argv, decisions, suites):
+    # every catalog R is triangular, and the R0 of example24 and kz2 has the
+    # entries +-1/2, so the products are compared with 4 (1 (x) 1)
     if argv[0] == "construct":
         argv = [*argv, "--output", str(tmp_path / "out.json")]
     assert quiet_main(argv) == 0
-    assert counts == {"solves": solves, "lie suites": suites}
+    assert counts == {"decisions": decisions, "solves": 0, "lie suites": suites}
+
+
+def test_a_command_solves_once_when_flip_r_is_not_the_inverse(counts, tmp_path):
+    # 2 (1 (x) 1) on kZ2 is invertible, with the inverse (1/2)(1 (x) 1), but
+    # R R21 = 4 (1 (x) 1), so the one decision solves once (and qt.1 fails)
+    kz2 = pathlib.Path(catalog.__file__).parent / "catalog_files" / "kz2.json"
+    doc = json.loads(kz2.read_text(encoding="utf-8"))
+    doc["rmatrix"] = [["2", "0"], ["0", "0"]]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert quiet_main(["check", str(path), "--suite", "all", "--json"]) == 1
+    assert counts == {"decisions": 1, "solves": 1, "lie suites": 0}
+    r = RMatrix(Matrix.from_dicts(2, 2, [{0: 2}, {}], ()))
+    assert not is_triangular(catalog_file("kz2").hopf, r)
+    assert counts["solves"] == 2
 
 
 def test_library_calls_keep_no_verdict(counts):
     h, r = catalog_file("kz2").hopf, r_triangular_kz2()
     assert check_quasitriangular(h, r).ok
     assert check_quasitriangular(h, r).ok
-    assert counts["solves"] == 2
+    assert is_triangular(h, r)
+    assert counts == {"decisions": 2, "solves": 0, "lie suites": 0}
 
 
 def test_one_command_builds_the_braided_commutator_once(monkeypatch):
