@@ -62,7 +62,7 @@ class Matrix:
     shared zero scalar of the parameter context.
     """
 
-    __slots__ = ("rows", "cols", "data", "params", "_zero")
+    __slots__ = ("rows", "cols", "data", "params")
 
     def __init__(self, rows, cols, entries, params=None):
         entries = list(entries)
@@ -81,7 +81,6 @@ class Matrix:
         self.cols = cols
         self.data = data
         self.params = params
-        self._zero = Scalar.of(params, 0)
 
     @classmethod
     def from_dicts(cls, rows, cols, data, params):
@@ -107,6 +106,11 @@ class Matrix:
     @classmethod
     def zero(cls, rows, cols, params=()):
         return cls.from_dicts(rows, cols, [{} for _ in range(rows)], params)
+
+    @property
+    def _zero(self) -> Scalar:
+        """The shared zero scalar of the parameter context."""
+        return Scalar.of(self.params, 0)
 
     def _scalar(self, x) -> Scalar:
         """The Scalar of a kernel value; an int one is the shared one."""
@@ -489,12 +493,7 @@ def _reduce(rows, dim, params) -> list:
     """The nonzero rows of the RREF of kernel rows of length ``dim`` (read,
     not changed), sorted by pivot; rows after the rank reaches ``dim`` are
     not read."""
-    span = Echelon(dim, params)
-    for row in rows:
-        span.add(row)
-        if span.full:
-            break
-    return span.rows()
+    return Echelon(dim, params).extend(rows).rows()
 
 
 def rref(m: Matrix):
@@ -539,18 +538,35 @@ class Echelon:
     docstring) and kept as a primitive integer row (content 1, positive
     pivot). Any other row (one with a non-constant entry, or reduced
     against such a row) is kept scaled to 1 at its pivot.
+
+    ``within``, when given, is a subspace known to hold every row that will
+    be added. Its dimension is the ceiling: once the rank reaches it, the
+    span is ``within`` itself, and ``full`` says so (as in the spin of the
+    MeatAxe, Parker 1984). Without it the ceiling is ``dim``.
     """
 
-    __slots__ = ("dim", "params", "pivots")
+    __slots__ = ("dim", "params", "pivots", "within", "ceiling")
 
-    def __init__(self, dim, params):
+    def __init__(self, dim, params, within=None):
         self.dim = dim
         self.params = params
         self.pivots = {}
+        self.within = within
+        self.ceiling = dim if within is None else within.dim
 
     @property
     def full(self):
-        return len(self.pivots) == self.dim
+        """Whether the rank has reached the ceiling."""
+        return len(self.pivots) == self.ceiling
+
+    def extend(self, rows):
+        """Add the kernel rows in turn until the echelon is full; the rows
+        after that are not read. Returns the echelon."""
+        for row in rows:
+            if self.full:
+                break
+            self.add(row)
+        return self
 
     def add(self, row):
         """Reduce the sparse kernel row ``row`` (read, not changed) against
@@ -576,7 +592,7 @@ class Echelon:
 
     def rows(self) -> list:
         """The span in RREF: its rows, each with a leading 1, by pivot."""
-        if self.full:
+        if len(self.pivots) == self.dim:
             return [{i: 1} for i in range(self.dim)]
         done = {}
         # last kept first: a held row is zero at the pivots kept before it,
@@ -594,6 +610,8 @@ class Echelon:
 
     def subspace(self) -> "Subspace":
         """The span as a Subspace."""
+        if self.within is not None and self.full:
+            return self.within
         rows = self.rows()
         return Subspace(self.dim, Matrix.from_dicts(len(rows), self.dim, rows, self.params))
 
@@ -630,16 +648,16 @@ class Subspace:
         return cls.span(ambient_dim, Matrix.from_rows(rows, params).data, params)
 
     @classmethod
-    def span(cls, ambient_dim, vecs, params):
+    def span(cls, ambient_dim, vecs, params, within=None):
         """Span of sparse vectors given as kernel rows ``{column: value}``
         holding nonzero entries only; the dicts are read, not changed.
 
         The vectors go into one ``Echelon`` one at a time, and the rest are
-        not read once the rank reaches ``ambient_dim``. Only the independent
-        rows left are put in RREF, which is unique, so the basis is the
-        RREF of all the vectors."""
-        rows = _reduce(vecs, ambient_dim, params)
-        return cls(ambient_dim, Matrix.from_dicts(len(rows), ambient_dim, rows, params))
+        not read once the rank reaches ``ambient_dim``, or the dimension of
+        ``within``, a subspace known to hold them all, which is then the
+        span. Only the independent rows left are put in RREF, which is
+        unique, so the basis is the RREF of all the vectors."""
+        return Echelon(ambient_dim, params, within).extend(vecs).subspace()
 
     @classmethod
     def zero_space(cls, ambient_dim, params=()):

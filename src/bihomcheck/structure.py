@@ -19,6 +19,17 @@ An ideal closure is spun on one ``Echelon``, as in a MeatAxe spin: only the
 images of basis rows that have just been added are reduced, a row already
 in the span is dropped at once, and the spin stops as soon as the echelon
 fills the whole space.
+
+Every span has a ceiling, the MeatAxe spin's own stopping rule (Parker
+1984): a span known to lie in a subspace U is U once its rank reaches
+dim U, so it stops there and is U. The certificate spins each seed under
+the smallest closure already found that holds it (the whole space when
+none does). A series term that lies in the term before it makes the series
+decreasing, and from then on each term is capped by the one before: from
+the start for ``derived_series``, for the lower central series of the
+whole space and for the powers of a closure, and otherwise once a
+containment test after a step says so. The nonprime pair search takes
+one row of a subspace at a time and stops at the first nonzero product.
 """
 
 from __future__ import annotations
@@ -80,8 +91,8 @@ def _check_ambient(x, space: Subspace):
         )
 
 
-def _pair_span(x, u: Subspace, v: Subspace) -> Subspace:
-    return Subspace.span(u.ambient_dim, x.products(u.basis, v.basis).data, x.params)
+def _pair_span(x, u: Subspace, v: Subspace, within: Subspace | None = None) -> Subspace:
+    return Subspace.span(u.ambient_dim, x.products(u.basis, v.basis).data, x.params, within)
 
 
 def _identity(x) -> Matrix:
@@ -149,15 +160,25 @@ def ideal_closure(x, seed: Subspace, kind: str | None = None) -> Subspace:
     when no new row is left or the span is the whole space.
     """
     _check_ambient(x, seed)
+    return _spin(x, seed, _closure_operators(x, kind))
+
+
+def _closure_operators(x, kind: str | None) -> list:
+    """The row-form operators a closure of ``kind`` is stable under."""
     if kind is None:
         kind = "lie" if isinstance(x, BiHomLie) else "associative"
     if kind not in ("lie", "associative"):
         raise ValueError(f"unknown closure kind {kind!r}")
     # an identity map adds nothing to a span that holds the row
     ops = [op for op in x.map_operators if not op.is_identity()] + x.right_operators
-    if kind == "associative":
-        ops = ops + x.left_operators
-    span = Echelon(seed.ambient_dim, x.params)
+    return ops + x.left_operators if kind == "associative" else ops
+
+
+def _spin(x, seed: Subspace, ops: list, within: Subspace | None = None) -> Subspace:
+    """The closure of ``seed`` under ``ops``. ``within``, a closed subspace
+    that holds ``seed``, holds the closure too: it is returned as soon as
+    the span reaches its dimension."""
+    span = Echelon(seed.ambient_dim, x.params, within)
     pending = [r for r in map(span.add, seed.basis.data) if r is not None]
     while pending and not span.full:
         row = pending.pop()
@@ -170,9 +191,14 @@ def ideal_closure(x, seed: Subspace, kind: str | None = None) -> Subspace:
     return span.subspace()
 
 
-def _series(x, start: Subspace, max_steps: int, derived: bool) -> SeriesResult:
+def _series(x, start: Subspace, max_steps: int, derived: bool, ideal: bool = False) -> SeriesResult:
     """V1 = start and V_{k+1} = V_k V_k (``derived``) or V_k start, until
-    zero or stabilization."""
+    zero or stabilization.
+
+    Once V_{k+1} lies in V_k, every later term lies in the one before it,
+    so each span stops at the dimension of the term before. That holds from
+    the start when ``start`` is the whole space or an ``ideal`` (a closure);
+    otherwise a containment test after each step finds out."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     _check_ambient(x, start)
@@ -180,13 +206,15 @@ def _series(x, start: Subspace, max_steps: int, derived: bool) -> SeriesResult:
     terms = [term]
     if term.dim == 0:
         return SeriesResult(terms, SERIES_ZERO, 0)
+    decreasing = ideal or start.dim == start.ambient_dim
     for step in range(1, max_steps + 1):
-        nxt = _pair_span(x, term, term if derived else start)
+        nxt = _pair_span(x, term, term if derived else start, term if decreasing else None)
         if nxt == term:
             return SeriesResult(terms, SERIES_STABLE, step - 1)
         terms.append(nxt)
         if nxt.dim == 0:
             return SeriesResult(terms, SERIES_ZERO, step)
+        decreasing = decreasing or term.first_outside(nxt.basis) is None
         term = nxt
     return SeriesResult(terms, SERIES_STABLE, max_steps)
 
@@ -219,9 +247,12 @@ def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certifica
     absence of invariant subspaces over an infinite field is out of scope.
     """
     d = x.module.dim
+    ops = _closure_operators(x, None)
     found = []
     for row in _identity(x).data + _probe_rows(x, probe_seed, probes):
-        c = ideal_closure(x, Subspace.span(d, [row], x.params))
+        # the smallest closure found that holds the row holds its closure
+        within = min((c for c in found if c._holds(row)), key=lambda c: c.dim, default=None)
+        c = _spin(x, Subspace.span(d, [row], x.params), ops, within)
         if 0 < c.dim < d and c not in found:
             found.append(c)
     nonsimple = None
@@ -232,7 +263,7 @@ def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certifica
     candidates = found + [Subspace.full_space(d, x.params)]
     for a in candidates:
         for b in candidates:
-            if a.dim and b.dim and x.products(a.basis, b.basis).is_zero():
+            if a.dim and b.dim and _annihilates(x, a, b):
                 nonprime = (a, b)
                 break
         if nonprime:
@@ -240,8 +271,16 @@ def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certifica
     nonsemiprime = None
     for c in found:
         # the powers C, CC, (CC)C, ... reach zero
-        if c.dim and _series(x, c, 16, derived=False).reaches_zero:
+        if c.dim and _series(x, c, 16, derived=False, ideal=True).reaches_zero:
             nonsemiprime = c
             break
     return Certificate(nonsimple, nonprime, nonsemiprime, probe_seed, probes)
 
+
+def _annihilates(x, a: Subspace, b: Subspace) -> bool:
+    """Whether every product of a row of ``a`` with a row of ``b`` is zero,
+    one row of ``a`` at a time, stopping at the first nonzero product."""
+    d, params = a.ambient_dim, x.params
+    return not any(
+        any(x.products(Matrix.from_dicts(1, d, [row], params), b.basis).data) for row in a.basis.data
+    )

@@ -8,6 +8,13 @@ rounds, until a round adds nothing. The two must give the same RREF
 subspace for every seed, including seeds that already lie inside a proper
 ideal, on parametric and dense instances and on one whose coproduct is not
 cocommutative.
+
+A span may stop at a ceiling, the dimension of a subspace known to hold
+it. The spin under each closed subspace that holds the seed must give the
+closure by rounds; each series, whose terms are capped by the term before
+once the series decreases, must equal the series by definition, with no
+ceiling; and the nonprime pair search, which stops at the first nonzero
+product, must agree with the test on all products.
 """
 
 from __future__ import annotations
@@ -21,10 +28,27 @@ from bihomcheck.catalog import trivial_hopf, trivial_rmatrix
 from bihomcheck.hmod import HModule, ModuleMap
 from bihomcheck.linalg import Matrix, Subspace, rref
 from bihomcheck.scalars import Scalar
-from bihomcheck.structure import ideal_closure
+from bihomcheck.structure import (
+    SERIES_STABLE,
+    SERIES_ZERO,
+    _annihilates,
+    _closure_operators,
+    _series,
+    _spin,
+    derived_series,
+    ideal_closure,
+    lower_central_series,
+)
 from shipped import shipped
 from test_structure_pins import conjugate, matrix_algebra
 from test_witnesses import sweedler
+
+
+def _rref_span(rows: Matrix) -> Subspace:
+    """The span of the rows, from their RREF."""
+    d = rows.cols
+    red, rank = rref(rows)
+    return Subspace(d, Matrix.from_dicts(rank, d, red.data[:rank], rows.params))
 
 
 def closure_by_rounds(x, seed: Subspace, kind: str) -> Subspace:
@@ -40,8 +64,7 @@ def closure_by_rounds(x, seed: Subspace, kind: str) -> Subspace:
         if kind == "associative":
             images.append(x.products(ident, rows))
         vecs = [r for m in images for r in m.data]
-        red, rank = rref(Matrix.from_dicts(len(vecs), d, vecs, params))
-        new = Subspace(d, Matrix.from_dicts(rank, d, red.data[:rank], params))
+        new = _rref_span(Matrix.from_dicts(len(vecs), d, vecs, params))
         if new == current:
             return current
         current = new
@@ -160,3 +183,167 @@ def test_closure_matches_the_rounds(name):
             assert proper.first_outside(got.basis) is None
 
     check()
+
+
+@functools.cache
+def closed_subspaces(name):
+    """The distinct closures by rounds of each basis vector and of all
+    products, and the whole space."""
+    x, kind, _ = case(name)
+    d, p = x.module.dim, x.params
+    ident = Matrix.identity(d, p)
+    out = [Subspace.full_space(d, p)]
+    for rows in [[row] for row in ident.data] + [x.products(ident, ident).data]:
+        c = closure_by_rounds(x, Subspace.span(d, rows, p), kind)
+        if c not in out:
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_spin_under_any_closed_subspace_holding_the_seed_is_the_closure(name):
+    x, kind, _ = case(name)
+    d, p = x.module.dim, x.params
+    ops = _closure_operators(x, kind)
+    closed = closed_subspaces(name)
+    # the zero seed, each basis vector and each basis row of a closed subspace
+    rows = [{}] + Matrix.identity(d, p).data + [r for u in closed for r in u.basis.data]
+    capped = 0
+    for row in rows:
+        seed = Subspace.span(d, [row], p)
+        want = closure_by_rounds(x, seed, kind)
+        holders = [u for u in closed if u.first_outside(seed.basis) is None]
+        assert holders, "the whole space holds every seed"
+        for u in holders:
+            got = _spin(x, seed, ops, u)
+            assert got == want
+            capped += got is u and u.dim < d
+    # some spin stops at the ceiling of a proper closed subspace
+    assert capped or all(u.dim in (0, d) for u in closed)
+
+
+def series_by_definition(x, start: Subspace, max_steps: int, derived: bool):
+    """(terms, verdict, step) of V1 = start and V_{k+1} = V_k V_k or V_k
+    start, each term the RREF of all its products, with no ceiling."""
+    terms, term = [start], start
+    if start.dim == 0:
+        return terms, SERIES_ZERO, 0
+    for step in range(1, max_steps + 1):
+        nxt = _rref_span(x.products(term.basis, (term if derived else start).basis))
+        if nxt == term:
+            return terms, SERIES_STABLE, step - 1
+        terms.append(nxt)
+        if nxt.dim == 0:
+            return terms, SERIES_ZERO, step
+        term = nxt
+    return terms, SERIES_STABLE, max_steps
+
+
+def _one_dim_abelian():
+    return _lie(Matrix.zero(1, 1, ()))
+
+
+def _cross_product_abelian():
+    lie = shipped("cross-product-classical", "L")
+    return BiHomLie(lie.module, Matrix.zero(3, 9, ()), lie.alpha, lie.beta, lie.rmatrix)
+
+
+def _gl2():
+    m2 = shipped("trivial-hopf", "A")
+    return commutator_bracket(m2, trivial_rmatrix(m2.module.hopf))
+
+
+def _gl2_pair():
+    a = matrix_algebra(2, 2)
+    return commutator_bracket(a, trivial_rmatrix(a.module.hopf))
+
+
+# every structure of CASES and of tests/test_structure.py
+SERIES_INPUTS = {
+    **{name: (lambda name=name: case(name)[0]) for name in CASES},
+    "example25-heisenberg/L": lambda: shipped("example25-heisenberg", "L"),
+    "example25-heisenberg/A": lambda: shipped("example25-heisenberg", "A"),
+    "example24/A": lambda: shipped("example24", "A"),
+    "trivial-hopf/A": lambda: shipped("trivial-hopf", "A"),
+    "cross-product-classical/L": lambda: shipped("cross-product-classical", "L"),
+    "cross-product/abelian": _cross_product_abelian,
+    "one-dim/abelian": _one_dim_abelian,
+    "gl2": _gl2,
+    "gl2+gl2": _gl2_pair,
+}
+
+
+def _series_triple(res):
+    return res.terms, res.verdict, res.step
+
+
+@functools.cache
+def series_starts(name):
+    """Zero, the whole space, each basis vector, each span of two
+    consecutive basis vectors and each closure of a basis vector."""
+    x = SERIES_INPUTS[name]()
+    d, p = x.module.dim, x.params
+    ident = Matrix.identity(d, p).data
+    starts = [Subspace.zero_space(d, p), Subspace.full_space(d, p)]
+    starts += [Subspace.span(d, [row], p) for row in ident]
+    starts += [Subspace.span(d, ident[i : i + 2], p) for i in range(d - 1)]
+    closures = []
+    for row in ident:
+        c = ideal_closure(x, Subspace.span(d, [row], p))
+        if c not in closures:
+            closures.append(c)
+    return x, starts, closures
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_INPUTS))
+def test_series_with_the_ceiling_match_the_definition(name):
+    x, starts, closures = series_starts(name)
+    full = starts[1]
+    assert _series_triple(derived_series(x)) == series_by_definition(x, full, 16, True)
+    for start in starts + closures:
+        got = lower_central_series(x, start)
+        assert _series_triple(got) == series_by_definition(x, start, 16, False)
+    for c in closures:
+        # the powers C, CC, (CC)C, ... of a closure, as the certificate takes them
+        got = _series(x, c, 16, derived=False, ideal=True)
+        assert _series_triple(got) == series_by_definition(x, c, 16, False)
+
+
+def test_some_series_start_is_not_decreasing():
+    # V2 is not inside V1 for span(x1, x2) of the Heisenberg bracket: its lcs
+    # has no ceiling until V3 = 0; on M3 under right products span(E12, E21)
+    # never decreases (V2 = span(E11, E22), V3 = V1, ...) for all 16 steps
+    x = SERIES_INPUTS["example25-heisenberg/L"]()
+    d, p = x.module.dim, x.params
+    x1x2 = Subspace.span(d, Matrix.identity(d, p).data[:2], p)
+    terms, verdict, step = series_by_definition(x, x1x2, 16, False)
+    assert [t.dim for t in terms] == [2, 1, 0] and terms[0].first_outside(terms[1].basis) == 0
+    assert _series_triple(lower_central_series(x, x1x2)) == (terms, verdict, step)
+    # the golden `structure example25-heisenberg lcs --object L --space 0,0,1`
+    x3 = Subspace.span(d, [{2: 1}], p)
+    assert _series_triple(lower_central_series(x, x3)) == series_by_definition(x, x3, 16, False)
+    m3 = case("M3/right")[0]
+    e12_e21 = Subspace.span(9, [{1: 1}, {3: 1}], ())
+    terms, verdict, step = series_by_definition(m3, e12_e21, 16, False)
+    assert (len(terms), verdict, step) == (17, SERIES_STABLE, 16)
+    assert _series_triple(lower_central_series(m3, e12_e21)) == (terms, verdict, step)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_nonprime_search_agrees_with_all_products(name):
+    x, _, _ = case(name)
+    closed = closed_subspaces(name)
+    for a in closed:
+        for b in closed:
+            assert _annihilates(x, a, b) == x.products(a.basis, b.basis).is_zero()
+
+
+def test_the_nonprime_search_sees_both_answers():
+    seen = {
+        _annihilates(x, a, b)
+        for name in CASES
+        for x in [case(name)[0]]
+        for a in closed_subspaces(name)
+        for b in closed_subspaces(name)
+    }
+    assert seen == {True, False}

@@ -10,7 +10,7 @@ kernel shows here first.
 
 Pinned, in ``tests/witnesses/param_structure.json``: the twisted bracket and
 the certificates (probe seeds 0 and 1) of gl3 over Q(s), with beta = id,
-and of gl2 over Q(s, t). Each reported ideal is also checked with
+and of gl2 and gl3 over Q(s, t). Each reported ideal is also checked with
 ``is_H_bihom_lie_ideal``.
 
 Regenerate the pins (only when an output changes on purpose) with
@@ -38,6 +38,7 @@ PROBE_SEEDS = (0, 1)
 INSTANCES = {
     "yau-gl3-s": (3, ("s",), "s", None),
     "yau-gl2-st": (2, ("s", "t"), "s", "t"),
+    "yau-gl3-st": (3, ("s", "t"), "s", "t"),
 }
 
 

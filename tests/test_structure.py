@@ -196,6 +196,25 @@ def test_simplicity_certificate_finds_nothing_on_probes():
     assert cert.nonsemiprime_ideal is None
 
 
+def test_certificate_of_two_summands_of_equal_dimension():
+    # gl2 (+) gl2, the commutator of M2 (+) M2: sl2 and gl2 of either summand
+    # are proper ideals, two of each dimension. A basis vector of the second
+    # summand is spun under no closure of the first, whose dimension the
+    # spin would reach, and the two summands are the nonprime pair
+    from test_structure_pins import matrix_algebra
+
+    a = matrix_algebra(2, 2)
+    lie = commutator_bracket(a, trivial_rmatrix(a.module.hopf))
+    unit = [[int(i == j) for j in range(8)] for i in range(8)]
+    first, second = span(8, unit[:4]), span(8, unit[4:])
+    sl2 = span(8, [[1, 0, 0, -1, 0, 0, 0, 0], unit[1], unit[2]])
+    for seed in range(4):
+        cert = simplicity_certificate(lie, probe_seed=seed)
+        assert cert.nonsimple_ideal == sl2
+        assert cert.nonprime_pair == (first, second)
+        assert cert.nonsemiprime_ideal is None
+
+
 def test_certificate_is_deterministic_in_the_seed():
     a = simplicity_certificate(shipped("example25-heisenberg", "L"), probe_seed=7)
     b = simplicity_certificate(shipped("example25-heisenberg", "L"), probe_seed=7)

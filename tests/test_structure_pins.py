@@ -45,21 +45,26 @@ PROBE_SEEDS = range(4)
 # -- objects ---------------------------------------------------------------------
 
 
-def matrix_algebra(n):
-    """M_n over the trivial Hopf algebra, identity maps, basis E11, E12, ..."""
+def matrix_algebra(n, summands=1):
+    """M_n, or the direct sum of two copies (``summands`` = 2), over the
+    trivial Hopf algebra, identity maps, basis E11, E12, ... (then F11,
+    F12, ... of the second summand)."""
     d = n * n
+    dim = summands * d
     hopf = trivial_hopf()
-    module = HModule(hopf, [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)],
-                     [Matrix.identity(d, ())])
+    module = HModule(hopf, [f"{'EF'[s]}{i + 1}{j + 1}" for s in range(summands)
+                            for i in range(n) for j in range(n)],
+                     [Matrix.identity(dim, ())])
     zero, one = Scalar.of((), 0), Scalar.of((), 1)
-    mult = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                mult[n * i + j][n * j + l][n * i + l] = one
+    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for o in range(0, dim, d):
+        for i in range(n):
+            for j in range(n):
+                for l in range(n):
+                    mult[o + n * i + j][o + n * j + l][o + n * i + l] = one
     ident = ModuleMap.identity(module)
     return BiHomAlgebra(module, mult, ident, ident,
-                        unit=[one if i % (n + 1) == 0 else zero for i in range(d)])
+                        unit=[one if i % d % (n + 1) == 0 else zero for i in range(dim)])
 
 
 def change_of_basis(d, params):
@@ -104,6 +109,8 @@ def objects():
         "gl2": commutator_bracket(m2, trivial_rmatrix(m2.module.hopf)),
         "example24-commutator": commutator_bracket(a24, r_triangular_kz2(("b",))),
         "gl3": commutator_bracket(m3, trivial_rmatrix(m3.module.hopf)),
+        # two proper ideals of each dimension: sl2 and gl2 of either summand
+        "gl2+gl2": commutator_bracket(m22 := matrix_algebra(2, 2), trivial_rmatrix(m22.module.hopf)),
     }
     out = {}
     for name, x in base.items():
