@@ -24,12 +24,11 @@ Every span has a ceiling, the MeatAxe spin's own stopping rule (Parker
 1984): a span known to lie in a subspace U is U once its rank reaches
 dim U, so it stops there and is U. The certificate spins each seed under
 the smallest closure already found that holds it (the whole space when
-none does). A series term that lies in the term before it makes the series
-decreasing, and from then on each term is capped by the one before: from
-the start for ``derived_series``, for the lower central series of the
-whole space and for the powers of a closure, and otherwise once a
-containment test after a step says so. The nonprime pair search takes
-one row of a subspace at a time and stops at the first nonzero product.
+none does). A series whose second term lies in its first decreases, and then each
+term is capped by the one before: ``derived_series``, the lower central
+series of the whole space and the powers of a closure. Any other start
+runs uncapped. The nonprime pair search takes one row of a subspace at a
+time and stops at the first nonzero product.
 """
 
 from __future__ import annotations
@@ -195,10 +194,10 @@ def _series(x, start: Subspace, max_steps: int, derived: bool, ideal: bool = Fal
     """V1 = start and V_{k+1} = V_k V_k (``derived``) or V_k start, until
     zero or stabilization.
 
-    Once V_{k+1} lies in V_k, every later term lies in the one before it,
-    so each span stops at the dimension of the term before. That holds from
-    the start when ``start`` is the whole space or an ``ideal`` (a closure);
-    otherwise a containment test after each step finds out."""
+    When ``start`` is the whole space or an ``ideal`` (a closure), V2 lies
+    in V1, so every later term lies in the one before it and each span
+    stops at the dimension of the term before. Any other start runs
+    uncapped."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     _check_ambient(x, start)
@@ -214,7 +213,6 @@ def _series(x, start: Subspace, max_steps: int, derived: bool, ideal: bool = Fal
         terms.append(nxt)
         if nxt.dim == 0:
             return SeriesResult(terms, SERIES_ZERO, step)
-        decreasing = decreasing or term.first_outside(nxt.basis) is None
         term = nxt
     return SeriesResult(terms, SERIES_STABLE, max_steps)
 

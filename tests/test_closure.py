@@ -310,8 +310,8 @@ def test_series_with_the_ceiling_match_the_definition(name):
 
 
 def test_some_series_start_is_not_decreasing():
-    # V2 is not inside V1 for span(x1, x2) of the Heisenberg bracket: its lcs
-    # has no ceiling until V3 = 0; on M3 under right products span(E12, E21)
+    # V2 is not inside V1 for span(x1, x2) of the Heisenberg bracket, so its
+    # lcs runs with no ceiling; on M3 under right products span(E12, E21)
     # never decreases (V2 = span(E11, E22), V3 = V1, ...) for all 16 steps
     x = SERIES_INPUTS["example25-heisenberg/L"]()
     d, p = x.module.dim, x.params
