@@ -25,7 +25,16 @@ from .errors import (
 )
 from .hmod import HModule, ModuleMap, braiding, check_module_algebra, equivariance_witness
 from .hopf import RMatrix, triangularity
-from .linalg import Matrix, invert, kron, kron_apply, multiplications, nested_tensor, tensor_matrix
+from .linalg import (
+    Matrix,
+    invert,
+    kron_apply,
+    kron_row,
+    multiplications,
+    nested_tensor,
+    row_times,
+    tensor_matrix,
+)
 from .report import CheckReport, Witness, column_witness
 
 
@@ -37,8 +46,9 @@ class _StructureBase:
     coefficient of e_k in the image of e_i (x) e_j), which
     ``tensor_matrix`` converts; only B is kept. ``tensor`` is a read-only
     nested view of B, built on first use. ``products`` is the one bilinear
-    product: the axiom checks, the vector products and all of structure
-    theory are sparse products with B or its stored transpose.
+    product of vectors: the vector products and all of structure theory
+    read their rows from it, one pair at a time, and the axiom checks are
+    sparse products with B.
 
     The row-form operators that structure theory applies again and again
     (``map_operators``, ``right_operators``, ``left_operators``) are built
@@ -78,10 +88,15 @@ class _StructureBase:
         """The row-form operators v -> e_j v, one per basis vector e_j."""
         return multiplications(self._transposed, right=False)
 
-    def products(self, left: Matrix, right: Matrix) -> Matrix:
-        """Row i*right.rows + j is the image of (row i of left) (x) (row j of
-        right), that is kron(left, right) B^T."""
-        return kron(left, right) @ self._transposed
+    def products(self, left_rows, right_rows):
+        """The kernel row (u (x) v) B^T, the image of u (x) v, for each
+        sparse kernel row u of ``left_rows`` and v of the list
+        ``right_rows``, u major. Each row is made when it is read, so a
+        reader that stops early makes no more of them."""
+        d, t = self.module.dim, self._transposed.data
+        for u in left_rows:
+            for v in right_rows:
+                yield row_times(kron_row(u, v, d), t)
 
 
 class BiHomAlgebra(_StructureBase):
@@ -111,8 +126,9 @@ class BiHomLie(_StructureBase):
 
     def bracket_vec(self, u, v):
         """Image of u (x) v for coordinate vectors u and v (plain lists)."""
-        p = self.params
-        return self.products(Matrix(1, len(u), u, p), Matrix(1, len(v), v, p)).row(0)
+        p, d = self.params, len(u)
+        u, v = Matrix(2, d, [*u, *v], p).data
+        return Matrix.from_dicts(1, d, [next(self.products([u], [v]))], p).row(0)
 
 
 def _maps_commute(rep, prefix, x):

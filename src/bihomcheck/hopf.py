@@ -138,17 +138,16 @@ class RMatrix:
         x = self.coefficients
         return hopf.tensor_square_mult(x), hopf.tensor_square_mult(x, right=True)
 
-    def inverse_in(self, hopf: HopfAlgebra, operators=None) -> Matrix:
+    def inverse_in(self, hopf: HopfAlgebra) -> Matrix:
         """Coefficient matrix of the two-sided inverse of R in the algebra
-        H (x) H; raises NotInvertible when none exists. ``operators`` is the
-        pair ``operators(hopf)`` when the caller has built it already. The
-        triangularity verdict calls it only when flip(R) is not the inverse.
+        H (x) H; raises NotInvertible when none exists. The triangularity
+        verdict calls it only when flip(R) is not the inverse.
 
         The operators are row form, so R x = 1 (x) 1 reads x @ L = 1 (x) 1
         for the row x of the inverse. The exact solve on the transpose of L
         makes that side hold, and the other side, x R = 1 (x) 1, is checked
         with the one-row product x @ K of the right operator."""
-        left, right = operators or self.operators(hopf)
+        left, right = self.operators(hopf)
         uu = kron(hopf.u, hopf.u)
         try:
             inv = solve(left.transpose(), uu)
@@ -209,7 +208,7 @@ def _flip_is_inverse(h: HopfAlgebra, D, s: RMatrix, operators=None) -> bool:
         products = (h.tensor_square_product(*p) for p in ((x, xt), (xt, x)))
     if all(p == one for p in products):
         return True
-    s.inverse_in(h, operators)
+    s.inverse_in(h)
     return False
 
 

@@ -375,18 +375,20 @@ def _monic(row: dict, c) -> dict:
     return {k: _kmul(x, inv) for k, x in row.items()}
 
 
+def kron_row(arow: dict, brow: dict, bcols) -> dict:
+    """The kernel row arow (x) brow, for a row ``brow`` of ``bcols`` columns."""
+    row = {}
+    for j, x in arow.items():
+        off = j * bcols
+        for l, y in brow.items():
+            row[off + l] = x * y if type(x) is int and type(y) is int else _kmul(x, y)
+    return row
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; basis convention (i,j) -> i*b.rows + j."""
     bcols = b.cols
-    data = []
-    for arow in a.data:
-        for brow in b.data:
-            row = {}
-            for j, x in arow.items():
-                off = j * bcols
-                for l, y in brow.items():
-                    row[off + l] = x * y if type(x) is int and type(y) is int else _kmul(x, y)
-            data.append(row)
+    data = [kron_row(arow, brow, bcols) for arow in a.data for brow in b.data]
     return Matrix.from_dicts(a.rows * b.rows, a.cols * bcols, data, a.params)
 
 
@@ -561,11 +563,12 @@ class Echelon:
 
     def extend(self, rows):
         """Add the kernel rows in turn until the echelon is full; the rows
-        after that are not read. Returns the echelon."""
-        for row in rows:
-            if self.full:
-                break
-            self.add(row)
+        after that are not read, so a generator makes none of them. Returns
+        the echelon."""
+        if not self.full:
+            for row in rows:
+                if self.add(row) is not None and self.full:
+                    break
         return self
 
     def add(self, row):
@@ -693,10 +696,6 @@ class Subspace:
             if coeff is not None:
                 _add_scaled(residual, _kneg(coeff), brow)
         return not residual
-
-    def first_outside(self, rows: Matrix):
-        """Index of the first row of ``rows`` outside this subspace, or None."""
-        return next((i for i, row in enumerate(rows.data) if not self._holds(row)), None)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"

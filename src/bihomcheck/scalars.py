@@ -436,23 +436,8 @@ class Scalar:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a = self.value
-        b = other.value
-        if b is not None:
-            if a is not None:
-                v = a - b if type(a) is int and type(b) is int else _qadd(a, _qneg(b))
-                return _const(self.params, v)
-            if _nonzero(b):
-                return _plus_constant(self.params, _qneg(b), *self._parts)
-            return self
-        # self - other = self + (-other), and negation touches only c
-        c, P, Q = other._parts
-        c = _qneg(c)
-        if a is not None:
-            if _nonzero(a):
-                return _plus_constant(self.params, a, c, P, Q)
-            return _fraction(self.params, c, P, Q)
-        return _sum(self.params, *self._parts, c, P, Q)
+        # negation touches only c or the constant, so the sum is canonical
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

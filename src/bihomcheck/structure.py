@@ -7,13 +7,20 @@ either exhibit a certificate ideal or report that the probe search found
 no counterexample. Probe vectors come from a seeded generator recorded in
 the result, so runs are reproducible.
 
-A subspace is the sparse matrix of its basis rows, and the products or
-brackets of two subspaces are the rows of one sparse product through the
-structure matrix (``products`` of the structure). Maps act in row form: the
-structure builds alpha, beta, the H-action and the multiplications by each
-basis vector as row-form operators once, on first use, and keeps them, so
-the images of a subspace are ``rows @ op``. Containment is tested row by
-row on the sparse rows.
+One list says what an ideal is (``_closure_operators``): the maps alpha,
+beta and the H-action, and the products with each basis vector, on the
+right for a Lie ideal and on both sides for an ideal of an algebra, each
+a row-form operator the structure builds once, on first use, and keeps.
+Each operator carries the reason a failing ideal check prints. The ideal
+checks and the closures read that list and nothing else: a check makes
+the images of the basis rows one at a time and stops at the first that
+leaves the subspace, and a closure spins under the same operators.
+
+A subspace is the sparse matrix of its basis rows. The products or
+brackets of two subspaces come from ``products`` of the structure one
+pair of rows at a time, made only as a span reads them, so a span that
+stops early makes no more. Containment is tested row by row on the sparse
+rows.
 
 An ideal closure is spun on one ``Echelon``, as in a MeatAxe spin: only the
 images of basis rows that have just been added are reduced, a row already
@@ -27,13 +34,14 @@ the smallest closure already found that holds it (the whole space when
 none does). A series whose second term lies in its first decreases, and then each
 term is capped by the one before: ``derived_series``, the lower central
 series of the whole space and the powers of a closure. Any other start
-runs uncapped. The nonprime pair search takes one row of a subspace at a
-time and stops at the first nonzero product.
+runs uncapped. The nonprime pair search stops at the first nonzero
+product.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .bihom import BiHomAlgebra, BiHomLie
 from .errors import AmbientMismatch
@@ -90,57 +98,57 @@ def _check_ambient(x, space: Subspace):
         )
 
 
-def _pair_span(x, u: Subspace, v: Subspace, within: Subspace | None = None) -> Subspace:
-    return Subspace.span(u.ambient_dim, x.products(u.basis, v.basis).data, x.params, within)
-
-
-def _identity(x) -> Matrix:
-    return Matrix.identity(x.module.dim, x.params)
-
-
-def _stability_witness(x, u: Subspace):
-    """alpha-, beta-, and H-action stability of a subspace; None when stable."""
+def _closure_operators(x, kind: str | None) -> tuple:
+    """What an ideal of ``kind`` is stable under: the maps (alpha, beta
+    and the action of each element of H) and the products with each basis
+    vector e_j, u e_j for "lie" and e_j u then u e_j for "associative".
+    Two lists of (reason, row-form operator) pairs, the reason being what a
+    failing ideal check says; an identity map, which adds nothing to a span
+    that holds the row, is left out."""
+    if kind is None:
+        kind = "lie" if isinstance(x, BiHomLie) else "associative"
+    if kind not in ("lie", "associative"):
+        raise ValueError(f"unknown closure kind {kind!r}")
     labels = ["alpha(U)", "beta(U)"] + [f"{h}.U" for h in x.module.hopf.basis_names]
-    for label, op in zip(labels, x.map_operators):
-        images = u.basis @ op
-        i = u.first_outside(images)
-        if i is not None:
-            return f"{label} is not contained in U", images.row(i)
-    return None
+    maps = [(f"{label} is not contained in U", op)
+            for label, op in zip(labels, x.map_operators) if not op.is_identity()]
+    if kind == "lie":
+        products = [("[U, L] is not contained in U", op) for op in x.right_operators]
+    else:
+        reasons = ("AU is not contained in U", "UA is not contained in U")
+        sides = zip(x.left_operators, x.right_operators)
+        products = [p for ops in sides for p in zip(reasons, ops)]
+    return maps, products
+
+
+def _ideal_check(x, u: Subspace, kind: str) -> IdealCheck:
+    """Whether ``u`` is stable under every operator of an ideal of ``kind``.
+
+    The images are made one at a time: map by map over every row of u, then
+    row by row of u under every product operator. The first image outside u
+    is the witness, with the reason its operator carries."""
+    _check_ambient(x, u)
+    maps, products = _closure_operators(x, kind)
+    rows = u.basis.data
+    images = chain(((row, m) for m in maps for row in rows),
+                   ((row, p) for row in rows for p in products))
+    for row, (reason, op) in images:
+        image = row_times(row, op.data)
+        if not u._holds(image):
+            witness = Matrix.from_dicts(1, u.ambient_dim, [image], x.params).row(0)
+            return IdealCheck(False, reason, witness)
+    return IdealCheck(True)
 
 
 def is_H_bihom_lie_ideal(l: BiHomLie, u: Subspace) -> IdealCheck:
     """alpha(U), beta(U), H.U, and [U, L] all inside U."""
-    _check_ambient(l, u)
-    bad = _stability_witness(l, u)
-    if bad is not None:
-        return IdealCheck(False, *bad)
-    images = l.products(u.basis, _identity(l))
-    i = u.first_outside(images)
-    if i is not None:
-        return IdealCheck(False, "[U, L] is not contained in U", images.row(i))
-    return IdealCheck(True)
+    return _ideal_check(l, u, "lie")
 
 
 def is_H_bihom_ideal(a: BiHomAlgebra, u: Subspace) -> IdealCheck:
     """Stability plus the two-sided form AU + UA inside U (strictly implies
     the one-sided display (AU)A = A(UA) in the unital case)."""
-    _check_ambient(a, u)
-    bad = _stability_witness(a, u)
-    if bad is not None:
-        return IdealCheck(False, *bad)
-    d, k = a.module.dim, u.dim
-    au = a.products(_identity(a), u.basis)  # row j*k + i: e_j u_i
-    ua = a.products(u.basis, _identity(a))  # row i*d + j: u_i e_j
-    # the witness is the first escaping product by u_i, then e_j, AU first
-    rows = [
-        r for i in range(k) for j in range(d) for r in (au.data[j * k + i], ua.data[i * d + j])
-    ]
-    images = Matrix.from_dicts(len(rows), d, rows, a.params)
-    n = u.first_outside(images)
-    if n is not None:
-        return IdealCheck(False, f"{'UA' if n % 2 else 'AU'} is not contained in U", images.row(n))
-    return IdealCheck(True)
+    return _ideal_check(a, u, "associative")
 
 
 def center(l: BiHomLie) -> Subspace:
@@ -162,27 +170,18 @@ def ideal_closure(x, seed: Subspace, kind: str | None = None) -> Subspace:
     return _spin(x, seed, _closure_operators(x, kind))
 
 
-def _closure_operators(x, kind: str | None) -> list:
-    """The row-form operators a closure of ``kind`` is stable under."""
-    if kind is None:
-        kind = "lie" if isinstance(x, BiHomLie) else "associative"
-    if kind not in ("lie", "associative"):
-        raise ValueError(f"unknown closure kind {kind!r}")
-    # an identity map adds nothing to a span that holds the row
-    ops = [op for op in x.map_operators if not op.is_identity()] + x.right_operators
-    return ops + x.left_operators if kind == "associative" else ops
-
-
-def _spin(x, seed: Subspace, ops: list, within: Subspace | None = None) -> Subspace:
-    """The closure of ``seed`` under ``ops``. ``within``, a closed subspace
-    that holds ``seed``, holds the closure too: it is returned as soon as
-    the span reaches its dimension."""
+def _spin(x, seed: Subspace, ops: tuple, within: Subspace | None = None) -> Subspace:
+    """The closure of ``seed`` under ``ops``, the maps and the products of
+    ``_closure_operators``. ``within``, a closed subspace that holds
+    ``seed``, holds the closure too: it is returned as soon as the span
+    reaches its dimension."""
+    odata = [op.data for _, op in chain(*ops)]
     span = Echelon(seed.ambient_dim, x.params, within)
     pending = [r for r in map(span.add, seed.basis.data) if r is not None]
     while pending and not span.full:
         row = pending.pop()
-        for op in ops:
-            new = span.add(row_times(row, op.data))
+        for o in odata:
+            new = span.add(row_times(row, o))
             if new is not None:
                 if span.full:
                     break
@@ -207,7 +206,8 @@ def _series(x, start: Subspace, max_steps: int, derived: bool, ideal: bool = Fal
         return SeriesResult(terms, SERIES_ZERO, 0)
     decreasing = ideal or start.dim == start.ambient_dim
     for step in range(1, max_steps + 1):
-        nxt = _pair_span(x, term, term if derived else start, term if decreasing else None)
+        rows = x.products(term.basis.data, (term if derived else start).basis.data)
+        nxt = Subspace.span(term.ambient_dim, rows, x.params, term if decreasing else None)
         if nxt == term:
             return SeriesResult(terms, SERIES_STABLE, step - 1)
         terms.append(nxt)
@@ -247,7 +247,7 @@ def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certifica
     d = x.module.dim
     ops = _closure_operators(x, None)
     found = []
-    for row in _identity(x).data + _probe_rows(x, probe_seed, probes):
+    for row in Matrix.identity(d, x.params).data + _probe_rows(x, probe_seed, probes):
         # the smallest closure found that holds the row holds its closure
         within = min((c for c in found if c._holds(row)), key=lambda c: c.dim, default=None)
         c = _spin(x, Subspace.span(d, [row], x.params), ops, within)
@@ -276,9 +276,6 @@ def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certifica
 
 
 def _annihilates(x, a: Subspace, b: Subspace) -> bool:
-    """Whether every product of a row of ``a`` with a row of ``b`` is zero,
-    one row of ``a`` at a time, stopping at the first nonzero product."""
-    d, params = a.ambient_dim, x.params
-    return not any(
-        any(x.products(Matrix.from_dicts(1, d, [row], params), b.basis).data) for row in a.basis.data
-    )
+    """Whether every product of a row of ``a`` with a row of ``b`` is zero;
+    the products stop at the first nonzero one."""
+    return not any(x.products(a.basis.data, b.basis.data))

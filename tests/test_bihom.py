@@ -112,7 +112,8 @@ def test_commutator_trivial_twists_is_classical_commutator():
     lie = commutator_bracket(a, trivial_rmatrix(a.module.hopf))
     d = a.module.dim
     ident = Matrix.identity(d, a.params)
-    p = a.products(ident, ident)  # row i*d + j is e_i e_j
+    rows = list(a.products(ident.data, ident.data))  # row i*d + j is e_i e_j
+    p = Matrix.from_dicts(d * d, d, rows, a.params)
     for i in range(d):
         for j in range(d):
             classical = [x - y for x, y in zip(p.row(i * d + j), p.row(j * d + i))]

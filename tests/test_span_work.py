@@ -1,4 +1,5 @@
-"""Each span stops at its ceiling: counted ``Echelon.add`` calls.
+"""Each span stops at its ceiling: counted ``Echelon.add`` calls and
+counted product rows.
 
 A span known to lie in a subspace U stops once its rank reaches dim U. The
 certificate spins each seed under the smallest closure found that holds it,
@@ -11,13 +12,20 @@ is pinned here, next to the count before the ceiling:
   and 153;
 - the certificates of the Yau-twisted gl3 over Q(s, t) (probe seeds 0 and
   1): 2,112.
+
+The products of two subspaces are made one row at a time, as the span
+reads them, so a span that stops at its ceiling makes no more product
+rows either. The rows ``_StructureBase.products`` makes are pinned too,
+next to the count when every product row was built before the span: 145
+for the derived series of gl3, 153 for its lower central series from the
+whole space and 98 for the gl3 certificate (probe seed 0).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from bihomcheck import linalg
+from bihomcheck import bihom, linalg
 from bihomcheck.bihom import commutator_bracket
 from bihomcheck.catalog import trivial_rmatrix
 from bihomcheck.linalg import Subspace
@@ -37,6 +45,21 @@ def adds(monkeypatch):
         return add(self, row)
 
     monkeypatch.setattr(linalg.Echelon, "add", counted)
+    return seen
+
+
+@pytest.fixture
+def product_rows(monkeypatch):
+    """The number of product rows ``_StructureBase.products`` has made so
+    far: each is one ``row_times`` through the transposed structure matrix."""
+    seen = [0]
+    row_times = bihom.row_times
+
+    def counted(*args):
+        seen[0] += 1
+        return row_times(*args)
+
+    monkeypatch.setattr(bihom, "row_times", counted)
     return seen
 
 
@@ -68,3 +91,16 @@ def test_the_yau_gl3_certificates_over_two_parameters(adds):
     for seed in (0, 1):
         simplicity_certificate(x, probe_seed=seed)
     assert adds[0] == 1039
+
+
+def test_the_gl3_product_rows(product_rows):
+    gl3 = _gl3()
+    product_rows[0] = 0
+    derived_series(gl3)
+    assert product_rows[0] == 104
+    product_rows[0] = 0
+    lower_central_series(gl3, Subspace.full_space(9, ()))
+    assert product_rows[0] == 106
+    product_rows[0] = 0
+    simplicity_certificate(gl3, probe_seed=0)
+    assert product_rows[0] == 31
