@@ -27,6 +27,7 @@ from .hmod import HModule, ModuleMap, braiding, check_module_algebra, equivarian
 from .hopf import RMatrix, triangularity
 from .linalg import (
     Matrix,
+    _kval,
     invert,
     kron_apply,
     kron_row,
@@ -126,9 +127,9 @@ class BiHomLie(_StructureBase):
 
     def bracket_vec(self, u, v):
         """Image of u (x) v for coordinate vectors u and v (plain lists)."""
-        p, d = self.params, len(u)
-        u, v = Matrix(2, d, [*u, *v], p).data
-        return Matrix.from_dicts(1, d, [next(self.products([u], [v]))], p).row(0)
+        d = len(u)
+        u, v = ({i: _kval(c) for i, c in enumerate(w) if not c.is_zero()} for w in (u, v))
+        return Matrix.from_dicts(1, d, [next(self.products([u], [v]))], self.params).row(0)
 
 
 def _maps_commute(rep, prefix, x):

@@ -101,10 +101,12 @@ def _check_ambient(x, space: Subspace):
 def _closure_operators(x, kind: str | None) -> tuple:
     """What an ideal of ``kind`` is stable under: the maps (alpha, beta
     and the action of each element of H) and the products with each basis
-    vector e_j, u e_j for "lie" and e_j u then u e_j for "associative".
-    Two lists of (reason, row-form operator) pairs, the reason being what a
-    failing ideal check says; an identity map, which adds nothing to a span
-    that holds the row, is left out."""
+    vector e_j, one list per side: u e_j for "lie", and u e_j then e_j u
+    for "associative" (a spin in this order puts fewer rows into its
+    echelon than one that alternates the sides). Lists of (reason,
+    row-form operator) pairs, the reason being what a failing ideal check
+    says; an identity map, which adds nothing to a span that holds the
+    row, is left out."""
     if kind is None:
         kind = "lie" if isinstance(x, BiHomLie) else "associative"
     if kind not in ("lie", "associative"):
@@ -113,22 +115,21 @@ def _closure_operators(x, kind: str | None) -> tuple:
     maps = [(f"{label} is not contained in U", op)
             for label, op in zip(labels, x.map_operators) if not op.is_identity()]
     if kind == "lie":
-        products = [("[U, L] is not contained in U", op) for op in x.right_operators]
-    else:
-        reasons = ("AU is not contained in U", "UA is not contained in U")
-        sides = zip(x.left_operators, x.right_operators)
-        products = [p for ops in sides for p in zip(reasons, ops)]
-    return maps, products
+        return maps, [("[U, L] is not contained in U", op) for op in x.right_operators]
+    return (maps, [("UA is not contained in U", op) for op in x.right_operators],
+            [("AU is not contained in U", op) for op in x.left_operators])
 
 
 def _ideal_check(x, u: Subspace, kind: str) -> IdealCheck:
     """Whether ``u`` is stable under every operator of an ideal of ``kind``.
 
     The images are made one at a time: map by map over every row of u, then
-    row by row of u under every product operator. The first image outside u
-    is the witness, with the reason its operator carries."""
+    row by row of u under the products with e_1, e_2, ..., e_j u before
+    u e_j. The first image outside u is the witness, with the reason its
+    operator carries."""
     _check_ambient(x, u)
-    maps, products = _closure_operators(x, kind)
+    maps, *sides = _closure_operators(x, kind)
+    products = [p for ps in zip(*reversed(sides)) for p in ps]
     rows = u.basis.data
     images = chain(((row, m) for m in maps for row in rows),
                    ((row, p) for row in rows for p in products))
@@ -171,10 +172,10 @@ def ideal_closure(x, seed: Subspace, kind: str | None = None) -> Subspace:
 
 
 def _spin(x, seed: Subspace, ops: tuple, within: Subspace | None = None) -> Subspace:
-    """The closure of ``seed`` under ``ops``, the maps and the products of
-    ``_closure_operators``. ``within``, a closed subspace that holds
-    ``seed``, holds the closure too: it is returned as soon as the span
-    reaches its dimension."""
+    """The closure of ``seed`` under ``ops``, the lists of
+    ``_closure_operators`` in their order. ``within``, a closed subspace
+    that holds ``seed``, holds the closure too: it is returned as soon as
+    the span reaches its dimension."""
     odata = [op.data for _, op in chain(*ops)]
     span = Echelon(seed.ambient_dim, x.params, within)
     pending = [r for r in map(span.add, seed.basis.data) if r is not None]

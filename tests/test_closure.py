@@ -14,7 +14,9 @@ it. The spin under each closed subspace that holds the seed must give the
 closure by rounds; each series, whose terms are capped by the term before
 once the series decreases, must equal the series by definition, with no
 ceiling; and the nonprime pair search, which stops at the first nonzero
-product, must agree with the test on all products.
+product, must agree with the test on all products. The references make
+every product at once, as the matrix kron(U, V) B^T, and the product
+rows that the structure makes one pair at a time must be its rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import pytest
 from bihomcheck.bihom import BiHomLie, commutator_bracket
 from bihomcheck.catalog import trivial_hopf, trivial_rmatrix
 from bihomcheck.hmod import HModule, ModuleMap
-from bihomcheck.linalg import Matrix, Subspace, rref
+from bihomcheck.linalg import Matrix, Subspace, kron, rref
 from bihomcheck.scalars import Scalar
 from bihomcheck.structure import (
     SERIES_STABLE,
@@ -51,6 +53,12 @@ def _rref_span(rows: Matrix) -> Subspace:
     return Subspace(d, Matrix.from_dicts(rank, d, red.data[:rank], rows.params))
 
 
+def all_products(x, left: Matrix, right: Matrix) -> Matrix:
+    """Every product at once, as the matrix kron(left, right) B^T: row
+    i*right.rows + j is (row i of left) (row j of right)."""
+    return kron(left, right) @ x.structure_matrix().transpose()
+
+
 def closure_by_rounds(x, seed: Subspace, kind: str) -> Subspace:
     """Span of the current rows and their images under alpha, beta, the
     H-action and the products with every basis vector, until it is fixed."""
@@ -60,10 +68,10 @@ def closure_by_rounds(x, seed: Subspace, kind: str) -> Subspace:
     current = seed
     while True:
         rows = current.basis
-        images = [rows.data, x.products(rows.data, ident.data)] + [(rows @ m).data for m in maps]
+        images = [rows, all_products(x, rows, ident)] + [rows @ m for m in maps]
         if kind == "associative":
-            images.append(x.products(ident.data, rows.data))
-        vecs = [r for m in images for r in m]
+            images.append(all_products(x, ident, rows))
+        vecs = [r for m in images for r in m.data]
         new = _rref_span(Matrix.from_dicts(len(vecs), d, vecs, params))
         if new == current:
             return current
@@ -134,7 +142,7 @@ def case(name):
     d, p = x.module.dim, x.params
     ident = Matrix.identity(d, p)
     proper = None
-    for rows in [[row] for row in ident.data] + [list(x.products(ident.data, ident.data))]:
+    for rows in [[row] for row in ident.data] + [all_products(x, ident, ident).data]:
         c = closure_by_rounds(x, Subspace.span(d, rows, p), kind)
         if 0 < c.dim < d and (proper is None or c.dim < proper.dim):
             proper = c
@@ -193,7 +201,7 @@ def closed_subspaces(name):
     d, p = x.module.dim, x.params
     ident = Matrix.identity(d, p)
     out = [Subspace.full_space(d, p)]
-    for rows in [[row] for row in ident.data] + [list(x.products(ident.data, ident.data))]:
+    for rows in [[row] for row in ident.data] + [all_products(x, ident, ident).data]:
         c = closure_by_rounds(x, Subspace.span(d, rows, p), kind)
         if c not in out:
             out.append(c)
@@ -229,8 +237,7 @@ def series_by_definition(x, start: Subspace, max_steps: int, derived: bool):
     if start.dim == 0:
         return terms, SERIES_ZERO, 0
     for step in range(1, max_steps + 1):
-        rows = list(x.products(term.basis.data, (term if derived else start).basis.data))
-        nxt = _rref_span(Matrix.from_dicts(len(rows), term.ambient_dim, rows, x.params))
+        nxt = _rref_span(all_products(x, term.basis, (term if derived else start).basis))
         if nxt == term:
             return terms, SERIES_STABLE, step - 1
         terms.append(nxt)
@@ -336,7 +343,17 @@ def test_the_nonprime_search_agrees_with_all_products(name):
     closed = closed_subspaces(name)
     for a in closed:
         for b in closed:
-            assert _annihilates(x, a, b) == (not any(x.products(a.basis.data, b.basis.data)))
+            assert _annihilates(x, a, b) == all_products(x, a.basis, b.basis).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_product_rows_are_the_rows_of_all_products(name):
+    x, _, _ = case(name)
+    closed = closed_subspaces(name)
+    for a in closed:
+        for b in closed:
+            want = all_products(x, a.basis, b.basis).data
+            assert list(x.products(a.basis.data, b.basis.data)) == want
 
 
 def test_the_nonprime_search_sees_both_answers():
