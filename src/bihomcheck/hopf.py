@@ -30,6 +30,28 @@ rational R is handled on ints. A map tensored with identities,
 such as M (M (x) id), is applied slot by slot with ``kron_apply``; a map
 into a tensor power, such as (C (x) id) C, through the transpose.
 
+``check_hopf_axioms`` reads associativity and the bialgebra law only on
+the basis elements of a generating set G (``_generators``), by two closure
+facts, each with a short proof:
+
+- S = {x : (xy)z = x(yz) for all y, z} is a subspace closed under products,
+  with no hypothesis: for x, x' in S, ((xx')y)z = (x(x'y))z = x((x'y)z) =
+  x(x'(yz)) = (xx')(yz), using x, then x, then x', then x.
+- S = {x : coproduct(xy) = coproduct(x) coproduct(y) for all y} is closed
+  under products when H is associative: coproduct((xx')y) =
+  coproduct(x(x'y)) = coproduct(x) coproduct(x'y) = coproduct(x)
+  coproduct(x') coproduct(y) = coproduct(xx') coproduct(y), H (x) H being
+  associative too.
+
+Each S is a subspace closed under products, so once it holds G it holds
+W, the span of G closed under left products by G, and G is chosen so that
+W is H. Over Q(params) the spin decides W by its generic rank, and S is a
+Q(params)-subspace. So associativity holds iff it holds on G, and so does
+the bialgebra law once associativity passed; otherwise it is read on every
+basis element. The witness is that of a scan over every basis element: one
+outside G that comes before the first failing block of G lies in the spin
+of generators that passed, so its block passes too.
+
 The constructor takes ``M`` and ``C``, or nested constants that
 ``tensor_matrix`` converts: mult[i][j][k] is the coefficient of e_k in e_i e_j
 and comult[i][j][k] that of e_j (x) e_k in the coproduct of e_i. Only ``M``
@@ -45,6 +67,7 @@ from math import lcm
 
 from .errors import DimensionMismatch, NotAGroup, NotInvertible, Singular
 from .linalg import (
+    Echelon,
     Matrix,
     _kmul,
     flip,
@@ -264,6 +287,35 @@ def group_algebra(cayley, identity, names=None, params=()) -> HopfAlgebra:
     return HopfAlgebra(names, mult, unit, comult, [one] * n, antipode, params)
 
 
+def _generators(ops: list, params) -> set:
+    """G, the basis indices x whose e_x generate H, for ``ops`` the
+    row-form operators of v -> e_j v: e_x is kept when it is not in W, the
+    left spin of the elements kept before it (the closure of their span
+    under v -> e_g v for each kept g), so the spin of all of G is H."""
+    d = len(ops)
+    span = Echelon(d, params)
+    kept, odata = set(), []
+    for x in range(d - 1):
+        row = span.add({x: 1})
+        if row is None:
+            continue
+        kept.add(x)
+        # W is closed under the generators kept before e_x, so the rows it
+        # held before need only e_x, and none when e_x is a left identity;
+        # e_x, the row held last, and each new row need every generator
+        new = [] if ops[x].is_identity() else [ops[x].data]
+        odata += new
+        pending = [(r, new) for r, _ in span.pivots.values()]
+        pending[-1] = (row, odata)
+        span.spin(pending, odata)
+        if span.full:
+            return kept
+    # W holds every earlier basis element and is not H, so it is their span:
+    # the last one lies outside it, and needs no test and no spin
+    kept.add(d - 1)
+    return kept
+
+
 def _tensor_name(names, index, factors):
     return "(x)".join(decode(index, [names] * factors))
 
@@ -278,8 +330,19 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     def basis(c):
         return (names[c],)
 
-    w = column_witness([names] * 3, names, kron_apply(M, [M, d]) - kron_apply(M, [d, M]))
-    rep.add("hopf.assoc", "(ab)c = a(bc)", w is None, w)
+    # ops[j] is the row-form operator of v -> e_j v; M_G keeps the columns
+    # (a, b) for a in G (its transpose, the rows), so both sides vanish on
+    # every other block a
+    Mt = M.transpose()
+    ops = multiplications(Mt, False)
+    gens = _generators(ops, h.params)
+    MGt = Mt if len(gens) == d else Matrix.from_dicts(
+        d * d, d, [row if r // d in gens else {} for r, row in enumerate(Mt.data)], h.params
+    )
+    MG = M if MGt is Mt else MGt.transpose()
+    w = column_witness([names] * 3, names, kron_apply(M, [MG, d]) - kron_apply(MG, [d, M]))
+    associative = w is None
+    rep.add("hopf.assoc", "(ab)c = a(bc)", associative, w)
 
     left, right = kron_apply(M, [u, d]), kron_apply(M, [d, u])
     w = column_witness([names], names, left - ident, right - ident)
@@ -298,13 +361,15 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     law = "(counit (x) id) o coproduct = id = (id (x) counit) o coproduct"
     rep.add("hopf.counit", law, w is None, w)
 
-    # K_i, the row-form operator of y -> coproduct(e_i) y, on multiplication
-    # operators built once: row j of C^T K_i is coproduct(e_i) coproduct(e_j),
-    # so the stacked blocks hold it at row i*d + j, where M^T C^T holds the
-    # coproduct of e_i e_j
-    Mt = M.transpose()
-    ops = multiplications(Mt, False)
-    squares = vstack([Ct @ kron_sum(x, ops, ops) for x in h.coproducts()])
+    # K_i, the row-form operator of y -> coproduct(e_i) y, on the
+    # multiplication operators: row j of C^T K_i is coproduct(e_i)
+    # coproduct(e_j), so the stacked blocks hold it at row i*d + j, where
+    # M^T C^T holds the coproduct of e_i e_j. Only the blocks i in G are
+    # read, and only on an associative H; the others stay zero
+    if not associative:
+        gens, MGt = range(d), Mt
+    squares = vstack([Ct @ kron_sum(x, ops, ops) if i in gens else Matrix.zero(d, d * d, h.params)
+                      for i, x in enumerate(h.coproducts())])
 
     def label(c, r):
         return _tensor_name(names, r, 2) if r < d * d else "counit"
@@ -312,7 +377,7 @@ def check_hopf_axioms(h: HopfAlgebra) -> CheckReport:
     # each difference stacks the H (x) H coefficients above the counit row,
     # one column per pair (i, j)
     one = Matrix.identity(1, h.params)
-    diff = vstack([(Mt @ Ct - squares).transpose(), eps @ M - kron(eps, eps)])
+    diff = vstack([(MGt @ Ct - squares).transpose(), eps @ M - kron(eps, eps)])
     w = coefficient_witness(lambda c: decode(c, [names] * 2), label, diff) or coefficient_witness(
         lambda c: ("1",), label, vstack([C @ u - kron(u, u), eps @ u - one])
     )

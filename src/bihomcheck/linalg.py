@@ -571,6 +571,22 @@ class Echelon:
                     break
         return self
 
+    def spin(self, pending, odata):
+        """Close the span under the row-form operators whose rows are the
+        lists ``odata``: ``pending`` holds (row, operators) pairs, each row
+        to be multiplied by its operators, last pair first, and each row
+        kept on the way is multiplied by all of ``odata``. Stops once the
+        echelon is full; returns the echelon."""
+        while pending and not self.full:
+            row, todo = pending.pop()
+            for o in todo:
+                new = self.add(row_times(row, o))
+                if new is not None:
+                    if self.full:
+                        break
+                    pending.append((new, odata))
+        return self
+
     def add(self, row):
         """Reduce the sparse kernel row ``row`` (read, not changed) against
         the rows held. A nonzero remainder is kept and returned, as a

@@ -178,16 +178,8 @@ def _spin(x, seed: Subspace, ops: tuple, within: Subspace | None = None) -> Subs
     the span reaches its dimension."""
     odata = [op.data for _, op in chain(*ops)]
     span = Echelon(seed.ambient_dim, x.params, within)
-    pending = [r for r in map(span.add, seed.basis.data) if r is not None]
-    while pending and not span.full:
-        row = pending.pop()
-        for o in odata:
-            new = span.add(row_times(row, o))
-            if new is not None:
-                if span.full:
-                    break
-                pending.append(new)
-    return span.subspace()
+    pending = [(r, odata) for r in map(span.add, seed.basis.data) if r is not None]
+    return span.spin(pending, odata).subspace()
 
 
 def _series(x, start: Subspace, max_steps: int, derived: bool, ideal: bool = False) -> SeriesResult:
