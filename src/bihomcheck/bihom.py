@@ -30,6 +30,7 @@ from .linalg import (
     _kval,
     invert,
     kron_apply,
+    kron_apply_sum,
     kron_row,
     multiplications,
     nested_tensor,
@@ -236,10 +237,9 @@ def check_generalized_bihom_lie(l: BiHomLie, *, verdict=None, tau=None) -> Check
     )
 
     J = kron_apply(B, [bm @ bm, kron_apply(B, [bm, am])])
-    # the two tau-rotations, (tau (x) id)(id (x) tau) and its reverse
-    rot2 = kron_apply(kron_apply(J, [tau, d]), [d, tau])
-    rot3 = kron_apply(kron_apply(J, [d, tau]), [tau, d])
-    w = column_witness([names] * 3, names, J + rot2 + rot3)
+    # J and its two tau-rotations, (tau (x) id)(id (x) tau) and its reverse
+    jacobi = kron_apply_sum([(J, []), (J, [[tau, d], [d, tau]]), (J, [[d, tau], [tau, d]])])
+    w = column_witness([names] * 3, names, jacobi)
     rep.add(
         "lie.jacobi",
         "braided BiHom-Jacobi: {l,l',l''} + {tau-rotations} = 0 with "
@@ -344,6 +344,17 @@ def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, verdict=None, commutator=None)
     failing basis triple. (tau, B) is ``commutator``, or else
     ``braided_commutator(a, r, verdict=verdict)``, which refuses unless
     (H, R) is triangular.
+
+    The first right-hand term of each identity factors through the
+    product that the second term of the other reads,
+
+        M(B(beta (x) id) (x) beta) = M(B (x) id)(beta (x) id (x) beta)
+        M(alpha (x) B(id (x) alpha)) = M(id (x) B)(alpha (x) id (x) alpha)
+
+    so MB = M(B (x) id) and BM = M(id (x) B) are each made once and read
+    by both, and each right side is one ``kron_apply_sum`` on them: four
+    d x d^3 products in all, with the left sides B(ab (x) M) and
+    B(M (x) ab).
     """
     rep = CheckReport("lemma31")
     tau, B = commutator or braided_commutator(a, r, verdict=verdict)
@@ -354,23 +365,22 @@ def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, verdict=None, commutator=None)
     am = a.alpha.matrix
     bm = a.beta.matrix
     ab = am @ bm
-    for ident_id, law, lhs, rhs in (
+    MB, BM = kron_apply(M, [B, d]), kron_apply(M, [d, B])
+    for ident_id, law, lhs, rhs_terms in (
         (
             "lemma31.1",
             "[alpha beta(a), bc] = [beta(a), b] beta(c) + (R2.beta(b))[R1.alpha(a), c]",
             kron_apply(B, [ab, M]),
-            kron_apply(M, [kron_apply(B, [bm, d]), bm])
-            + kron_apply(kron_apply(kron_apply(M, [d, B]), [tau, d]), [am, bm, d]),
+            [(MB, [[bm, d, bm]]), (BM, [[tau, d], [am, bm, d]])],
         ),
         (
             "lemma31.2",
             "[ab, alpha beta(c)] = alpha(a)[b, alpha(c)] + [a, R2.beta(c)](R1.alpha(b))",
             kron_apply(B, [M, ab]),
-            kron_apply(M, [am, kron_apply(B, [d, am])])
-            + kron_apply(kron_apply(kron_apply(M, [B, d]), [d, tau]), [d, am, bm]),
+            [(BM, [[am, d, am]]), (MB, [[d, tau], [d, am, bm]])],
         ),
     ):
-        diff = lhs - rhs
+        diff = lhs - kron_apply_sum(rhs_terms)
         failing = len(diff.nonzero_columns())
         w = column_witness([names] * 3, names, diff)
         detail = f"{d ** 3} triples checked" + (f", {failing} failing" if failing else "")

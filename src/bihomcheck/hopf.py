@@ -291,20 +291,31 @@ def _generators(ops: list, params) -> set:
     """G, the basis indices x whose e_x generate H, for ``ops`` the
     row-form operators of v -> e_j v: e_x is kept when it is not in W, the
     left spin of the elements kept before it (the closure of their span
-    under v -> e_g v for each kept g), so the spin of all of G is H."""
+    under v -> e_g v for each kept g), so the spin of all of G is H.
+
+    While W is the span of e_0, ..., e_(x-1), every one of them is kept and
+    e_x lies outside W, so W stays such a span, and no echelon is made,
+    as long as the products e_g e_y of the elements kept lie in it."""
     d = len(ops)
-    span = Echelon(d, params)
-    kept, odata = set(), []
+    kept, odata, span = set(), [], None
     for x in range(d - 1):
-        row = span.add({x: 1})
-        if row is None:
+        if span is not None and (row := span.add({x: 1})) is None:
             continue
         kept.add(x)
+        new = [] if ops[x].is_identity() else [ops[x].data]
+        odata += new
+        if span is None:
+            # W is the span of e_0, ..., e_x if it holds e_x e_y and e_g e_x
+            products = [ops[x].data[y] for y in range(x + 1)] + [ops[g].data[x] for g in range(x)]
+            if all(not p or max(p) <= x for p in products):
+                continue
+            span = Echelon(d, params)
+            for y in range(x):
+                span.add({y: 1})
+            row = span.add({x: 1})
         # W is closed under the generators kept before e_x, so the rows it
         # held before need only e_x, and none when e_x is a left identity;
         # e_x, the row held last, and each new row need every generator
-        new = [] if ops[x].is_identity() else [ops[x].data]
-        odata += new
         pending = [(r, new) for r, _ in span.pivots.values()]
         pending[-1] = (row, odata)
         span.spin(pending, odata)

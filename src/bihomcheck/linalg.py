@@ -7,12 +7,16 @@ operation here, products and elimination included, costs in proportion to
 the stored nonzeros rather than to rows x cols. A map
 X (F1 (x) F2 (x) ...) on a tensor power is applied slot by slot
 (``kron_apply``): each factor acts on its own slot of X's column index,
-and no Kronecker operator is formed; a permutation factor only relabels
-that slot. An element of H (x) H acts on a tensor product through
-``kron_sum``, the one place where Kronecker terms are summed. Exact
-arithmetic makes the order in which entries are summed irrelevant. Subspaces are kept in
-reduced row echelon form so that equality of ideals is equality of
-matrices. Storage is canonical (below), so the difference of two equal
+and no Kronecker operator is formed; a monomial factor (one entry per row,
+no column repeated, as a flip or a diagonal map) relabels that slot and
+scales it. So does a square monomial operand of ``@``, on either side,
+and ``invert`` inverts one with no elimination. A sum of such chains,
+X F1 F2 ... + Y G1 G2 ... as in a braided Jacobi identity, is made in one
+pass by ``kron_apply_sum``, with no relabelled copy of X or Y. An element
+of H (x) H acts on a tensor product through ``kron_sum``, the one place
+where Kronecker terms are summed. Exact arithmetic makes the order in
+which entries are summed irrelevant. Subspaces are kept in reduced row
+echelon form so that equality of ideals is equality of matrices. Storage is canonical (below), so the difference of two equal
 matrices, a passing identity, is decided by one comparison of the stored
 rows and never subtracted entry by entry.
 
@@ -23,6 +27,10 @@ and multiply inline; any other pair goes through ``_kadd``/``_kmul``. The
 constructors unwrap Scalars, and a Scalar is made only where an entry is
 read through ``at``, ``row``, ``col``, ``entries``, ``row_list`` or the
 printed form.
+
+A matrix is never changed after it is built: no operation writes to the
+row dicts of a matrix, so rows may be shared between matrices, and what a
+matrix decides about itself on first use (its monomial form) is kept.
 
 There is one elimination, ``Echelon``: ``rref``, ``solve``, ``invert``,
 ``kernel`` and ``Subspace`` put their rows in one at a time and read its
@@ -45,6 +53,10 @@ from .errors import AmbientMismatch, DimensionMismatch, Singular
 from .scalars import Scalar, _const, _qadd, _qinv, _qmul
 
 
+_UNDECIDED = object()  # the monomial form of a matrix before its first use
+_IDENTITY = (None, None)  # the monomial form of an identity matrix
+
+
 def _kval(x: Scalar):
     """The kernel value of a Scalar: its constant value, or x itself."""
     return x if (v := x.value) is None else v
@@ -60,9 +72,12 @@ class Matrix:
     ``col`` and ``entries`` (the dense row-major list, built on demand) make
     a Scalar of each entry they return and fill the gaps with the one
     shared zero scalar of the parameter context.
+
+    A matrix is never changed after construction, so its monomial form
+    (``monomial``) is decided on first use and kept in ``_form``.
     """
 
-    __slots__ = ("rows", "cols", "data", "params")
+    __slots__ = ("rows", "cols", "data", "params", "_form")
 
     def __init__(self, rows, cols, entries, params=None):
         entries = list(entries)
@@ -81,6 +96,7 @@ class Matrix:
         self.cols = cols
         self.data = data
         self.params = params
+        self._form = _UNDECIDED
 
     @classmethod
     def from_dicts(cls, rows, cols, data, params):
@@ -147,9 +163,37 @@ class Matrix:
         """Sorted columns holding a nonzero entry."""
         return sorted({c for row in self.data for c in row})
 
+    def monomial(self):
+        """None unless each row holds exactly one entry and no column
+        repeats; then (to, entries): row i holds entries[i] at column to[i].
+        An entry that is the int 1 is None in ``entries``, which is None
+        when every entry is; the identity is (None, None). Decided on first
+        use and kept."""
+        form = self._form
+        if form is not _UNDECIDED:
+            return form
+        self._form = form = self._decide()
+        return form
+
+    def _decide(self):
+        """The monomial form (see ``monomial``), read off the rows."""
+        if self.is_identity():
+            return _IDENTITY
+        data = self.data
+        for row in data:
+            if len(row) != 1:
+                return None
+        to = [c for row in data for c in row]
+        if len(set(to)) != len(to):
+            return None
+        # only an int can be 1, so no Fraction is compared
+        entries = [None if type(x) is int and x == 1 else x for row in data for x in row.values()]
+        return to, None if all(x is None for x in entries) else entries
+
     def is_identity(self):
         """True for a square matrix with 1 on the diagonal and no other
-        entry; only an int can be 1, so no Fraction is compared."""
+        entry; only an int can be 1, so no Fraction is compared. It stops
+        at the first row that is not the identity's."""
         return self.rows == self.cols and all(
             len(row) == 1 and type(x := row.get(r)) is int and x == 1
             for r, row in enumerate(self.data)
@@ -199,8 +243,21 @@ class Matrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        odata = other.data
-        data = [row_times(arow, odata) for arow in self.data]
+        # a square monomial operand is a scaled permutation: on the right it
+        # relabels the columns, and on the left row i is entries[i] times
+        # row to[i] of the other operand
+        if (form := _permuting(other, self)) is not None:
+            data = _relabel(self.data, form, other.rows, 1, other.cols)
+        elif (form := _permuting(self, other)) is not None:
+            to, entries = form
+            odata = other.data
+            data = odata if to is None else [
+                odata[t] if entries is None or (f := entries[i]) is None else
+                {c: v * f if type(v) is int and type(f) is int else _kmul(v, f)
+                 for c, v in odata[t].items()} for i, t in enumerate(to)]
+        else:
+            odata = other.data
+            data = [row_times(arow, odata) for arow in self.data]
         return Matrix.from_dicts(self.rows, other.cols, data, self.params)
 
     def map(self, f, params):
@@ -221,6 +278,16 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in self.row(r)) for r in range(self.rows))
         return f"Matrix[{body}]"
+
+
+def _permuting(m: Matrix, other: Matrix):
+    """The monomial form of m as a factor of a product with ``other``, or
+    None when m is not square and monomial. A form not known yet is read
+    off m's rows only when ``other`` holds at least as many entries as m
+    has rows, so a product pays for it only where it saves as much."""
+    if m.rows != m.cols or (m._form is _UNDECIDED and sum(map(len, other.data)) < m.rows):
+        return None
+    return m.monomial()
 
 
 def row_times(row: dict, odata, after=1, cols=0) -> dict:
@@ -274,29 +341,151 @@ def kron_apply(x: Matrix, factors) -> Matrix:
     own slot of every row in turn (the mode-by-mode product), so no d^k-wide
     operator is built. A factor may change its slot's size (u: d -> 1, M:
     d -> d^2) or span two slots (a braiding of V (x) V is one d^2 factor).
-    A permutation factor (each row a single int 1, no column repeated, as
-    in a flip) relabels the slot value of every column index and
-    multiplies nothing; any other factor goes through ``row_times``.
+    A monomial factor (``Matrix.monomial``: one entry per row, no column
+    repeated, as in a flip or a diagonal map) relabels the slot value of
+    every column index and scales by the entry, with no multiplication by
+    an entry that is the int 1; any other factor goes through
+    ``row_times``.
     """
-    sizes = [f if isinstance(f, int) else f.rows for f in factors]
-    if x.cols != prod(sizes):
-        raise ValueError("shape mismatch in product")
-    data, cols, after = x.data, x.cols, x.cols
-    for f, n in zip(factors, sizes):
-        after //= n
-        if isinstance(f, int) or f.is_identity():
-            continue
-        # row i of a permutation factor sends slot value i to to[i]
-        to = [c for row in f.data if len(row) == 1
-              for c, v in row.items() if type(v) is int and v == 1]
-        if len(to) == n == len(set(to)):
-            span, width = n * after, f.cols * after
-            data = [{k // span * width + to[k // after % n] * after + k % after: v
-                     for k, v in row.items()} for row in data]
-        else:
+    data, cols = x.data, x.cols
+    for f, after, n, form in _slots(cols, factors):
+        if form is None:
             data = [row_times(row, f.data, after, f.cols) for row in data]
+        else:
+            data = _relabel(data, form, n, after, f.cols)
         cols = cols // n * f.cols
     return Matrix.from_dicts(x.rows, cols, data, x.params)
+
+
+def _slots(cols, factors):
+    """(f, after, n, monomial form) for each factor f of a product with
+    ``kron(*factors)`` that is not an identity, for a column index of
+    ``cols``: f acts on the slot of size n with ``after`` values after it.
+    Applied left to right, each factor finds the slots after it unchanged."""
+    sizes = [f if isinstance(f, int) else f.rows for f in factors]
+    if cols != prod(sizes):
+        raise ValueError("shape mismatch in product")
+    out, after = [], cols
+    for f, n in zip(factors, sizes):
+        after //= n
+        if not isinstance(f, int) and (form := f.monomial()) is not _IDENTITY:
+            out.append((f, after, n, form))
+    return out
+
+
+def _relabel(data, form, n, after, cols) -> list:
+    """The rows ``data`` times a monomial factor of n rows and ``cols``
+    columns on the slot with ``after`` values after it: row i of the factor
+    sends slot value i to to[i], times entries[i]; the identity, (None,
+    None), leaves the rows as they are. Each entry is moved on its own,
+    which costs less than ``_send`` when the rows share few columns."""
+    to, entries = form
+    if to is None:
+        return data
+    span, width = n * after, cols * after
+    if entries is None:
+        return [{k // span * width + to[k // after % n] * after + k % after: v
+                 for k, v in row.items()} for row in data]
+    out = []
+    for row in data:
+        new = {}
+        for k, v in row.items():
+            i = k // after % n
+            f = entries[i]
+            if f is not None:
+                v = v * f if type(v) is int and type(f) is int else _kmul(v, f)
+            new[k // span * width + to[i] * after + k % after] = v
+        out.append(new)
+    return out
+
+
+def _send(keys, slots):
+    """Where the monomial ``slots`` (see ``_relabel``), applied in turn,
+    send each column of the list ``keys``: the dicts column -> column and
+    column -> entry, the latter None when every entry is the int 1, as is
+    each such entry."""
+    cols, scale = keys, None
+    for f, after, n, (to, entries) in slots:
+        if entries is not None:
+            hits = [entries[c // after % n] for c in cols]
+            scale = hits if scale is None else [
+                s if e is None else e if s is None else
+                s * e if type(s) is int and type(e) is int else _kmul(s, e)
+                for s, e in zip(scale, hits)]
+        span, width = n * after, f.cols * after
+        cols = [c // span * width + to[c // after % n] * after + c % after for c in cols]
+    return dict(zip(keys, cols)), None if scale is None else dict(zip(keys, scale))
+
+
+def kron_apply_sum(terms) -> Matrix:
+    """The sum of x F1 F2 ... over the pairs (x, [F1, F2, ...]) of
+    ``terms``, each stage F a factor list as ``kron_apply`` takes it; every
+    x has the same row count, and every chain the same column count.
+
+    When every factor is monomial, a chain sends each column of x to one
+    column times one entry. Each distinct column of x is then sent through
+    all the stages once (``_send``), and every term is added row by row
+    into one set of rows, dropping entries that cancel: no relabelled copy
+    of any x is made. Otherwise each chain is made by ``kron_apply`` and
+    the chains are added."""
+    chains = []
+    for x, stages in terms:
+        cols, slots = x.cols, []
+        for factors in stages:
+            stage = _slots(cols, factors)
+            if any(form is None for *_, form in stage):
+                return _chain_sum(terms)
+            slots += stage
+            for f, _, n, _ in stage:
+                cols = cols // n * f.cols
+        chains.append((x, slots, cols))
+    x0, cols = terms[0][0], chains[0][2]
+    if any((x.rows, c) != (x0.rows, cols) for x, _, c in chains):
+        raise ValueError("shape mismatch in sum")
+    out, keys = None, {}
+    for x, slots, _ in chains:
+        if out is None and not slots:
+            out = [dict(row) for row in x.data]  # the first term, as it is
+            continue
+        if out is None:
+            out = [{} for _ in x.data]
+        # the distinct columns of x, found once for all the terms on x
+        if (ks := keys.get(id(x))) is None:
+            ks = keys[id(x)] = list({k for row in x.data for k in row})
+        to, scale = _send(ks, slots)
+        for row, xrow in zip(out, x.data):
+            get = row.get
+            for k, v in xrow.items():
+                c = to[k]
+                if scale is not None and (f := scale[k]) is not None:
+                    v = v * f if type(v) is int and type(f) is int else _kmul(v, f)
+                s = get(c)
+                if s is None:
+                    row[c] = v
+                elif type(s) is int and type(v) is int:
+                    s += v
+                    if s:
+                        row[c] = s
+                    else:
+                        del row[c]
+                else:
+                    s = _kadd(s, v)
+                    if type(s) is int and not s:
+                        del row[c]
+                    else:
+                        row[c] = s
+    return Matrix.from_dicts(x0.rows, cols, out, x0.params)
+
+
+def _chain_sum(terms) -> Matrix:
+    """``kron_apply_sum`` made chain by chain: each chain by ``kron_apply``
+    stage by stage, and the chains added."""
+    total = None
+    for x, stages in terms:
+        for factors in stages:
+            x = kron_apply(x, factors)
+        total = x if total is None else total + x
+    return total
 
 
 def _kop(op, qop, a, b):
@@ -521,8 +710,20 @@ def solve(m: Matrix, b: Matrix) -> Matrix:
 
 
 def invert(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises Singular when the rank drops."""
-    return solve(m, Matrix.identity(m.rows, m.params))
+    """Inverse of a square matrix; raises Singular when the rank drops. A
+    monomial m, a scaled permutation, is inverted with no elimination: row
+    to[i] of the inverse holds 1/entries[i] at column i."""
+    form = m.monomial() if m.rows == m.cols else None
+    if form is None:
+        return solve(m, Matrix.identity(m.rows, m.params))
+    to, entries = form
+    if to is None:
+        return m
+    data = [None] * m.rows
+    for i, c in enumerate(to):
+        f = None if entries is None else entries[i]
+        data[c] = {i: 1 if f is None else f.inverse() if type(f) is Scalar else _qinv(f)}
+    return Matrix.from_dicts(m.rows, m.cols, data, m.params)
 
 
 class Echelon:

@@ -9,7 +9,7 @@ import pytest
 
 from bihomcheck.errors import AmbientMismatch, Singular
 from bihomcheck import linalg
-from bihomcheck.linalg import Matrix, Subspace, flip, invert, kernel, kron, kron_apply, rref
+from bihomcheck.linalg import Matrix, Subspace, flip, invert, kernel, kron, kron_apply, rref, solve
 from bihomcheck.scalars import Scalar, parse_scalar
 
 P = ("b",)
@@ -339,7 +339,7 @@ def test_kron_apply_agrees_with_the_kronecker_product():
         x = ours(rows, len(texts) // rows, texts)
         big = functools.reduce(kron, mats)
         got = kron_apply(x, factors)
-        assert got == x @ big
+        assert got == x @ big == _product_by_rows(x, big)
         assert not _stored_zeros(got)
         # a structurally nonzero entry that is not stored has cancelled
         reach = {(r, j) for r, row in enumerate(x.data) for k in row for j in big.data[k]}
@@ -390,6 +390,13 @@ def test_unit_factors_cost_no_scalar_multiplication(monkeypatch):
     assert got == want
 
 
+def _product_by_rows(x, m):
+    """x @ m through ``row_times`` on every row, even for a monomial m: the
+    oracle that does not relabel."""
+    return Matrix.from_dicts(x.rows, m.cols, [linalg.row_times(row, m.data) for row in x.data],
+                             x.params)
+
+
 def _row_times_calls(monkeypatch):
     calls = []
     real = linalg.row_times
@@ -405,9 +412,10 @@ def _row_times_calls(monkeypatch):
 def test_permutation_factors_relabel_columns_without_row_times(monkeypatch):
     # each row of a permutation factor is a single int 1 and no column
     # repeats, so kron_apply relabels the column index of x instead of
-    # multiplying. The oracle is x @ kron(...). The 3-cycle is not its own
-    # inverse, so relabelling by the inverse permutation gives a different
-    # matrix; x holds ints and Fractions over Q, and non-constants over Q(s).
+    # multiplying. The oracle is x times kron(...) through row_times. The
+    # 3-cycle is not its own inverse, so relabelling by the inverse
+    # permutation gives a different matrix; x holds ints and Fractions over
+    # Q, and non-constants over Q(s).
     d = 3
     xs = [
         mat([[1, 0, "-1/2", 2, 0, 0, 3, "5/7", 0] * 3, [0, "2/3", 1, 0, -4, 1, 0, 0, "1/3"] * 3]),
@@ -422,25 +430,108 @@ def test_permutation_factors_relabel_columns_without_row_times(monkeypatch):
         # flips of one slot past the other two, and the 3-cycle on each slot
         cases = [[swap, d], [d, swap], [flip(d, d * d, params)], [flip(d * d, d, params)],
                  [cycle, d, d], [d, cycle, d], [d, d, cycle], [cycle, swap]]
-        want = [x @ functools.reduce(kron, [Matrix.identity(f, params) if isinstance(f, int)
-                                            else f for f in fs]) for fs in cases]
+        want = [_product_by_rows(x, functools.reduce(
+            kron, [Matrix.identity(f, params) if isinstance(f, int) else f for f in fs]))
+            for fs in cases]
         calls = _row_times_calls(monkeypatch)
         got = [kron_apply(x, fs) for fs in cases]
         monkeypatch.undo()
         assert not calls
         assert got == want
         assert not any(_stored_zeros(m) for m in got)
-    # a 2 in a row, or a column hit twice, is not a permutation: the generic
-    # product runs, and it still agrees
+    # a 2 in a row is monomial: the slot is relabelled and scaled, with no
+    # row_times; a column hit twice, or two entries in a row, is not
+    # monomial: the generic product runs. Both agree with the oracle
     params = xs[0].params
     scaled = Matrix.from_dicts(d, d, [{1: 1}, {2: 2}, {0: 1}], params)
     merged = Matrix.from_dicts(d, d, [{1: 1}, {1: 1}, {0: 1}], params)
-    for f in (scaled, merged):
-        want = xs[0] @ kron(Matrix.identity(d, params), kron(f, Matrix.identity(d, params)))
+    double = Matrix.from_dicts(d, d, [{1: 1}, {2: 1, 0: 1}, {0: 1}], params)
+    for f, monomial in ((scaled, True), (merged, False), (double, False)):
+        want = _product_by_rows(
+            xs[0], kron(Matrix.identity(d, params), kron(f, Matrix.identity(d, params))))
         calls = _row_times_calls(monkeypatch)
         got = kron_apply(xs[0], [d, f, d])
         monkeypatch.undo()
-        assert calls and got == want
+        assert bool(calls) is not monomial and got == want
+
+
+def test_kron_apply_sum_agrees_with_the_added_chains(monkeypatch):
+    # sum_t x_t F_t1 F_t2 ... on d^3 columns, against each chain made
+    # through row_times with the Kronecker operators formed, and added.
+    # Factors are ints (identity slots), monomial maps of one slot or of two
+    # (a random permutation, each entry 1, -1, 2, -1/2 or a parameter), and
+    # in one case in three a dense map, which sends the sum down the
+    # kron_apply path; with only monomial factors no row_times runs
+    rng = random.Random(11)
+    params = ("a", "b")
+    for case in range(60):
+        d = rng.choice((2, 3))
+
+        def monomial(n):
+            # kernel values: ints, a Fraction and a non-constant Scalar
+            pool = [1, 1, 1, -1, 2, Fraction(-1, 2), parse_scalar("a", params)]
+            return Matrix.from_dicts(n, n, [{c: rng.choice(pool)} for c in rng.sample(range(n), n)],
+                                     params)
+
+        def stage():
+            kind = rng.choice(("one", "two-first", "two-last"))
+            if kind == "one":
+                slots = [d, d, d]
+                slots[rng.randrange(3)] = monomial(d)
+                return slots
+            return [monomial(d * d), d] if kind == "two-first" else [d, monomial(d * d)]
+
+        def x():
+            return mat([[rng.choice(_ENTRIES[params]) if rng.random() < 0.4 else 0
+                         for _ in range(d ** 3)] for _ in range(2)], params)
+
+        xs = [x(), x()]
+        terms = [(xs[0], [])] + [(rng.choice(xs), [stage() for _ in range(rng.randint(1, 2))])
+                                 for _ in range(rng.randint(1, 3))]
+        dense = case % 3 == 0
+        if dense:
+            terms[-1][1].append([mat([[rng.choice(_ENTRIES[params]) for _ in range(d)]
+                                      for _ in range(d)], params), d, d])
+        want = None
+        for y, stages in terms:
+            for fs in stages:
+                y = _product_by_rows(y, functools.reduce(
+                    kron, [Matrix.identity(f, params) if isinstance(f, int) else f for f in fs]))
+            want = y if want is None else want + y
+        calls = _row_times_calls(monkeypatch)
+        got = linalg.kron_apply_sum(terms)
+        monkeypatch.undo()
+        assert got == want and not _stored_zeros(got)
+        assert bool(calls) is dense
+    # a chain and its negation cancel everywhere, and nothing is stored
+    perm = Matrix.from_dicts(4, 4, [{2: 1}, {0: 1}, {3: 1}, {1: 1}], params)
+    neg = Matrix.from_dicts(4, 4, [{2: -1}, {0: -1}, {3: -1}, {1: -1}], params)
+    y = mat([["a", 0, 1, "1/2", 0, -2, 3, "b"]], params)
+    assert not any(linalg.kron_apply_sum([(y, [[perm, 2]]), (y, [[neg, 2]])]).data)
+
+
+def test_monomial_factors_of_products_and_inverses(monkeypatch):
+    # a square monomial P (a scaled permutation) relabels the columns of
+    # x @ P and picks and scales the rows of P @ y, with no row_times, and is
+    # inverted with no elimination; the oracles are row_times and solve
+    rng = random.Random(12)
+    params = ("a", "b")
+    pool = [1, 1, -1, 3, Fraction(2, 3), parse_scalar("a", params), parse_scalar("a + b", params)]
+    for n in (1, 2, 4, 6):
+        for _ in range(5):
+            p = Matrix.from_dicts(n, n, [{c: rng.choice(pool)} for c in rng.sample(range(n), n)],
+                                  params)
+            x, y = (mat([[rng.choice(_ENTRIES[params]) for _ in range(cols)] for _ in range(rows)],
+                        params) for rows, cols in ((3, n), (n, 3)))
+            calls = _row_times_calls(monkeypatch)
+            got = (x @ p, p @ y, invert(p))
+            monkeypatch.undo()
+            assert not calls
+            assert got == (_product_by_rows(x, p), _product_by_rows(p, y),
+                           solve(p, Matrix.identity(n, params)))
+            assert not any(_stored_zeros(m) for m in got)
+    ident = Matrix.identity(3, params)
+    assert invert(ident) == ident and (ident @ ident).data is ident.data
 
 
 def test_difference_agrees_with_adding_the_negation():
