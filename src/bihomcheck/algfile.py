@@ -136,7 +136,8 @@ class _Findings:
 
 
 def _parse_scalar_at(text, params, path, findings):
-    if not isinstance(text, (str, int)):
+    # a JSON true or false is a bool, which Python counts as an int
+    if type(text) not in (str, int):
         findings.add(path, f"expected a scalar string, got {type(text).__name__}")
         return None
     try:
@@ -207,9 +208,9 @@ def _parse_triples(data, dim, params, path, findings, coproduct=False):
             ok = False
             continue
         i, j, k, cell = row
-        if not all(isinstance(t, int) and 0 <= t < dim for t in (i, j, k)):
+        if not all(type(t) is int and 0 <= t < dim for t in (i, j, k)):
             findings.add(
-                f"{path}[{n}]", f"triple ({i},{j},{k}) out of range for dimension {dim}"
+                f"{path}[{n}]", f"triple ({i},{j},{k}) is not three indices below {dim}"
             )
             ok = False
             continue
@@ -246,7 +247,7 @@ def _build_hopf(spec, params, findings):
         if (
             not isinstance(table, list)
             or not all(isinstance(row, list) for row in table)
-            or not isinstance(identity, int)
+            or type(identity) is not int
         ):
             findings.add("hopf.group", "needs 'table' (list of rows) and 'identity' (index)")
             return None
@@ -288,8 +289,8 @@ def _build_object(name, data, hopf, params, findings):
         return None
     dim = len(basis)
     declared = data.get("dim")
-    if declared is not None and declared != dim:
-        findings.add(f"{path}.dim", f"declared {declared} but basis has {dim} names")
+    if declared is not None and (type(declared) is not int or declared != dim):
+        findings.add(f"{path}.dim", f"declared {json.dumps(declared)} but basis has {dim} names")
     action_spec = data.get("action")
     action = None
     if not isinstance(action_spec, dict):

@@ -329,7 +329,7 @@ def twist_bracket(l: BiHomLie, alpha: ModuleMap, beta: ModuleMap) -> BiHomLie:
     return lie
 
 
-def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, verdict=None, commutator=None) -> CheckReport:
+def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, commutator=None) -> CheckReport:
     """Two bracket/product compatibility identities for the braided
     commutator B, as identities of maps A (x) A (x) A -> A:
 
@@ -342,8 +342,8 @@ def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, verdict=None, commutator=None)
 
     with ab = alpha beta; each nonzero column of a difference is one
     failing basis triple. (tau, B) is ``commutator``, or else
-    ``braided_commutator(a, r, verdict=verdict)``, which refuses unless
-    (H, R) is triangular.
+    ``braided_commutator(a, r)``, which refuses unless (H, R) is
+    triangular.
 
     The first right-hand term of each identity factors through the
     product that the second term of the other reads,
@@ -357,7 +357,7 @@ def check_lemma31(a: BiHomAlgebra, r: RMatrix, *, verdict=None, commutator=None)
     B(M (x) ab).
     """
     rep = CheckReport("lemma31")
-    tau, B = commutator or braided_commutator(a, r, verdict=verdict)
+    tau, B = commutator or braided_commutator(a, r)
     m = a.module
     d = m.dim
     names = m.basis_names

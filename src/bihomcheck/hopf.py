@@ -251,9 +251,9 @@ def group_algebra(cayley, identity, names=None, params=()) -> HopfAlgebra:
         if len(row) != n:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise NotAGroup(f"cell ({i},{j}) = {v!r} is not an element index")
-    if not 0 <= identity < n:
+    if type(identity) is not int or not 0 <= identity < n:
         raise NotAGroup(f"identity index {identity} out of range")
     for i in range(n):
         if cayley[identity][i] != i:
@@ -291,28 +291,16 @@ def _generators(ops: list, params) -> set:
     """G, the basis indices x whose e_x generate H, for ``ops`` the
     row-form operators of v -> e_j v: e_x is kept when it is not in W, the
     left spin of the elements kept before it (the closure of their span
-    under v -> e_g v for each kept g), so the spin of all of G is H.
-
-    While W is the span of e_0, ..., e_(x-1), every one of them is kept and
-    e_x lies outside W, so W stays such a span, and no echelon is made,
-    as long as the products e_g e_y of the elements kept lie in it."""
+    under v -> e_g v for each kept g), so the spin of all of G is H. W is
+    one ``Echelon``, spun on as each element is kept."""
     d = len(ops)
-    kept, odata, span = set(), [], None
+    kept, odata, span = set(), [], Echelon(d, params)
     for x in range(d - 1):
-        if span is not None and (row := span.add({x: 1})) is None:
+        if (row := span.add({x: 1})) is None:
             continue
         kept.add(x)
         new = [] if ops[x].is_identity() else [ops[x].data]
         odata += new
-        if span is None:
-            # W is the span of e_0, ..., e_x if it holds e_x e_y and e_g e_x
-            products = [ops[x].data[y] for y in range(x + 1)] + [ops[g].data[x] for g in range(x)]
-            if all(not p or max(p) <= x for p in products):
-                continue
-            span = Echelon(d, params)
-            for y in range(x):
-                span.add({y: 1})
-            row = span.add({x: 1})
         # W is closed under the generators kept before e_x, so the rows it
         # held before need only e_x, and none when e_x is a left identity;
         # e_x, the row held last, and each new row need every generator

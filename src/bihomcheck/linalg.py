@@ -12,13 +12,17 @@ no column repeated, as a flip or a diagonal map) relabels that slot and
 scales it. So does a square monomial operand of ``@``, on either side,
 and ``invert`` inverts one with no elimination. A sum of such chains,
 X F1 F2 ... + Y G1 G2 ... as in a braided Jacobi identity, is made in one
-pass by ``kron_apply_sum``, with no relabelled copy of X or Y. An element
-of H (x) H acts on a tensor product through ``kron_sum``, the one place
-where Kronecker terms are summed. Exact arithmetic makes the order in
-which entries are summed irrelevant. Subspaces are kept in reduced row
-echelon form so that equality of ideals is equality of matrices. Storage is canonical (below), so the difference of two equal
-matrices, a passing identity, is decided by one comparison of the stored
-rows and never subtracted entry by entry.
+pass by ``kron_apply_sum``: each chain walks its slots as ``kron_apply``
+does up to its last factor that is not monomial, and the monomial factors
+after it send each column once as the terms are added, so no relabelled
+copy of X or Y and no matrix per chain is made. An element of H (x) H
+acts on a tensor product through ``kron_sum``, the one place where
+Kronecker terms are summed. Exact arithmetic makes the order in which
+entries are summed irrelevant. Subspaces are kept in reduced row echelon
+form so that equality of ideals is equality of matrices. Storage is
+canonical (below), so the difference of two equal matrices, a passing
+identity, is decided by one comparison of the stored rows and never
+subtracted entry by entry.
 
 Entries are stored as *kernel values*, as FLINT's exact kernels run on
 integers: a constant is its canonical ``int`` or ``Fraction``
@@ -347,21 +351,16 @@ def kron_apply(x: Matrix, factors) -> Matrix:
     an entry that is the int 1; any other factor goes through
     ``row_times``.
     """
-    data, cols = x.data, x.cols
-    for f, after, n, form in _slots(cols, factors):
-        if form is None:
-            data = [row_times(row, f.data, after, f.cols) for row in data]
-        else:
-            data = _relabel(data, form, n, after, f.cols)
-        cols = cols // n * f.cols
-    return Matrix.from_dicts(x.rows, cols, data, x.params)
+    slots, cols = _slots(x.cols, factors)
+    return Matrix.from_dicts(x.rows, cols, _walk(x.data, slots), x.params)
 
 
 def _slots(cols, factors):
-    """(f, after, n, monomial form) for each factor f of a product with
-    ``kron(*factors)`` that is not an identity, for a column index of
-    ``cols``: f acts on the slot of size n with ``after`` values after it.
-    Applied left to right, each factor finds the slots after it unchanged."""
+    """The slots of a product with ``kron(*factors)`` for a column index of
+    ``cols``, and the column count of the product. A slot is (f, after, n,
+    monomial form) for each factor f that is not an identity: f acts on the
+    slot of size n with ``after`` values after it. Applied left to right,
+    each factor finds the slots after it unchanged."""
     sizes = [f if isinstance(f, int) else f.rows for f in factors]
     if cols != prod(sizes):
         raise ValueError("shape mismatch in product")
@@ -370,7 +369,19 @@ def _slots(cols, factors):
         after //= n
         if not isinstance(f, int) and (form := f.monomial()) is not _IDENTITY:
             out.append((f, after, n, form))
-    return out
+            cols = cols // n * f.cols
+    return out, cols
+
+
+def _walk(data, slots) -> list:
+    """The rows ``data`` through the ``slots`` in turn: a monomial factor
+    relabels its slot (``_relabel``), any other goes through ``row_times``."""
+    for f, after, n, form in slots:
+        if form is None:
+            data = [row_times(row, f.data, after, f.cols) for row in data]
+        else:
+            data = _relabel(data, form, n, after, f.cols)
+    return data
 
 
 def _relabel(data, form, n, after, cols) -> list:
@@ -422,38 +433,35 @@ def kron_apply_sum(terms) -> Matrix:
     ``terms``, each stage F a factor list as ``kron_apply`` takes it; every
     x has the same row count, and every chain the same column count.
 
-    When every factor is monomial, a chain sends each column of x to one
-    column times one entry. Each distinct column of x is then sent through
-    all the stages once (``_send``), and every term is added row by row
-    into one set of rows, dropping entries that cancel: no relabelled copy
-    of any x is made. Otherwise each chain is made by ``kron_apply`` and
-    the chains are added."""
+    The slots of a chain up to its last factor that is not monomial are
+    walked as in ``kron_apply``. The monomial tail after them sends each
+    column to one column times one entry: each distinct column of the rows
+    walked is sent through the tail once (``_send``), and every term is
+    added row by row into one set of rows, dropping entries that cancel,
+    so no relabelled copy of any x and no matrix per chain is made."""
     chains = []
     for x, stages in terms:
         cols, slots = x.cols, []
         for factors in stages:
-            stage = _slots(cols, factors)
-            if any(form is None for *_, form in stage):
-                return _chain_sum(terms)
+            stage, cols = _slots(cols, factors)
             slots += stage
-            for f, _, n, _ in stage:
-                cols = cols // n * f.cols
-        chains.append((x, slots, cols))
+        cut = max((i + 1 for i, (*_, form) in enumerate(slots) if form is None), default=0)
+        chains.append((_walk(x.data, slots[:cut]), slots[cut:], cols))
     x0, cols = terms[0][0], chains[0][2]
-    if any((x.rows, c) != (x0.rows, cols) for x, _, c in chains):
+    if any((len(data), c) != (x0.rows, cols) for data, _, c in chains):
         raise ValueError("shape mismatch in sum")
     out, keys = None, {}
-    for x, slots, _ in chains:
+    for data, slots, _ in chains:
         if out is None and not slots:
-            out = [dict(row) for row in x.data]  # the first term, as it is
+            out = [dict(row) for row in data]  # the first term, as it is
             continue
         if out is None:
-            out = [{} for _ in x.data]
-        # the distinct columns of x, found once for all the terms on x
-        if (ks := keys.get(id(x))) is None:
-            ks = keys[id(x)] = list({k for row in x.data for k in row})
+            out = [{} for _ in data]
+        # the distinct columns of the rows, found once for all the terms on them
+        if (ks := keys.get(id(data))) is None:
+            ks = keys[id(data)] = list({k for row in data for k in row})
         to, scale = _send(ks, slots)
-        for row, xrow in zip(out, x.data):
+        for row, xrow in zip(out, data):
             get = row.get
             for k, v in xrow.items():
                 c = to[k]
@@ -475,17 +483,6 @@ def kron_apply_sum(terms) -> Matrix:
                     else:
                         row[c] = s
     return Matrix.from_dicts(x0.rows, cols, out, x0.params)
-
-
-def _chain_sum(terms) -> Matrix:
-    """``kron_apply_sum`` made chain by chain: each chain by ``kron_apply``
-    stage by stage, and the chains added."""
-    total = None
-    for x, stages in terms:
-        for factors in stages:
-            x = kron_apply(x, factors)
-        total = x if total is None else total + x
-    return total
 
 
 def _kop(op, qop, a, b):

@@ -207,11 +207,9 @@ def _cofactors(a, b):
 
 
 def _combine(params, m, X, n, Y, d):
-    """The value (m*X + n*Y)/d, for Polynomials X and Y, as a constant and
-    the primitive part: (c, P), or None when the sum is zero."""
+    """The value (m*X + n*Y)/d, for Polynomials X and Y with a nonzero sum,
+    as a constant and the primitive part: (c, P)."""
     k, T = _split(_lincomb(m, X.terms, n, Y.terms))
-    if not k:
-        return None
     return _ratio(k, d), _poly(params, T)
 
 
@@ -238,10 +236,8 @@ def _sum(params, c1, P1, Q1, c2, P2, Q2):
         g = one if Q1.is_one() or Q2.is_one() else poly_gcd(Q1, Q2)
         s, t = poly_divexact(Q1, g), poly_divexact(Q2, g)
     m, n, d = _cofactors(c1, c2)
-    part = _combine(params, m, P1 * t, n, P2 * s, d)
-    if part is None:
-        return Scalar.of(params, 0)
-    c, P = part
+    # never zero: canonical parts with c1*P1/Q1 = -c2*P2/Q2 have P1 = P2, Q1 = Q2
+    c, P = _combine(params, m, P1 * t, n, P2 * s, d)
     if not g.is_one():
         h = poly_gcd(P, g)
         if not h.is_one():

@@ -220,19 +220,24 @@ def lower_central_series(l: BiHomLie, start: Subspace, max_steps: int = 16) -> S
     return _series(l, start, max_steps, derived=False)
 
 
-def _probe_rows(x, seed: int, count: int):
-    """Seeded probe vectors with coordinates in -3..3, as sparse kernel rows."""
+PROBES = 8  # the seeded probe vectors of a simplicity certificate
+
+
+def _probe_rows(x, seed: int):
+    """``PROBES`` seeded probe vectors with coordinates in -3..3, as sparse
+    kernel rows."""
     rng = random.Random(seed)
     out = []
-    for _ in range(count):
+    for _ in range(PROBES):
         coords = [rng.randint(-3, 3) for _ in range(x.module.dim)]
         out.append({k: c for k, c in enumerate(coords) if c})
     return out
 
 
-def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certificate:
-    """Search basis-vector and seeded-probe closures for proper nonzero
-    ideals; report the smallest found plus prime/semiprime counterexamples.
+def simplicity_certificate(x, probe_seed: int = 0) -> Certificate:
+    """Search the closures of the basis vectors and of ``PROBES`` probe
+    vectors seeded by ``probe_seed`` for proper nonzero ideals; report the
+    smallest found plus prime/semiprime counterexamples.
 
     'No counterexample found' is NOT a proof of simplicity: deciding the
     absence of invariant subspaces over an infinite field is out of scope.
@@ -240,7 +245,7 @@ def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certifica
     d = x.module.dim
     ops = _closure_operators(x, None)
     found = []
-    for row in Matrix.identity(d, x.params).data + _probe_rows(x, probe_seed, probes):
+    for row in Matrix.identity(d, x.params).data + _probe_rows(x, probe_seed):
         # the smallest closure found that holds the row holds its closure
         within = min((c for c in found if c._holds(row)), key=lambda c: c.dim, default=None)
         c = _spin(x, Subspace.span(d, [row], x.params), ops, within)
@@ -265,7 +270,7 @@ def simplicity_certificate(x, probe_seed: int = 0, probes: int = 8) -> Certifica
         if c.dim and _series(x, c, 16, derived=False, ideal=True).reaches_zero:
             nonsemiprime = c
             break
-    return Certificate(nonsimple, nonprime, nonsemiprime, probe_seed, probes)
+    return Certificate(nonsimple, nonprime, nonsemiprime, probe_seed, PROBES)
 
 
 def _annihilates(x, a: Subspace, b: Subspace) -> bool:

@@ -18,11 +18,12 @@ from bihomcheck.catalog import catalog_file, catalog_names
 from bihomcheck.cli import main
 from bihomcheck.errors import (
     DenominatorVanishes,
+    NotAGroup,
     ParseError,
     UnboundParameter,
     ValidationError,
 )
-from bihomcheck.hopf import HopfAlgebra
+from bihomcheck.hopf import HopfAlgebra, group_algebra
 from bihomcheck.linalg import Matrix, nested_tensor
 from shipped import shipped
 from test_cli_pins import FILES
@@ -118,6 +119,89 @@ def test_repeated_or_malformed_basis_names_are_reported(where, names):
     assert any("distinct basis names" in item for item in err.value.findings)
 
 
+_DELETE = object()
+
+
+def first_error(capsys, tmp_path, doc, keys, value):
+    """The exit code and first stderr line of ``check`` on ``doc`` with the
+    entry at ``keys`` set to ``value`` (deleted for ``_DELETE``); no run
+    may end in a traceback."""
+    *path, last = keys
+    node = doc
+    for k in path:
+        node = node[k]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code = main(["check", str(p)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "keys, value, line",
+    [
+        (("parameters",), ["b", "b"], "parameters: duplicate parameter names"),
+        (("objects",), [], "objects: expected a map of named objects"),
+        (("objects", "A"), 3, "objects.A: expected an object"),
+        (("hopf", "raw"), [], "hopf.raw: expected an object"),
+        (("hopf",), {"group": 3}, "hopf.group: expected an object"),
+        (("hopf", "raw", "names"), ["e", "e"],
+         "hopf.raw.names: expected a nonempty list of distinct basis names"),
+        (("hopf", "raw", "unit"), ["1"], "hopf.raw.unit: expected a vector of length 2"),
+        (("hopf", "raw", "mult"), "1",
+         "hopf.raw.mult: expected a list of (i, j, k, scalar) rows"),
+        (("hopf", "raw", "comult", 1), [1, 1, "1"], "hopf.raw.comult[1]: expected [i, j, k, scalar]"),
+        (("objects", "A", "dim"), 3, "objects.A.dim: declared 3 but basis has 2 names"),
+        (("objects", "A", "action"), [],
+         "objects.A.action: expected a map from Hopf basis names to matrices"),
+        (("objects", "A", "action", "h"), [["1", "0"], ["0", "1"]],
+         "objects.A.action: unknown Hopf element names ['h']"),
+        (("objects", "A", "alpha"), _DELETE, "objects.A.alpha: alpha required"),
+        (("objects", "A", "multiplicative"), "yes",
+         "objects.A.multiplicative: expected true or false"),
+    ],
+)
+def test_malformed_sections_are_located_input_errors(capsys, tmp_path, keys, value, line):
+    doc = example24_doc()
+    if keys[:2] == ("hopf", "raw"):
+        doc["hopf"] = {"raw": raw_kz2()}
+    assert first_error(capsys, tmp_path, doc, keys, value) == (2, f"error: {line}")
+
+
+@pytest.mark.parametrize(
+    "keys, value, line",
+    [
+        (("objects", "A", "mult", 2), [True, 0, 0, "1"],
+         "objects.A.mult[2]: triple (True,0,0) is not three indices below 2"),
+        (("hopf", "group", "table", 1, 1), False,
+         "hopf.group: cell (1,1) = False is not an element index"),
+        (("hopf", "group", "identity"), False,
+         "hopf.group: needs 'table' (list of rows) and 'identity' (index)"),
+        (("objects", "A", "dim"), True, "objects.A.dim: declared true but basis has 2 names"),
+        (("objects", "A", "mult", 2), [0, 1, 1, True],
+         "objects.A.mult[2][3]: expected a scalar string, got bool"),
+        (("objects", "A", "alpha", 0, 0), True,
+         "objects.A.alpha[0][0]: expected a scalar string, got bool"),
+    ],
+)
+def test_json_booleans_are_not_integers(capsys, tmp_path, keys, value, line):
+    # Python counts a bool as an int, so true and false would pass as 1 and 0
+    doc = example24_doc()
+    assert first_error(capsys, tmp_path, doc, keys, value) == (2, f"error: {line}")
+
+
+def test_a_group_table_of_booleans_is_not_a_group():
+    with pytest.raises(NotAGroup, match="cell"):
+        group_algebra([[0, 1], [1, False]], 0)
+    with pytest.raises(NotAGroup, match="identity"):
+        group_algebra([[0, 1], [1, 0]], False)
+
+
 def test_substitute_file_full_binding():
     f = catalog_file("example24")
     g = substitute_file(f, {"b": 3})
@@ -150,22 +234,24 @@ def test_substitute_file_pole_detection():
     assert str(g.objects["A"].alpha.at(0, 0)) == "1/2"
 
 
+def raw_kz2():
+    """kZ2 written out with raw tensors instead of a group table."""
+    return {
+        "names": ["e", "g"],
+        "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
+        "unit": ["1", "0"],
+        "comult": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+        "counit": ["1", "1"],
+        "antipode": [["1", "0"], ["0", "1"]],
+    }
+
+
 def test_raw_hopf_spec_round_trip():
-    # kZ2 written out with raw tensors instead of a group table
     doc = {
         "format": "bihom-algebra-file/1",
         "name": "raw-kz2",
         "parameters": [],
-        "hopf": {
-            "raw": {
-                "names": ["e", "g"],
-                "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
-                "unit": ["1", "0"],
-                "comult": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
-                "counit": ["1", "1"],
-                "antipode": [["1", "0"], ["0", "1"]],
-            }
-        },
+        "hopf": {"raw": raw_kz2()},
         "rmatrix": [["1/2", "1/2"], ["1/2", "-1/2"]],
         "objects": {},
     }

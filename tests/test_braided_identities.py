@@ -2,8 +2,8 @@
 
 ``check_generalized_bihom_lie`` sums the braided Jacobi term J and its two
 tau-rotations, and ``check_lemma31`` the right side of each identity, in
-one pass (``linalg.kron_apply_sum``) when every factor is monomial, and
-makes Lemma 3.1 from four products with the two factorizations in its
+one pass (``linalg.kron_apply_sum``) over the monomial factors after the
+last one that is not, and makes Lemma 3.1 from four products with the two factorizations in its
 docstring. The reference here makes every matrix the way the identities
 read on paper: each product through ``row_times`` and ``kron`` (so no
 factor is ever relabelled), the Jacobi as J + rot2 + rot3 from the four

@@ -27,13 +27,16 @@ relabelled copy was a matrix and Lemma 3.1 was read from six products:
   entries, so B tau, made before the form of tau is known, is 9
   ``row_times`` calls.
 
-A braiding that is not monomial takes the path of every relabelled copy
-as a matrix: on the regular module of kZ2 with R0 (d = 2), the Jacobi
-identity still makes 10 d x d^3 matrices and 41 in all, as before, and 16
-``row_times`` calls where it made 30 (the products with alpha and beta,
-the identity and the swap, no longer call it); Lemma 3.1 makes 14 d
-x d^3 matrices, as before, 15 in all where it made 17, and 12
-``row_times`` calls where it made 18 (four products, not six).
+A braiding that is not monomial goes through ``row_times`` slot by slot,
+and only the monomial factors after it are summed in the one pass, so no
+chain and no partial sum is a matrix. On the regular module of kZ2 with R0
+(d = 2), the Jacobi identity makes 16 ``row_times`` calls where it made 30
+(the products with alpha and beta, the identity and the swap, no longer
+call it), 5 d x d^3 matrices where it made 10 and 36 in all where it made
+41 (when each chain was a matrix: 10 and 41); Lemma 3.1 makes 12
+``row_times`` calls where it made 18 (four products, not six), 8 d x d^3
+matrices where it made 14 and 9 in all where it made 17 (when each chain
+was a matrix: 14 and 15).
 """
 
 from __future__ import annotations
@@ -95,4 +98,4 @@ def test_a_braiding_that_is_not_monomial(work):
     lie_tau = braiding(lie.module, lie.module, lie.rmatrix)
     lemma = _counted(work, lambda: check_lemma31(a, r, commutator=(tau, B)), d=2)
     jacobi = _counted(work, lambda: check_generalized_bihom_lie(lie, verdict=verdict, tau=lie_tau), d=2)
-    assert (lemma, jacobi) == ((12, 14, 15), (16, 10, 41))
+    assert (lemma, jacobi) == ((12, 8, 9), (16, 5, 36))

@@ -460,8 +460,11 @@ def test_kron_apply_sum_agrees_with_the_added_chains(monkeypatch):
     # through row_times with the Kronecker operators formed, and added.
     # Factors are ints (identity slots), monomial maps of one slot or of two
     # (a random permutation, each entry 1, -1, 2, -1/2 or a parameter), and
-    # in one case in three a dense map, which sends the sum down the
-    # kron_apply path; with only monomial factors no row_times runs
+    # in one case in three a dense map on one slot of a stage put anywhere in
+    # the last chain, with a monomial map on another slot of that stage in
+    # half of those: the slots up to the dense one go through row_times and
+    # the monomial ones after it are summed; with only monomial factors no
+    # row_times runs
     rng = random.Random(11)
     params = ("a", "b")
     for case in range(60):
@@ -490,8 +493,14 @@ def test_kron_apply_sum_agrees_with_the_added_chains(monkeypatch):
                                  for _ in range(rng.randint(1, 3))]
         dense = case % 3 == 0
         if dense:
-            terms[-1][1].append([mat([[rng.choice(_ENTRIES[params]) for _ in range(d)]
-                                      for _ in range(d)], params), d, d])
+            slots = [d, d, d]
+            j, k = rng.sample(range(3), 2)
+            slots[j] = mat([[rng.choice(_ENTRIES[params]) for _ in range(d)] for _ in range(d)],
+                           params)
+            if rng.random() < 0.5:
+                slots[k] = monomial(d)
+            stages = terms[-1][1]
+            stages.insert(rng.randint(0, len(stages)), slots)
         want = None
         for y, stages in terms:
             for fs in stages:
