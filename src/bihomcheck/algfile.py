@@ -143,7 +143,9 @@ def _parse_scalar_at(text, params, path, findings):
     try:
         return parse_scalar(str(text), params)
     except ParseError as exc:
-        findings.add(path, f"bad scalar {quoted(str(text))}: {exc}")
+        # the column counts in the cell's own text, not in the file
+        at = "" if exc.column is None else f" at character {exc.column} of the cell"
+        findings.add(path, f"bad scalar {quoted(str(text))}: {exc.reason}{at}")
         return None
 
 

@@ -73,6 +73,7 @@ class ParseError(BihomError):
         if line is not None:
             loc = f" (line {line}, column {column})"
         super().__init__(message + loc)
+        self.reason = message
         self.line = line
         self.column = column
 

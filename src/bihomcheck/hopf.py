@@ -200,10 +200,10 @@ def _times(m: Matrix, f) -> Matrix:
     return Matrix.from_dicts(m.rows, m.cols, data, m.params)
 
 
-def _unscaled(diff: Matrix, n) -> Matrix:
-    """diff / n for an int n > 0, the witness scale of an identity scaled
-    by n; a zero diff, a passing identity, costs nothing."""
-    return diff if n == 1 or diff.is_zero() else _times(diff, Fraction(1, n))
+def _unscaled(m: Matrix, n) -> Matrix:
+    """m / n for an int n > 0: a map made from D R, or the witness scale of
+    an identity scaled by n; a zero m, a passing identity, costs nothing."""
+    return m if n == 1 or m.is_zero() else _times(m, Fraction(1, n))
 
 
 def _row(x: Matrix) -> Matrix:
@@ -294,19 +294,19 @@ def _generators(ops: list, params) -> set:
     under v -> e_g v for each kept g), so the spin of all of G is H. W is
     one ``Echelon``, spun on as each element is kept."""
     d = len(ops)
-    kept, odata, span = set(), [], Echelon(d, params)
+    kept, spun, span = set(), [], Echelon(d, params)
     for x in range(d - 1):
         if (row := span.add({x: 1})) is None:
             continue
         kept.add(x)
-        new = [] if ops[x].is_identity() else [ops[x].data]
-        odata += new
+        new = [] if ops[x].is_identity() else [ops[x]]
+        spun += new
         # W is closed under the generators kept before e_x, so the rows it
         # held before need only e_x, and none when e_x is a left identity;
         # e_x, the row held last, and each new row need every generator
         pending = [(r, new) for r, _ in span.pivots.values()]
-        pending[-1] = (row, odata)
-        span.spin(pending, odata)
+        pending[-1] = (row, spun)
+        span.spin(pending, spun)
         if span.full:
             return kept
     # W holds every earlier basis element and is not H, so it is their span:

@@ -34,7 +34,19 @@ printed form.
 
 A matrix is never changed after it is built: no operation writes to the
 row dicts of a matrix, so rows may be shared between matrices, and what a
-matrix decides about itself on first use (its monomial form) is kept.
+matrix decides about itself is kept: its monomial form (``monomial``) and
+whether every entry is an int (``integral``). As FLINT keeps integer
+matrices on their own kernel, an integral operand takes an int-only loop,
+``s = a * b`` or ``s += a * b`` with a cancelled entry deleted in place and
+no type test: the row products of ``row_times`` (``@``, ``kron_apply``,
+``Echelon.spin`` and the structure products), ``kron_row``, the unscaled
+sums of ``kron_apply_sum``, and ``_add_scaled`` in ``kron_sum``,
+``+``/``-`` and the fraction-free reduction of ``Echelon``. A product, Kronecker product,
+transpose, sum or relabelling of integral operands is integral, and is
+built knowing it; any other matrix is scanned on first use, and a product
+scans an operand only where it reads at least as many of its rows as the
+operand has. Any other operand takes the generic loop, which dispatches on
+the type of each entry.
 
 There is one elimination, ``Echelon``: ``rref``, ``solve``, ``invert``,
 ``kernel`` and ``Subspace`` put their rows in one at a time and read its
@@ -57,7 +69,7 @@ from .errors import AmbientMismatch, DimensionMismatch, Singular
 from .scalars import Scalar, _const, _qadd, _qinv, _qmul
 
 
-_UNDECIDED = object()  # the monomial form of a matrix before its first use
+_UNDECIDED = object()  # the monomial form or integrality of a matrix before its first use
 _IDENTITY = (None, None)  # the monomial form of an identity matrix
 
 
@@ -78,10 +90,12 @@ class Matrix:
     shared zero scalar of the parameter context.
 
     A matrix is never changed after construction, so its monomial form
-    (``monomial``) is decided on first use and kept in ``_form``.
+    (``monomial``) and its integrality (``integral``: every entry an int)
+    are decided on first use and kept in ``_form`` and ``_ints``; a matrix
+    made from integral operands is built with ``_ints`` True.
     """
 
-    __slots__ = ("rows", "cols", "data", "params", "_form")
+    __slots__ = ("rows", "cols", "data", "params", "_form", "_ints")
 
     def __init__(self, rows, cols, entries, params=None):
         entries = list(entries)
@@ -101,6 +115,7 @@ class Matrix:
         self.data = data
         self.params = params
         self._form = _UNDECIDED
+        self._ints = _UNDECIDED
 
     @classmethod
     def from_dicts(cls, rows, cols, data, params):
@@ -121,11 +136,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, params=()):
-        return cls.from_dicts(n, n, [{i: 1} for i in range(n)], params)
+        return _made(n, n, [{i: 1} for i in range(n)], params, True)
 
     @classmethod
     def zero(cls, rows, cols, params=()):
-        return cls.from_dicts(rows, cols, [{} for _ in range(rows)], params)
+        return _made(rows, cols, [{} for _ in range(rows)], params, True)
 
     @property
     def _zero(self) -> Scalar:
@@ -179,6 +194,14 @@ class Matrix:
         self._form = form = self._decide()
         return form
 
+    def integral(self):
+        """Whether every stored entry is an int. Decided on first use and
+        kept."""
+        ints = self._ints
+        if ints is _UNDECIDED:
+            self._ints = ints = _all_ints(self.data)
+        return ints
+
     def _decide(self):
         """The monomial form (see ``monomial``), read off the rows."""
         if self.is_identity():
@@ -225,12 +248,13 @@ class Matrix:
             raise ValueError("shape mismatch")
         if f == -1 and self.data == other.data:
             return Matrix.zero(self.rows, self.cols, self.params)
+        ints = self.integral() and other.integral()
         data = []
         for a, b in zip(self.data, other.data):
             row = dict(a)
-            _add_scaled(row, f, b)
+            _add_scaled(row, f, b, 0, ints)
             data.append(row)
-        return Matrix.from_dicts(self.rows, self.cols, data, self.params)
+        return _made(self.rows, self.cols, data, self.params, ints)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -239,10 +263,8 @@ class Matrix:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return Matrix.from_dicts(
-            self.rows, self.cols,
-            [{c: _kneg(x) for c, x in row.items()} for row in self.data], self.params,
-        )
+        data = [{c: _kneg(x) for c, x in row.items()} for row in self.data]
+        return _made(self.rows, self.cols, data, self.params, self._ints is True)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -250,19 +272,22 @@ class Matrix:
         # a square monomial operand is a scaled permutation: on the right it
         # relabels the columns, and on the left row i is entries[i] times
         # row to[i] of the other operand
+        ints = self._ints is True and other._ints is True
         if (form := _permuting(other, self)) is not None:
-            data = _relabel(self.data, form, other.rows, 1, other.cols)
+            data = _relabel(self.data, form, other.rows, 1, other.cols, ints)
         elif (form := _permuting(self, other)) is not None:
             to, entries = form
             odata = other.data
             data = odata if to is None else [
                 odata[t] if entries is None or (f := entries[i]) is None else
-                {c: v * f if type(v) is int and type(f) is int else _kmul(v, f)
+                {c: v * f if ints or type(v) is int and type(f) is int else _kmul(v, f)
                  for c, v in odata[t].items()} for i, t in enumerate(to)]
         else:
+            # every entry of self is read, and a row of other for each
+            ints = ints or self.integral() and _factor_integral(other, self.data)
             odata = other.data
-            data = [row_times(arow, odata) for arow in self.data]
-        return Matrix.from_dicts(self.rows, other.cols, data, self.params)
+            data = [row_times(arow, odata, 1, 0, ints) for arow in self.data]
+        return _made(self.rows, other.cols, data, self.params, ints)
 
     def map(self, f, params):
         """The matrix of f(x) for every stored entry x, read as a Scalar,
@@ -277,7 +302,7 @@ class Matrix:
         for r, row in enumerate(self.data):
             for c, x in row.items():
                 data[c][r] = x
-        return Matrix.from_dicts(self.cols, self.rows, data, self.params)
+        return _made(self.cols, self.rows, data, self.params, self._ints is True)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in self.row(r)) for r in range(self.rows))
@@ -294,46 +319,104 @@ def _permuting(m: Matrix, other: Matrix):
     return m.monomial()
 
 
-def row_times(row: dict, odata, after=1, cols=0) -> dict:
+def _made(rows, cols, data, params, ints) -> Matrix:
+    """``Matrix.from_dicts``, known to be integral when ``ints`` is true;
+    otherwise its integrality is left to be decided on first use."""
+    m = object.__new__(Matrix)
+    m._set(rows, cols, data, params)
+    if ints:
+        m._ints = True
+    return m
+
+
+def _all_ints(rows) -> bool:
+    """Whether every value of the kernel rows ``rows`` is an int."""
+    for row in rows:
+        for x in row.values():
+            if type(x) is not int:
+                return False
+    return True
+
+
+def _factor_integral(m: Matrix, data) -> bool:
+    """Whether m is integral, as the right factor of a product that reads
+    one row of m for each entry of the rows ``data``. An integrality not
+    known yet is decided only when those are at least as many as m's rows,
+    so the scan costs no more than the loop it spares; otherwise False."""
+    if m._ints is _UNDECIDED and sum(map(len, data)) < m.rows:
+        return False
+    return m.integral()
+
+
+def row_times(row: dict, odata, after=1, cols=0, ints=False) -> dict:
     """The sparse kernel row ``row @ m``, for ``odata`` the rows ``m.data``
     of m.
 
     With ``after`` > 1, m (``cols`` columns) acts on one slot of the column
     index instead: column left*n*after + i*after + right, for n the rows of
     m, goes to left*cols*after + c*after + right for each column c of row i.
-    A product with a factor equal to one is the other factor, so permutations
-    cost no scalar multiplication; only an int can be 1, so no Fraction is
-    ever compared."""
+
+    ``ints`` says that ``row`` and m hold ints only: each term is then
+    added as it is, with no type test. Otherwise a product with a factor
+    equal to one is the other factor, so permutations cost no scalar
+    multiplication; only an int can be 1, so no Fraction is ever compared.
+    The fraction field has no zero divisors, so only a sum can be zero: an
+    entry that cancels is deleted at once."""
     out = {}
-    terms = 0
+    get = out.get
     width, out_width = len(odata) * after, cols * after
     for key, a in row.items():
         if after == 1 and key < width:
-            # a plain product reads the row straight from the column index
+            # a plain product reads the row straight from the column index,
+            # and keeps the column index of the row it reads
+            if ints:
+                for k, b in odata[key].items():
+                    s = get(k)
+                    if s is None:
+                        out[k] = a * b
+                    else:
+                        s += a * b
+                        if s:
+                            out[k] = s
+                        else:
+                            del out[k]
+                continue
             i, base = key, 0
         else:
             left, rest = divmod(key, width)
             i, right = divmod(rest, after)
             base = left * out_width + right
+        if ints:
+            for c, b in odata[i].items():
+                k = base + c * after
+                s = get(k)
+                if s is None:
+                    out[k] = a * b
+                else:
+                    s += a * b
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+            continue
         aint = type(a) is int
         unit = aint and a == 1
-        orow = odata[i]
-        terms += len(orow)
-        for c, b in orow.items():
+        for c, b in odata[i].items():
             if type(b) is int:
                 t = a * b if aint else a if b == 1 else _kmul(a, b)
             else:
                 t = b if unit else _kmul(a, b)
             k = base + c * after
-            s = out.get(k)
+            s = get(k)
             if s is None:
                 out[k] = t
             else:
-                out[k] = s + t if type(s) is int and type(t) is int else _kadd(s, t)
-    # the fraction field has no zero divisors: only a sum can be zero
-    if terms == len(out):
-        return out
-    return {k: x for k, x in out.items() if type(x) is not int or x}
+                s = s + t if type(s) is int and type(t) is int else _kadd(s, t)
+                if type(s) is int and not s:
+                    del out[k]
+                else:
+                    out[k] = s
+    return out
 
 
 def kron_apply(x: Matrix, factors) -> Matrix:
@@ -352,7 +435,8 @@ def kron_apply(x: Matrix, factors) -> Matrix:
     ``row_times``.
     """
     slots, cols = _slots(x.cols, factors)
-    return Matrix.from_dicts(x.rows, cols, _walk(x.data, slots), x.params)
+    data, ints = _walk(x.data, slots, x.integral())
+    return _made(x.rows, cols, data, x.params, ints)
 
 
 def _slots(cols, factors):
@@ -373,23 +457,27 @@ def _slots(cols, factors):
     return out, cols
 
 
-def _walk(data, slots) -> list:
-    """The rows ``data`` through the ``slots`` in turn: a monomial factor
-    relabels its slot (``_relabel``), any other goes through ``row_times``."""
+def _walk(data, slots, ints):
+    """The rows ``data`` through the ``slots`` in turn, and whether they
+    are integral, as ``ints`` says of ``data``: a monomial factor relabels
+    its slot (``_relabel``), any other goes through ``row_times``."""
     for f, after, n, form in slots:
         if form is None:
-            data = [row_times(row, f.data, after, f.cols) for row in data]
+            ints = ints and _factor_integral(f, data)
+            data = [row_times(row, f.data, after, f.cols, ints) for row in data]
         else:
-            data = _relabel(data, form, n, after, f.cols)
-    return data
+            ints = ints and f.integral()
+            data = _relabel(data, form, n, after, f.cols, ints)
+    return data, ints
 
 
-def _relabel(data, form, n, after, cols) -> list:
+def _relabel(data, form, n, after, cols, ints) -> list:
     """The rows ``data`` times a monomial factor of n rows and ``cols``
     columns on the slot with ``after`` values after it: row i of the factor
-    sends slot value i to to[i], times entries[i]; the identity, (None,
-    None), leaves the rows as they are. Each entry is moved on its own,
-    which costs less than ``_send`` when the rows share few columns."""
+    sends slot value i to to[i], times entries[i], with no type test when
+    ``ints`` says both hold ints only; the identity, (None, None), leaves
+    the rows as they are. Each entry is moved on its own, which costs less
+    than ``_send`` when the rows share few columns."""
     to, entries = form
     if to is None:
         return data
@@ -404,7 +492,7 @@ def _relabel(data, form, n, after, cols) -> list:
             i = k // after % n
             f = entries[i]
             if f is not None:
-                v = v * f if type(v) is int and type(f) is int else _kmul(v, f)
+                v = v * f if ints or type(v) is int and type(f) is int else _kmul(v, f)
             new[k // span * width + to[i] * after + k % after] = v
         out.append(new)
     return out
@@ -438,7 +526,9 @@ def kron_apply_sum(terms) -> Matrix:
     column to one column times one entry: each distinct column of the rows
     walked is sent through the tail once (``_send``), and every term is
     added row by row into one set of rows, dropping entries that cancel,
-    so no relabelled copy of any x and no matrix per chain is made."""
+    so no relabelled copy of any x and no matrix per chain is made. While
+    the sum and a term are integral and the tail scales nothing, the term is
+    added with no type test."""
     chains = []
     for x, stages in terms:
         cols, slots = x.cols, []
@@ -446,14 +536,16 @@ def kron_apply_sum(terms) -> Matrix:
             stage, cols = _slots(cols, factors)
             slots += stage
         cut = max((i + 1 for i, (*_, form) in enumerate(slots) if form is None), default=0)
-        chains.append((_walk(x.data, slots[:cut]), slots[cut:], cols))
-    x0, cols = terms[0][0], chains[0][2]
-    if any((len(data), c) != (x0.rows, cols) for data, _, c in chains):
+        data, ints = _walk(x.data, slots[:cut], x.integral())
+        tail = slots[cut:]
+        chains.append((data, ints and all(slot[0].integral() for slot in tail), tail, cols))
+    x0, cols = terms[0][0], chains[0][3]
+    if any((len(data), c) != (x0.rows, cols) for data, _, _, c in chains):
         raise ValueError("shape mismatch in sum")
-    out, keys = None, {}
-    for data, slots, _ in chains:
+    out, keys, out_ints = None, {}, True
+    for data, ints, slots, _ in chains:
         if out is None and not slots:
-            out = [dict(row) for row in data]  # the first term, as it is
+            out, out_ints = [dict(row) for row in data], ints  # the first term, as it is
             continue
         if out is None:
             out = [{} for _ in data]
@@ -461,8 +553,23 @@ def kron_apply_sum(terms) -> Matrix:
         if (ks := keys.get(id(data))) is None:
             ks = keys[id(data)] = list({k for row in data for k in row})
         to, scale = _send(ks, slots)
+        fast = out_ints and ints and scale is None
+        out_ints = out_ints and ints
         for row, xrow in zip(out, data):
             get = row.get
+            if fast:
+                for k, v in xrow.items():
+                    c = to[k]
+                    s = get(c)
+                    if s is None:
+                        row[c] = v
+                    else:
+                        s += v
+                        if s:
+                            row[c] = s
+                        else:
+                            del row[c]
+                continue
             for k, v in xrow.items():
                 c = to[k]
                 if scale is not None and (f := scale[k]) is not None:
@@ -482,7 +589,7 @@ def kron_apply_sum(terms) -> Matrix:
                         del row[c]
                     else:
                         row[c] = s
-    return Matrix.from_dicts(x0.rows, cols, out, x0.params)
+    return _made(x0.rows, cols, out, x0.params, out_ints)
 
 
 def _kop(op, qop, a, b):
@@ -501,14 +608,30 @@ _kmul = partial(_kop, mul, _qmul)
 _kneg = partial(_kmul, -1)
 
 
-def _add_scaled(target: dict, f, src: dict, off=0):
+def _add_scaled(target: dict, f, src: dict, off=0, ints=False):
     """target[off + k] += f * src[k] in place, for kernel rows and a kernel
-    value f, dropping entries that cancel. Only an int kernel value is zero."""
+    value f, dropping entries that cancel; ``ints`` says that all three hold
+    ints only, and no entry is then type-tested. Only an int kernel value is
+    zero."""
+    get = target.get
+    if ints:
+        for k, y in src.items():
+            k += off
+            v = get(k)
+            if v is None:
+                target[k] = f * y
+            else:
+                v += f * y
+                if v:
+                    target[k] = v
+                else:
+                    del target[k]
+        return
     fint = type(f) is int
     for k, y in src.items():
         t = f * y if fint and type(y) is int else _kmul(f, y)
         k += off
-        v = target.get(k)
+        v = get(k)
         if v is None:
             target[k] = t
         else:
@@ -521,11 +644,11 @@ def _add_scaled(target: dict, f, src: dict, off=0):
 
 def _integral(row: dict):
     """(r, True) for r the row times the least common denominator of its
-    entries, as ints, or (a copy of the row, False) when an entry is not
-    constant."""
+    entries, as ints (the row itself when it holds ints only), or (the row,
+    False) when an entry is not constant."""
     kinds = set(map(type, row.values()))
     if Scalar in kinds or Fraction not in kinds:
-        return dict(row), Scalar not in kinds
+        return row, Scalar not in kinds
     m = lcm(*(x._denominator for x in row.values() if type(x) is Fraction))
     return {k: x * m if type(x) is int else x._numerator * (m // x._denominator)
             for k, x in row.items()}, True
@@ -540,7 +663,7 @@ def _clear(residual: dict, integral, prow: dict, int_row, c):
         g = gcd(p, f)
         if p != g:
             residual = {k: p // g * x for k, x in residual.items()}
-        _add_scaled(residual, -f // g, prow)
+        _add_scaled(residual, -f // g, prow, 0, True)
         return residual, True
     _add_scaled(residual, _kmul(f, _qinv(-p)), prow)
     return residual, False
@@ -561,8 +684,11 @@ def _monic(row: dict, c) -> dict:
     return {k: _kmul(x, inv) for k, x in row.items()}
 
 
-def kron_row(arow: dict, brow: dict, bcols) -> dict:
-    """The kernel row arow (x) brow, for a row ``brow`` of ``bcols`` columns."""
+def kron_row(arow: dict, brow: dict, bcols, ints=False) -> dict:
+    """The kernel row arow (x) brow, for a row ``brow`` of ``bcols`` columns;
+    ``ints`` says that both hold ints only."""
+    if ints:
+        return {j * bcols + l: x * y for j, x in arow.items() for l, y in brow.items()}
     row = {}
     for j, x in arow.items():
         off = j * bcols
@@ -573,40 +699,42 @@ def kron_row(arow: dict, brow: dict, bcols) -> dict:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; basis convention (i,j) -> i*b.rows + j."""
-    bcols = b.cols
-    data = [kron_row(arow, brow, bcols) for arow in a.data for brow in b.data]
-    return Matrix.from_dicts(a.rows * b.rows, a.cols * bcols, data, a.params)
+    bcols, ints = b.cols, a._ints is True and b._ints is True
+    data = [kron_row(arow, brow, bcols, ints) for arow in a.data for brow in b.data]
+    return _made(a.rows * b.rows, a.cols * bcols, data, a.params, ints)
 
 
 def kron_sum(x: Matrix, left, right) -> Matrix:
     """The sum of x[a][b] kron(left[a], right[b]), for lists of equally
     shaped matrices: how an element x of H (x) H acts on a tensor product.
     Each kron(left[a], sum_b x[a][b] right[b]) is accumulated in place on
-    kernel rows; no Kronecker product or Scalar is made."""
+    kernel rows, on ints only when x and every matrix of both lists are
+    integral; no Kronecker product or Scalar is made."""
     rrows, rcols = right[0].rows, right[0].cols
+    ints = x.integral() and all(map(Matrix.integral, left)) and all(map(Matrix.integral, right))
     out = [{} for _ in range(left[0].rows * rrows)]
     for a, xrow in enumerate(x.data):
         y = [{} for _ in range(rrows)]
         for b, f in xrow.items():
             for yrow, row in zip(y, right[b].data):
-                _add_scaled(yrow, f, row)
+                _add_scaled(yrow, f, row, 0, ints)
         if not any(y):
             continue
         for k, lrow in enumerate(left[a].data):
             for j, v in lrow.items():
                 for l, yrow in enumerate(y):
                     if yrow:
-                        _add_scaled(out[k * rrows + l], v, yrow, j * rcols)
-    return Matrix.from_dicts(len(out), left[0].cols * rcols, out, left[0].params)
+                        _add_scaled(out[k * rrows + l], v, yrow, j * rcols, ints)
+    return _made(len(out), left[0].cols * rcols, out, left[0].params, ints)
 
 
 def multiplications(transposed: Matrix, right) -> list:
     """The row-form operators v -> v e_j (``right``) or v -> e_j v of a
     product whose d x d^2 matrix has the transpose ``transposed``: row i of
     the j-th is row i*d + j (or j*d + i) of it, shared, not copied."""
-    d, t = transposed.cols, transposed.data
-    return [Matrix.from_dicts(d, d, [t[i * d + j if right else j * d + i] for i in range(d)],
-                              transposed.params) for j in range(d)]
+    d, t, ints = transposed.cols, transposed.data, transposed._ints is True
+    return [_made(d, d, [t[i * d + j if right else j * d + i] for i in range(d)],
+                  transposed.params, ints) for j in range(d)]
 
 
 def hstack(blocks) -> Matrix:
@@ -617,20 +745,19 @@ def hstack(blocks) -> Matrix:
         for row, brow in zip(data, b.data):
             row.update({off + c: x for c, x in brow.items()})
         off += b.cols
-    return Matrix.from_dicts(len(data), off, data, blocks[0].params)
+    return _made(len(data), off, data, blocks[0].params, all(b._ints is True for b in blocks))
 
 
 def vstack(blocks) -> Matrix:
     """Blocks with equal column counts stacked, top to bottom."""
     data = [row for b in blocks for row in b.data]
-    return Matrix.from_dicts(len(data), blocks[0].cols, data, blocks[0].params)
+    ints = all(b._ints is True for b in blocks)
+    return _made(len(data), blocks[0].cols, data, blocks[0].params, ints)
 
 
 def flip(m, n, params) -> Matrix:
     """The factor swap e_a (x) e_b -> e_b (x) e_a from k^m (x) k^n to k^n (x) k^m."""
-    return Matrix.from_dicts(
-        n * m, m * n, [{a * n + b: 1} for b in range(n) for a in range(m)], params
-    )
+    return _made(n * m, m * n, [{a * n + b: 1} for b in range(n) for a in range(m)], params, True)
 
 
 def triples_matrix(triples, dim, params, coproduct=False) -> Matrix:
@@ -769,20 +896,22 @@ class Echelon:
                     break
         return self
 
-    def spin(self, pending, odata):
-        """Close the span under the row-form operators whose rows are the
-        lists ``odata``: ``pending`` holds (row, operators) pairs, each row
-        to be multiplied by its operators, last pair first, and each row
-        kept on the way is multiplied by all of ``odata``. Stops once the
-        echelon is full; returns the echelon."""
+    def spin(self, pending, ops):
+        """Close the span under the row-form operators, the matrices
+        ``ops``: ``pending`` holds (row, operators) pairs, each row to be
+        multiplied by its operators, last pair first, and each row kept on
+        the way is multiplied by all of ``ops``. A row is scanned once for
+        its integrality, which each of its products then reads. Stops once
+        the echelon is full; returns the echelon."""
         while pending and not self.full:
             row, todo = pending.pop()
+            ints = _all_ints((row,))
             for o in todo:
-                new = self.add(row_times(row, o))
+                new = self.add(row_times(row, o.data, 1, 0, ints and o.integral()))
                 if new is not None:
                     if self.full:
                         break
-                    pending.append((new, odata))
+                    pending.append((new, ops))
         return self
 
     def add(self, row):
@@ -790,13 +919,16 @@ class Echelon:
         the rows held. A nonzero remainder is kept and returned, as a
         primitive integer row or a row with a leading 1 (see the class
         docstring); a vector already in the span gives None. The row
-        returned is the one held, so the caller must not change it."""
+        returned is the one held, and may be ``row`` itself, so the caller
+        must change neither."""
         residual, integral = _integral(row)
         if not residual:
             return None
         # a vector that meets no held pivot (a row of a near-identity
-        # operator) is kept as it is, without a pass over the pivots
+        # operator) is kept as it is, without a pass over the pivots or a copy
         if not self.pivots.keys().isdisjoint(residual.keys()):
+            if residual is row:
+                residual = dict(row)
             for c, (prow, int_row) in self.pivots.items():
                 if c in residual:
                     residual, integral = _clear(residual, integral, prow, int_row, c)

@@ -130,11 +130,11 @@ def _ideal_check(x, u: Subspace, kind: str) -> IdealCheck:
     _check_ambient(x, u)
     maps, *sides = _closure_operators(x, kind)
     products = [p for ps in zip(*reversed(sides)) for p in ps]
-    rows = u.basis.data
+    rows, ints = u.basis.data, u.basis.integral()
     images = chain(((row, m) for m in maps for row in rows),
                    ((row, p) for row in rows for p in products))
     for row, (reason, op) in images:
-        image = row_times(row, op.data)
+        image = row_times(row, op.data, 1, 0, ints and op.integral())
         if not u._holds(image):
             witness = Matrix.from_dicts(1, u.ambient_dim, [image], x.params).row(0)
             return IdealCheck(False, reason, witness)
@@ -176,10 +176,10 @@ def _spin(x, seed: Subspace, ops: tuple, within: Subspace | None = None) -> Subs
     ``_closure_operators`` in their order. ``within``, a closed subspace
     that holds ``seed``, holds the closure too: it is returned as soon as
     the span reaches its dimension."""
-    odata = [op.data for _, op in chain(*ops)]
+    spun = [op for _, op in chain(*ops)]
     span = Echelon(seed.ambient_dim, x.params, within)
-    pending = [(r, odata) for r in map(span.add, seed.basis.data) if r is not None]
-    return span.spin(pending, odata).subspace()
+    pending = [(r, spun) for r in map(span.add, seed.basis.data) if r is not None]
+    return span.spin(pending, spun).subspace()
 
 
 def _series(x, start: Subspace, max_steps: int, derived: bool, ideal: bool = False) -> SeriesResult:

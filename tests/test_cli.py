@@ -143,7 +143,7 @@ def test_nested_power_above_the_digit_limit_is_input_error(capsys, tmp_path, com
     assert code == 2
     assert out == ""
     assert err.startswith("error: rmatrix[0][0]: bad scalar '(2^1000)^1000'")
-    assert "more than 4300 digits (line 1, column 10)" in err
+    assert "more than 4300 digits at character 10 of the cell" in err
 
 
 @pytest.mark.parametrize("entry", DEEP_TEXTS, ids=["parens-199", "minus-2000"])
@@ -156,7 +156,7 @@ def test_deeply_nested_scalar_is_input_error(capsys, tmp_path, entry):
     code, out, err = run(capsys, "check", str(p))
     assert (code, out) == (2, "")
     assert err.startswith("error: rmatrix[0][0]: bad scalar")
-    assert "nested more than 100 deep (line 1, column 101)" in err
+    assert "nested more than 100 deep at character 101 of the cell" in err
     assert "Traceback" not in err
 
 
@@ -181,7 +181,22 @@ def test_product_with_too_many_terms_is_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "bad scalar '(b+2)^150*(b+2)^150'" in err
-    assert "product would have more than 300 terms (line 1, column 10)" in err
+    assert "product would have more than 300 terms at character 10 of the cell" in err
+
+
+def test_bad_scalar_is_located_in_its_cell_not_in_the_file(capsys, tmp_path):
+    # the file spans many lines; the parse position is within the cell's text
+    code, out, _ = run(capsys, "print", "example24")
+    doc = json.loads(out)
+    doc["objects"]["A"]["alpha"][1][1] = "1 + q"
+    p = tmp_path / "indented.json"
+    p.write_text(json.dumps(doc, indent=2))
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: objects.A.alpha[1][1]: bad scalar '1 + q': unknown parameter 'q' (declared: b)"
+        " at character 5 of the cell\n"
+    )
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):

@@ -234,6 +234,125 @@ def test_sparse_kernel_agrees_with_sympy():
     check()
 
 
+def _canonical(m):
+    """Canonical storage: no stored zero, no constant held as a Scalar, no
+    integral Fraction, and the integrality flag of m equal to a fresh scan
+    of its entries (a flag not decided yet is decided by that scan)."""
+    values = [x for row in m.data for x in row.values()]
+    assert not _stored_zeros(m)
+    assert not [x for x in values if type(x) is Fraction and x.denominator == 1]
+    assert not [x for x in values if type(x) is Scalar and x.value is not None]
+    assert m.integral() is all(type(x) is int for x in values)
+
+
+def test_integer_kernel_agrees_with_sympy():
+    # integral operands take the int-only loops; an operand with one
+    # Fraction or non-constant Scalar entry (one matrix in three) takes the
+    # generic loop. Entries are mostly +-1 and +-2, so sums cancel often,
+    # and a Fraction k/2 times an even entry is an integer, which must be
+    # stored as an int
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from sympy.polys.matrices import DomainMatrix
+
+    params = ("b",)
+    symbols = {"b": sympy.Symbol("b")}
+    sym = functools.cache(lambda t: sympy.parse_expr(t.replace("^", "**"), local_dict=symbols))
+
+    def skron(*ms):
+        return functools.reduce(lambda u, v: sympy.Matrix(
+            u.rows * v.rows, u.cols * v.cols,
+            lambda i, j: u[i // v.rows, j // v.cols] * v[i % v.rows, j % v.cols]), ms)
+
+    odd_entries = {"fraction": ["1/2", "-3/2", "5/2"], "scalar": ["b", "b + 1", "1/(b - 1)"]}
+
+    # no shrink phase: each example runs sympy, so a failing case is
+    # reported as drawn, in seconds, and not after minutes of shrinking
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None,
+                         phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+    @hypothesis.given(data=st.data())
+    def check(data):
+        draw = data.draw
+        odd = odd_entries[draw(st.sampled_from(list(odd_entries)))]
+
+        def both(rows, cols):
+            ts = draw(st.lists(st.sampled_from(["0", "0", "1", "-1", "2", "-2", "3"]),
+                               min_size=rows * cols, max_size=rows * cols))
+            if draw(st.integers(0, 2)) == 0:
+                ts[draw(st.integers(0, rows * cols - 1))] = draw(st.sampled_from(odd))
+            m = Matrix(rows, cols, [parse_scalar(t, params) for t in ts], params)
+            s = sympy.Matrix(rows, cols, [sym(t) for t in ts])
+            return m, s
+
+        def monomial(n):
+            # a signed permutation with entries 1, -1 or 2, held as ints
+            cols = draw(st.permutations(range(n)))
+            vals = [draw(st.sampled_from([1, 1, -1, 2])) for _ in range(n)]
+            m = Matrix.from_dicts(n, n, [{c: v} for c, v in zip(cols, vals)], params)
+            s = sympy.zeros(n, n)
+            for r, (c, v) in enumerate(zip(cols, vals)):
+                s[r, c] = v
+            return m, s
+
+        def agree(m, s):
+            _canonical(m)
+            assert (m.rows, m.cols) == s.shape
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    x = m.data[i].get(j, 0)
+                    if type(x) is Scalar:
+                        got = sym(str(x))
+                    else:
+                        got = sympy.Rational(x.numerator, x.denominator)
+                    assert got == s[i, j] or sympy.cancel(got - s[i, j]) == 0
+
+        dims = st.integers(1, 3)
+        r, k, n = draw(dims), draw(dims), draw(dims)
+        (a, sa), (a2, sa2), (b, sb) = both(r, k), both(r, k), both(k, n)
+        agree(a @ b, sa * sb)
+        agree(kron(a, b), skron(sa, sb))
+        agree(a.transpose(), sa.T)
+        agree(a + a2, sa + sa2)
+        agree(a - a2, sa - sa2)
+        field = DomainMatrix.from_Matrix(sa).to_field()
+        red, rank = rref(a)
+        agree(red, field.rref()[0].to_Matrix())
+        # the RREF of a basis of the null space is unique
+        ker = kernel(a)
+        assert ker.dim == k - rank
+        _canonical(ker.basis)
+        if ker.dim:
+            agree(ker.basis, field.nullspace().rref()[0].to_Matrix())
+
+        # a non-monomial factor on the middle slot, after a signed
+        # permutation on the first: row_times in slot mode after _relabel
+        n1, n2, n3, m2 = draw(st.integers(1, 2)), draw(dims), draw(st.integers(1, 2)), draw(dims)
+        (x, sx), (f, sf) = both(r, n1 * n2 * n3), both(n2, m2)
+        p, sp = monomial(n1)
+        agree(kron_apply(x, [n1, f, n3]), sx * skron(sympy.eye(n1), sf, sympy.eye(n3)))
+        agree(kron_apply(x, [p, f, n3]), sx * skron(sp, sf, sympy.eye(n3)))
+
+        # the same chain plus one with a permutation tail (the unscaled sum)
+        # and one with a signed permutation tail (the scaled sum)
+        (y, sy), (z, sz) = both(r, n1 * m2 * n3), both(r, n1 * m2 * n3)
+        perm = Matrix.from_dicts(n1 * m2, n1 * m2, [{c: 1} for c in reversed(range(n1 * m2))], params)
+        sperm = sympy.Matrix(n1 * m2, n1 * m2, lambda i, j: int(i + j == n1 * m2 - 1))
+        q, sq = monomial(n3)
+        got = linalg.kron_apply_sum([(x, [[n1, f, n3]]), (y, [[perm, n3]]), (z, [[n1 * m2, q]])])
+        agree(got, sx * skron(sympy.eye(n1), sf, sympy.eye(n3))
+              + sy * skron(sperm, sympy.eye(n3))
+              + sz * skron(sympy.eye(n1 * m2), sq))
+
+        # an element of H (x) H with d = 2 acting on a tensor product
+        (c, sc), ls, rs = both(2, 2), [both(2, n2) for _ in range(2)], [both(n3, 2) for _ in range(2)]
+        want = sum((sc[i, j] * skron(ls[i][1], rs[j][1])
+                    for i in range(2) for j in range(2)), sympy.zeros(2 * n3, n2 * 2))
+        agree(linalg.kron_sum(c, [m for m, _ in ls], [m for m, _ in rs]), want)
+
+    check()
+
+
 def test_span_agrees_with_rref_on_tall_inputs():
     # Subspace.span stops reading its vectors once the rank is full and puts
     # only the rows it kept in RREF; the basis must still be the RREF of
