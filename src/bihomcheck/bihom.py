@@ -27,7 +27,6 @@ from .hmod import HModule, ModuleMap, braiding, check_module_algebra, equivarian
 from .hopf import RMatrix, triangularity
 from .linalg import (
     Matrix,
-    _all_ints,
     _kval,
     invert,
     kron_apply,
@@ -95,17 +94,11 @@ class _StructureBase:
         """The kernel row (u (x) v) B^T, the image of u (x) v, for each
         sparse kernel row u of ``left_rows`` and v of the list
         ``right_rows``, u major. Each row is made when it is read, so a
-        reader that stops early makes no more of them. Int rows take the
-        int-only loops of ``kron_row``, and of ``row_times`` when B is
-        integral too."""
+        reader that stops early makes no more of them."""
         d, t = self.module.dim, self._transposed
-        ints = t.integral()
-        right = [(v, _all_ints((v,))) for v in right_rows]
         for u in left_rows:
-            uints = _all_ints((u,))
-            for v, vints in right:
-                uv = uints and vints
-                yield row_times(kron_row(u, v, d, uv), t.data, 1, 0, uv and ints)
+            for v in right_rows:
+                yield row_times(kron_row(u, v, d), t)
 
 
 class BiHomAlgebra(_StructureBase):

@@ -13,7 +13,7 @@ checks. The action on M (x) N and the braiding go through ``kron_sum``.
 from __future__ import annotations
 
 from .errors import DimensionMismatch
-from .hopf import HopfAlgebra, RMatrix, _unscaled
+from .hopf import HopfAlgebra, RMatrix
 from .linalg import Matrix, flip, hstack, kron_apply, kron_sum
 from .report import CheckReport, column_witness
 
@@ -92,13 +92,11 @@ def tensor_module(m: HModule, n: HModule) -> HModule:
 
 
 def braiding(m: HModule, n: HModule, r: RMatrix) -> Matrix:
-    """Matrix of tau: M (x) N -> N (x) M, tau(m (x) n) = sum R2.n (x) R1.m.
-    It is made from D R (``RMatrix.cleared``), so the terms of a rational R
-    are summed on ints, and divided by D once."""
-    D, s = r.cleared(m.hopf)
-    # the flip of D R acting on N (x) M, after the factor swap
-    tau = kron_sum(s.coefficients.transpose(), n.action, m.action) @ flip(m.dim, n.dim, m.params)
-    return _unscaled(tau, D)
+    """Matrix of tau: M (x) N -> N (x) M, tau(m (x) n) = sum R2.n (x) R1.m."""
+    if r.dim != m.hopf.dim:
+        raise DimensionMismatch("R-matrix dimension differs from the Hopf algebra")
+    # the flip of R acting on N (x) M, after the factor swap
+    return kron_sum(r.coefficients.transpose(), n.action, m.action) @ flip(m.dim, n.dim, m.params)
 
 
 def equivariance_witness(m: HModule, product: Matrix):

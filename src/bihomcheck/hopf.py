@@ -200,10 +200,10 @@ def _times(m: Matrix, f) -> Matrix:
     return Matrix.from_dicts(m.rows, m.cols, data, m.params)
 
 
-def _unscaled(m: Matrix, n) -> Matrix:
-    """m / n for an int n > 0: a map made from D R, or the witness scale of
-    an identity scaled by n; a zero m, a passing identity, costs nothing."""
-    return m if n == 1 or m.is_zero() else _times(m, Fraction(1, n))
+def _unscaled(diff: Matrix, n) -> Matrix:
+    """diff / n for an int n > 0, the witness scale of an identity scaled
+    by n; a zero diff, a passing identity, costs nothing."""
+    return diff if n == 1 or diff.is_zero() else _times(diff, Fraction(1, n))
 
 
 def _row(x: Matrix) -> Matrix:

@@ -36,17 +36,16 @@ A matrix is never changed after it is built: no operation writes to the
 row dicts of a matrix, so rows may be shared between matrices, and what a
 matrix decides about itself is kept: its monomial form (``monomial``) and
 whether every entry is an int (``integral``). As FLINT keeps integer
-matrices on their own kernel, an integral operand takes an int-only loop,
+matrices on their own kernel, integral operands take an int-only loop,
 ``s = a * b`` or ``s += a * b`` with a cancelled entry deleted in place and
-no type test: the row products of ``row_times`` (``@``, ``kron_apply``,
-``Echelon.spin`` and the structure products), ``kron_row``, the unscaled
-sums of ``kron_apply_sum``, and ``_add_scaled`` in ``kron_sum``,
-``+``/``-`` and the fraction-free reduction of ``Echelon``. A product, Kronecker product,
-transpose, sum or relabelling of integral operands is integral, and is
-built knowing it; any other matrix is scanned on first use, and a product
-scans an operand only where it reads at least as many of its rows as the
-operand has. Any other operand takes the generic loop, which dispatches on
-the type of each entry.
+no type test: ``row_times`` (so ``@``, ``kron_apply``, ``Echelon.spin``
+and the structure products) while its row holds ints, the unscaled sums
+of ``kron_apply_sum``, and ``_add_scaled`` in ``kron_sum``, ``+``/``-``
+and the fraction-free reduction of ``Echelon``. A product (``@``,
+``kron_apply``, ``kron_sum``), transpose, sum or ``hstack`` of integral
+operands, and a flip, is built known to be integral (``_made``); any
+other matrix is scanned on first use. Any other operand takes the generic
+loop, which dispatches on the type of each entry.
 
 There is one elimination, ``Echelon``: ``rref``, ``solve``, ``invert``,
 ``kernel`` and ``Subspace`` put their rows in one at a time and read its
@@ -91,8 +90,9 @@ class Matrix:
 
     A matrix is never changed after construction, so its monomial form
     (``monomial``) and its integrality (``integral``: every entry an int)
-    are decided on first use and kept in ``_form`` and ``_ints``; a matrix
-    made from integral operands is built with ``_ints`` True.
+    are decided on first use and kept in ``_form`` and ``_ints``; a
+    product, transpose, sum or ``hstack`` of integral matrices is built
+    with ``_ints`` True.
     """
 
     __slots__ = ("rows", "cols", "data", "params", "_form", "_ints")
@@ -136,11 +136,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, params=()):
-        return _made(n, n, [{i: 1} for i in range(n)], params, True)
+        return cls.from_dicts(n, n, [{i: 1} for i in range(n)], params)
 
     @classmethod
     def zero(cls, rows, cols, params=()):
-        return _made(rows, cols, [{} for _ in range(rows)], params, True)
+        return cls.from_dicts(rows, cols, [{} for _ in range(rows)], params)
 
     @property
     def _zero(self) -> Scalar:
@@ -263,8 +263,10 @@ class Matrix:
         return self._plus(other, -1)
 
     def __neg__(self):
-        data = [{c: _kneg(x) for c, x in row.items()} for row in self.data]
-        return _made(self.rows, self.cols, data, self.params, self._ints is True)
+        return Matrix.from_dicts(
+            self.rows, self.cols,
+            [{c: _kneg(x) for c, x in row.items()} for row in self.data], self.params,
+        )
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -274,19 +276,18 @@ class Matrix:
         # row to[i] of the other operand
         ints = self._ints is True and other._ints is True
         if (form := _permuting(other, self)) is not None:
-            data = _relabel(self.data, form, other.rows, 1, other.cols, ints)
+            data = _relabel(self.data, form, other.rows, 1, other.cols)
         elif (form := _permuting(self, other)) is not None:
             to, entries = form
             odata = other.data
             data = odata if to is None else [
                 odata[t] if entries is None or (f := entries[i]) is None else
-                {c: v * f if ints or type(v) is int and type(f) is int else _kmul(v, f)
+                {c: v * f if type(v) is int and type(f) is int else _kmul(v, f)
                  for c, v in odata[t].items()} for i, t in enumerate(to)]
         else:
-            # every entry of self is read, and a row of other for each
-            ints = ints or self.integral() and _factor_integral(other, self.data)
-            odata = other.data
-            data = [row_times(arow, odata, 1, 0, ints) for arow in self.data]
+            data = [row_times(arow, other) for arow in self.data]
+            # every entry of self is read, and other is decided by row_times
+            ints = self.integral() and other.integral()
         return _made(self.rows, other.cols, data, self.params, ints)
 
     def map(self, f, params):
@@ -338,55 +339,34 @@ def _all_ints(rows) -> bool:
     return True
 
 
-def _factor_integral(m: Matrix, data) -> bool:
-    """Whether m is integral, as the right factor of a product that reads
-    one row of m for each entry of the rows ``data``. An integrality not
-    known yet is decided only when those are at least as many as m's rows,
-    so the scan costs no more than the loop it spares; otherwise False."""
-    if m._ints is _UNDECIDED and sum(map(len, data)) < m.rows:
-        return False
-    return m.integral()
+def row_times(row: dict, m: Matrix, after=1) -> dict:
+    """The sparse kernel row ``row @ m``.
 
+    With ``after`` > 1, m acts on one slot of the column index instead:
+    column left*n*after + i*after + right, for n the rows of m, goes to
+    left*cols*after + c*after + right for each column c of row i, for cols
+    the columns of m.
 
-def row_times(row: dict, odata, after=1, cols=0, ints=False) -> dict:
-    """The sparse kernel row ``row @ m``, for ``odata`` the rows ``m.data``
-    of m.
-
-    With ``after`` > 1, m (``cols`` columns) acts on one slot of the column
-    index instead: column left*n*after + i*after + right, for n the rows of
-    m, goes to left*cols*after + c*after + right for each column c of row i.
-
-    ``ints`` says that ``row`` and m hold ints only: each term is then
-    added as it is, with no type test. Otherwise a product with a factor
-    equal to one is the other factor, so permutations cost no scalar
-    multiplication; only an int can be 1, so no Fraction is ever compared.
-    The fraction field has no zero divisors, so only a sum can be zero: an
-    entry that cancels is deleted at once."""
+    While m is integral and every entry of ``row`` read so far is an int,
+    each term is added as it is, with no type test. Otherwise a product
+    with a factor equal to one is the other factor, so permutations cost
+    no scalar multiplication; only an int can be 1, so no Fraction is ever
+    compared. The fraction field has no zero divisors, so only a sum can be
+    zero: an entry that cancels is deleted at once."""
+    odata = m.data
+    ints = m.integral()
     out = {}
     get = out.get
-    width, out_width = len(odata) * after, cols * after
+    width, out_width = len(odata) * after, m.cols * after
     for key, a in row.items():
         if after == 1 and key < width:
-            # a plain product reads the row straight from the column index,
-            # and keeps the column index of the row it reads
-            if ints:
-                for k, b in odata[key].items():
-                    s = get(k)
-                    if s is None:
-                        out[k] = a * b
-                    else:
-                        s += a * b
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
-                continue
             i, base = key, 0
         else:
             left, rest = divmod(key, width)
             i, right = divmod(rest, after)
             base = left * out_width + right
-        if ints:
+        if ints and type(a) is int:
+            # out holds ints only, as every term added so far was int
             for c, b in odata[i].items():
                 k = base + c * after
                 s = get(k)
@@ -399,6 +379,7 @@ def row_times(row: dict, odata, after=1, cols=0, ints=False) -> dict:
                     else:
                         del out[k]
             continue
+        ints = False
         aint = type(a) is int
         unit = aint and a == 1
         for c, b in odata[i].items():
@@ -463,21 +444,19 @@ def _walk(data, slots, ints):
     its slot (``_relabel``), any other goes through ``row_times``."""
     for f, after, n, form in slots:
         if form is None:
-            ints = ints and _factor_integral(f, data)
-            data = [row_times(row, f.data, after, f.cols, ints) for row in data]
+            data = [row_times(row, f, after) for row in data]
         else:
-            ints = ints and f.integral()
-            data = _relabel(data, form, n, after, f.cols, ints)
+            data = _relabel(data, form, n, after, f.cols)
+        ints = ints and f.integral()
     return data, ints
 
 
-def _relabel(data, form, n, after, cols, ints) -> list:
+def _relabel(data, form, n, after, cols) -> list:
     """The rows ``data`` times a monomial factor of n rows and ``cols``
     columns on the slot with ``after`` values after it: row i of the factor
-    sends slot value i to to[i], times entries[i], with no type test when
-    ``ints`` says both hold ints only; the identity, (None, None), leaves
-    the rows as they are. Each entry is moved on its own, which costs less
-    than ``_send`` when the rows share few columns."""
+    sends slot value i to to[i], times entries[i]; the identity, (None,
+    None), leaves the rows as they are. Each entry is moved on its own,
+    which costs less than ``_send`` when the rows share few columns."""
     to, entries = form
     if to is None:
         return data
@@ -492,7 +471,7 @@ def _relabel(data, form, n, after, cols, ints) -> list:
             i = k // after % n
             f = entries[i]
             if f is not None:
-                v = v * f if ints or type(v) is int and type(f) is int else _kmul(v, f)
+                v = v * f if type(v) is int and type(f) is int else _kmul(v, f)
             new[k // span * width + to[i] * after + k % after] = v
         out.append(new)
     return out
@@ -589,7 +568,7 @@ def kron_apply_sum(terms) -> Matrix:
                         del row[c]
                     else:
                         row[c] = s
-    return _made(x0.rows, cols, out, x0.params, out_ints)
+    return Matrix.from_dicts(x0.rows, cols, out, x0.params)
 
 
 def _kop(op, qop, a, b):
@@ -684,11 +663,8 @@ def _monic(row: dict, c) -> dict:
     return {k: _kmul(x, inv) for k, x in row.items()}
 
 
-def kron_row(arow: dict, brow: dict, bcols, ints=False) -> dict:
-    """The kernel row arow (x) brow, for a row ``brow`` of ``bcols`` columns;
-    ``ints`` says that both hold ints only."""
-    if ints:
-        return {j * bcols + l: x * y for j, x in arow.items() for l, y in brow.items()}
+def kron_row(arow: dict, brow: dict, bcols) -> dict:
+    """The kernel row arow (x) brow, for a row ``brow`` of ``bcols`` columns."""
     row = {}
     for j, x in arow.items():
         off = j * bcols
@@ -699,9 +675,9 @@ def kron_row(arow: dict, brow: dict, bcols, ints=False) -> dict:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; basis convention (i,j) -> i*b.rows + j."""
-    bcols, ints = b.cols, a._ints is True and b._ints is True
-    data = [kron_row(arow, brow, bcols, ints) for arow in a.data for brow in b.data]
-    return _made(a.rows * b.rows, a.cols * bcols, data, a.params, ints)
+    bcols = b.cols
+    data = [kron_row(arow, brow, bcols) for arow in a.data for brow in b.data]
+    return Matrix.from_dicts(a.rows * b.rows, a.cols * bcols, data, a.params)
 
 
 def kron_sum(x: Matrix, left, right) -> Matrix:
@@ -732,9 +708,9 @@ def multiplications(transposed: Matrix, right) -> list:
     """The row-form operators v -> v e_j (``right``) or v -> e_j v of a
     product whose d x d^2 matrix has the transpose ``transposed``: row i of
     the j-th is row i*d + j (or j*d + i) of it, shared, not copied."""
-    d, t, ints = transposed.cols, transposed.data, transposed._ints is True
-    return [_made(d, d, [t[i * d + j if right else j * d + i] for i in range(d)],
-                  transposed.params, ints) for j in range(d)]
+    d, t = transposed.cols, transposed.data
+    return [Matrix.from_dicts(d, d, [t[i * d + j if right else j * d + i] for i in range(d)],
+                              transposed.params) for j in range(d)]
 
 
 def hstack(blocks) -> Matrix:
@@ -751,8 +727,7 @@ def hstack(blocks) -> Matrix:
 def vstack(blocks) -> Matrix:
     """Blocks with equal column counts stacked, top to bottom."""
     data = [row for b in blocks for row in b.data]
-    ints = all(b._ints is True for b in blocks)
-    return _made(len(data), blocks[0].cols, data, blocks[0].params, ints)
+    return Matrix.from_dicts(len(data), blocks[0].cols, data, blocks[0].params)
 
 
 def flip(m, n, params) -> Matrix:
@@ -900,14 +875,12 @@ class Echelon:
         """Close the span under the row-form operators, the matrices
         ``ops``: ``pending`` holds (row, operators) pairs, each row to be
         multiplied by its operators, last pair first, and each row kept on
-        the way is multiplied by all of ``ops``. A row is scanned once for
-        its integrality, which each of its products then reads. Stops once
-        the echelon is full; returns the echelon."""
+        the way is multiplied by all of ``ops``. Stops once the echelon is
+        full; returns the echelon."""
         while pending and not self.full:
             row, todo = pending.pop()
-            ints = _all_ints((row,))
             for o in todo:
-                new = self.add(row_times(row, o.data, 1, 0, ints and o.integral()))
+                new = self.add(row_times(row, o))
                 if new is not None:
                     if self.full:
                         break

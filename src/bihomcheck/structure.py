@@ -130,11 +130,11 @@ def _ideal_check(x, u: Subspace, kind: str) -> IdealCheck:
     _check_ambient(x, u)
     maps, *sides = _closure_operators(x, kind)
     products = [p for ps in zip(*reversed(sides)) for p in ps]
-    rows, ints = u.basis.data, u.basis.integral()
+    rows = u.basis.data
     images = chain(((row, m) for m in maps for row in rows),
                    ((row, p) for row in rows for p in products))
     for row, (reason, op) in images:
-        image = row_times(row, op.data, 1, 0, ints and op.integral())
+        image = row_times(row, op)
         if not u._holds(image):
             witness = Matrix.from_dicts(1, u.ambient_dim, [image], x.params).row(0)
             return IdealCheck(False, reason, witness)

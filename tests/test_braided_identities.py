@@ -53,7 +53,7 @@ from test_structure_pins import matrix_algebra
 
 def times(x, m):
     """x m through ``row_times`` on every row of x, whatever m is."""
-    return Matrix.from_dicts(x.rows, m.cols, [row_times(row, m.data) for row in x.data], x.params)
+    return Matrix.from_dicts(x.rows, m.cols, [row_times(row, m) for row in x.data], x.params)
 
 
 def apply(x, factors):

@@ -315,6 +315,7 @@ def test_integer_kernel_agrees_with_sympy():
         agree(a.transpose(), sa.T)
         agree(a + a2, sa + sa2)
         agree(a - a2, sa - sa2)
+        agree(linalg.hstack([a, a2]), sa.row_join(sa2))
         field = DomainMatrix.from_Matrix(sa).to_field()
         red, rank = rref(a)
         agree(red, field.rref()[0].to_Matrix())
@@ -512,7 +513,7 @@ def test_unit_factors_cost_no_scalar_multiplication(monkeypatch):
 def _product_by_rows(x, m):
     """x @ m through ``row_times`` on every row, even for a monomial m: the
     oracle that does not relabel."""
-    return Matrix.from_dicts(x.rows, m.cols, [linalg.row_times(row, m.data) for row in x.data],
+    return Matrix.from_dicts(x.rows, m.cols, [linalg.row_times(row, m) for row in x.data],
                              x.params)
 
 
