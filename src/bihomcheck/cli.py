@@ -120,7 +120,7 @@ def _prefixed(rep_into: CheckReport, prefix: str, rep: CheckReport):
         CheckEntry(f"{prefix}:{e.check_id}", e.law, e.status, e.witness, e.detail)
         for e in rep.entries
     ]
-    rep_into.extend(CheckReport(rep.suite, entries, rep.notes, rep.probe_seed))
+    rep_into.extend(CheckReport(rep.suite, entries, rep.notes))
     return rep_into
 
 
@@ -285,16 +285,23 @@ def _parse_space(spec: str | None, dim, params, default=None) -> Subspace:
         return Subspace.zero_space(dim, params)
     if text == "full":
         return Subspace.full_space(dim, params)
-    for rtext in text.split(";"):
+    for r, rtext in enumerate(text.split(";"), 1):
         cells = [c.strip() for c in rtext.split(",")]
         if len(cells) != dim:
             raise ValidationError(
-                [f"--space row {rtext!r} has {len(cells)} coordinates, expected {dim}"]
+                [f"--space: row {r} has {len(cells)} coordinates, expected {dim}"]
             )
-        try:
-            rows.append([parse_scalar(c, params) for c in cells])
-        except ParseError as exc:
-            raise ValidationError([f"--space: {exc}"]) from None
+        row = []
+        for c, cell in enumerate(cells, 1):
+            try:
+                row.append(parse_scalar(cell, params))
+            except ParseError as exc:
+                # the column counts in the coordinate's own text
+                at = "" if exc.column is None else f" at character {exc.column} of the coordinate"
+                raise ValidationError(
+                    [f"--space: row {r}, coordinate {c}: {exc.reason}{at}"]
+                ) from None
+        rows.append(row)
     return Subspace.from_rows(dim, rows, params)
 
 
@@ -306,7 +313,6 @@ def run_structure(
     what: str,
     object_name: str | None = None,
     space: str | None = None,
-    max_steps: int = 16,
     probe_seed: int = 0,
 ) -> CheckReport:
     """Structure-theory computations rendered into a report; subspaces are
@@ -327,8 +333,6 @@ def run_structure(
         raise ValidationError(
             [f"unknown computation {what!r} (choose from {', '.join(STRUCTURE_WHAT)})"]
         )
-    if max_steps < 1:
-        raise ValidationError([f"--max-steps must be at least 1, got {max_steps}"])
     lie_only = what in ("center", "derived-series", "lcs")
     obj = _pick_object(f, object_name, "bracket" if lie_only else None)
     x = obj.structure(f.rmatrix)
@@ -338,12 +342,12 @@ def run_structure(
         rep.note(f"center = {format_subspace(names, center(x))}")
     elif what in ("derived-series", "lcs"):
         if what == "derived-series":
-            res, label, holds = derived_series(x, max_steps), "derived series", "solvable"
+            res, label, holds = derived_series(x), "derived series", "solvable"
         else:
             start = _parse_space(
                 space, obj.dim, f.parameters, Subspace.full_space(obj.dim, f.parameters)
             )
-            res = lower_central_series(x, start, max_steps)
+            res = lower_central_series(x, start)
             label, holds = "lower central series", "nilpotent"
         chain = ", ".join(format_subspace(names, t) for t in res.terms)
         rep.note(f"{label}: [{chain}]")
@@ -453,7 +457,6 @@ def build_parser():
     st.add_argument("--object", dest="object_name", default=None)
     st.add_argument("--space", default=None, help="basis rows 'c1,c2,...;d1,d2,...' or '0' or 'full'")
     st.add_argument("--set", dest="bindings", action="append", metavar="NAME=RATIONAL")
-    st.add_argument("--max-steps", type=int, default=16)
     st.add_argument("--probe-seed", type=int, default=0)
     st.add_argument("--json", action="store_true")
     st.add_argument("--output", default=None)
@@ -495,7 +498,6 @@ def _dispatch(args) -> int:
             args.what,
             object_name=args.object_name,
             space=args.space,
-            max_steps=args.max_steps,
             probe_seed=args.probe_seed,
         )
         return _emit_report(rep, args.json, args.output)

@@ -176,8 +176,6 @@ class CheckReport:
     def extend(self, other: "CheckReport"):
         self.entries.extend(other.entries)
         self.notes.extend(other.notes)
-        if other.probe_seed is not None:
-            self.probe_seed = other.probe_seed
 
     @property
     def ok(self) -> bool:

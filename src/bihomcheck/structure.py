@@ -1,11 +1,17 @@
 """Ideal and series structure theory for validated BiHom structures.
 
 Everything here is exact subspace arithmetic: ideals are RREF subspaces,
-series iterate until stabilization (guaranteed within the ambient
-dimension), and simplicity/primality/semiprimality are semi-decisions that
-either exhibit a certificate ideal or report that the probe search found
-no counterexample. Probe vectors come from a seeded generator recorded in
-the result, so runs are reproducible.
+series run for at most n = dim steps, and simplicity/primality/semiprimality
+are semi-decisions that either exhibit a certificate ideal or report that
+the probe search found no counterexample. Probe vectors come from a seeded
+generator recorded in the result, so runs are reproducible.
+
+n steps settle whether a series reaches zero. A decreasing chain loses a
+dimension at each step until it is zero or stable. In the lower central
+series of a start S, V_{k+1} is the span of all words of length k in the
+maps v -> v s (s in S) applied to S; if some V_m = 0, these maps act
+nilpotently on U, the sum of all those spans, so V_{n+1} = 0 already
+because dim U <= n.
 
 One list says what an ideal is (``_closure_operators``): the maps alpha,
 beta and the H-action, and the products with each basis vector, on the
@@ -49,6 +55,7 @@ from .linalg import Echelon, Matrix, Subspace, hstack, kernel, row_times
 
 SERIES_ZERO = "terminates-at-zero"
 SERIES_STABLE = "stabilizes-nonzero"
+SERIES_UNSETTLED = "never-reaches-zero"
 
 
 class SeriesResult:
@@ -182,42 +189,41 @@ def _spin(x, seed: Subspace, ops: tuple, within: Subspace | None = None) -> Subs
     return span.spin(pending, spun).subspace()
 
 
-def _series(x, start: Subspace, max_steps: int, derived: bool, ideal: bool = False) -> SeriesResult:
-    """V1 = start and V_{k+1} = V_k V_k (``derived``) or V_k start, until
-    zero or stabilization.
+def _series(x, start: Subspace, derived: bool, ideal: bool = False) -> SeriesResult:
+    """V1 = start and V_{k+1} = V_k V_k (``derived``) or V_k start, for at
+    most n = dim steps. The verdict is ``SERIES_ZERO`` at a zero term,
+    ``SERIES_STABLE`` at a term equal to the one before, and otherwise
+    ``SERIES_UNSETTLED``: by the bound above, that chain never reaches zero.
 
     When ``start`` is the whole space or an ``ideal`` (a closure), V2 lies
-    in V1, so every later term lies in the one before it and each span
-    stops at the dimension of the term before. Any other start runs
-    uncapped."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    in V1, so each term lies in the one before and its span stops at that
+    dimension. Any other start runs uncapped."""
     _check_ambient(x, start)
-    term = start
-    terms = [term]
+    term, terms = start, [start]
     if term.dim == 0:
         return SeriesResult(terms, SERIES_ZERO, 0)
-    decreasing = ideal or start.dim == start.ambient_dim
-    for step in range(1, max_steps + 1):
+    n = start.ambient_dim
+    decreasing = ideal or start.dim == n
+    for step in range(1, n + 1):
         rows = x.products(term.basis.data, (term if derived else start).basis.data)
-        nxt = Subspace.span(term.ambient_dim, rows, x.params, term if decreasing else None)
+        nxt = Subspace.span(n, rows, x.params, term if decreasing else None)
         if nxt == term:
             return SeriesResult(terms, SERIES_STABLE, step - 1)
         terms.append(nxt)
         if nxt.dim == 0:
             return SeriesResult(terms, SERIES_ZERO, step)
         term = nxt
-    return SeriesResult(terms, SERIES_STABLE, max_steps)
+    return SeriesResult(terms, SERIES_UNSETTLED, n)
 
 
-def derived_series(l: BiHomLie, max_steps: int = 16) -> SeriesResult:
-    """L, [L,L], [[L,L],[L,L]], ... until zero or stabilization."""
-    return _series(l, Subspace.full_space(l.module.dim, l.params), max_steps, derived=True)
+def derived_series(l: BiHomLie) -> SeriesResult:
+    """L, [L,L], [[L,L],[L,L]], ... for at most dim steps."""
+    return _series(l, Subspace.full_space(l.module.dim, l.params), derived=True)
 
 
-def lower_central_series(l: BiHomLie, start: Subspace, max_steps: int = 16) -> SeriesResult:
-    """V1 = start, V_{k+1} = [V_k, start], until zero or stabilization."""
-    return _series(l, start, max_steps, derived=False)
+def lower_central_series(l: BiHomLie, start: Subspace) -> SeriesResult:
+    """V1 = start, V_{k+1} = [V_k, start], for at most dim steps."""
+    return _series(l, start, derived=False)
 
 
 PROBES = 8  # the seeded probe vectors of a simplicity certificate
@@ -251,25 +257,14 @@ def simplicity_certificate(x, probe_seed: int = 0) -> Certificate:
         c = _spin(x, Subspace.span(d, [row], x.params), ops, within)
         if 0 < c.dim < d and c not in found:
             found.append(c)
-    nonsimple = None
-    for c in found:
-        if nonsimple is None or c.dim < nonsimple.dim:
-            nonsimple = c
-    nonprime = None
+    nonsimple = min(found, key=lambda c: c.dim, default=None)
     candidates = found + [Subspace.full_space(d, x.params)]
-    for a in candidates:
-        for b in candidates:
-            if a.dim and b.dim and _annihilates(x, a, b):
-                nonprime = (a, b)
-                break
-        if nonprime:
-            break
-    nonsemiprime = None
-    for c in found:
-        # the powers C, CC, (CC)C, ... reach zero
-        if c.dim and _series(x, c, 16, derived=False, ideal=True).reaches_zero:
-            nonsemiprime = c
-            break
+    nonprime = next(((a, b) for a in candidates for b in candidates
+                     if a.dim and b.dim and _annihilates(x, a, b)), None)
+    # the powers C, CC, (CC)C, ... of a found closure reach zero
+    nonsemiprime = next(
+        (c for c in found if _series(x, c, derived=False, ideal=True).reaches_zero), None
+    )
     return Certificate(nonsimple, nonprime, nonsemiprime, probe_seed, PROBES)
 
 

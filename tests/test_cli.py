@@ -464,14 +464,76 @@ def test_bracket_object_with_a_unit_is_input_error(capsys, tmp_path):
     assert "error: objects.L.multiplicative: only a product object has a multiplicative flag\n" in err
 
 
-@pytest.mark.parametrize("what,steps", [("derived-series", "-1"), ("lcs", "0")])
-def test_structure_max_steps_below_one_is_input_error(capsys, what, steps):
+@pytest.mark.parametrize(
+    "space,message",
+    [
+        # the character counts in the coordinate's own text
+        ("1, 0, 2*q", "row 1, coordinate 3: unknown parameter 'q' (declared: l1, l2, l1p, l2p)"
+                      " at character 3 of the coordinate"),
+        ("1,0,0;0, 1/0 ,0", "row 2, coordinate 2: division by zero at character 4 of the coordinate"),
+        ("1,0,0;", "row 2 has 1 coordinates, expected 3"),
+    ],
+)
+def test_bad_space_is_located_by_row_and_coordinate(capsys, space, message):
     code, out, err = run(
-        capsys, "structure", "example25-heisenberg", "--what", what, "--max-steps", steps
+        capsys, "structure", "example25-heisenberg", "--what", "closure", "--object", "L",
+        "--space", space,
     )
-    assert code == 2
-    assert out == ""
-    assert err == f"error: --max-steps must be at least 1, got {steps}\n"
+    assert (code, out, err) == (2, "", f"error: --space: {message}\n")
+
+
+def _lie_file(name, basis, bracket):
+    """An algebra file holding the Lie algebra L with ``bracket`` (a dict
+    (i, j) -> {k: c}, antisymmetry implied) over the trivial Hopf algebra,
+    with identity maps."""
+    d = len(basis)
+    ident = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+    entries = [
+        entry
+        for (i, j), image in bracket.items()
+        for k, c in image.items()
+        for entry in ([i, j, k, c], [j, i, k, f"-({c})"])
+    ]
+    return {
+        "format": "bihom-algebra-file/1",
+        "name": name,
+        "parameters": [],
+        "hopf": {"group": {"names": ["e"], "table": [[0]], "identity": 0}},
+        "rmatrix": [["1"]],
+        "objects": {"L": {"dim": d, "basis": basis, "action": {"e": ident},
+                          "bracket": entries, "alpha": ident, "beta": ident}},
+    }
+
+
+def test_a_series_runs_for_the_dimension_and_a_capped_chain_is_not_stable(capsys, tmp_path):
+    # the filiform algebra [e1, e_i] = e_{i+1} of dim 18 has 18 lcs terms and
+    # reaches zero at step 17
+    d = 18
+    filiform = _lie_file("filiform-18", [f"e{i + 1}" for i in range(d)],
+                         {(0, i): {i + 1: "1"} for i in range(1, d - 1)})
+    p = tmp_path / "filiform.json"
+    p.write_text(json.dumps(filiform))
+    assert run(capsys, "check", str(p), "--suite", "bihom-lie")[0] == 0
+    code, out, _ = run(capsys, "structure", str(p), "--what", "lcs")
+    assert code == 0
+    assert "  note: verdict: terminates-at-zero at step 17\n  note: nilpotent: yes\n" in out
+    # Q x_A Q^2 for the rotation A = [[3/5, -4/5], [4/5, 3/5]] of infinite
+    # order: the lcs of span(s, x) moves along lines A^k x forever
+    rotation = _lie_file("rotation", ["s", "x", "y"],
+                         {(0, 1): {1: "3/5", 2: "4/5"}, (0, 2): {1: "-4/5", 2: "3/5"}})
+    p = tmp_path / "rotation.json"
+    p.write_text(json.dumps(rotation))
+    assert run(capsys, "check", str(p), "--suite", "bihom-lie")[0] == 0
+    code, out, _ = run(capsys, "structure", str(p), "--what", "lcs", "--space", "1,0,0;0,1,0")
+    assert (code, out) == (
+        0,
+        "suite structure:lcs\n"
+        "  note: lower central series: [span(s, x), span(x + 4/3*y), span(x - 24/7*y),"
+        " span(x - 44/117*y)]\n"
+        "  note: verdict: never-reaches-zero at step 3\n"
+        "  note: nilpotent: no\n"
+        "  => all checks passed\n",
+    )
 
 
 @pytest.mark.parametrize("argv", [["nope"], ["check"], ["check", "kz2", "--bogus"]])

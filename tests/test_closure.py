@@ -13,8 +13,10 @@ A span may stop at a ceiling, the dimension of a subspace known to hold
 it. The spin under each closed subspace that holds the seed must give the
 closure by rounds; each series, whose terms are capped by the term before
 once the series decreases, must equal the series by definition, with no
-ceiling; and the nonprime pair search, which stops at the first nonzero
-product, must agree with the test on all products. The references make
+ceiling; whether a series reaches zero must be whether its term after n =
+dim steps, made with no early exit, is zero; and the nonprime pair search,
+which stops at the first nonzero product, must agree with the test on all
+products. The references make
 every product at once, as the matrix kron(U, V) B^T, and the product
 rows that the structure makes one pair at a time must be its rows.
 """
@@ -25,13 +27,14 @@ import functools
 
 import pytest
 
-from bihomcheck.bihom import BiHomLie, commutator_bracket
+from bihomcheck.bihom import BiHomAlgebra, BiHomLie, commutator_bracket
 from bihomcheck.catalog import trivial_hopf, trivial_rmatrix
 from bihomcheck.hmod import HModule, ModuleMap
 from bihomcheck.linalg import Matrix, Subspace, kron, rref
 from bihomcheck.scalars import Scalar
 from bihomcheck.structure import (
     SERIES_STABLE,
+    SERIES_UNSETTLED,
     SERIES_ZERO,
     _annihilates,
     _closure_operators,
@@ -230,21 +233,27 @@ def test_a_spin_under_any_closed_subspace_holding_the_seed_is_the_closure(name):
     assert capped or all(u.dim in (0, d) for u in closed)
 
 
-def series_by_definition(x, start: Subspace, max_steps: int, derived: bool):
+def _next_term(x, start: Subspace, term: Subspace, derived: bool) -> Subspace:
+    """V_k V_k or V_k start, the RREF of all its products, with no ceiling."""
+    return _rref_span(all_products(x, term.basis, (term if derived else start).basis))
+
+
+def series_by_definition(x, start: Subspace, derived: bool):
     """(terms, verdict, step) of V1 = start and V_{k+1} = V_k V_k or V_k
-    start, each term the RREF of all its products, with no ceiling."""
+    start for at most n = dim steps, each term from ``_next_term``."""
     terms, term = [start], start
     if start.dim == 0:
         return terms, SERIES_ZERO, 0
-    for step in range(1, max_steps + 1):
-        nxt = _rref_span(all_products(x, term.basis, (term if derived else start).basis))
+    n = start.ambient_dim
+    for step in range(1, n + 1):
+        nxt = _next_term(x, start, term, derived)
         if nxt == term:
             return terms, SERIES_STABLE, step - 1
         terms.append(nxt)
         if nxt.dim == 0:
             return terms, SERIES_ZERO, step
         term = nxt
-    return terms, SERIES_STABLE, max_steps
+    return terms, SERIES_UNSETTLED, n
 
 
 def _one_dim_abelian():
@@ -254,6 +263,17 @@ def _one_dim_abelian():
 def _cross_product_abelian():
     lie = shipped("cross-product-classical", "L")
     return BiHomLie(lie.module, Matrix.zero(3, 9, ()), lie.alpha, lie.beta, lie.rmatrix)
+
+
+def _nil_powers(n=3):
+    """span(x, x^2, ..., x^n) with x^i x^j = x^{i+j} and x^{n+1} = 0 over
+    the trivial Hopf algebra, identity maps: the powers of the whole space
+    lose one dimension at each step, so they take all n steps to reach 0."""
+    module = HModule(trivial_hopf(), [f"x{i + 1}" for i in range(n)], [Matrix.identity(n, ())])
+    rows = [{i * n + j: 1 for i in range(n) for j in range(n) if i + j + 1 == k}
+            for k in range(n)]
+    ident = ModuleMap.identity(module)
+    return BiHomAlgebra(module, Matrix.from_dicts(n, n * n, rows, ()), ident, ident)
 
 
 def _gl2():
@@ -276,6 +296,7 @@ SERIES_INPUTS = {
     "cross-product-classical/L": lambda: shipped("cross-product-classical", "L"),
     "cross-product/abelian": _cross_product_abelian,
     "one-dim/abelian": _one_dim_abelian,
+    "nil-powers": _nil_powers,
     "gl2": _gl2,
     "gl2+gl2": _gl2_pair,
 }
@@ -307,33 +328,65 @@ def series_starts(name):
 def test_series_with_the_ceiling_match_the_definition(name):
     x, starts, closures = series_starts(name)
     full = starts[1]
-    assert _series_triple(derived_series(x)) == series_by_definition(x, full, 16, True)
+    assert _series_triple(derived_series(x)) == series_by_definition(x, full, True)
     for start in starts + closures:
         got = lower_central_series(x, start)
-        assert _series_triple(got) == series_by_definition(x, start, 16, False)
+        assert _series_triple(got) == series_by_definition(x, start, False)
     for c in closures:
         # the powers C, CC, (CC)C, ... of a closure, as the certificate takes them
-        got = _series(x, c, 16, derived=False, ideal=True)
-        assert _series_triple(got) == series_by_definition(x, c, 16, False)
+        got = _series(x, c, derived=False, ideal=True)
+        assert _series_triple(got) == series_by_definition(x, c, False)
+
+
+def _reaches_zero_by_definition(x, start: Subspace, derived: bool) -> bool:
+    """Whether V_{n+1} = 0, from all n steps of ``_next_term`` with no early
+    exit."""
+    term = start
+    for _ in range(start.ambient_dim):
+        term = _next_term(x, start, term, derived)
+    return term.dim == 0
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_INPUTS))
+def test_n_steps_decide_whether_a_series_reaches_zero(name):
+    x, starts, closures = series_starts(name)
+    full = starts[1]
+    # decreasing chains: the derived series, the whole space and the powers
+    # of a closure settle within n steps
+    decreasing = [derived_series(x), lower_central_series(x, full)]
+    decreasing += [_series(x, c, derived=False, ideal=True) for c in closures]
+    assert all(res.verdict != SERIES_UNSETTLED for res in decreasing)
+    assert decreasing[0].reaches_zero == _reaches_zero_by_definition(x, full, True)
+    for c, res in zip(closures, decreasing[2:]):
+        assert res.reaches_zero == _reaches_zero_by_definition(x, c, False)
+    for start in starts + closures:
+        got = lower_central_series(x, start).reaches_zero
+        assert got == _reaches_zero_by_definition(x, start, False)
+
+
+def test_a_series_can_take_all_n_steps():
+    x = SERIES_INPUTS["nil-powers"]()
+    res = lower_central_series(x, Subspace.full_space(3, ()))
+    assert ([t.dim for t in res.terms], res.verdict, res.step) == ([3, 2, 1, 0], SERIES_ZERO, 3)
 
 
 def test_some_series_start_is_not_decreasing():
     # V2 is not inside V1 for span(x1, x2) of the Heisenberg bracket, so its
     # lcs runs with no ceiling; on M3 under right products span(E12, E21)
-    # never decreases (V2 = span(E11, E22), V3 = V1, ...) for all 16 steps
+    # never decreases (V2 = span(E11, E22), V3 = V1, ...) for all 9 steps
     x = SERIES_INPUTS["example25-heisenberg/L"]()
     d, p = x.module.dim, x.params
     x1x2 = Subspace.span(d, Matrix.identity(d, p).data[:2], p)
-    terms, verdict, step = series_by_definition(x, x1x2, 16, False)
+    terms, verdict, step = series_by_definition(x, x1x2, False)
     assert [t.dim for t in terms] == [2, 1, 0] and not terms[0]._holds(terms[1].basis.data[0])
     assert _series_triple(lower_central_series(x, x1x2)) == (terms, verdict, step)
     # the golden `structure example25-heisenberg lcs --object L --space 0,0,1`
     x3 = Subspace.span(d, [{2: 1}], p)
-    assert _series_triple(lower_central_series(x, x3)) == series_by_definition(x, x3, 16, False)
+    assert _series_triple(lower_central_series(x, x3)) == series_by_definition(x, x3, False)
     m3 = case("M3/right")[0]
     e12_e21 = Subspace.span(9, [{1: 1}, {3: 1}], ())
-    terms, verdict, step = series_by_definition(m3, e12_e21, 16, False)
-    assert (len(terms), verdict, step) == (17, SERIES_STABLE, 16)
+    terms, verdict, step = series_by_definition(m3, e12_e21, False)
+    assert (len(terms), verdict, step) == (10, SERIES_UNSETTLED, 9)
     assert _series_triple(lower_central_series(m3, e12_e21)) == (terms, verdict, step)
 
 

@@ -122,14 +122,13 @@ FLAG_VALUES = {
     # a tuple is several tokens: ("b=1", "--set", "b=2") repeats the name
     "--set": ["b=2", "b=0", "t=1/2", "b=", "=1", "b=x", "b=1e999999999", "b=99999", "zz=1",
               ("b=1", "--set", "b=2")],
-    "--max-steps": ["1", "0", "-3", "16", "x"],
     "--probe-seed": ["0", "7", "-1", "x"],
 }
 # each subcommand's flags; the first ones are the flags it requires
 FLAGS = {
     "check": ["--suite", "--set", "--json", "--output"],
     "construct": ["--what", "--output", "--object", "--set", "--json"],
-    "structure": ["--what", "--object", "--space", "--set", "--max-steps", "--probe-seed",
+    "structure": ["--what", "--object", "--space", "--set", "--probe-seed",
                   "--json", "--output"],
     "print": ["--output"],
     "catalog": ["--json"],
